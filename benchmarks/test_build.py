@@ -22,7 +22,7 @@ import pytest
 
 from repro import build_index
 from repro._util import Stopwatch
-from repro.baselines.ppl import restricted_bfs
+from repro.core.build_kernels import restricted_distances
 from repro.dynamic import DynamicIndex
 from repro.dynamic import incremental as inc
 from repro.graph import barabasi_albert
@@ -97,7 +97,8 @@ def test_kernel_beats_scalar_5x(bench_graph, kernel_build):
         for rank in sampled.tolist():
             root = int(order[rank])
             bfs_distances(graph, root, out=full)
-            restricted_bfs(graph, root, rank_of, rank, out=restricted)
+            restricted_distances(graph.indptr, graph.indices, root,
+                                 rank_of > rank, out=restricted)
     scalar_estimate = sw.elapsed / len(sampled) * n
     speedup = scalar_estimate / kernel_seconds
     _RESULTS["scalar_estimate"] = {

@@ -40,9 +40,9 @@ against — plugs into one engine surface:
   raising), per-query ``SearchStats`` aggregation, and an optional
   LRU result cache.
 
-The historical per-family classes (``QbSIndex``, ``PPLIndex``, ...)
-remain exported for back-compatibility; ``build_index`` returns
-engine-enabled subclasses of them.
+Each family is one class (``QbSIndex``, ``PPLIndex``, ...), exported
+here; ``build_index(graph, "qbs")`` and ``QbSIndex.build(graph)``
+return the same type.
 
 See ``README.md`` for the system inventory and ``python -m repro
 --help`` for the experiment, ``build`` and ``query`` commands.
@@ -79,6 +79,9 @@ from .errors import (
     VertexError,
 )
 from .graph import Graph, GraphBuilder, build_graph
+
+# Importing the directed package registers "qbs-directed".
+from . import directed  # noqa: F401  (import for side effect)
 
 # Importing the dynamic package registers the "dynamic" engine family.
 from .dynamic import DeltaGraph, DynamicIndex

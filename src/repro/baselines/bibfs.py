@@ -14,16 +14,30 @@ from typing import Optional, Tuple
 
 from ..core.search import SearchStats, bidirectional_spg
 from ..core.spg import ShortestPathGraph
+from ..engine.base import PathIndex
+from ..engine.persist import graph_arrays, graph_from_arrays
+from ..engine.registry import register_index
+from ..errors import IndexBuildError
 from ..graph.csr import Graph
 
 __all__ = ["BiBFS"]
 
 
-class BiBFS:
+@register_index("bibfs")
+class BiBFS(PathIndex):
     """Online bidirectional-BFS query answerer (no precomputation)."""
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
+
+    @classmethod
+    def build(cls, graph: Graph, **params) -> "BiBFS":
+        if params:
+            raise IndexBuildError(
+                f"bibfs precomputes nothing and takes no build "
+                f"parameters; got {sorted(params)}"
+            )
+        return cls(graph)
 
     def query(self, u: int, v: int) -> ShortestPathGraph:
         """Exact ``SPG(u, v)`` via bidirectional BFS + reverse search."""
@@ -38,3 +52,18 @@ class BiBFS:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         return self.query(u, v).distance
+
+    @property
+    def graph(self) -> Graph:
+        return self._graph
+
+    @property
+    def size_bytes(self) -> int:
+        return 0
+
+    def to_state(self):
+        return {}, graph_arrays(self._graph)
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        return cls(graph_from_arrays(arrays))

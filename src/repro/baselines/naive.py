@@ -9,12 +9,16 @@ independent distance oracle in tests).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .._util import UNREACHED, TimeBudget
 from ..core.spg import ShortestPathGraph
+from ..engine.base import PathIndex
+from ..engine.batch import pairs_to_arrays
+from ..engine.persist import graph_arrays, graph_from_arrays
+from ..engine.registry import register_index
 from ..errors import BudgetExceededError
 from ..graph.csr import Graph
 from ..graph.traversal import bfs_distances
@@ -23,7 +27,8 @@ from .oracle import spg_edges_from_distances
 __all__ = ["NaiveLabelling"]
 
 
-class NaiveLabelling:
+@register_index("naive")
+class NaiveLabelling(PathIndex):
     """Dense all-pairs distance matrix built by |V| BFSs."""
 
     #: Guard against accidentally building a quadratic matrix on a
@@ -56,6 +61,13 @@ class NaiveLabelling:
         d = int(self._matrix[u, v])
         return None if d == UNREACHED else d
 
+    def distance_many(self, pairs) -> List[Optional[int]]:
+        """One fancy-index gather over the all-pairs matrix."""
+        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
+        row = self._matrix[us, vs]
+        return [None if value == UNREACHED else int(value)
+                for value in row.tolist()]
+
     def query(self, u: int, v: int) -> ShortestPathGraph:
         """SPG directly from the stored distance rows."""
         if u == v:
@@ -75,3 +87,25 @@ class NaiveLabelling:
 
     def paper_size_bytes(self) -> int:
         return self.num_entries() * 5
+
+    @property
+    def graph(self) -> Graph:
+        return self._graph
+
+    @property
+    def size_bytes(self) -> int:
+        return self.paper_size_bytes()
+
+    @property
+    def stats(self) -> Dict[str, Any]:
+        base = super().stats
+        base["label_entries"] = self.num_entries()
+        return base
+
+    def to_state(self):
+        return {}, {**graph_arrays(self._graph), "matrix": self._matrix}
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        return cls(graph_from_arrays(arrays),
+                   arrays["matrix"].astype(np.int32))

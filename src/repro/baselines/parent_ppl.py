@@ -20,202 +20,68 @@ earlier OOM/DNF walls — Tables 2 and 3) is preserved.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
-from .._util import TimeBudget
-from ..core.build_kernels import (ParentsView, RaggedView,
-                                  build_sound_labels)
-from ..core.spg import ShortestPathGraph
-from ..errors import IndexBuildError
-from ..graph.csr import Graph
+from ..core.build_kernels import ParentsView
+from ..engine.registry import register_index
+from .ppl import PPLIndex, _norm
 
 __all__ = ["ParentPPLIndex"]
 
 Edge = Tuple[int, int]
-INF = float("inf")
 
 
-def _norm(a: int, b: int) -> Edge:
-    return (a, b) if a <= b else (b, a)
-
-
-def _merge_min(ranks_a: Sequence[int], dists_a: Sequence[int],
-               ranks_b: Sequence[int], dists_b: Sequence[int]) -> float:
-    """2-hop distance query by merge-join on rank-sorted label lists."""
-    best = INF
-    i = j = 0
-    len_a, len_b = len(ranks_a), len(ranks_b)
-    while i < len_a and j < len_b:
-        ra, rb = ranks_a[i], ranks_b[j]
-        if ra == rb:
-            total = dists_a[i] + dists_b[j]
-            if total < best:
-                best = total
-            i += 1
-            j += 1
-        elif ra < rb:
-            i += 1
-        else:
-            j += 1
-    return best
-
-
-class ParentPPLIndex:
+@register_index("parent-ppl")
+class ParentPPLIndex(PPLIndex):
     """PPL labels augmented with per-entry parent sets.
 
-    Like :class:`~repro.baselines.ppl.PPLIndex`, the query paths only
-    ``len()`` and integer-index the label containers (including the
-    per-entry parent rows, whose items must be iterables of parent
-    vertices), so the constructor accepts any sequence-of-sequences;
-    :mod:`repro.store` passes lazy store-backed rows here.
+    Everything but the parent sets is :class:`PPLIndex`: the same sound
+    label rule and build kernel (with parent collection switched on —
+    the neighbourhood scan is what makes ParentPPL slower to build,
+    "finding all parents takes more time", §6.2.1, and the parent sets
+    are what roughly double its size, Table 3), the same distance
+    paths (parents play no role in distances), the same flat layout
+    plus ``parent_offsets`` / ``parents``: entry ``e`` (a position in
+    ``label_ranks``) owns ``parents[parent_offsets[e]:parent_offsets[e
+    + 1]]``.
     """
 
-    def __init__(self, graph: Graph, order: np.ndarray,
-                 label_ranks: Sequence[Sequence[int]],
-                 label_dists: Sequence[Sequence[int]],
-                 label_parents: Sequence[Sequence[Tuple[int, ...]]]
-                 ) -> None:
-        self._graph = graph
-        self._order = order
-        self._label_ranks = label_ranks
-        self._label_dists = label_dists
-        self._label_parents = label_parents
+    LABEL_ARRAYS = {**PPLIndex.LABEL_ARRAYS,
+                    "parent_offsets": np.int64, "parents": np.int32}
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def build(cls, graph: Graph,
-              budget: Optional[TimeBudget] = None,
-              variant: str = "sound",
-              jobs: Optional[int] = None) -> "ParentPPLIndex":
-        """Sound PPL labelling, additionally recording parent sets.
-
-        Uses the corrected label rule of
-        :class:`~repro.baselines.ppl.PPLIndex` (see that module's
-        docstring for why Algorithm 1's own rule is unsound). Each
-        labelled vertex stores *all* its parents on shortest paths to
-        the landmark — the neighbourhood scan is what makes ParentPPL
-        slower to build than PPL ("finding all parents takes more
-        time", §6.2.1) and the parent sets are what roughly double its
-        size (Table 3).
-
-        The default ``"sound"`` variant runs the same bit-parallel
-        batched kernel as PPL with parent collection switched on
-        (parents fall out of the previous level's full-BFS frontier,
-        no per-vertex neighbourhood rescan); ``"sound-scalar"`` keeps
-        the per-root reference loop.
-        """
-        if variant not in ("sound", "sound-scalar"):
-            raise IndexBuildError(
-                f"unknown ParentPPL variant {variant!r}")
-        n = graph.num_vertices
-        degrees = graph.degree()
-        order = np.argsort(-degrees, kind="stable").astype(np.int64)
-
-        if variant == "sound":
-            flat = build_sound_labels(graph, order, jobs=jobs,
-                                      budget=budget, with_parents=True)
-            offsets = flat["label_offsets"]
-            index = cls(
-                graph, order,
-                RaggedView(offsets, flat["label_ranks"]),
-                RaggedView(offsets, flat["label_dists"]),
-                ParentsView(offsets, flat["parent_offsets"],
-                            flat["parents"]))
-            index._flat_labels = flat
-            return index
-
-        from .ppl import restricted_bfs
-
-        rank_of = np.empty(n, dtype=np.int64)
-        rank_of[order] = np.arange(n)
-
-        label_ranks: List[List[int]] = [[] for _ in range(n)]
-        label_dists: List[List[int]] = [[] for _ in range(n)]
-        label_parents: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
-
-        from ..graph.traversal import bfs_distances
-
-        full = np.empty(n, dtype=np.int32)
-        restricted = np.empty(n, dtype=np.int32)
-        index = cls(graph, order, label_ranks, label_dists, label_parents)
-        for rank in range(n):
-            if budget is not None and rank % 16 == 0:
-                budget.check()
-            root = int(order[rank])
-            bfs_distances(graph, root, out=full)
-            restricted_bfs(graph, root, rank_of, rank, out=restricted)
-            labelled = np.nonzero(
-                (restricted != -1) & (restricted == full)
-            )[0]
-            for u in labelled.tolist():
-                d = int(full[u])
-                parents = tuple(
-                    int(w) for w in graph.neighbors(u)
-                    if full[w] == d - 1
-                ) if d else ()
-                label_ranks[u].append(rank)
-                label_dists[u].append(d)
-                label_parents[u].append(parents)
-        return index
+    def __init__(self, graph, order, labels, *, label_store=None,
+                 batch_labels=None) -> None:
+        super().__init__(graph, order, labels, label_store=label_store,
+                         batch_labels=batch_labels)
+        self._label_parents = ParentsView(labels["label_offsets"],
+                                          labels["parent_offsets"],
+                                          labels["parents"])
+        rank_of = np.empty(len(order), dtype=np.int64)
+        rank_of[order] = np.arange(len(order))
+        self._rank_of = rank_of
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        """Exact distance from the labels (``None`` when disconnected)."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return 0
-        best = _merge_min(self._label_ranks[u], self._label_dists[u],
-                          self._label_ranks[v], self._label_dists[v])
-        return None if best == INF else int(best)
-
-    def query(self, u: int, v: int) -> ShortestPathGraph:
-        """Answer ``SPG(u, v)`` using parents plus label splitting."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return ShortestPathGraph.trivial(u)
-        distance = self.distance(u, v)
-        if distance is None:
-            return ShortestPathGraph.empty(u, v)
-        memo: Dict[Edge, FrozenSet[Edge]] = {}
-        edges = self._resolve(u, v, distance, memo)
-        return ShortestPathGraph(u, v, distance, edges)
-
     def _resolve(self, a: int, b: int, distance: int,
                  memo: Dict[Edge, FrozenSet[Edge]]) -> FrozenSet[Edge]:
+        """The label split of PPL plus parent walks towards whichever
+        endpoint is the landmark of a stored entry (possible when
+        ``rank(other) < rank(self)``)."""
         key = _norm(a, b)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if distance == 0:
-            memo[key] = frozenset()
-            return memo[key]
-        if distance == 1:
-            memo[key] = frozenset({key})
-            return memo[key]
-        edges: Set[Edge] = set()
-        # Parent walks towards whichever endpoint is the landmark of a
-        # stored entry (possible when rank(other) < rank(self)).
-        edges |= self._parent_walk(a, b, distance)
-        edges |= self._parent_walk(b, a, distance)
-        # Exactness: split at all interior minimal common landmarks.
-        for r, d_ar, d_br in self._common_minimal(a, b, distance):
-            if r == a or r == b:
-                continue
-            edges |= self._resolve(a, r, d_ar, memo)
-            edges |= self._resolve(b, r, d_br, memo)
-        result = frozenset(edges)
-        memo[key] = result
-        return result
+        edges = super()._resolve(a, b, distance, memo)
+        if distance >= 2:
+            edges = (edges | self._parent_walk(a, b, distance)
+                     | self._parent_walk(b, a, distance))
+            memo[key] = edges
+        return edges
 
     def _parent_walk(self, start: int, landmark_vertex: int,
                      distance: int) -> Set[Edge]:
@@ -224,9 +90,7 @@ class ParentPPLIndex:
         Emits the edges of every shortest path whose vertices the
         pruned BFS from the landmark discovered at exact depth.
         """
-        # Find the landmark's rank once (order lookup is O(1) via scan
-        # of start's label, which is sorted by rank).
-        target_rank = self._rank_lookup(landmark_vertex)
+        target_rank = int(self._rank_of[landmark_vertex])
         entry = self._entry_for(start, target_rank)
         if entry is None or entry[0] != distance:
             return set()
@@ -250,56 +114,35 @@ class ParentPPLIndex:
             level -= 1
         return edges
 
-    def _rank_lookup(self, vertex: int) -> int:
-        # order maps rank -> vertex; build the inverse lazily.
-        if not hasattr(self, "_rank_of"):
-            rank_of = np.empty(len(self._order), dtype=np.int64)
-            rank_of[self._order] = np.arange(len(self._order))
-            self._rank_of = rank_of
-        return int(self._rank_of[vertex])
-
     def _entry_for(self, vertex: int, rank: int):
         """Return ``(distance, parents)`` of the entry for ``rank``."""
         ranks = self._label_ranks[vertex]
-        import bisect
-
-        i = bisect.bisect_left(ranks, rank)
+        i = bisect_left(ranks, rank)
         if i < len(ranks) and ranks[i] == rank:
             return self._label_dists[vertex][i], self._label_parents[vertex][i]
         return None
-
-    def _common_minimal(self, a: int, b: int, distance: int):
-        ranks_a, dists_a = self._label_ranks[a], self._label_dists[a]
-        ranks_b, dists_b = self._label_ranks[b], self._label_dists[b]
-        i = j = 0
-        while i < len(ranks_a) and j < len(ranks_b):
-            ra, rb = ranks_a[i], ranks_b[j]
-            if ra == rb:
-                if dists_a[i] + dists_b[j] == distance:
-                    yield int(self._order[ra]), dists_a[i], dists_b[j]
-                i += 1
-                j += 1
-            elif ra < rb:
-                i += 1
-            else:
-                j += 1
 
     # ------------------------------------------------------------------
     # Size accounting (Table 3)
     # ------------------------------------------------------------------
 
-    def num_entries(self) -> int:
-        return sum(len(ranks) for ranks in self._label_ranks)
-
     def num_parent_slots(self) -> int:
         """Total stored parent vertices across all entries."""
-        return sum(len(parents) for per_vertex in self._label_parents
-                   for parents in per_vertex)
+        return len(self._label_parents.parents)
 
     def paper_size_bytes(self) -> int:
         """Paper model: 32-bit landmark + 8-bit distance + 32-bit/parent."""
         return self.num_entries() * 5 + self.num_parent_slots() * 4
 
     @property
-    def order(self) -> np.ndarray:
-        return self._order
+    def stats(self) -> Dict[str, Any]:
+        base = super().stats
+        base["parent_slots"] = self.num_parent_slots()
+        return base
+
+    def to_state(self):
+        meta, arrays = super().to_state()
+        arrays["parent_offsets"] = np.asarray(
+            self._label_parents.parent_offsets)
+        arrays["parents"] = np.asarray(self._label_parents.parents)
+        return meta, arrays

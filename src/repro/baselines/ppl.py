@@ -6,52 +6,52 @@ descending degree order, and labels must form a 2-hop **path** cover
 (Definition 3.2) so the recursive query can split every shortest path
 at a common interior landmark.
 
-Reproduction finding (documented in DESIGN.md and exercised by
-``tests/test_ppl.py::test_paper_algorithm1_counterexample``): the
-pruning rule of the paper's Algorithm 1 — keep the label on
-``d_L == depth`` but stop expanding — does **not** guarantee a 2-hop
-path cover. Stopping expansion can leave a vertex undiscovered at its
-true depth in a later-relevant BFS, so the final labels can miss the
-interior landmark some shortest path needs, and the recursive query
-silently drops paths. This module therefore provides two variants:
-
-* ``variant="sound"`` (default) — a corrected labelling with the rule
+Reproduction finding (exercised by
+``tests/test_ppl.py::test_paper_algorithm1_counterexample`` against the
+verbatim builder kept in ``tests/_reference_builders.py``): the pruning
+rule of the paper's Algorithm 1 — keep the label on ``d_L == depth``
+but stop expanding — does **not** guarantee a 2-hop path cover.
+Stopping expansion can leave a vertex undiscovered at its true depth
+in a later-relevant BFS, so the final labels can miss the interior
+landmark some shortest path needs, and the recursive query silently
+drops paths. This module therefore builds a corrected labelling with
+the rule
 
       label (r, u)  iff  some shortest r-u path has every *interior*
       vertex ranked strictly below r,
 
-  computed per landmark with one full BFS (exact distances) plus one
-  rank-restricted BFS (distances using only lower-ranked interiors);
-  ``u`` is labelled iff the two agree. This is a 2-hop path cover:
-  for any pair ``(u, v)`` and any shortest path ``p`` with
-  ``|p| >= 2``, the maximum-ranked interior vertex ``r`` of ``p``
-  satisfies the rule for both ``u`` and ``v`` (the sub-paths' interiors
-  are interiors of ``p``, hence outranked by ``r``), so ``r`` is a
-  common label landmark lying on ``p``. Construction stays
-  ``O(|V| |E|)`` and the label sets remain PPL-sized.
+computed per landmark with one full BFS (exact distances) plus one
+rank-restricted BFS (distances using only lower-ranked interiors);
+``u`` is labelled iff the two agree. This is a 2-hop path cover:
+for any pair ``(u, v)`` and any shortest path ``p`` with
+``|p| >= 2``, the maximum-ranked interior vertex ``r`` of ``p``
+satisfies the rule for both ``u`` and ``v`` (the sub-paths' interiors
+are interiors of ``p``, hence outranked by ``r``), so ``r`` is a
+common label landmark lying on ``p``. Construction stays
+``O(|V| |E|)`` and the label sets remain PPL-sized.
 
-* ``variant="paper"`` — Algorithm 1 exactly as printed, kept for the
-  counterexample and for construction-cost comparisons.
-
-Either way PPL is the labelling-based baseline of Table 2, expected to
-lose to QbS by orders of magnitude at scale.
+PPL is the labelling-based baseline of Table 2, expected to lose to
+QbS by orders of magnitude at scale.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, List, Mapping, \
+    Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._util import UNREACHED, TimeBudget
-from ..core.build_kernels import (RaggedView, build_sound_labels,
-                                  restricted_distances)
+from .._util import TimeBudget
+from ..core.build_kernels import RaggedView, build_sound_labels
 from ..core.spg import ShortestPathGraph
-from ..errors import IndexBuildError
+from ..engine.base import PathIndex
+from ..engine.batch import LabelArrays, finalize_distances, \
+    pairs_to_arrays, two_hop_distance_many
+from ..engine.persist import graph_arrays, graph_from_arrays
+from ..engine.registry import register_index
 from ..graph.csr import Graph
-from ..graph.traversal import bfs_distances, expand_frontier
 
-__all__ = ["PPLIndex", "restricted_bfs"]
+__all__ = ["PPLIndex"]
 
 Edge = Tuple[int, int]
 
@@ -62,49 +62,43 @@ def _norm(a: int, b: int) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def restricted_bfs(graph: Graph, root: int, rank_of: np.ndarray,
-                   root_rank: int,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """BFS distances from ``root`` through lower-ranked interiors only.
-
-    A vertex may appear *on the frontier* (be discovered) regardless of
-    rank, but only vertices ranked strictly below ``root_rank`` (i.e.
-    with a larger rank number) are expanded. The result is, for every
-    ``u``, the length of the shortest ``root``-``u`` path whose interior
-    vertices are all outranked by the root — or ``UNREACHED``.
-
-    This is the rank instantiation of the shared prune primitive
-    :func:`~repro.core.build_kernels.restricted_distances`; the QbS
-    labelling instantiates the same primitive with the landmark-
-    avoiding allowed set, so the two constructions can no longer drift.
-    """
-    return restricted_distances(graph.indptr, graph.indices, root,
-                                rank_of > root_rank, out=out)
-
-
-class PPLIndex:
+@register_index("ppl")
+class PPLIndex(PathIndex):
     """Pruned path labelling over one graph.
 
-    Labels are stored per vertex as parallel rank/distance lists sorted
-    by landmark rank, enabling merge-join distance queries. ``rank`` is
-    the position in the degree-descending landmark order; vertex ids
-    are recovered through ``order``.
-
-    Label-container contract: the query paths only ever take ``len()``
-    and integer-index the per-vertex rows — they never mutate them
-    (mutation happens solely during :meth:`build`, on lists it created
-    itself). Constructors therefore accept any sequence-of-sequences;
-    :mod:`repro.store` exploits this by passing lazy rows that fault
-    label windows in from a packed on-disk store on first touch.
+    ``labels`` is the flat CSR layout every producer speaks — the
+    construction kernel's output, the ``to_state`` arrays, and the
+    packed store's arrays: ``label_offsets[v]:label_offsets[v + 1]``
+    slices vertex ``v``'s rank-sorted ``label_ranks`` / ``label_dists``.
+    ``rank`` is the position in the degree-descending landmark order;
+    vertex ids are recovered through ``order``. The scalar query paths
+    read the labels as per-vertex rows through
+    :class:`~repro.core.build_kernels.RaggedView` and only ever slice
+    the flat arrays, so they may be ndarrays or the block-cached cold
+    arrays of a :class:`~repro.store.LabelStore` (``label_store``,
+    attached by :func:`~repro.store.open_store_index`, which also
+    hands over the store's pre-packed ``batch_labels``).
     """
 
+    #: The family's flat label arrays (name -> dtype): what ``labels``
+    #: holds, and what the npz archive, the shared-memory snapshot and
+    #: the packed store carry.
+    LABEL_ARRAYS: ClassVar[Dict[str, Any]] = {
+        "label_offsets": np.int64,
+        "label_ranks": np.int64,
+        "label_dists": np.int32,
+    }
+
     def __init__(self, graph: Graph, order: np.ndarray,
-                 label_ranks: Sequence[Sequence[int]],
-                 label_dists: Sequence[Sequence[int]]) -> None:
+                 labels: Mapping[str, Any], *, label_store=None,
+                 batch_labels: Optional[LabelArrays] = None) -> None:
         self._graph = graph
         self._order = order
-        self._label_ranks = label_ranks
-        self._label_dists = label_dists
+        offsets = labels["label_offsets"]
+        self._label_ranks = RaggedView(offsets, labels["label_ranks"])
+        self._label_dists = RaggedView(offsets, labels["label_dists"])
+        self.label_store = label_store
+        self._batch_labels = batch_labels
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,7 +106,6 @@ class PPLIndex:
 
     @classmethod
     def build(cls, graph: Graph, budget: Optional[TimeBudget] = None,
-              variant: str = "sound",
               jobs: Optional[int] = None) -> "PPLIndex":
         """Build labels from every vertex in degree-descending order.
 
@@ -120,145 +113,15 @@ class PPLIndex:
         aborts with :class:`~repro.errors.BudgetExceededError` when
         exceeded, which the harness reports as DNF.
 
-        The default ``"sound"`` variant runs the bit-parallel batched
-        kernel of :mod:`repro.core.build_kernels` (64 roots per pass;
-        ``jobs`` fans root batches out over a process pool) and stores
-        the labels as flat CSR arrays behind
-        :class:`~repro.core.build_kernels.RaggedView` rows.
-        ``"sound-scalar"`` keeps the per-root reference loop the kernel
-        is validated against; ``"paper"`` is Algorithm 1 verbatim.
+        Runs the bit-parallel batched kernel of
+        :mod:`repro.core.build_kernels` (64 roots per pass; ``jobs``
+        fans root batches out over a process pool).
         """
-        if variant not in ("sound", "sound-scalar", "paper"):
-            raise IndexBuildError(f"unknown PPL variant {variant!r}")
-        n = graph.num_vertices
-        degrees = graph.degree()
-        order = np.argsort(-degrees, kind="stable").astype(np.int64)
-
-        if variant == "sound":
-            flat = build_sound_labels(graph, order, jobs=jobs,
-                                      budget=budget)
-            offsets = flat["label_offsets"]
-            index = cls(graph, order,
-                        RaggedView(offsets, flat["label_ranks"]),
-                        RaggedView(offsets, flat["label_dists"]))
-            index._flat_labels = flat
-            return index
-
-        label_ranks: List[List[int]] = [[] for _ in range(n)]
-        label_dists: List[List[int]] = [[] for _ in range(n)]
-        index = cls(graph, order, label_ranks, label_dists)
-        if variant == "sound-scalar":
-            index._build_sound_scalar(budget)
-        else:
-            index._build_paper(budget)
-        return index
-
-    def _build_sound_scalar(self, budget: Optional[TimeBudget]) -> None:
-        """Reference sound construction: full + restricted BFS pairs.
-
-        One root at a time; kept as the oracle the batched kernel is
-        compared against entry-for-entry (and for the sampled scalar
-        timings in ``benchmarks/test_build.py``).
-        """
-        graph = self._graph
-        n = graph.num_vertices
-        order = self._order
-        rank_of = np.empty(n, dtype=np.int64)
-        rank_of[order] = np.arange(n)
-        full = np.empty(n, dtype=np.int32)
-        restricted = np.empty(n, dtype=np.int32)
-        for rank in range(n):
-            if budget is not None and rank % 16 == 0:
-                budget.check()
-            root = int(order[rank])
-            bfs_distances(graph, root, out=full)
-            restricted_bfs(graph, root, rank_of, rank, out=restricted)
-            labelled = np.nonzero(
-                (restricted != UNREACHED) & (restricted == full)
-            )[0]
-            for u in labelled.tolist():
-                self._label_ranks[u].append(rank)
-                self._label_dists[u].append(int(full[u]))
-
-    def _build_paper(self, budget: Optional[TimeBudget]) -> None:
-        """Algorithm 1 verbatim (known-unsound; see module docstring)."""
-        n = self._graph.num_vertices
-        depth = np.full(n, -1, dtype=np.int32)
-        covered_by_rank = np.full(n, INF, dtype=np.float64)
-        for rank in range(n):
-            if budget is not None and rank % 16 == 0:
-                budget.check()
-            self._paper_pruned_bfs(rank, depth, covered_by_rank)
-
-    def _paper_pruned_bfs(self, rank: int, depth: np.ndarray,
-                          covered_by_rank: np.ndarray) -> None:
-        """One pruned BFS from the rank-th landmark (Algorithm 1).
-
-        Frontier-at-a-time: each BFS level is expanded with one CSR
-        gather, and the covered test (lines 6-10) for the whole level
-        is a single vectorized label merge. ``covered_by_rank`` is a
-        persistent dense scratch holding ``L(root)`` scattered by rank
-        (``inf`` elsewhere), so ``covered(u)`` reduces to
-        ``min(covered_by_rank[ranks_u] + dists_u)`` — the same
-        merge-join minimum the per-vertex loop computed, because ranks
-        absent from ``L(root)`` contribute ``inf``. Algorithm 1 visits
-        the queue in BFS order and only ever mutates ``L(root)`` at
-        depth 0 (the root is alone on its level), so whole-level
-        evaluation matches the verbatim per-vertex order.
-        """
-        graph = self._graph
-        indptr, indices = graph.indptr, graph.indices
-        root = int(self._order[rank])
-        depth.fill(-1)
-        depth[root] = 0
-        root_ranks = self._label_ranks[root]
-        scattered = np.asarray(root_ranks, dtype=np.int64)
-        covered_by_rank[scattered] = self._label_dists[root]
-        frontier = np.array([root], dtype=np.int64)
-        d = 0
-        while len(frontier):
-            covered = self._covered_minimum(frontier, covered_by_rank)
-            labelled = covered >= d
-            for u in frontier[labelled].tolist():
-                self._label_ranks[u].append(rank)
-                self._label_dists[u].append(d)
-            if d == 0:
-                # The root's own entry (rank, 0) just joined L(root).
-                covered_by_rank[rank] = 0
-            # Lines 9-10: covered == d keeps the label but prunes the
-            # expansion; the root always expands.
-            expandable = frontier[(covered > d) | (frontier == root)]
-            neighbors = expand_frontier(indptr, indices,
-                                        expandable.astype(np.int32))
-            fresh = neighbors[depth[neighbors] < 0]
-            fresh = np.unique(fresh)
-            depth[fresh] = d + 1
-            frontier = fresh.astype(np.int64)
-            d += 1
-        covered_by_rank[scattered] = INF
-        covered_by_rank[rank] = INF
-
-    def _covered_minimum(self, frontier: np.ndarray,
-                         covered_by_rank: np.ndarray) -> np.ndarray:
-        """``query(root, u)`` for a whole frontier in one reduction."""
-        rows = [self._label_ranks[int(u)] for u in frontier]
-        counts = np.fromiter((len(r) for r in rows), dtype=np.int64,
-                             count=len(rows))
-        covered = np.full(len(frontier), INF, dtype=np.float64)
-        total = int(counts.sum())
-        if total == 0:
-            return covered
-        flat_ranks = np.concatenate(
-            [np.asarray(r, dtype=np.int64) for r in rows if len(r)])
-        flat_dists = np.concatenate(
-            [np.asarray(self._label_dists[int(u)], dtype=np.float64)
-             for u, r in zip(frontier, rows) if len(r)])
-        values = covered_by_rank[flat_ranks] + flat_dists
-        nonempty = counts > 0
-        offsets = np.concatenate((np.zeros(1, dtype=np.int64),
-                                  np.cumsum(counts)[:-1]))
-        covered[nonempty] = np.minimum.reduceat(values, offsets[nonempty])
-        return covered
+        order = np.argsort(-graph.degree(), kind="stable").astype(np.int64)
+        labels = build_sound_labels(
+            graph, order, jobs=jobs, budget=budget,
+            with_parents="parents" in cls.LABEL_ARRAYS)
+        return cls(graph, order, labels)
 
     @staticmethod
     def _query_distance_lists(ranks_a: Sequence[int],
@@ -298,6 +161,23 @@ class PPLIndex:
             self._label_ranks[v], self._label_dists[v],
         )
         return None if best == INF else int(best)
+
+    def distance_many(self, pairs) -> List[Optional[int]]:
+        """Batched 2-hop label merges as one vectorized kernel call.
+
+        The sound labels are a 2-hop distance cover, so
+        :func:`~repro.engine.batch.two_hop_distance_many` is exact and
+        no per-pair fallback is ever needed. The kernel's packed
+        :class:`~repro.engine.batch.LabelArrays` costs one pass over
+        every label entry and is built on first use.
+        """
+        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
+        if self._batch_labels is None:
+            self._batch_labels = LabelArrays.from_flat(
+                self._label_ranks.offsets, self._label_ranks.flat,
+                self._label_dists.flat)
+        return finalize_distances(
+            two_hop_distance_many(self._batch_labels, us, vs))
 
     def query(self, u: int, v: int) -> ShortestPathGraph:
         """Answer ``SPG(u, v)`` by recursive label resolution (§3.2)."""
@@ -362,16 +242,30 @@ class PPLIndex:
                 j += 1
 
     # ------------------------------------------------------------------
-    # Size accounting (Table 3)
+    # Introspection and size accounting (Table 3)
     # ------------------------------------------------------------------
+
+    @property
+    def graph(self) -> Graph:
+        return self._graph
 
     def num_entries(self) -> int:
         """Total label entries across all vertices (size(L) of §2)."""
-        return sum(len(ranks) for ranks in self._label_ranks)
+        return int(self._label_ranks.offsets[-1])
 
     def paper_size_bytes(self) -> int:
         """Paper cost model (§6.1): 32-bit landmark + 8-bit distance."""
         return self.num_entries() * 5
+
+    @property
+    def size_bytes(self) -> int:
+        return self.paper_size_bytes()
+
+    @property
+    def stats(self) -> Dict[str, Any]:
+        base = super().stats
+        base["label_entries"] = self.num_entries()
+        return base
 
     @property
     def order(self) -> np.ndarray:
@@ -383,3 +277,47 @@ class PPLIndex:
         return [(int(self._order[rank]), int(dist))
                 for rank, dist in zip(self._label_ranks[v],
                                       self._label_dists[v])]
+
+    # ------------------------------------------------------------------
+    # Store backing (see repro.store.open_store_index)
+    # ------------------------------------------------------------------
+
+    def store_stats(self) -> Optional[Dict[str, Any]]:
+        """Page-cache and tier counters of the attached label store
+        (serving surfaces these); ``None`` for a resident index."""
+        if self.label_store is None:
+            return None
+        return self.label_store.stats()
+
+    def close(self) -> None:
+        """Release the attached label store, if any."""
+        if self.label_store is not None:
+            self.label_store.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+
+    def to_state(self):
+        # np.asarray is a no-op on resident labels and materializes a
+        # store-backed index's cold arrays.
+        return {}, {
+            **graph_arrays(self._graph),
+            "order": self._order,
+            "label_offsets": self._label_ranks.offsets,
+            "label_ranks": np.asarray(self._label_ranks.flat),
+            "label_dists": np.asarray(self._label_dists.flat),
+        }
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        labels = {name: np.asarray(arrays[name], dtype=dtype)
+                  for name, dtype in cls.LABEL_ARRAYS.items()}
+        return cls(graph_from_arrays(arrays),
+                   arrays["order"].astype(np.int64), labels)

@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--queue-depth", type=int, default=10_000,
                            help="admission-control pending limit")
     serve_cmd.add_argument("--store", default="shm",
-                           choices=("shm", "file", "cow", "mmap"),
+                           choices=("shm", "file", "mmap"),
                            help="snapshot transport to the workers "
                                 "(mmap: out-of-core label store, "
                                 "workers share the OS page cache)")
@@ -725,8 +725,7 @@ def _run_query(args) -> int:
 
 
 def _run_update(args) -> int:
-    from .dynamic import DynamicIndex
-    from .engine.families import ParentPplPathIndex, PplPathIndex
+    from .dynamic import DYNAMIC_FAMILIES, DynamicIndex
     from .workloads import generate_update_stream, read_update_stream
 
     if (args.stream is None) == (args.random_ops is None):
@@ -740,7 +739,7 @@ def _run_update(args) -> int:
     if isinstance(index, DynamicIndex):
         if args.threshold is not None:
             index.rebuild_threshold = args.threshold
-    elif isinstance(index, (PplPathIndex, ParentPplPathIndex)):
+    elif index.method in DYNAMIC_FAMILIES:
         index = DynamicIndex.from_static(
             index, rebuild_threshold=args.threshold)
         print(f"promoted {index.family!r} index to dynamic")
@@ -1311,8 +1310,7 @@ def _run_partition(args) -> int:
 
 def _load_serving_index(args):
     """Resolve the serve command's source index (build or load)."""
-    from .dynamic import DynamicIndex
-    from .engine.families import ParentPplPathIndex, PplPathIndex
+    from .dynamic import DYNAMIC_FAMILIES, DynamicIndex
 
     if args.index is not None:
         index = load_index(args.index)
@@ -1330,7 +1328,7 @@ def _load_serving_index(args):
     if args.dynamic and not isinstance(index, DynamicIndex):
         if index.directed:
             raise ReproError("--dynamic requires an undirected index")
-        if isinstance(index, (PplPathIndex, ParentPplPathIndex)):
+        if index.method in DYNAMIC_FAMILIES:
             index = DynamicIndex.from_static(index)
         else:
             index = DynamicIndex.build(index.graph)

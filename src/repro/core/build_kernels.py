@@ -38,6 +38,7 @@ scalar query paths index.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
@@ -474,6 +475,11 @@ _POOL_STATE: Dict[str, np.ndarray] = {}
 
 def _init_pool_worker(indptr, indices, degrees, order, rank_of,
                       with_parents) -> None:
+    # A forked worker inherits the host's Python-level SIGTERM handler,
+    # which only runs between bytecodes: `Pool.terminate()`'s SIGTERM
+    # can then land just before the worker blocks on its task queue
+    # and be lost, hanging the pool's join. Die on the signal instead.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _POOL_STATE.update(indptr=indptr, indices=indices, degrees=degrees,
                        order=order, rank_of=rank_of,
                        with_parents=with_parents)

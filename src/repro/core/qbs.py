@@ -20,13 +20,18 @@ search (Algorithm 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .._util import Stopwatch
-from ..errors import IndexFormatError, QueryError, VertexError
+from ..engine.base import PathIndex
+from ..engine.batch import batched_min_plus, pairs_to_arrays
+from ..engine.persist import graph_arrays, graph_from_arrays, \
+    pack_pairs, unpack_pairs
+from ..engine.registry import register_index
+from ..errors import QueryError, VertexError
 from ..graph.csr import Graph
 from .labelling import PathLabelling, build_labelling
 from .landmarks import select_landmarks
@@ -63,7 +68,8 @@ class BuildReport:
         return self.delta_edges * 8
 
 
-class QbSIndex:
+@register_index("qbs")
+class QbSIndex(PathIndex):
     """A built Query-by-Sketch index over one graph."""
 
     def __init__(self, graph: Graph, labelling: PathLabelling,
@@ -200,9 +206,60 @@ class QbSIndex:
         sketch = self.sketch(u, v)
         return self._searcher.distance_only(sketch)
 
-    def query_many(self, pairs) -> "list[ShortestPathGraph]":
-        """Answer a batch of ``(u, v)`` queries."""
-        return [self.query(u, v) for u, v in pairs]
+    def distance_many(self, pairs) -> List[Optional[int]]:
+        """Batched distances via one vectorized sketch-bound pass.
+
+        The sketch upper bound ``d_top`` (Eq. 3) for the whole batch
+        is one gather over the label matrix plus a min-plus reduction
+        against the meta-graph distance matrix. A pair is answered
+        without search when the bound is *provably* tight:
+
+        * a common-landmark lower bound ``max_r |d(u,r) - d(v,r)|``
+          (triangle inequality over exact label distances) meets
+          ``d_top``; or
+        * ``d_top == 2``, where the true distance is 1 exactly when
+          the edge ``{u, v}`` exists (``d_top >= 2`` always holds for
+          non-landmark endpoints, so nothing shorter is possible).
+
+        Everything else — landmark endpoints, unproven bounds,
+        sketch-disconnected pairs — falls back to the per-pair guided
+        search, whose answers the bounds never contradict.
+        """
+        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
+        count = len(us)
+        results: List[Optional[int]] = [None] * count
+        if count == 0:
+            return results
+        resolved = us == vs
+        for i in np.nonzero(resolved)[0].tolist():
+            results[i] = 0
+        landmark = self._labelling.landmark_position >= 0
+        sketchable = ~resolved & ~landmark[us] & ~landmark[vs]
+        idx = np.nonzero(sketchable)[0]
+        if len(idx):
+            label_u = self._labelling.label_rows_float(us[idx])
+            label_v = self._labelling.label_rows_float(vs[idx])
+            num_r = self._meta.dist.shape[0]
+            d_top = batched_min_plus(label_u, self._meta.dist, label_v)
+            common = np.isfinite(label_u) & np.isfinite(label_v)
+            gap = np.zeros_like(label_u)
+            np.subtract(label_u, label_v, out=gap, where=common)
+            np.abs(gap, out=gap)
+            lower = gap.max(axis=1) if num_r else np.zeros(len(idx))
+            finite = np.isfinite(d_top)
+            tight = finite & (lower == d_top)
+            for k in np.nonzero(tight)[0].tolist():
+                results[idx[k]] = int(d_top[k])
+                resolved[idx[k]] = True
+            near = finite & ~tight & (d_top == 2.0)
+            for k in np.nonzero(near)[0].tolist():
+                b = idx[k]
+                results[b] = 1 if self._graph.has_edge(
+                    int(us[b]), int(vs[b])) else 2
+                resolved[b] = True
+        for b in np.nonzero(~resolved)[0].tolist():
+            results[b] = self.distance(int(us[b]), int(vs[b]))
+        return results
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,49 +286,84 @@ class QbSIndex:
     def meta_graph(self) -> MetaGraph:
         return self._meta
 
+    @property
+    def size_bytes(self) -> int:
+        """size(L) + size(M) + size(Δ) under the paper's models."""
+        return (self._labelling.paper_size_bytes()
+                + self._meta.paper_size_bytes()
+                + self._meta.delta_total_edges() * 8)
+
+    @property
+    def stats(self) -> Dict[str, Any]:
+        base = super().stats
+        base.update({
+            "num_landmarks": int(self.report.num_landmarks),
+            "label_entries": self._labelling.size_entries(),
+            "meta_edges": len(self._meta.edges),
+            "delta_edges": self._meta.delta_total_edges(),
+            "build_seconds": self.report.total_seconds,
+        })
+        return base
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._graph.num_vertices:
             raise VertexError(v, self._graph.num_vertices)
 
     # ------------------------------------------------------------------
-    # Serialization (the engine's pickle-free npz format)
+    # Persistence (the engine's pickle-free npz format; files written
+    # by the retired pickle format are refused by the loader)
     # ------------------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Persist the index in the engine's pickle-free npz format.
-
-        Historical versions pickled the index; that format could
-        execute arbitrary code on load, so it is write-dead. Saving
-        routes through :mod:`repro.engine.persist`, producing the same
-        self-describing archive every registered family uses.
-        """
-        from ..engine.persist import save_index
-        from ..engine.registry import get_index_class
-
-        index = self
-        engine_cls = get_index_class("qbs")
-        if not isinstance(index, engine_cls):
-            # A bare historical QbSIndex: re-dress it as the engine
-            # subclass (same state, by reference) so `to_state` exists.
-            index = engine_cls(self._graph, self._labelling, self._meta,
-                               self._sparsified, self.report)
-        save_index(index, path)
+    def to_state(self):
+        labelling = self._labelling
+        meta_graph = self._meta
+        meta_key, meta_weight = pack_pairs(meta_graph.edges)
+        delta_keys = sorted(meta_graph.delta)
+        delta_lengths = np.asarray(
+            [len(meta_graph.delta[k]) for k in delta_keys], dtype=np.int64
+        )
+        delta_edges = [edge for key in delta_keys
+                       for edge in sorted(meta_graph.delta[key])]
+        arrays = {
+            **graph_arrays(self._graph),
+            "landmarks": labelling.landmarks,
+            "label_matrix": labelling.label_matrix,
+            "meta_key": meta_key,
+            "meta_weight": meta_weight,
+            "delta_key": (np.asarray(delta_keys, dtype=np.int32)
+                          if delta_keys
+                          else np.zeros((0, 2), dtype=np.int32)),
+            "delta_len": delta_lengths,
+            "delta_edges": (np.asarray(delta_edges, dtype=np.int32)
+                            if delta_edges
+                            else np.zeros((0, 2), dtype=np.int32)),
+        }
+        return {"report": asdict(self.report)}, arrays
 
     @classmethod
-    def load(cls, path) -> "QbSIndex":
-        """Load a saved QbS index (uniform npz format only).
-
-        Files written by the retired pickle format are *detected* by
-        the engine loader and refused with a clear rebuild error
-        instead of being unpickled — loading untrusted pickle bytes
-        executes code.
-        """
-        from ..engine.persist import load_index
-
-        index = load_index(path)
-        if not isinstance(index, cls):
-            raise IndexFormatError(
-                f"{path}: holds a {type(index).method!r} index, "
-                f"not a QbS index"
+    def from_state(cls, meta, arrays):
+        graph = graph_from_arrays(arrays)
+        landmarks = arrays["landmarks"].astype(np.int32)
+        position = np.full(graph.num_vertices, -1, dtype=np.int32)
+        position[landmarks] = np.arange(len(landmarks), dtype=np.int32)
+        labelling = PathLabelling(
+            landmarks=landmarks,
+            landmark_position=position,
+            label_matrix=arrays["label_matrix"].astype(np.uint8),
+            meta_edges=unpack_pairs(arrays["meta_key"],
+                                    arrays["meta_weight"]),
+        )
+        meta_graph = build_meta_graph(graph, labelling,
+                                      precompute_delta=False)
+        cursor = 0
+        edge_rows = arrays["delta_edges"]
+        for (i, j), length in zip(arrays["delta_key"].tolist(),
+                                  arrays["delta_len"].tolist()):
+            block = edge_rows[cursor:cursor + length]
+            meta_graph.delta[(int(i), int(j))] = frozenset(
+                (int(a), int(b)) for a, b in block.tolist()
             )
-        return index
+            cursor += length
+        report = BuildReport(**meta["report"])
+        sparsified = graph.remove_vertices(landmarks)
+        return cls(graph, labelling, meta_graph, sparsified, report)

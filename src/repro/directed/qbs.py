@@ -26,16 +26,19 @@ oracle, mirroring the undirected index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from .._util import NO_LABEL, UNREACHED
+from ..engine.base import PathIndex
+from ..engine.persist import pack_pairs, unpack_pairs
+from ..engine.registry import register_index
 from ..errors import IndexBuildError
 from ..graph.traversal import expand_frontier
-from .digraph import DiGraph
+from .digraph import DiGraph, _csr
 from .oracle import directed_spg_oracle
 from .spg import DirectedSPG
 
@@ -161,8 +164,11 @@ def _meta_distances(arcs: Dict[Arc, int], count: int) -> np.ndarray:
 # The index
 # ----------------------------------------------------------------------
 
-class DirectedQbSIndex:
+@register_index("qbs-directed")
+class DirectedQbSIndex(PathIndex):
     """Query-by-Sketch over a directed graph."""
+
+    directed = True
 
     def __init__(self, graph: DiGraph, scheme: _DirectedScheme,
                  sparsified: DiGraph) -> None:
@@ -196,6 +202,66 @@ class DirectedQbSIndex:
     @property
     def graph(self) -> DiGraph:
         return self._graph
+
+    @property
+    def size_bytes(self) -> int:
+        """Forward + backward labels (|R| bytes per vertex each, the
+        paper's §6.1 accounting) plus 9 bytes per meta arc."""
+        scheme = self._scheme
+        label_bytes = 2 * self._graph.num_vertices * len(scheme.landmarks)
+        return label_bytes + 9 * len(scheme.meta_arcs)
+
+    @property
+    def stats(self) -> Dict[str, Any]:
+        base = super().stats
+        base.update({
+            "num_landmarks": len(self.landmarks),
+            "meta_arcs": len(self._scheme.meta_arcs),
+        })
+        return base
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+
+    def to_state(self):
+        scheme = self._scheme
+        meta_key, meta_weight = pack_pairs(scheme.meta_arcs)
+        arrays = {
+            "out_indptr": self._graph.out_indptr,
+            "out_indices": self._graph.out_indices,
+            "landmarks": scheme.landmarks,
+            "forward": scheme.forward,
+            "backward": scheme.backward,
+            "meta_key": meta_key,
+            "meta_weight": meta_weight,
+        }
+        return {}, arrays
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        out_indptr = arrays["out_indptr"].astype(np.int64)
+        out_indices = arrays["out_indices"].astype(np.int32)
+        n = len(out_indptr) - 1
+        src = np.repeat(np.arange(n, dtype=np.int32),
+                        np.diff(out_indptr))
+        graph = DiGraph(*_csr(src, out_indices, n),
+                        *_csr(out_indices, src, n))
+        landmarks = arrays["landmarks"].astype(np.int32)
+        position = np.full(n, -1, dtype=np.int32)
+        position[landmarks] = np.arange(len(landmarks), dtype=np.int32)
+        scheme = _DirectedScheme(
+            landmarks=landmarks,
+            position=position,
+            forward=arrays["forward"].astype(np.uint8),
+            backward=arrays["backward"].astype(np.uint8),
+            meta_arcs=unpack_pairs(arrays["meta_key"],
+                                   arrays["meta_weight"]),
+        )
+        scheme.meta_dist = _meta_distances(scheme.meta_arcs,
+                                           len(landmarks))
+        sparsified = graph.remove_vertices(landmarks)
+        return cls(graph, scheme, sparsified)
 
     # ------------------------------------------------------------------
     # Query

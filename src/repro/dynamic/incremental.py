@@ -44,11 +44,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 import numpy as np
 
 from ..baselines.ppl import PPLIndex
+from ..core.build_kernels import ParentsView, RaggedView
 
 __all__ = ["MutableLabels", "repair_insert", "guided_levels",
            "touches_phantom_edge"]
@@ -64,13 +66,29 @@ _merge_min = PPLIndex._query_distance_lists
 _INF = float("inf")
 
 
+def _flatten_ragged(lists: Sequence[Sequence[int]], dtype
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged list-of-lists -> (offsets[n+1], flat) arrays."""
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    if len(lists):
+        offsets[1:] = np.cumsum([len(x) for x in lists])
+    flat = np.empty(int(offsets[-1]), dtype=dtype)
+    position = 0
+    for values in lists:
+        flat[position:position + len(values)] = values
+        position += len(values)
+    return offsets, flat
+
+
 class MutableLabels:
     """Rank-sorted 2-hop path labels with in-place entry updates.
 
-    Wraps the per-vertex parallel ``(rank, distance)`` lists the PPL
-    family stores (and, for ParentPPL, the aligned parent-tuple lists)
-    *by reference*: updates mutate the owning index's lists directly.
-    ``order`` maps rank -> vertex id; ``rank_of`` is its inverse.
+    Owns per-vertex parallel ``(rank, distance)`` lists (and, for
+    ParentPPL, the aligned parent-tuple lists) — the mutable
+    counterpart of the flat CSR layout the static label families hold.
+    :meth:`from_flat` deep-copies that layout into lists, :meth:`to_flat`
+    writes it back. ``order`` maps rank -> vertex id; ``rank_of`` is
+    its inverse.
     """
 
     def __init__(self, order: np.ndarray,
@@ -86,6 +104,35 @@ class MutableLabels:
         self.parents = label_parents
         self.repaired_entries = 0
         self._cov = None
+
+    @classmethod
+    def from_flat(cls, arrays, with_parents: bool) -> "MutableLabels":
+        """Copy a label family's ``to_state`` arrays into lists."""
+        offsets = arrays["label_offsets"]
+        parents = None
+        if with_parents:
+            parents = [list(row) for row in ParentsView(
+                offsets, arrays["parent_offsets"], arrays["parents"])]
+        return cls(
+            arrays["order"].astype(np.int64),
+            [row.tolist()
+             for row in RaggedView(offsets, arrays["label_ranks"])],
+            [row.tolist()
+             for row in RaggedView(offsets, arrays["label_dists"])],
+            parents)
+
+    def to_flat(self) -> Dict[str, np.ndarray]:
+        """The labels as ``to_state`` arrays (the static families'
+        names and dtypes, so archives and snapshots stay one layout)."""
+        offsets, flat_ranks = _flatten_ragged(self.ranks, np.int64)
+        _, flat_dists = _flatten_ragged(self.dists, np.int32)
+        arrays = {"order": self.order, "label_offsets": offsets,
+                  "label_ranks": flat_ranks, "label_dists": flat_dists}
+        if self.parents is not None:
+            arrays["parent_offsets"], arrays["parents"] = _flatten_ragged(
+                [parents for per_vertex in self.parents
+                 for parents in per_vertex], np.int32)
+        return arrays
 
     def _covered_by_rank(self) -> np.ndarray:
         """Dense ``L(root)``-by-rank scratch for the repair BFS.
@@ -108,6 +155,15 @@ class MutableLabels:
 
     def num_entries(self) -> int:
         return sum(len(ranks) for ranks in self.ranks)
+
+    def paper_size_bytes(self) -> int:
+        """The family's paper model: 5 bytes per entry, plus 4 per
+        stored parent for ParentPPL labels."""
+        size = self.num_entries() * 5
+        if self.parents is not None:
+            size += 4 * sum(len(parents) for per_vertex in self.parents
+                            for parents in per_vertex)
+        return size
 
     def set_entry(self, w: int, rank: int, dist: int) -> None:
         """Insert or lower the entry ``(rank, dist)`` on vertex ``w``.

@@ -43,14 +43,7 @@ from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.batch import cached_label_arrays, distances_to_float, \
     finalize_distances, pairs_to_arrays, two_hop_distance_many
-from ..engine.families import (
-    ParentPplPathIndex,
-    PplPathIndex,
-    _flatten_ragged,
-    _graph_arrays,
-    _graph_from_arrays,
-    _split_ragged,
-)
+from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import build_index, register_index
 from ..errors import IndexBuildError, IndexFormatError, QueryError
 from ..graph.csr import Graph
@@ -80,50 +73,22 @@ _REMOVE_KINDS = frozenset({"delete", "remove", "-"})
 _SCREEN_GRID_LIMIT = 5_000_000
 
 
-def _copied_rows(rows) -> List[List[int]]:
-    """Per-vertex rows as fresh plain-int lists (deep copy)."""
-    return [row.tolist() if hasattr(row, "tolist") else list(row)
-            for row in rows]
-
-
-def _ensure_mutable(inner) -> None:
-    """Promote ``inner``'s label containers to plain mutable lists.
-
-    The kernel-built families hold labels as flat CSR arrays behind
-    ``RaggedView`` rows; incremental repair mutates per-vertex lists in
-    place, so convert once at wrap time and drop the flat fast-path
-    state (it would go stale on the first repaired entry).
-    """
-    if not (isinstance(inner._label_ranks, list)
-            and all(isinstance(r, list) for r in inner._label_ranks)):
-        inner._label_ranks = _copied_rows(inner._label_ranks)
-        inner._label_dists = _copied_rows(inner._label_dists)
-    parents = getattr(inner, "_label_parents", None)
-    if parents is not None and not isinstance(parents, list):
-        inner._label_parents = [list(row) for row in parents]
-    inner._flat_labels = None
-    inner._label_arrays_cache = None
+def _labels_of(index) -> MutableLabels:
+    """Mutable copies of a static label index's flat labels; the
+    static index keeps serving unchanged while the copy mutates."""
+    return MutableLabels.from_flat(index.to_state()[1],
+                                   index.method == "parent-ppl")
 
 
 @register_index("dynamic")
 class DynamicIndex(PathIndex):
     """Incrementally maintained path index over a mutable graph."""
 
-    def __init__(self, inner, family: str,
+    def __init__(self, graph: Graph, labels: MutableLabels, family: str,
                  rebuild_threshold: Optional[int]) -> None:
-        if family not in DYNAMIC_FAMILIES:
-            raise IndexBuildError(
-                f"dynamic maintenance supports families "
-                f"{DYNAMIC_FAMILIES}, not {family!r}"
-            )
-        self._inner = inner
         self._family = family
-        _ensure_mutable(inner)
-        self._labels = MutableLabels(
-            inner._order, inner._label_ranks, inner._label_dists,
-            getattr(inner, "_label_parents", None),
-        )
-        self._delta = DeltaGraph(inner._graph)
+        self._labels = labels
+        self._delta = DeltaGraph(graph)
         self._phantom: Set[Edge] = set()
         self._phantom_adj: Dict[int, List[int]] = {}
         self.rebuild_threshold = rebuild_threshold
@@ -160,41 +125,24 @@ class DynamicIndex(PathIndex):
               **params) -> "DynamicIndex":
         """Build the underlying label family, then wrap it.
 
-        ``params`` pass through to the family's ``build``; the PPL
-        ``variant`` must stay ``"sound"`` — incremental repair (and
-        the guided query layer) assume the labels are an exact
-        distance cover, which the paper-verbatim variant is not.
+        ``params`` pass through to the family's ``build``.
         """
-        if params.get("variant", "sound") != "sound":
-            raise IndexBuildError(
-                "dynamic maintenance requires the sound label variant"
-            )
-        inner = build_index(graph, family, **params)
-        return cls(inner, family, rebuild_threshold)
+        return cls.from_static(build_index(graph, family, **params),
+                               rebuild_threshold=rebuild_threshold)
 
     @classmethod
     def from_static(cls, index, *,
                     rebuild_threshold: Optional[int] = None
                     ) -> "DynamicIndex":
-        """Promote a built PPL/ParentPPL index without rebuilding.
-
-        Label lists are deep-copied so the static index keeps serving
-        unchanged while the dynamic copy mutates.
-        """
-        families = {PplPathIndex: "ppl", ParentPplPathIndex: "parent-ppl"}
-        family = families.get(type(index))
-        if family is None:
+        """Promote a built PPL/ParentPPL index without rebuilding."""
+        if index.method not in DYNAMIC_FAMILIES:
             raise IndexBuildError(
-                f"cannot promote a {type(index).__name__} to a "
-                f"DynamicIndex; build one of {DYNAMIC_FAMILIES} first"
+                f"cannot promote a {index.method!r} index to a "
+                f"DynamicIndex; dynamic maintenance supports families "
+                f"{DYNAMIC_FAMILIES}"
             )
-        clone_args = [index._graph, index._order.copy(),
-                      _copied_rows(index._label_ranks),
-                      _copied_rows(index._label_dists)]
-        if family == "parent-ppl":
-            clone_args.append([list(x) for x in index._label_parents])
-        inner = type(index)(*clone_args)
-        return cls(inner, family, rebuild_threshold)
+        return cls(index.graph, _labels_of(index), index.method,
+                   rebuild_threshold)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -212,7 +160,7 @@ class DynamicIndex(PathIndex):
     @rebuild_threshold.setter
     def rebuild_threshold(self, value: Optional[int]) -> None:
         if value is None:
-            value = max(64, self._inner._graph.num_edges // 8)
+            value = max(64, self._delta.base.num_edges // 8)
         if value < 0:
             raise IndexBuildError("rebuild_threshold must be >= 0")
         self._rebuild_threshold = int(value)
@@ -287,13 +235,8 @@ class DynamicIndex(PathIndex):
         delta and every phantom edge."""
         snapshot = self._delta.snapshot()
         with span("dynamic.rebuild"):
-            self._inner = build_index(snapshot, self._family)
-        _ensure_mutable(self._inner)
-        self._labels = MutableLabels(
-            self._inner._order, self._inner._label_ranks,
-            self._inner._label_dists,
-            getattr(self._inner, "_label_parents", None),
-        )
+            rebuilt = build_index(snapshot, self._family)
+        self._labels = _labels_of(rebuilt)
         self._delta = DeltaGraph(snapshot)
         self._phantom.clear()
         self._phantom_adj.clear()
@@ -492,7 +435,7 @@ class DynamicIndex(PathIndex):
         """Labels under the family's paper model plus 8 bytes per
         overlay edge (added and phantom)."""
         overlay = len(self._delta.added_edges()) + len(self._phantom)
-        return self._inner.paper_size_bytes() + 8 * overlay
+        return self._labels.paper_size_bytes() + 8 * overlay
 
     @property
     def stats(self) -> Dict[str, Any]:
@@ -517,24 +460,12 @@ class DynamicIndex(PathIndex):
 
     def to_state(self):
         labels = self._labels
-        rank_offsets, flat_ranks = _flatten_ragged(labels.ranks, np.int64)
-        _, flat_dists = _flatten_ragged(labels.dists, np.int32)
         arrays = {
-            **_graph_arrays(self._delta.base),
-            "order": labels.order,
-            "label_offsets": rank_offsets,
-            "label_ranks": flat_ranks,
-            "label_dists": flat_dists,
+            **graph_arrays(self._delta.base),
+            **labels.to_flat(),
             "added": _edge_rows(self._delta.added_edges()),
             "phantom": _edge_rows(sorted(self._phantom)),
         }
-        if labels.parents is not None:
-            entry_parents = [parents for per_vertex in labels.parents
-                             for parents in per_vertex]
-            parent_offsets, flat_parents = _flatten_ragged(entry_parents,
-                                                           np.int32)
-            arrays["parent_offsets"] = parent_offsets
-            arrays["parents"] = flat_parents
         meta = {
             "family": self._family,
             "rebuild_threshold": self._rebuild_threshold,
@@ -552,25 +483,9 @@ class DynamicIndex(PathIndex):
             raise IndexFormatError(
                 f"dynamic archive names unsupported family {family!r}"
             )
-        graph = _graph_from_arrays(arrays)
-        offsets = arrays["label_offsets"]
-        order = arrays["order"].astype(np.int64)
-        label_ranks = _split_ragged(offsets, arrays["label_ranks"])
-        label_dists = _split_ragged(offsets, arrays["label_dists"])
-        if family == "parent-ppl":
-            entry_parents = _split_ragged(arrays["parent_offsets"],
-                                          arrays["parents"])
-            label_parents: List[List[Tuple[int, ...]]] = []
-            cursor = 0
-            for ranks in label_ranks:
-                label_parents.append([tuple(entry_parents[cursor + k])
-                                      for k in range(len(ranks))])
-                cursor += len(ranks)
-            inner = ParentPplPathIndex(graph, order, label_ranks,
-                                       label_dists, label_parents)
-        else:
-            inner = PplPathIndex(graph, order, label_ranks, label_dists)
-        index = cls(inner, family, meta.get("rebuild_threshold"))
+        graph = graph_from_arrays(arrays)
+        labels = MutableLabels.from_flat(arrays, family == "parent-ppl")
+        index = cls(graph, labels, family, meta.get("rebuild_threshold"))
         for u, v in arrays["added"].tolist():
             index._delta.insert_edge(int(u), int(v))
         for u, v in arrays["phantom"].tolist():

@@ -9,11 +9,17 @@ baseline it is benchmarked against plug into the same three pieces:
   (``build`` / ``distance`` / ``query`` / ``query_many`` / ``stats`` /
   ``size_bytes`` / ``save`` / ``load``);
 * the **registry** — :func:`register_index`, :func:`build_index`,
-  :func:`available_methods`; families are string-keyed (``"qbs"``,
-  ``"ppl"``, ``"parent-ppl"``, ``"naive"``, ``"bibfs"``,
-  ``"qbs-directed"``, plus ``"dynamic"`` from :mod:`repro.dynamic`
-  and ``"sharded"`` from :mod:`repro.shard`) and new backends are a
-  one-decorator drop-in;
+  :func:`available_methods`; families are string-keyed and each is
+  exactly one class, registered in the module that defines it
+  (``"qbs"`` :class:`~repro.core.qbs.QbSIndex`, ``"ppl"``
+  :class:`~repro.baselines.ppl.PPLIndex`, ``"parent-ppl"``
+  :class:`~repro.baselines.parent_ppl.ParentPPLIndex`, ``"naive"``
+  :class:`~repro.baselines.naive.NaiveLabelling`, ``"bibfs"``
+  :class:`~repro.baselines.bibfs.BiBFS`, ``"qbs-directed"``
+  :class:`~repro.directed.qbs.DirectedQbSIndex`, ``"dynamic"``
+  :class:`~repro.dynamic.index.DynamicIndex`, ``"sharded"``
+  :class:`~repro.shard.index.ShardedIndex`); ``import repro`` loads
+  all of them, and a new backend is a one-decorator drop-in;
 * :class:`QuerySession` / :class:`QueryOptions` — batched query
   execution with modes (distance | spg | count-paths), wall-clock
   budgets, per-query :class:`~repro.core.search.SearchStats`
@@ -49,17 +55,6 @@ from .registry import (
 )
 from .session import BatchReport, QueryOptions, QueryRecord, QuerySession
 
-# Importing the families module registers the six built-in methods.
-from . import families  # noqa: F401  (import for side effect)
-from .families import (
-    BiBfsPathIndex,
-    DirectedQbsPathIndex,
-    NaivePathIndex,
-    ParentPplPathIndex,
-    PplPathIndex,
-    QbsPathIndex,
-)
-
 __all__ = [
     "PathIndex",
     "register_index",
@@ -75,10 +70,4 @@ __all__ = [
     "QueryOptions",
     "QueryRecord",
     "BatchReport",
-    "QbsPathIndex",
-    "PplPathIndex",
-    "ParentPplPathIndex",
-    "NaivePathIndex",
-    "BiBfsPathIndex",
-    "DirectedQbsPathIndex",
 ]

@@ -43,8 +43,8 @@ State = Tuple[Dict[str, Any], Dict[str, np.ndarray]]
 class PathIndex(abc.ABC):
     """Abstract base for every shortest-path-graph index family.
 
-    Subclasses are concrete index implementations (or thin subclasses
-    of the historical classes) registered under a string method name.
+    Subclasses are the concrete index implementations, one class per
+    family, each registered under a string method name.
     The contract is graph-kind agnostic: undirected families answer
     with :class:`~repro.core.spg.ShortestPathGraph`, directed families
     with :class:`~repro.directed.spg.DirectedSPG`; both expose
@@ -203,9 +203,9 @@ class PathIndex(abc.ABC):
         from .persist import load_index
 
         index = load_index(path)
-        if cls is not PathIndex and not isinstance(index, cls):
+        if cls is not PathIndex and index.method != cls.method:
             raise IndexFormatError(
-                f"{path}: holds a {type(index).method!r} index, "
+                f"{path}: holds a {index.method!r} index, "
                 f"not {cls.method!r}"
             )
         return index

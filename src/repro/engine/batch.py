@@ -232,24 +232,13 @@ class LabelArrays:
 
 def cached_label_arrays(owner, label_ranks, label_dists,
                         version: int) -> LabelArrays:
-    """Per-index :class:`LabelArrays`, rebuilt only when ``version``
-    moves (the packing costs one pass over every label entry)."""
+    """:class:`LabelArrays` over a mutable index's label lists, rebuilt
+    only when ``version`` moves (the packing costs one pass over every
+    label entry)."""
     cached = getattr(owner, "_label_arrays_cache", None)
     if cached is not None and cached[0] == version:
         return cached[1]
-    from ..core.build_kernels import RaggedView
-
-    if (isinstance(label_ranks, RaggedView)
-            and isinstance(label_dists, RaggedView)
-            and isinstance(label_ranks.flat, np.ndarray)
-            and isinstance(label_dists.flat, np.ndarray)):
-        # Kernel-built labels are already the flat CSR this kernel
-        # wants; skip the per-vertex materialization entirely.
-        arrays = LabelArrays.from_flat(label_ranks.offsets,
-                                       label_ranks.flat,
-                                       label_dists.flat)
-    else:
-        arrays = LabelArrays.from_lists(label_ranks, label_dists)
+    arrays = LabelArrays.from_lists(label_ranks, label_dists)
     owner._label_arrays_cache = (version, arrays)
     return arrays
 

@@ -47,17 +47,53 @@ from typing import Any, Dict, Tuple
 import numpy as np
 
 from ..errors import GraphValidationError, IndexFormatError
+from ..graph.csr import Graph
 from .base import PathIndex
 from .registry import get_index_class
 
 __all__ = ["save_index", "load_index", "peek_index", "describe_index",
-           "read_index_state", "FORMAT_NAME", "FORMAT_VERSION"]
+           "read_index_state", "FORMAT_NAME", "FORMAT_VERSION",
+           "graph_arrays", "graph_from_arrays", "pack_pairs",
+           "unpack_pairs"]
 
 FORMAT_NAME = "repro-pathindex"
 FORMAT_VERSION = 1
 
 #: Reserved archive entry holding the JSON header.
 _META_KEY = "__meta__"
+
+
+# ----------------------------------------------------------------------
+# State encoding shared by the families' to_state / from_state
+# ----------------------------------------------------------------------
+
+def graph_arrays(graph: Graph) -> Dict[str, np.ndarray]:
+    return {"indptr": graph.indptr, "indices": graph.indices}
+
+
+def graph_from_arrays(arrays: Dict[str, np.ndarray]) -> Graph:
+    # Validate on load: archives may be truncated or hand-edited, and
+    # an inconsistent CSR would otherwise surface as silently wrong
+    # answers deep inside a BFS.
+    return Graph(arrays["indptr"], arrays["indices"], validate=True)
+
+
+def pack_pairs(mapping: Dict[Tuple[int, int], int]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Encode a ``(i, j) -> weight`` mapping as key/value arrays."""
+    keys = sorted(mapping)
+    if not keys:
+        return (np.zeros((0, 2), dtype=np.int32),
+                np.zeros(0, dtype=np.int32))
+    return (np.asarray(keys, dtype=np.int32),
+            np.asarray([mapping[k] for k in keys], dtype=np.int32))
+
+
+def unpack_pairs(key_array: np.ndarray,
+                 value_array: np.ndarray) -> Dict[Tuple[int, int], int]:
+    return {(int(i), int(j)): int(w)
+            for (i, j), w in zip(key_array.tolist(),
+                                 value_array.tolist())}
 
 
 def save_index(index: PathIndex, path) -> None:

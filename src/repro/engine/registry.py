@@ -3,7 +3,7 @@
 Every index family registers itself once::
 
     @register_index("qbs")
-    class QbsPathIndex(QbSIndex, PathIndex):
+    class QbSIndex(PathIndex):
         ...
 
 after which the rest of the system — the harness, the CLI, the

@@ -8,8 +8,8 @@ that into a *service* that answers millions of them — the ROADMAP's
   answering query batches from materialized snapshot replicas
   (parallelism that actually scales: processes, not GIL-bound
   threads; snapshots cross the boundary via
-  ``multiprocessing.shared_memory``, with file and fork-COW
-  fallbacks);
+  ``multiprocessing.shared_memory``, with npz-file and packed-store
+  transports beside it);
 * :class:`~repro.serving.batcher.Batcher` — request coalescing,
   intra-batch deduplication, queue-depth admission control, and
   per-request time budgets;

@@ -192,8 +192,8 @@ class Batcher:
             "worker_cache_hits": 0, "worker_deaths": 0,
         }
         # Every key above also mirrors into the process registry
-        # (`_count` bumps both), so the legacy `stats()` dict and
-        # `/metrics` report the same numbers by construction.
+        # (`_count` bumps both), so the `stats()` dict and `/metrics`
+        # move by the same amounts by construction.
         registry = get_registry()
         self._registry = registry
         self._m_counters = {
@@ -201,11 +201,6 @@ class Batcher:
                 _COUNTER_SERIES.get(key, f"serving_{key}_total"),
                 help="Serving batcher counter.")
             for key in self.counters}
-        # Mirror values at construction: the registry instruments are
-        # process-global, so a second Batcher in the same process must
-        # report only its own increments, not the process lifetime's.
-        self._m_base = {key: instrument.value
-                        for key, instrument in self._m_counters.items()}
         self._m_request_seconds = registry.histogram(
             "serving_request_seconds",
             help="Admission-to-resolution latency of one "
@@ -355,27 +350,17 @@ class Batcher:
         return True
 
     def stats(self) -> Dict[str, object]:
-        """Legacy counter keys, read back from their registry mirrors.
+        """This batcher's counters plus its queue gauges.
 
-        The keys predate the metrics registry and are kept as aliases;
-        the values come from the registry instruments (less the value
-        each held when this batcher was constructed, so a fresh
-        service on a long-lived registry starts from zero), meaning
-        `/stats` and `/metrics` cannot drift apart. With a disabled
-        registry the mirrors are no-ops, so the plain dict serves as
-        the fallback.
+        ``counters`` is per-instance by construction (a second Batcher
+        in the process starts from zero, and a disabled metrics
+        registry changes nothing); `_count` bumps the process-wide
+        ``serving_*_total`` mirrors by the same amounts, so `/stats`
+        and `/metrics` agree.
         """
         with self._lock:
-            if self._registry.enabled:
-                counters = {}
-                for key, instrument in self._m_counters.items():
-                    value = instrument.value - self._m_base[key]
-                    counters[key] = (value if key == "worker_seconds"
-                                     else int(value))
-            else:
-                counters = dict(self.counters)
             return {
-                **counters,
+                **self.counters,
                 "pending": self._pending,
                 "inflight_batches": len(self._inflight),
             }

@@ -377,14 +377,6 @@ class WorkerPool:
             raise ServingError("worker pool is closed")
         if not self._started:
             raise ServingError("worker pool not started")
-        handle = message.handle
-        if handle.kind == "cow" and handle.ref is not None:
-            # The cow ref is the live index object; it rode into the
-            # workers on the fork and must never ride the queue —
-            # pickling the full index per batch would drown serving.
-            # Workers recognize the epoch and keep their replica.
-            message = message._replace(
-                handle=handle._replace(ref=None))
         slot = self._next_slot % self.num_workers
         for offset in range(self.num_workers):
             candidate = (self._next_slot + offset) % self.num_workers

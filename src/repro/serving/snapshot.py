@@ -31,11 +31,6 @@ pluggable through the ``kind`` of the :class:`SnapshotHandle`:
     (:mod:`repro.engine.persist`) and workers ``load_index`` it — the
     fallback where POSIX shared memory is unavailable, and the
     durable path (a published file survives the service).
-``cow``
-    The live index object rides into the worker over ``fork``
-    copy-on-write page sharing. Zero serialization, but only possible
-    for the *initial* snapshot (a forked child cannot receive new
-    objects), so later publishes under ``cow`` degrade to ``file``.
 ``mmap``
     The snapshot is packed into the out-of-core ``REPROSTR``
     container (:func:`repro.store.pack_index_store`) and workers open
@@ -69,7 +64,7 @@ __all__ = ["SnapshotHandle", "Snapshot", "SnapshotManager",
            "materialize_snapshot", "SNAPSHOT_STORES"]
 
 #: Supported snapshot transport kinds.
-SNAPSHOT_STORES = ("shm", "file", "cow", "mmap")
+SNAPSHOT_STORES = ("shm", "file", "mmap")
 
 #: Alignment of array payloads inside a shared-memory segment.
 _ALIGN = 64
@@ -81,8 +76,7 @@ class SnapshotHandle(NamedTuple):
     Handles are what crosses the process boundary: every request batch
     carries the current handle, and a worker whose materialized epoch
     differs re-materializes from it (the lazy half of a hot swap).
-    ``ref`` is the shm segment name, the file path, or — for ``cow``
-    only — the index object itself (never pickled; it rides the fork).
+    ``ref`` is the shm segment name or the file path.
     """
 
     epoch: int
@@ -230,7 +224,7 @@ def materialize_snapshot(handle: SnapshotHandle) -> PathIndex:
 
     This is the worker half of the snapshot path: ``shm`` handles
     unpack the shared segment, ``file`` handles load the uniform npz
-    archive, ``cow`` handles return the fork-inherited object as-is.
+    archive, ``mmap`` handles open the packed store.
     """
     if handle.kind == "shm":
         return _unpack_from_shm(handle.ref)
@@ -240,17 +234,6 @@ def materialize_snapshot(handle: SnapshotHandle) -> PathIndex:
         from ..store import open_store_index
 
         return open_store_index(handle.ref)
-    if handle.kind == "cow":
-        if handle.ref is None:
-            # The worker pool strips the live object before a handle
-            # crosses the IPC boundary (pickling the whole index per
-            # batch would defeat the transport); a worker only sees a
-            # ref-less cow handle when it already holds that epoch.
-            raise ServingError(
-                "cow snapshots materialize only at worker startup "
-                "(the object rides the fork, not the queue)"
-            )
-        return handle.ref
     raise ServingError(
         f"unknown snapshot transport {handle.kind!r}; "
         f"expected one of {SNAPSHOT_STORES}"
@@ -361,10 +344,6 @@ class SnapshotManager:
         version = source.version
         graph = source.graph
         kind = self._store
-        if kind == "cow" and epoch > 0:
-            # A forked worker cannot receive new live objects; later
-            # epochs ship via the durable fallback.
-            kind = "file"
         if kind == "shm":
             segment = _pack_to_shm(source)
             handle = SnapshotHandle(epoch, version, source.method,
@@ -377,16 +356,12 @@ class SnapshotManager:
             handle = SnapshotHandle(epoch, version, source.method,
                                     "file", str(path))
             return Snapshot(handle=handle, graph=graph)
-        if kind == "mmap":
-            from ..store import pack_index_store
+        from ..store import pack_index_store
 
-            path = self._snapshot_path(epoch, suffix=".store")
-            pack_index_store(source, path)
-            handle = SnapshotHandle(epoch, version, source.method,
-                                    "mmap", str(path))
-            return Snapshot(handle=handle, graph=graph)
+        path = self._snapshot_path(epoch, suffix=".store")
+        pack_index_store(source, path)
         handle = SnapshotHandle(epoch, version, source.method,
-                                "cow", source)
+                                "mmap", str(path))
         return Snapshot(handle=handle, graph=graph)
 
     def _snapshot_path(self, epoch: int, suffix: str = ".idx") -> Path:

@@ -56,8 +56,6 @@ from .index import (
     DEFAULT_HEAD_WIDTH,
     DEFAULT_HOT_ROWS,
     STORE_METHODS,
-    StoreParentPplIndex,
-    StorePplIndex,
     open_store_index,
     pack_index_store,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "CachedArray",
     "pack_index_store",
     "open_store_index",
-    "StorePplIndex",
-    "StoreParentPplIndex",
     "is_store_file",
     "write_store",
     "read_store_header",

@@ -11,10 +11,11 @@
   path) and the CSR tail of the batch kernel. The bulk of the index;
   served block-by-block through the page cache.
 
-:func:`open_store_index` opens a packed store as a fully functional
-index of the *same family* (``method`` stays ``"ppl"`` /
-``"parent-ppl"``): per-vertex label rows become lazy sequences
-reading through the store, and the batch kernel's
+:func:`open_store_index` opens a packed store as an index of the
+*same class* a build or ``load_index`` returns
+(``get_index_class(method)`` constructed over the store's arrays, the
+store attached as ``label_store``): the per-vertex label rows slice
+block-cached cold arrays, and the batch kernel's
 :class:`~repro.engine.batch.LabelArrays` is assembled over the
 store's cold tail directly, so both the scalar and the
 ``distance_many`` paths fault in only the label windows a query
@@ -29,16 +30,15 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.build_kernels import ParentsView, RaggedView
 from ..engine.batch import LabelArrays
-from ..engine.families import ParentPplPathIndex, PplPathIndex
+from ..engine.registry import get_index_class
 from ..errors import IndexFormatError
+from ..graph.csr import Graph
 from .cache import DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 from .container import LabelStore
 from .format import DEFAULT_PAGE_BYTES, write_store
 
-__all__ = ["pack_index_store", "open_store_index", "StorePplIndex",
-           "StoreParentPplIndex", "STORE_METHODS",
+__all__ = ["pack_index_store", "open_store_index", "STORE_METHODS",
            "DEFAULT_HEAD_WIDTH", "DEFAULT_HOT_ROWS"]
 
 #: Families the packed store understands.
@@ -133,83 +133,6 @@ def _check_method(source, method: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Lazy label views (the scalar query path)
-# ----------------------------------------------------------------------
-# The view classes themselves live with the construction kernels (one
-# definition serves kernel-built, state-loaded, and store-backed
-# indexes); ``flat`` here is a block-cached cold array, so ``rows[v]``
-# costs one or two block faults.
-
-_LazyRagged = RaggedView
-_LazyParents = ParentsView
-
-
-# ----------------------------------------------------------------------
-# Store-backed index families
-# ----------------------------------------------------------------------
-
-class _StoreIndexMixin:
-    """Shared store plumbing for the store-backed families.
-
-    The subclasses keep their family's ``method`` (they are *not*
-    re-registered): a store-backed ppl index answers exactly like a
-    ppl index, it just reads its labels through the store. Presetting
-    ``_label_arrays_cache`` routes the inherited ``distance_many``
-    (via :func:`~repro.engine.batch.cached_label_arrays`) straight to
-    the store-backed :class:`~repro.engine.batch.LabelArrays` — no
-    query-path overrides, no list materialization.
-    """
-
-    label_store: LabelStore
-
-    def _attach_store(self, store: LabelStore,
-                      label_arrays: LabelArrays) -> None:
-        self.label_store = store
-        self._label_offsets = store.array("label_offsets")
-        self._label_arrays_cache = (self.version, label_arrays)
-
-    def num_entries(self) -> int:
-        return int(self._label_offsets[-1])
-
-    def store_stats(self) -> Dict[str, Any]:
-        """Page-cache and tier counters (serving surfaces these)."""
-        return self.label_store.stats()
-
-    def close(self) -> None:
-        self.label_store.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class StorePplIndex(_StoreIndexMixin, PplPathIndex):
-    """A ``ppl`` index whose labels live in a packed store."""
-
-    def __init__(self, store: LabelStore, graph, order, label_ranks,
-                 label_dists, label_arrays: LabelArrays) -> None:
-        PplPathIndex.__init__(self, graph, order, label_ranks,
-                              label_dists)
-        self._attach_store(store, label_arrays)
-
-
-class StoreParentPplIndex(_StoreIndexMixin, ParentPplPathIndex):
-    """A ``parent-ppl`` index whose labels live in a packed store."""
-
-    def __init__(self, store: LabelStore, graph, order, label_ranks,
-                 label_dists, label_parents,
-                 label_arrays: LabelArrays) -> None:
-        ParentPplPathIndex.__init__(self, graph, order, label_ranks,
-                                    label_dists, label_parents)
-        self._attach_store(store, label_arrays)
-
-    def num_parent_slots(self) -> int:
-        return len(self.label_store.array("parents"))
-
-
-# ----------------------------------------------------------------------
 # Opening
 # ----------------------------------------------------------------------
 
@@ -224,8 +147,6 @@ def open_store_index(source, *, io: str = "mmap",
     vertices are pinned in the page cache at open, exempt from
     eviction.
     """
-    from ..graph.csr import Graph
-
     if isinstance(source, LabelStore):
         store = source
     else:
@@ -238,27 +159,20 @@ def open_store_index(source, *, io: str = "mmap",
             f"{store.path}: store holds a {method!r} index; only "
             f"{STORE_METHODS} stores open as indexes")
 
+    cls = get_index_class(method)
     graph = Graph(store.array("indptr"), store.array("indices"),
                   validate=True)
     order = store.array("order")
     offsets = store.array("label_offsets")
-    label_ranks = _LazyRagged(offsets, store.array("label_ranks"))
-    label_dists = _LazyRagged(offsets, store.array("label_dists"))
-    labels = LabelArrays(store.array("head"),
-                         store.array("tail_offsets"),
-                         store.array("tail_ranks"),
-                         store.array("tail_dists"),
-                         num_ranks=len(offsets) - 1)
-
-    if method == "parent-ppl":
-        parents = _LazyParents(offsets,
-                               store.array("parent_offsets"),
-                               store.array("parents"))
-        index = StoreParentPplIndex(store, graph, order, label_ranks,
-                                    label_dists, parents, labels)
-    else:
-        index = StorePplIndex(store, graph, order, label_ranks,
-                              label_dists, labels)
+    index = cls(
+        graph, order,
+        {name: store.array(name) for name in cls.LABEL_ARRAYS},
+        label_store=store,
+        batch_labels=LabelArrays(store.array("head"),
+                                 store.array("tail_offsets"),
+                                 store.array("tail_ranks"),
+                                 store.array("tail_dists"),
+                                 num_ranks=len(offsets) - 1))
 
     if hot_rows is None:
         hot_rows = int(store.header.get("hot_rows", DEFAULT_HOT_ROWS))

@@ -1,0 +1,110 @@
+"""Reference label builders the product kernels are pinned against.
+
+Per-root, per-vertex Python loops — slow and obviously correct. They
+used to ship in ``repro.baselines`` behind a ``variant=`` build knob;
+only tests ever selected them, so they live here:
+
+* :func:`restricted_bfs` — PPL's rank-restricted BFS as one call of the
+  shared prune primitive;
+* :func:`sound_scalar_labels` — the sound label rule, one full BFS plus
+  one restricted BFS per root (``ppl`` and, with parents, ``parent-ppl``);
+* :func:`paper_algorithm1_labels` — the paper's Algorithm 1 verbatim,
+  whose prune rule is unsound (``test_ppl.py`` shows the
+  counterexample);
+* :func:`index_from_lists` — wrap list-of-lists labels as a queryable
+  ``PPLIndex``.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from repro.baselines import PPLIndex
+from repro.core.build_kernels import restricted_distances
+from repro.dynamic import MutableLabels
+from repro.graph.traversal import bfs_distances
+
+
+def degree_order(graph):
+    return np.argsort(-graph.degree(), kind="stable").astype(np.int64)
+
+
+def restricted_bfs(graph, root, rank_of, root_rank, out=None):
+    """BFS distances from ``root`` through lower-ranked interiors only.
+
+    A vertex may be *discovered* regardless of rank, but only vertices
+    ranked strictly below ``root_rank`` (a larger rank number) are
+    expanded.
+    """
+    return restricted_distances(graph.indptr, graph.indices, root,
+                                rank_of > root_rank, out=out)
+
+
+def sound_scalar_labels(graph, with_parents=False):
+    """``(order, label_ranks, label_dists, label_parents)`` under the
+    sound rule: ``u`` takes the label ``(root, d)`` iff its restricted
+    distance equals its true distance. ``label_parents`` is ``None``
+    unless asked for; parents keep CSR neighbour order."""
+    n = graph.num_vertices
+    order = degree_order(graph)
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[order] = np.arange(n)
+    label_ranks = [[] for _ in range(n)]
+    label_dists = [[] for _ in range(n)]
+    label_parents = [[] for _ in range(n)] if with_parents else None
+    full = np.empty(n, dtype=np.int32)
+    restricted = np.empty(n, dtype=np.int32)
+    for rank in range(n):
+        root = int(order[rank])
+        bfs_distances(graph, root, out=full)
+        restricted_bfs(graph, root, rank_of, rank, out=restricted)
+        labelled = np.nonzero((restricted != -1) & (restricted == full))[0]
+        for u in labelled.tolist():
+            d = int(full[u])
+            label_ranks[u].append(rank)
+            label_dists[u].append(d)
+            if with_parents:
+                label_parents[u].append(tuple(
+                    int(w) for w in graph.neighbors(u)
+                    if full[w] == d - 1) if d else ())
+    return order, label_ranks, label_dists, label_parents
+
+
+def paper_algorithm1_labels(graph):
+    """Algorithm 1 exactly as printed: keep the label when the current
+    labels already cover the depth (``covered == d``) but stop
+    expanding there."""
+    n = graph.num_vertices
+    order = degree_order(graph)
+    label_ranks = [[] for _ in range(n)]
+    label_dists = [[] for _ in range(n)]
+    merge = PPLIndex._query_distance_lists
+    depth = np.full(n, -1, dtype=np.int32)
+    for rank in range(n):
+        root = int(order[rank])
+        depth.fill(-1)
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            d = int(depth[u])
+            covered = merge(label_ranks[root], label_dists[root],
+                            label_ranks[u], label_dists[u])
+            if covered < d:
+                continue
+            label_ranks[u].append(rank)
+            label_dists[u].append(d)
+            if covered == d and u != root:
+                continue
+            for v in graph.neighbors(u):
+                v = int(v)
+                if depth[v] < 0:
+                    depth[v] = d + 1
+                    queue.append(v)
+    return order, label_ranks, label_dists
+
+
+def index_from_lists(graph, order, label_ranks, label_dists):
+    """A queryable ``PPLIndex`` over list-of-lists labels."""
+    labels = MutableLabels(order, label_ranks, label_dists).to_flat()
+    return PPLIndex(graph, order, labels)

@@ -2,16 +2,13 @@
 
 The bit-parallel lockstep kernels of :mod:`repro.core.build_kernels`
 are pinned entry-for-entry against the per-root scalar builders they
-replaced (kept as ``variant="sound-scalar"``), against the BFS oracle,
+replaced (kept in ``_reference_builders.py``), against the BFS oracle,
 and across every consumer layer that was rewired onto them:
 
 * PPL / ParentPPL sound construction (labels and parent sets);
 * the QbS labelling sweep (batched == per-root == shared prune rule);
-* the dynamic insert repair's resumed pruned BFS (frontier == deque);
-* the paper-verbatim PPL variant (frontier == Algorithm 1 deque).
+* the dynamic insert repair's resumed pruned BFS (frontier == deque).
 """
-
-from collections import deque
 
 import numpy as np
 import pytest
@@ -30,6 +27,7 @@ from repro.graph import barabasi_albert, erdos_renyi
 from repro.graph.traversal import bfs_distances
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
+from _reference_builders import restricted_bfs, sound_scalar_labels
 
 SETTINGS = dict(
     max_examples=40,
@@ -76,19 +74,17 @@ def special_graphs():
     yield "ring-70", Graph.from_edges(ring, num_vertices=70)
 
 
-def assert_same_labels(kernel_index, scalar_index, with_parents=False):
-    n = kernel_index._graph.num_vertices
-    assert np.array_equal(kernel_index._order, scalar_index._order)
-    for v in range(n):
-        assert list(kernel_index._label_ranks[v]) == \
-            list(scalar_index._label_ranks[v])
-        assert list(kernel_index._label_dists[v]) == \
-            list(scalar_index._label_dists[v])
-        if with_parents:
+def assert_same_rows(kernel_index, order, label_ranks, label_dists,
+                     label_parents=None):
+    assert np.array_equal(kernel_index._order, order)
+    for v in range(kernel_index.num_vertices):
+        assert list(kernel_index._label_ranks[v]) == list(label_ranks[v])
+        assert list(kernel_index._label_dists[v]) == list(label_dists[v])
+        if label_parents is not None:
             kernel_parents = [tuple(sorted(p))
                               for p in kernel_index._label_parents[v]]
             scalar_parents = [tuple(sorted(p))
-                              for p in scalar_index._label_parents[v]]
+                              for p in label_parents[v]]
             assert kernel_parents == scalar_parents
 
 
@@ -101,40 +97,35 @@ class TestKernelMatchesScalar:
                              list(random_graph_corpus(seed=3, count=15))
                              + list(special_graphs()))
     def test_ppl_labels_identical(self, label, graph):
-        kernel = PPLIndex.build(graph)
-        scalar = PPLIndex.build(graph, variant="sound-scalar")
-        assert_same_labels(kernel, scalar)
+        assert_same_rows(PPLIndex.build(graph),
+                         *sound_scalar_labels(graph))
 
     @pytest.mark.parametrize("label,graph",
                              list(random_graph_corpus(seed=4, count=8))
                              + list(special_graphs()))
     def test_parent_ppl_labels_identical(self, label, graph):
-        kernel = ParentPPLIndex.build(graph)
-        scalar = ParentPPLIndex.build(graph, variant="sound-scalar")
-        assert_same_labels(kernel, scalar, with_parents=True)
+        assert_same_rows(ParentPPLIndex.build(graph),
+                         *sound_scalar_labels(graph, with_parents=True))
 
     def test_parent_order_follows_csr(self):
         """Parent tuples keep CSR neighbour order, as the scalar did."""
         graph = barabasi_albert(120, 3, seed=5)
         kernel = ParentPPLIndex.build(graph)
-        scalar = ParentPPLIndex.build(graph, variant="sound-scalar")
+        scalar_parents = sound_scalar_labels(graph, with_parents=True)[3]
         for v in range(graph.num_vertices):
-            assert list(kernel._label_parents[v]) == \
-                list(scalar._label_parents[v])
+            assert list(kernel._label_parents[v]) == scalar_parents[v]
 
     @given(graph=graphs())
     @settings(**SETTINGS)
     def test_ppl_labels_identical_hypothesis(self, graph):
-        kernel = PPLIndex.build(graph)
-        scalar = PPLIndex.build(graph, variant="sound-scalar")
-        assert_same_labels(kernel, scalar)
+        assert_same_rows(PPLIndex.build(graph),
+                         *sound_scalar_labels(graph))
 
     @given(graph=graphs(max_vertices=16))
     @settings(**SETTINGS)
     def test_parent_ppl_identical_hypothesis(self, graph):
-        kernel = ParentPPLIndex.build(graph)
-        scalar = ParentPPLIndex.build(graph, variant="sound-scalar")
-        assert_same_labels(kernel, scalar, with_parents=True)
+        assert_same_rows(ParentPPLIndex.build(graph),
+                         *sound_scalar_labels(graph, with_parents=True))
 
 
 class TestKernelMatchesOracle:
@@ -187,7 +178,7 @@ class TestBuildModes:
     def test_flat_layout_matches_rows(self):
         graph = barabasi_albert(80, 2, seed=1)
         index = PPLIndex.build(graph)
-        flat = index._flat_labels
+        flat = index.to_state()[1]
         offsets = flat["label_offsets"]
         assert offsets[0] == 0 and offsets[-1] == len(flat["label_ranks"])
         assert flat["label_offsets"].dtype == np.int64
@@ -203,7 +194,7 @@ class TestBuildModes:
         graph = barabasi_albert(60, 2, seed=2)
         a = build_index(graph, "ppl")
         b = build_index(graph, "ppl", jobs=2)
-        assert_same_labels(a, b)
+        assert_same_rows(a, b._order, b._label_ranks, b._label_dists)
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +269,6 @@ class TestSharedPruneRule:
                                   column), root
 
     def test_ppl_restricted_bfs_uses_shared_primitive(self):
-        from repro.baselines.ppl import restricted_bfs
-
         graph = erdos_renyi(60, 0.08, seed=4)
         order = np.argsort(-graph.degree(), kind="stable")
         rank_of = np.empty(graph.num_vertices, dtype=np.int64)
@@ -290,64 +279,6 @@ class TestSharedPruneRule:
             direct = restricted_distances(graph.indptr, graph.indices,
                                           root, rank_of > rank)
             assert np.array_equal(via_wrapper, direct)
-
-
-# ----------------------------------------------------------------------
-# Paper-verbatim variant: frontier rewrite == Algorithm 1 deque
-# ----------------------------------------------------------------------
-
-def _paper_reference_labels(graph):
-    """Algorithm 1 exactly as the historical deque builder ran it."""
-    n = graph.num_vertices
-    order = np.argsort(-graph.degree(), kind="stable").astype(np.int64)
-    label_ranks = [[] for _ in range(n)]
-    label_dists = [[] for _ in range(n)]
-    merge = PPLIndex._query_distance_lists
-    depth = np.full(n, -1, dtype=np.int32)
-    for rank in range(n):
-        root = int(order[rank])
-        depth.fill(-1)
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            d = int(depth[u])
-            covered = merge(label_ranks[root], label_dists[root],
-                            label_ranks[u], label_dists[u])
-            if covered < d:
-                continue
-            label_ranks[u].append(rank)
-            label_dists[u].append(d)
-            if covered == d and u != root:
-                continue
-            for v in graph.neighbors(u):
-                v = int(v)
-                if depth[v] < 0:
-                    depth[v] = d + 1
-                    queue.append(v)
-    return order, label_ranks, label_dists
-
-
-class TestPaperVariantFrontier:
-    @pytest.mark.parametrize("label,graph",
-                             list(random_graph_corpus(seed=9, count=10))
-                             + list(special_graphs()))
-    def test_matches_deque_reference(self, label, graph):
-        index = PPLIndex.build(graph, variant="paper")
-        order, ranks, dists = _paper_reference_labels(graph)
-        assert np.array_equal(index._order, order)
-        for v in range(graph.num_vertices):
-            assert list(index._label_ranks[v]) == ranks[v]
-            assert list(index._label_dists[v]) == dists[v]
-
-    @given(graph=graphs())
-    @settings(**SETTINGS)
-    def test_matches_deque_reference_hypothesis(self, graph):
-        index = PPLIndex.build(graph, variant="paper")
-        _, ranks, dists = _paper_reference_labels(graph)
-        for v in range(graph.num_vertices):
-            assert list(index._label_ranks[v]) == ranks[v]
-            assert list(index._label_dists[v]) == dists[v]
 
 
 # ----------------------------------------------------------------------

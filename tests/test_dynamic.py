@@ -244,7 +244,9 @@ class TestDynamicConstruction:
             build_index(cycle_graph(5), "dynamic", family="qbs")
 
     def test_paper_variant_rejected(self):
-        with pytest.raises(IndexBuildError, match="sound"):
+        """The label families build one (sound) way; no variant knob
+        passes through the dynamic wrapper."""
+        with pytest.raises(TypeError):
             build_index(cycle_graph(5), "dynamic", variant="paper")
 
     def test_from_static_promotion_copies_labels(self):

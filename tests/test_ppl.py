@@ -6,9 +6,9 @@ import pytest
 from repro import BudgetExceededError, Graph, spg_oracle
 from repro._util import TimeBudget
 from repro.baselines import PPLIndex
-from repro.errors import IndexBuildError
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
+from _reference_builders import index_from_lists, paper_algorithm1_labels
 
 #: A concrete graph (found by differential testing) on which the
 #: paper's Algorithm 1 produces labels that violate the 2-hop path
@@ -29,7 +29,7 @@ class TestPaperVariantUnsound:
     def test_paper_algorithm1_counterexample(self):
         """Algorithm 1 as printed loses shortest paths on this graph."""
         graph = Graph.from_edges(COUNTEREXAMPLE_EDGES)
-        paper = PPLIndex.build(graph, variant="paper")
+        paper = index_from_lists(graph, *paper_algorithm1_labels(graph))
         want = spg_oracle(graph, 16, 19)
         got = paper.query(16, 19)
         assert got.distance == want.distance  # distances still exact
@@ -39,13 +39,15 @@ class TestPaperVariantUnsound:
 
     def test_sound_variant_fixes_counterexample(self):
         graph = Graph.from_edges(COUNTEREXAMPLE_EDGES)
-        sound = PPLIndex.build(graph, variant="sound")
+        sound = PPLIndex.build(graph)
         assert sound.query(16, 19) == spg_oracle(graph, 16, 19)
 
     def test_unknown_variant_rejected(self):
+        """One build path: no variant is selectable, the paper's
+        included."""
         graph = Graph.from_edges([(0, 1)])
-        with pytest.raises(IndexBuildError):
-            PPLIndex.build(graph, variant="quantum")
+        with pytest.raises(TypeError):
+            PPLIndex.build(graph, variant="paper")
 
 
 class TestSoundExactness:

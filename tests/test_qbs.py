@@ -204,5 +204,5 @@ class TestSerialization:
 
         path = tmp_path / "ppl.idx"
         build_index(erdos_renyi(20, 0.2, seed=31), "ppl").save(path)
-        with pytest.raises(IndexFormatError, match="not a QbS"):
+        with pytest.raises(IndexFormatError, match="not 'qbs'"):
             QbSIndex.load(path)

@@ -94,16 +94,6 @@ class TestSnapshotPersistence:
         finally:
             manager.close()
 
-    def test_cow_store_returns_live_object(self):
-        graph = _small_graph(seed=33, n=40)
-        index = _build("ppl", graph)
-        manager = SnapshotManager(index, store="cow")
-        try:
-            snapshot = manager.publish()
-            assert materialize_snapshot(snapshot.handle) is index
-        finally:
-            manager.close()
-
     def test_shm_segment_retired_after_close(self):
         graph = _small_graph(seed=34, n=40)
         manager = SnapshotManager(_build("ppl", graph), store="shm")
@@ -117,7 +107,7 @@ class TestSnapshotManager:
     def test_publish_if_changed_keyed_on_version(self):
         graph = _small_graph(seed=35, n=50)
         index = build_index(graph, "dynamic")
-        manager = SnapshotManager(index, store="cow")
+        manager = SnapshotManager(index, store="shm")
         try:
             first = manager.publish()
             assert manager.publish_if_changed() is None
@@ -398,23 +388,6 @@ class TestServiceLifecycle:
                 time.sleep(0.05)
             assert stats["worker_deaths"] >= 1
             assert service.stats()["alive_workers"] == 2
-
-    def test_cow_store_service_and_fallback_swap(self):
-        """cow serves the initial epoch over fork-COW; updates fall
-        back to the durable transport for later epochs."""
-        graph = _small_graph(seed=65, n=120)
-        index = build_index(graph, "dynamic")
-        with QueryService(index, num_workers=2, store="cow",
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
-            pairs = sample_pairs(graph, 10, seed=69)
-            for u, v in pairs:
-                assert service.query(u, v).value \
-                    == distance_oracle(graph, u, v)
-            service.apply_updates([("insert", 0, 119)])
-            answer = service.query(0, 119)
-            assert answer.value == 1
-            assert answer.epoch == 1
 
     def test_file_store_service(self, served_graph, tmp_path):
         index = build_index(served_graph, "ppl")
