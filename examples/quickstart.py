@@ -5,8 +5,8 @@ Run with::
     python examples/quickstart.py
 
 Walks the full public API on a small social-style network: graph
-construction, index building (sequential and parallel), queries,
-result inspection, and a cross-check against the online baselines.
+construction, index building, queries, result inspection, and a
+cross-check against the online baselines.
 """
 
 import os
@@ -98,13 +98,13 @@ def main() -> None:
           f"cache hits: {batch.cache_hits}")
 
     # ------------------------------------------------------------------
-    # 7. Scale up: a 3,000-vertex hub-dominated graph, parallel build.
+    # 7. Scale up: a 3,000-vertex hub-dominated graph.
     # ------------------------------------------------------------------
     big = barabasi_albert(3000, m=3, seed=42)
-    index = build_index(big, "qbs", num_landmarks=20, parallel=True)
+    index = build_index(big, "qbs", num_landmarks=20)
     report = index.report
     print(f"\nbig graph: {big}")
-    print(f"parallel construction: {report.total_seconds * 1e3:.1f} ms "
+    print(f"construction: {report.total_seconds * 1e3:.1f} ms "
           f"(labelling {report.labelling_seconds * 1e3:.1f} ms)")
     spg = index.query(100, 2500)
     print(f"SPG(100, 2500): distance={spg.distance}, "

@@ -1,9 +1,10 @@
 """Bi-BFS — the search-based baseline of Table 2.
 
-A thin, stable-named wrapper over the shared bidirectional machinery in
-:mod:`repro.core.search`: alternating level expansion from both
-endpoints on the *full* graph (no labelling, no sparsification, no
-sketch bound), followed by the reverse search that extracts the SPG.
+A thin, stable-named wrapper over :func:`repro.core.search.
+bidirectional_spg`, which is the guided searcher run with an empty
+sketch: the same alternating level expansion from both endpoints, on
+the *full* graph (no labelling, no sparsification, no sketch bound),
+followed by the reverse search that extracts the SPG.
 The paper reports QbS answering queries 10-300x faster than this
 method; the gap is what Figures 10-11 and §6.5 decompose.
 """

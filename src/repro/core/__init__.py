@@ -3,7 +3,6 @@
 from .labelling import PathLabelling, build_labelling
 from .landmarks import LANDMARK_STRATEGIES, select_landmarks
 from .metagraph import MetaGraph, build_meta_graph
-from .parallel import build_labelling_parallel
 from .qbs import BuildReport, QbSIndex
 from .search import GuidedSearcher, SearchStats, bidirectional_spg
 from .sketch import Sketch, compute_sketch
@@ -15,7 +14,6 @@ __all__ = [
     "ShortestPathGraph",
     "PathLabelling",
     "build_labelling",
-    "build_labelling_parallel",
     "MetaGraph",
     "build_meta_graph",
     "Sketch",

@@ -65,6 +65,10 @@ BATCH_BITS = 64
 _ALL_BITS = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZERO = np.uint64(0)
 
+#: One orientation of a graph as the kernels take it:
+#: ``(indptr, indices, degrees)``.
+Csr = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: The dense expansion path gathers all ``m`` edge masks; it wins once
 #: the frontier touches at least this fraction of the edge set.
 _DENSE_EDGE_FRACTION = 16
@@ -238,7 +242,11 @@ def _concat_neighbors(indptr: np.ndarray, indices: np.ndarray,
     return indices[pos], counts
 
 
-def _spread(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray,
+def _csr_triple(indptr: np.ndarray, indices: np.ndarray) -> Csr:
+    return indptr, indices, np.diff(indptr).astype(np.int64)
+
+
+def _spread(push: Csr, pull: Csr,
             frontier_bits: np.ndarray, active: np.ndarray,
             reached: np.ndarray, scatter_buf: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
@@ -249,7 +257,15 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray,
     ``(vertices, bits)``. Dense frontiers gather the whole edge array
     and OR-reduce per CSR row; sparse frontiers scatter into
     ``scatter_buf`` instead, touching only incident edges.
+
+    The sparse path *pushes* each active vertex's bits along its
+    ``push`` row; the dense path *pulls* each vertex's bits from the
+    vertices that would push to it, which are its ``pull`` row — the
+    CSR of the opposite orientation. On an undirected graph the two
+    are the same CSR; a sweep along the arcs of a digraph passes
+    ``(out, in)``, one against them ``(in, out)``.
     """
+    indptr, indices, degrees = push
     m = len(indices)
     if len(active) == 0 or m == 0:
         return (np.empty(0, dtype=np.int64),
@@ -265,10 +281,11 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray,
         # runs to the end of the edge array. Clamping empty-row starts
         # instead would truncate the final nonempty row whenever
         # trailing isolated vertices exist.
-        gathered = frontier_bits[indices]
-        nonempty = np.nonzero(degrees)[0]
+        pull_indptr, pull_indices, pull_degrees = pull
+        gathered = frontier_bits[pull_indices]
+        nonempty = np.nonzero(pull_degrees)[0]
         acc = np.bitwise_or.reduceat(
-            gathered, indptr[nonempty].astype(np.int64))
+            gathered, pull_indptr[nonempty].astype(np.int64))
         hit = acc != _ZERO
         touched = nonempty[hit]
         arrive = acc[hit]
@@ -287,8 +304,7 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray,
     return fresh_vertices, fresh_bits
 
 
-def _lockstep_sweep(indptr: np.ndarray, indices: np.ndarray,
-                    degrees: np.ndarray, roots: np.ndarray,
+def _lockstep_sweep(push: Csr, pull: Csr, roots: np.ndarray,
                     expand_mask: np.ndarray, *,
                     collect_parents: bool = False,
                     budget: Optional[TimeBudget] = None,
@@ -302,6 +318,8 @@ def _lockstep_sweep(indptr: np.ndarray, indices: np.ndarray,
     distance equals the true distance, the shared label rule.
     ``expand_mask[v]`` says which roots' restricted sweeps may expand
     through ``v`` (callers must OR each root's own bit at its vertex).
+    ``push`` is the CSR the BFS follows and ``pull`` its transpose
+    (see :func:`_spread`); both are ``(indptr, indices, degrees)``.
 
     ``parent_edges`` (when ``collect_parents``) is ``(slots, parents,
     bits)``: for each CSR edge out of a labelled vertex whose endpoint
@@ -314,7 +332,7 @@ def _lockstep_sweep(indptr: np.ndarray, indices: np.ndarray,
     keeps pace with the full BFS and raises once ``depth`` exceeds the
     limit while vertices remain — matching Algorithm 2's uint8 guard.
     """
-    n = len(indptr) - 1
+    n = len(push[0]) - 1
     k = len(roots)
     roots = np.asarray(roots, dtype=np.int64)
     seeds = np.uint64(1) << np.arange(k, dtype=np.uint64)
@@ -346,10 +364,10 @@ def _lockstep_sweep(indptr: np.ndarray, indices: np.ndarray,
                 max_depth_error
                 or f"bit-parallel BFS exceeded depth {max_depth}")
         fresh_v_full, fresh_b_full = _spread(
-            indptr, indices, degrees, frontier_full, active_full,
+            push, pull, frontier_full, active_full,
             reached_full, scatter_buf)
         fresh_v_rest, fresh_b_rest = _spread(
-            indptr, indices, degrees, frontier_rest, active_rest,
+            push, pull, frontier_rest, active_rest,
             reached_rest, scatter_buf)
         # Restricted distances never beat the full BFS, so a bit fresh
         # in both sweeps at the same depth has restricted == full.
@@ -364,7 +382,7 @@ def _lockstep_sweep(indptr: np.ndarray, indices: np.ndarray,
             # frontier_full still holds the previous level's fresh
             # bits: exactly the vertices at true depth - 1.
             targets, counts = _concat_neighbors(
-                indptr, indices, labelled_vertices)
+                pull[0], pull[1], labelled_vertices)
             slots = np.repeat(
                 np.arange(len(labelled_vertices), dtype=np.int64),
                 counts)
@@ -433,8 +451,9 @@ def _sound_batch(indptr: np.ndarray, indices: np.ndarray,
     dists: List[np.ndarray] = []
     parent_counts: List[np.ndarray] = []
     parent_flat: List[np.ndarray] = []
+    csr = (indptr, indices, degrees)
     for depth, lv, lm, pedges in _lockstep_sweep(
-            indptr, indices, degrees, roots, expand_mask,
+            csr, csr, roots, expand_mask,
             collect_parents=with_parents, budget=budget):
         erows, ecols = _expand_bits(lm)
         vertices.append(lv[erows])
@@ -596,8 +615,7 @@ def build_sound_labels(graph, order: np.ndarray, *,
 # QbS labelling batches (landmark-avoiding restriction)
 # ----------------------------------------------------------------------
 
-def qbs_batch_levels(indptr: np.ndarray, indices: np.ndarray,
-                     degrees: np.ndarray, roots: np.ndarray,
+def qbs_batch_levels(push: Csr, pull: Csr, roots: np.ndarray,
                      is_landmark: np.ndarray, *,
                      max_depth: Optional[int] = None,
                      max_depth_error: Optional[str] = None):
@@ -609,13 +627,14 @@ def qbs_batch_levels(indptr: np.ndarray, indices: np.ndarray,
     ``Q_L``; labelled vertices that are themselves landmarks are the
     meta-graph edge discoveries. Yields ``(depth, vertices, bits)``
     levels starting at depth 0 (the roots themselves — callers skip it
-    for labels and meta edges alike).
+    for labels and meta edges alike). The sweep follows the ``push``
+    CSR, with ``pull`` its transpose (see :func:`_spread`).
     """
     roots = np.asarray(roots, dtype=np.int64)
     seeds = np.uint64(1) << np.arange(len(roots), dtype=np.uint64)
     expand_mask = np.where(is_landmark, _ZERO, _ALL_BITS)
     expand_mask[roots] |= seeds
     for depth, lv, lm, _ in _lockstep_sweep(
-            indptr, indices, degrees, roots, expand_mask,
+            push, pull, roots, expand_mask,
             max_depth=max_depth, max_depth_error=max_depth_error):
         yield depth, lv, lm

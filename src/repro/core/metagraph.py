@@ -5,7 +5,9 @@ between them avoids all other landmarks; the weight is their exact
 distance. Because every landmark-to-landmark shortest path decomposes
 at its landmark visits into such edges, shortest-path distances *on the
 meta-graph* equal distances in ``G`` — which is what makes the sketch
-upper bound (Eq. 3) exact for landmark-passing paths.
+upper bound (Eq. 3) exact for landmark-passing paths. Over a directed
+graph the edges are arcs and ``d_M`` is asymmetric; which of the two it
+is comes from the labelling (:attr:`PathLabelling.symmetric`).
 
 This module also precomputes ``Δ``: for every meta edge ``(a, b)``, the
 shortest path graph of the landmark-avoiding ``a``–``b`` paths in
@@ -23,8 +25,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
-from ..graph.csr import Graph
+from ..graph.traversal import descend_levels
 from .labelling import PathLabelling
+from .spg import _normalize
 
 __all__ = ["MetaGraph", "build_meta_graph"]
 
@@ -40,18 +43,24 @@ class MetaGraph:
     landmarks:
         Landmark vertex ids (positions index into this).
     edges:
-        ``(i, j) -> weight`` with ``i < j`` (σ of Definition 4.1).
+        ``(i, j) -> weight`` (σ of Definition 4.1): arcs ``i -> j``,
+        or undirected edges keyed ``i < j`` when ``symmetric``.
     dist:
         ``(|R|, |R|)`` float64 matrix of meta-graph distances ``d_M``
         (``inf`` when disconnected; 0 on the diagonal).
+    symmetric:
+        The labelling's :attr:`~PathLabelling.symmetric`.
     delta:
         ``(i, j) -> frozenset of G edges``: the precomputed SPG of
-        landmark-avoiding shortest paths for each meta edge (Δ).
+        landmark-avoiding shortest paths for each meta edge (Δ) —
+        ``(tail, head)`` arcs, or normalized ``(min, max)`` edges when
+        ``symmetric``.
     """
 
     landmarks: np.ndarray
     edges: Dict[Edge, int]
     dist: np.ndarray
+    symmetric: bool
     delta: Dict[Edge, FrozenSet[Edge]] = field(default_factory=dict)
     _edge_arrays: Optional[tuple] = field(default=None, repr=False)
     _spg_cache: Dict[Edge, List[Edge]] = field(default_factory=dict,
@@ -61,9 +70,12 @@ class MetaGraph:
     def num_landmarks(self) -> int:
         return len(self.landmarks)
 
+    def _key(self, i: int, j: int) -> Edge:
+        return (min(i, j), max(i, j)) if self.symmetric else (i, j)
+
     def weight(self, i: int, j: int) -> int:
         """σ(i, j) for an existing meta edge."""
-        return self.edges[(min(i, j), max(i, j))]
+        return self.edges[self._key(i, j)]
 
     def _arrays(self):
         """Meta edges as parallel numpy arrays (lazily materialized)."""
@@ -83,18 +95,18 @@ class MetaGraph:
         return self._edge_arrays
 
     def meta_spg_edges(self, i: int, j: int) -> List[Edge]:
-        """Meta edges lying on shortest ``i``–``j`` paths *in M*.
+        """Meta edges lying on shortest ``i`` -> ``j`` paths *in M*.
 
         A meta edge ``(a, b)`` of weight ``w`` is on such a path iff
-        ``d_M[i,a] + w + d_M[b,j] == d_M[i,j]`` in one orientation.
-        Used by Algorithm 3 lines 10-12 to put landmark-to-landmark
-        structure into the sketch. Vectorized over the edge arrays and
-        memoized per landmark pair — this is the §5.2 precomputation
-        that keeps sketching O(|R|^2).
+        ``d_M[i,a] + w + d_M[b,j] == d_M[i,j]`` (in either orientation
+        when ``symmetric``). Used by Algorithm 3 lines 10-12 to put
+        landmark-to-landmark structure into the sketch. Vectorized
+        over the edge arrays and memoized per landmark pair — this is
+        the §5.2 precomputation that keeps sketching O(|R|^2).
         """
         if i == j:
             return []
-        key = (min(i, j), max(i, j))
+        key = self._key(i, j)
         cached = self._spg_cache.get(key)
         if cached is not None:
             return cached
@@ -103,18 +115,13 @@ class MetaGraph:
             self._spg_cache[key] = []
             return []
         a, b, w = self._arrays()
-        on_path = (
-            (self.dist[i, a] + w + self.dist[b, j] == target)
-            | (self.dist[i, b] + w + self.dist[a, j] == target)
-        )
+        on_path = self.dist[i, a] + w + self.dist[b, j] == target
+        if self.symmetric:
+            on_path |= self.dist[i, b] + w + self.dist[a, j] == target
         result = [(int(x), int(y))
                   for x, y in zip(a[on_path], b[on_path])]
         self._spg_cache[key] = result
         return result
-
-    def expand_meta_edge(self, i: int, j: int) -> FrozenSet[Edge]:
-        """The Δ edge set of a meta edge (G edges, normalized)."""
-        return self.delta[(min(i, j), max(i, j))]
 
     def delta_total_edges(self) -> int:
         """Total stored Δ edges (the size(Δ) accounting of Table 3)."""
@@ -128,7 +135,7 @@ class MetaGraph:
         return len(self.edges) * 9
 
 
-def build_meta_graph(graph: Graph, labelling: PathLabelling,
+def build_meta_graph(graph, labelling: PathLabelling,
                      precompute_delta: bool = True) -> MetaGraph:
     """Assemble the meta-graph from a built labelling.
 
@@ -136,22 +143,25 @@ def build_meta_graph(graph: Graph, labelling: PathLabelling,
     ablation bench uses this to measure what §6.5 calls source of gain
     (3); queries then rebuild landmark segments on the fly.
     """
-    count = labelling.num_landmarks
-    dist = _meta_distances(labelling.meta_edges, count)
     meta = MetaGraph(
         landmarks=labelling.landmarks,
         edges=dict(labelling.meta_edges),
-        dist=dist,
+        dist=_meta_distances(labelling.meta_edges,
+                             labelling.num_landmarks,
+                             labelling.symmetric),
+        symmetric=labelling.symmetric,
     )
     if precompute_delta:
         for (i, j), weight in sorted(meta.edges.items()):
-            meta.delta[(i, j)] = _landmark_pair_spg(
-                graph, labelling, i, j, weight
-            )
+            arcs = landmark_pair_arcs(graph, labelling, i, j, weight)
+            if meta.symmetric:
+                arcs = (_normalize(x, y) for x, y in arcs)
+            meta.delta[(i, j)] = frozenset(arcs)
     return meta
 
 
-def _meta_distances(edges: Dict[Edge, int], count: int) -> np.ndarray:
+def _meta_distances(edges: Dict[Edge, int], count: int,
+                    symmetric: bool) -> np.ndarray:
     """All-pairs shortest distances on the weighted meta-graph."""
     if count == 0:
         return np.zeros((0, 0))
@@ -159,64 +169,36 @@ def _meta_distances(edges: Dict[Edge, int], count: int) -> np.ndarray:
         dist = np.full((count, count), np.inf)
         np.fill_diagonal(dist, 0.0)
         return dist
-    rows, cols, weights = [], [], []
-    for (i, j), w in edges.items():
-        rows.extend((i, j))
-        cols.extend((j, i))
-        weights.extend((w, w))
+    rows, cols = zip(*edges)
     matrix = csr_matrix(
-        (np.asarray(weights, dtype=np.float64),
+        (np.fromiter(edges.values(), dtype=np.float64, count=len(edges)),
          (np.asarray(rows), np.asarray(cols))),
         shape=(count, count),
     )
     # The meta-graph is tiny (|R| <= a few hundred); Dijkstra from every
-    # node is effectively free next to the labelling BFSs.
-    return _sp_shortest_path(matrix, method="D", directed=False)
+    # node is effectively free next to the labelling BFSs. Undirected
+    # mode walks an (i, j) entry both ways, which is what a symmetric
+    # graph's once-stored edges mean.
+    return _sp_shortest_path(matrix, method="D", directed=not symmetric)
 
 
-def _landmark_pair_spg(graph: Graph, labelling: PathLabelling,
-                       i: int, j: int, weight: int) -> FrozenSet[Edge]:
-    """Δ(i, j): SPG edges of landmark-avoiding shortest a-b paths.
+def landmark_pair_arcs(graph, labelling: PathLabelling,
+                       i: int, j: int, weight: int) -> Set[Edge]:
+    """Δ(i, j): arcs of the landmark-avoiding shortest a -> b paths.
 
-    Label-guided descent from the ``b`` side: interior vertices of such
-    paths carry labels from both endpoints whose distances sum to the
-    edge weight, so each step just filters neighbours on the ``a``
-    label column.
+    Label-guided descent from the ``b`` side: the last interior vertex
+    of such a path is a predecessor of ``b`` labelled ``weight - 1``
+    from ``a``, and from there each step just filters predecessors on
+    the ``a`` label column (landmark rows carry no labels, so the walk
+    cannot enter one).
     """
     a = int(labelling.landmarks[i])
     b = int(labelling.landmarks[j])
     if weight == 1:
-        return frozenset({_norm(a, b)})
-    col_a = labelling.label_matrix[:, i]
-    col_b = labelling.label_matrix[:, j]
-    is_landmark = labelling.landmark_position >= 0
-
-    edges: Set[Edge] = set()
-    # Seeds: non-landmark neighbours of b lying on an avoiding path —
-    # exactly those labelled (a, weight-1) and (b, 1).
-    seeds = [
-        int(x) for x in graph.neighbors(b)
-        if not is_landmark[x]
-        and col_a[x] == weight - 1 and col_b[x] == 1
-    ]
-    for x in seeds:
-        edges.add(_norm(x, b))
-    # Descend the `a` label column: level ell connects to level ell-1.
-    current: Set[int] = set(seeds)
-    for level in range(weight - 1, 0, -1):
-        next_level: Set[int] = set()
-        for x in current:
-            if level == 1:
-                edges.add(_norm(x, a))
-                continue
-            for y in graph.neighbors(x):
-                y = int(y)
-                if not is_landmark[y] and col_a[y] == level - 1:
-                    edges.add(_norm(x, y))
-                    next_level.add(y)
-        current = next_level
-    return frozenset(edges)
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
+        return {(a, b)}
+    column = labelling.reverse_matrix[:, i]
+    before_b = graph.in_indices[graph.in_indptr[b]:graph.in_indptr[b + 1]]
+    seeds = before_b[column[before_b] == weight - 1]
+    arcs = {(int(x), b) for x in seeds}
+    descend_levels(graph, column, a, seeds, arcs, forward=True)
+    return arcs

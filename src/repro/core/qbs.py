@@ -12,15 +12,18 @@
 [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4)]
 
 Offline, :meth:`build` selects landmarks, constructs the labelling
-scheme (Algorithm 2, sequential or thread-parallel), assembles the
+scheme (Algorithm 2, 64 landmarks per lockstep sweep), assembles the
 meta-graph with its precomputed inter-landmark SPGs, and sparsifies the
 graph. Online, :meth:`query` sketches (Algorithm 3) and runs the guided
-search (Algorithm 4).
+search (Algorithm 4). The three phases are written against a dual-CSR
+view, so :class:`~repro.directed.qbs.DirectedQbSIndex` runs the same
+code over a ``DiGraph``; this class is the undirected index, with Δ
+precomputed and the vectorized ``distance_many`` bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,10 +36,10 @@ from ..engine.persist import graph_arrays, graph_from_arrays, \
 from ..engine.registry import register_index
 from ..errors import QueryError, VertexError
 from ..graph.csr import Graph
-from .labelling import PathLabelling, build_labelling
+from .labelling import PathLabelling, build_labelling, \
+    landmark_positions
 from .landmarks import select_landmarks
 from .metagraph import MetaGraph, build_meta_graph
-from .parallel import build_labelling_parallel
 from .search import GuidedSearcher, SearchStats, bidirectional_spg
 from .sketch import Sketch, compute_sketch
 from .spg import ShortestPathGraph
@@ -53,7 +56,6 @@ class BuildReport:
     """
 
     num_landmarks: int
-    parallel: bool
     labelling_seconds: float
     meta_seconds: float
     sparsify_seconds: float
@@ -90,8 +92,6 @@ class QbSIndex(PathIndex):
     def build(cls, graph: Graph, num_landmarks: int = 20,
               strategy: str = "degree", seed=None,
               landmarks: Optional[np.ndarray] = None,
-              parallel: bool = False,
-              num_threads: Optional[int] = None,
               precompute_delta: bool = True) -> "QbSIndex":
         """Build the index (the paper's offline phase).
 
@@ -108,10 +108,6 @@ class QbSIndex(PathIndex):
             Randomness for stochastic strategies.
         landmarks:
             Explicit landmark vertex ids (overrides selection).
-        parallel:
-            Use the thread-parallel builder (QbS-P of Table 2).
-        num_threads:
-            Worker count for ``parallel=True``.
         precompute_delta:
             Materialize inter-landmark SPGs (Δ). Disable only for the
             ablation that measures their benefit.
@@ -124,12 +120,7 @@ class QbSIndex(PathIndex):
 
         with Stopwatch() as sw_total:
             with Stopwatch() as sw_label:
-                if parallel:
-                    labelling = build_labelling_parallel(
-                        graph, chosen, num_threads=num_threads
-                    )
-                else:
-                    labelling = build_labelling(graph, chosen)
+                labelling = build_labelling(graph, chosen)
             with Stopwatch() as sw_meta:
                 meta = build_meta_graph(
                     graph, labelling, precompute_delta=precompute_delta
@@ -138,7 +129,6 @@ class QbSIndex(PathIndex):
                 sparsified = graph.remove_vertices(chosen)
         report = BuildReport(
             num_landmarks=len(chosen),
-            parallel=parallel,
             labelling_seconds=sw_label.elapsed,
             meta_seconds=sw_meta.elapsed,
             sparsify_seconds=sw_sparse.elapsed,
@@ -178,8 +168,8 @@ class QbSIndex(PathIndex):
             return bidirectional_spg(self._graph, u, v, stats), stats
         sketch = self.sketch(u, v)
         stats = SearchStats()
-        spg = self._searcher.run(sketch, stats, use_budgets=use_budgets)
-        return spg, stats
+        found = self._searcher.run(sketch, stats, use_budgets=use_budgets)
+        return ShortestPathGraph(u, v, *found), stats
 
     def sketch(self, u: int, v: int) -> Sketch:
         """Compute the query sketch only (Algorithm 3); for analysis."""
@@ -344,12 +334,13 @@ class QbSIndex(PathIndex):
     def from_state(cls, meta, arrays):
         graph = graph_from_arrays(arrays)
         landmarks = arrays["landmarks"].astype(np.int32)
-        position = np.full(graph.num_vertices, -1, dtype=np.int32)
-        position[landmarks] = np.arange(len(landmarks), dtype=np.int32)
+        label_matrix = arrays["label_matrix"].astype(np.uint8)
         labelling = PathLabelling(
             landmarks=landmarks,
-            landmark_position=position,
-            label_matrix=arrays["label_matrix"].astype(np.uint8),
+            landmark_position=landmark_positions(landmarks,
+                                                 graph.num_vertices),
+            label_matrix=label_matrix,
+            reverse_matrix=label_matrix,
             meta_edges=unpack_pairs(arrays["meta_key"],
                                     arrays["meta_weight"]),
         )
@@ -364,6 +355,9 @@ class QbSIndex(PathIndex):
                 (int(a), int(b)) for a, b in block.tolist()
             )
             cursor += length
-        report = BuildReport(**meta["report"])
+        # Only the declared fields: archives written before the thread
+        # builder was removed also carry ``parallel``.
+        report = BuildReport(**{f.name: meta["report"][f.name]
+                                for f in fields(BuildReport)})
         sparsified = graph.remove_vertices(landmarks)
         return cls(graph, labelling, meta_graph, sparsified, report)

@@ -3,11 +3,12 @@
 Answering ``SPG(u, v)`` after sketching has three stages:
 
 1. **Bidirectional search** on the sparsified graph ``G⁻ = G[V \\ R]``,
-   alternating a forward (``u``) and backward (``v``) level expansion.
-   The sketch contributes the upper bound ``d_top`` (stop once
-   ``d_u + d_v`` reaches it) and the per-side budgets ``d*`` (Eq. 4)
-   that bias which side to grow; ties fall back to the smaller visited
-   set, the classic optimized bi-BFS rule.
+   alternating a forward (``u``, along the arcs) and backward (``v``,
+   against them) level expansion. The sketch contributes the upper
+   bound ``d_top`` (stop once ``d_u + d_v`` reaches it) and the
+   per-side budgets ``d*`` (Eq. 4) that bias which side to grow; ties
+   fall back to the smaller visited set, the classic optimized bi-BFS
+   rule.
 2. **Reverse search** — when the frontiers met, walk the two depth
    arrays back from the minimal meeting set, collecting every edge of
    ``G⁻_uv`` (shortest paths that avoid landmarks entirely).
@@ -17,29 +18,38 @@ Answering ``SPG(u, v)`` after sketching has three stages:
    precomputed inter-landmark SPGs ``Δ``.
 
 The final answer is the union prescribed by Eq. 5.
+
+All of it is written once, against a dual-CSR view (``out_*`` /
+``in_*`` arrays) and a pair of label matrices, so the one searcher
+serves ``QbSIndex`` over a ``Graph`` and ``DirectedQbSIndex`` over a
+``DiGraph``; it returns ``(distance, arcs)`` with arcs oriented
+``(tail, head)`` and each index wraps that in its own answer type.
+An empty sketch (``d_top is None``) leaves stage 1 unbounded and
+unbiased and stage 3 idle — which is plain Bi-BFS, so
+:func:`bidirectional_spg`, the ``bibfs`` family and both indexes'
+landmark-endpoint fallback run the same loop over the unsparsified
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._util import UNREACHED
 from ..graph.csr import Graph
+from ..graph.traversal import descend_levels, expand_frontier
 from .labelling import PathLabelling
-from .metagraph import MetaGraph
+from .metagraph import MetaGraph, landmark_pair_arcs
 from .sketch import Sketch
 from .spg import ShortestPathGraph
 
-__all__ = ["SearchStats", "GuidedSearcher", "bidirectional_spg"]
+__all__ = ["SearchStats", "GuidedSearcher", "bidirectional_arcs",
+           "bidirectional_spg"]
 
-Edge = Tuple[int, int]
-
-
-def _norm(a: int, b: int) -> Edge:
-    return (a, b) if a <= b else (b, a)
+Arc = Tuple[int, int]
 
 
 @dataclass
@@ -47,8 +57,6 @@ class SearchStats:
     """Instrumentation for the §6.5 traversal-savings experiments."""
 
     edges_traversed: int = 0
-    levels_u: int = 0
-    levels_v: int = 0
     met: bool = False
     used_reverse: bool = False
     used_recover: bool = False
@@ -58,73 +66,97 @@ class SearchStats:
 
 @dataclass
 class _BfsSide:
-    """State of one direction of the bidirectional search."""
+    """State of one direction of the bidirectional search.
+
+    The ``forward`` side grows from ``u`` along the arcs, the other
+    from ``v`` against them (the same CSR on a symmetric graph).
+    """
 
     source: int
+    forward: bool
+    indptr: np.ndarray
+    indices: np.ndarray
     depth: np.ndarray
+    frontier: np.ndarray
     levels: List[np.ndarray] = field(default_factory=list)
-    frontier: np.ndarray = field(default=None)
     current_depth: int = 0
     visited_count: int = 1
 
     @classmethod
-    def start(cls, source: int, num_vertices: int) -> "_BfsSide":
-        depth = np.full(num_vertices, UNREACHED, dtype=np.int32)
+    def start(cls, graph, source: int, forward: bool) -> "_BfsSide":
+        depth = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
         depth[source] = 0
         frontier = np.array([source], dtype=np.int32)
-        side = cls(source=source, depth=depth, frontier=frontier)
-        side.levels.append(frontier)
-        return side
+        if forward:
+            indptr, indices = graph.out_indptr, graph.out_indices
+        else:
+            indptr, indices = graph.in_indptr, graph.in_indices
+        return cls(source, forward, indptr, indices, depth, frontier,
+                   [frontier])
+
+    def expand(self, stats: SearchStats) -> np.ndarray:
+        """Grow one BFS level; returns the fresh vertex array."""
+        neighbors = expand_frontier(self.indptr, self.indices,
+                                    self.frontier)
+        stats.edges_traversed += len(neighbors)
+        fresh = neighbors[self.depth[neighbors] == UNREACHED]
+        fresh = np.unique(fresh)
+        self.current_depth += 1
+        self.depth[fresh] = self.current_depth
+        self.levels.append(fresh)
+        self.frontier = fresh
+        self.visited_count += len(fresh)
+        return fresh
 
 
 class GuidedSearcher:
-    """Reusable query executor bound to one built QbS index."""
+    """Reusable query executor bound to one built QbS index.
 
-    def __init__(self, graph: Graph, sparsified: Graph,
-                 labelling: PathLabelling, meta: MetaGraph) -> None:
+    ``graph`` and ``sparsified`` are dual-CSR views of ``G`` and
+    ``G⁻``. Without a labelling there is nothing to recover and only
+    empty sketches make sense (see :func:`bidirectional_arcs`).
+    """
+
+    def __init__(self, graph, sparsified,
+                 labelling: Optional[PathLabelling] = None,
+                 meta: Optional[MetaGraph] = None) -> None:
         self._graph = graph
         self._sparsified = sparsified
         self._labelling = labelling
         self._meta = meta
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
 
     def run(self, sketch: Sketch, stats: Optional[SearchStats] = None,
-            use_budgets: bool = True) -> ShortestPathGraph:
+            use_budgets: bool = True) -> Tuple[Optional[int], Set[Arc]]:
         """Execute Algorithm 4 for a prepared sketch.
 
-        ``use_budgets=False`` disables the Eq. 4 side-selection hints
-        (the ablation for §6.5 gain source (2)); the ``d_top`` bound and
-        correctness are unaffected.
+        Returns ``(distance, arcs)`` — ``(None, set())`` for a
+        disconnected pair. ``use_budgets=False`` disables the Eq. 4
+        side-selection hints (the ablation for §6.5 gain source (2));
+        the ``d_top`` bound and correctness are unaffected.
         """
-        u, v = sketch.u, sketch.v
         stats = stats if stats is not None else SearchStats()
-        stats.d_top = sketch.d_top
-
-        side_u = _BfsSide.start(u, self._graph.num_vertices)
-        side_v = _BfsSide.start(v, self._graph.num_vertices)
-        d_minus, meeting = self._bidirectional(sketch, side_u, side_v, stats,
-                                               use_budgets=use_budgets)
-        stats.d_minus = d_minus
-        stats.met = meeting is not None
-
+        d_minus, meeting, side_u, side_v = self._bidirectional(
+            sketch, stats, use_budgets)
         candidates = [d for d in (d_minus, sketch.d_top) if d is not None]
         if not candidates:
-            return ShortestPathGraph.empty(u, v)
+            return None, set()
         distance = min(candidates)
 
-        edges: Set[Edge] = set()
-        if d_minus is not None and d_minus == distance:
+        arcs: Set[Arc] = set()
+        if d_minus == distance:
+            # Stage 2 (lines 16-17): all G⁻ shortest-path arcs from the
+            # meeting set back to each side's source.
             stats.used_reverse = True
-            assert meeting is not None
-            edges |= self._reverse_search(meeting, side_u)
-            edges |= self._reverse_search(meeting, side_v)
-        if sketch.d_top is not None and sketch.d_top == distance:
+            for side in (side_u, side_v):
+                self._descend_depths(side, meeting, arcs)
+        if sketch.d_top == distance:
             stats.used_recover = True
-            edges |= self._recover_search(sketch, side_u, side_v)
-        return ShortestPathGraph(u, v, distance, edges)
+            self._recover_search(sketch, side_u, side_v, arcs)
+        return distance, arcs
 
     def distance_only(self, sketch: Sketch,
                       stats: Optional[SearchStats] = None) -> Optional[int]:
@@ -136,11 +168,7 @@ class GuidedSearcher:
         skipped entirely.
         """
         stats = stats if stats is not None else SearchStats()
-        stats.d_top = sketch.d_top
-        side_u = _BfsSide.start(sketch.u, self._graph.num_vertices)
-        side_v = _BfsSide.start(sketch.v, self._graph.num_vertices)
-        d_minus, _ = self._bidirectional(sketch, side_u, side_v, stats)
-        stats.d_minus = d_minus
+        d_minus = self._bidirectional(sketch, stats)[0]
         candidates = [d for d in (d_minus, sketch.d_top) if d is not None]
         return min(candidates) if candidates else None
 
@@ -148,40 +176,45 @@ class GuidedSearcher:
     # Stage 1: bounded bidirectional BFS on G-minus
     # ------------------------------------------------------------------
 
-    def _bidirectional(self, sketch: Sketch, side_u: _BfsSide,
-                       side_v: _BfsSide, stats: SearchStats,
+    def _bidirectional(self, sketch: Sketch, stats: SearchStats,
                        use_budgets: bool = True):
         """Alternating level expansion (Algorithm 4 lines 6-15).
 
-        Returns ``(d_minus, meeting)`` — the exact ``d_{G⁻}(u, v)`` and
-        the minimal meeting vertex set, or ``(None, None)`` when the
-        endpoints do not connect within the ``d_top`` bound.
+        Returns ``(d_minus, meeting, side_u, side_v)`` — the exact
+        ``d_{G⁻}(u, v)`` and the minimal meeting vertex set, both
+        ``None`` when the endpoints do not connect within the
+        ``d_top`` bound — plus the two explored sides.
         """
-        d_top = sketch.d_top
-        indptr = self._sparsified.indptr
-        indices = self._sparsified.indices
+        d_top = stats.d_top = sketch.d_top
+        side_u = _BfsSide.start(self._sparsified, sketch.u, True)
+        side_v = _BfsSide.start(self._sparsified, sketch.v, False)
+        budgets = (sketch.budget_u, sketch.budget_v) if use_budgets \
+            else (0, 0)
+        d_minus = meeting = None
         while d_top is None or side_u.current_depth + side_v.current_depth \
                 < d_top:
-            side = self._pick_side(sketch, side_u, side_v, use_budgets)
+            side = self._pick_side(side_u, side_v, budgets)
             if side is None:
-                return None, None
+                break
             other = side_v if side is side_u else side_u
-            fresh = self._expand(indptr, indices, side, stats)
+            fresh = side.expand(stats)
             hits = fresh[other.depth[fresh] != UNREACHED]
             if len(hits):
                 sums = side.current_depth + other.depth[hits]
                 d_minus = int(sums.min())
                 meeting = hits[sums == d_minus]
-                return d_minus, meeting
+                break
             if len(fresh) == 0:
                 # The side's whole G⁻ component is explored without a
                 # meeting, so the pair is disconnected in G⁻.
-                return None, None
-        return None, None
+                break
+        stats.d_minus = d_minus
+        stats.met = meeting is not None
+        return d_minus, meeting, side_u, side_v
 
-    def _pick_side(self, sketch: Sketch, side_u: _BfsSide,
-                   side_v: _BfsSide,
-                   use_budgets: bool = True) -> Optional[_BfsSide]:
+    @staticmethod
+    def _pick_side(side_u: _BfsSide, side_v: _BfsSide,
+                   budgets: Tuple[int, int]) -> Optional[_BfsSide]:
         """pick_search of Algorithm 4 line 7.
 
         Prefer the side whose sketch budget ``d*`` is not yet met; break
@@ -198,205 +231,84 @@ class GuidedSearcher:
             return side_v
         if not v_alive:
             return side_u
-        if use_budgets:
-            u_under = side_u.current_depth < sketch.budget_u
-            v_under = side_v.current_depth < sketch.budget_v
-            if u_under != v_under:
-                return side_u if u_under else side_v
+        u_under = side_u.current_depth < budgets[0]
+        v_under = side_v.current_depth < budgets[1]
+        if u_under != v_under:
+            return side_u if u_under else side_v
         if side_u.visited_count <= side_v.visited_count:
             return side_u
         return side_v
 
-    @staticmethod
-    def _expand(indptr: np.ndarray, indices: np.ndarray, side: _BfsSide,
-                stats: SearchStats) -> np.ndarray:
-        """Grow ``side`` one BFS level; returns the fresh vertex array."""
-        from ..graph.traversal import expand_frontier
-
-        neighbors = expand_frontier(indptr, indices, side.frontier)
-        stats.edges_traversed += len(neighbors)
-        fresh = neighbors[side.depth[neighbors] == UNREACHED]
-        fresh = np.unique(fresh)
-        side.current_depth += 1
-        side.depth[fresh] = side.current_depth
-        side.levels.append(fresh)
-        side.frontier = fresh
-        side.visited_count += len(fresh)
-        return fresh
-
-    # ------------------------------------------------------------------
-    # Stage 2: reverse search (lines 16-17)
-    # ------------------------------------------------------------------
-
-    def _reverse_search(self, seeds: np.ndarray,
-                        side: _BfsSide) -> Set[Edge]:
-        """Collect all ``G⁻`` shortest-path edges from ``seeds`` back to
-        the side's source, descending its exact depth array."""
-        return _descend_depths(self._sparsified, side.depth, seeds)
+    def _descend_depths(self, side: _BfsSide, seeds,
+                        arcs: Set[Arc]) -> None:
+        """``G⁻`` shortest-path arcs between ``seeds`` and the side's
+        source, descending its exact depth array."""
+        descend_levels(self._sparsified, side.depth, side.source, seeds,
+                       arcs, forward=side.forward)
 
     # ------------------------------------------------------------------
     # Stage 3: recover search (lines 18-24)
     # ------------------------------------------------------------------
 
     def _recover_search(self, sketch: Sketch, side_u: _BfsSide,
-                        side_v: _BfsSide) -> Set[Edge]:
+                        side_v: _BfsSide, arcs: Set[Arc]) -> None:
         """Reconstruct ``G^L_uv``: shortest paths through landmarks."""
-        edges: Set[Edge] = set()
-        label_matrix = self._labelling.label_matrix
-        for side, sketch_edges in ((side_u, sketch.side_u),
-                                   (side_v, sketch.side_v)):
-            # Z seeds (lines 19-23): per minimal landmark route, the
-            # explored vertices nearest to the landmark.
-            per_landmark: Dict[int, Dict[int, Set[int]]] = {}
+        labelling = self._labelling
+        for side, sketch_edges, matrix in (
+                (side_u, sketch.side_u, labelling.label_matrix),
+                (side_v, sketch.side_v, labelling.reverse_matrix)):
             for r_pos, sigma in sketch_edges.items():
+                # Z seeds (lines 19-23): per minimal landmark route,
+                # the explored vertices nearest to the landmark.
                 d_m = min(sigma - 1, side.current_depth)
                 level = side.levels[d_m]
-                remaining = sigma - d_m
-                column = label_matrix[:, r_pos]
-                seeds = level[column[level] == remaining]
-                if len(seeds) == 0:
-                    continue
-                by_delta = per_landmark.setdefault(r_pos, {})
-                by_delta.setdefault(remaining, set()).update(
-                    int(w) for w in seeds
-                )
-                # Segment t .. w via the searched depths.
-                edges |= _descend_depths(self._sparsified, side.depth,
-                                         seeds)
-            # Segment w .. r via the label column.
-            for r_pos, by_delta in per_landmark.items():
-                edges |= self._descend_labels(r_pos, by_delta)
+                column = matrix[:, r_pos]
+                seeds = level[column[level] == sigma - d_m]
+                # Segment t .. w via the searched depths, then w .. r
+                # via the label column (which runs the other way).
+                self._descend_depths(side, seeds, arcs)
+                descend_levels(self._sparsified, column,
+                               int(labelling.landmarks[r_pos]), seeds,
+                               arcs, forward=not side.forward)
         # Landmark-to-landmark structure: expand every meta edge on a
-        # shortest meta path of each minimizing pair with its Δ SPG.
-        expanded: Set[Edge] = set()
+        # shortest meta path of each minimizing pair with its Δ SPG —
+        # precomputed, or rebuilt on demand when the index was built
+        # with ``precompute_delta=False``.
+        meta = self._meta
+        expanded: Set[Arc] = set()
         for r, r_prime in set(sketch.meta_pairs):
-            for a, b in self._meta.meta_spg_edges(r, r_prime):
-                key = (min(a, b), max(a, b))
+            for key in meta.meta_spg_edges(r, r_prime):
                 if key in expanded:
                     continue
                 expanded.add(key)
-                edges |= self._expand_delta(key)
-        return edges
-
-    def _expand_delta(self, key: Tuple[int, int]) -> FrozenSet[Edge]:
-        """Δ edges for a meta edge — precomputed, or rebuilt on demand
-        when the index was built with ``precompute_delta=False``."""
-        delta = self._meta.delta.get(key)
-        if delta is None:
-            from .metagraph import _landmark_pair_spg
-
-            delta = _landmark_pair_spg(
-                self._graph, self._labelling, key[0], key[1],
-                self._meta.edges[key],
-            )
-        return delta
-
-    def _descend_labels(self, r_pos: int,
-                        by_delta: Dict[int, Set[int]]) -> Set[Edge]:
-        """Walk label column ``r_pos`` down to the landmark itself.
-
-        ``by_delta`` maps label distance -> seed vertices at that
-        distance; the descent merges levels so shared sub-paths are
-        traversed once.
-        """
-        landmark_vertex = int(self._labelling.landmarks[r_pos])
-        column = self._labelling.label_matrix[:, r_pos]
-        sparsified = self._sparsified
-        edges: Set[Edge] = set()
-        if not by_delta:
-            return edges
-        top = max(by_delta)
-        levels: List[Set[int]] = [set() for _ in range(top + 1)]
-        for delta, seeds in by_delta.items():
-            levels[delta] |= seeds
-        for delta in range(top, 0, -1):
-            for x in levels[delta]:
-                if delta == 1:
-                    # d(x, landmark) == 1: the direct edge exists in G.
-                    edges.add(_norm(x, landmark_vertex))
-                    continue
-                for y in sparsified.neighbors(x):
-                    y = int(y)
-                    if column[y] == delta - 1:
-                        edges.add(_norm(x, y))
-                        levels[delta - 1].add(y)
-        return edges
+                delta = meta.delta.get(key)
+                if delta is None:
+                    delta = landmark_pair_arcs(
+                        self._graph, labelling, *key, meta.edges[key])
+                arcs |= delta
 
 
-def _descend_depths(sparsified: Graph, depth: np.ndarray,
-                    seeds) -> Set[Edge]:
-    """All shortest-path edges from ``seeds`` back to depth 0.
+def bidirectional_arcs(graph, u: int, v: int,
+                       stats: Optional[SearchStats] = None
+                       ) -> Tuple[Optional[int], Set[Arc]]:
+    """Plain bidirectional BFS over the *full* dual-CSR view.
 
-    For each vertex ``x`` at depth ``d`` every neighbour at exact depth
-    ``d - 1`` is a BFS parent, and each such edge lies on a shortest
-    path from the source to ``x``.
+    The guided search with nothing to guide it: an empty sketch gives
+    no bound, no budgets and no landmark routes, and the graph is not
+    sparsified. ``u != v``; returns what :meth:`GuidedSearcher.run`
+    does.
     """
-    edges: Set[Edge] = set()
-    buckets: Dict[int, Set[int]] = {}
-    for x in seeds:
-        x = int(x)
-        d = int(depth[x])
-        if d > 0:
-            buckets.setdefault(d, set()).add(x)
-    if not buckets:
-        return edges
-    # Descend level by level; vertices discovered at level d-1 are
-    # processed on the next iteration even if no seed started there.
-    for d in range(max(buckets), 0, -1):
-        for x in buckets.get(d, ()):
-            for y in sparsified.neighbors(x):
-                y = int(y)
-                if depth[y] == d - 1:
-                    edges.add(_norm(x, y))
-                    if d - 1 > 0:
-                        buckets.setdefault(d - 1, set()).add(y)
-    return edges
+    return GuidedSearcher(graph, graph).run(Sketch(u, v, None), stats)
 
 
 def bidirectional_spg(graph: Graph, u: int, v: int,
                       stats: Optional[SearchStats] = None
                       ) -> ShortestPathGraph:
-    """Plain bidirectional-BFS SPG on the *full* graph.
-
-    This is the Bi-BFS baseline of Table 2 (and the fallback for
-    landmark endpoints): the same alternating search and reverse
-    machinery as the guided version, with no sketch bound, no budgets
-    and no sparsification.
-    """
+    """Bi-BFS SPG on an undirected graph — the baseline of Table 2
+    and :class:`~repro.core.qbs.QbSIndex`'s answer for landmark
+    endpoints."""
     graph._check_vertex(u)
     graph._check_vertex(v)
     if u == v:
         return ShortestPathGraph.trivial(u)
-    stats = stats if stats is not None else SearchStats()
-    from ..graph.traversal import expand_frontier
-
-    n = graph.num_vertices
-    side_u = _BfsSide.start(u, n)
-    side_v = _BfsSide.start(v, n)
-    indptr, indices = graph.indptr, graph.indices
-    while True:
-        if len(side_u.frontier) == 0 and len(side_v.frontier) == 0:
-            return ShortestPathGraph.empty(u, v)
-        if len(side_u.frontier) == 0:
-            side = side_v
-        elif len(side_v.frontier) == 0:
-            side = side_u
-        elif side_u.visited_count <= side_v.visited_count:
-            side = side_u
-        else:
-            side = side_v
-        other = side_v if side is side_u else side_u
-        fresh = GuidedSearcher._expand(indptr, indices, side, stats)
-        if len(fresh) == 0:
-            # Component exhausted without meeting: disconnected pair.
-            return ShortestPathGraph.empty(u, v)
-        hits = fresh[other.depth[fresh] != UNREACHED]
-        if len(hits):
-            sums = side.current_depth + other.depth[hits]
-            distance = int(sums.min())
-            meeting = hits[sums == distance]
-            edges = _descend_depths(graph, side_u.depth, meeting)
-            edges |= _descend_depths(graph, side_v.depth, meeting)
-            stats.met = True
-            stats.d_minus = distance
-            return ShortestPathGraph(u, v, distance, edges)
+    return ShortestPathGraph(u, v, *bidirectional_arcs(graph, u, v, stats))

@@ -3,7 +3,7 @@
 A sketch summarizes, for one query ``SPG(u, v)``, the cheapest ways of
 routing between ``u`` and ``v`` *through landmarks*:
 
-* ``d_top`` — the minimum length of any landmark-passing ``u``–``v``
+* ``d_top`` — the minimum length of any landmark-passing ``u -> v``
   path (Eq. 3); an upper bound on ``d_G(u, v)`` (Corollary 4.6);
 * per-side sketch edges ``(r, δ)`` — which landmarks start/end those
   minimal routes and at what distance;
@@ -72,11 +72,12 @@ def compute_sketch(labelling: PathLabelling, meta: MetaGraph,
     handled by the caller's fallback; see
     :class:`~repro.core.qbs.QbSIndex`).
     """
-    delta_u = _label_row(labelling, u)
-    delta_v = _label_row(labelling, v)
+    delta_u = labelling.label_rows_float([u])[0]
+    delta_v = labelling.label_rows_float([v], reverse=True)[0]
 
     # Lines 2-6: pi[r, r'] = delta_u[r] + d_M[r, r'] + delta_v[r'],
-    # minimized over all landmark pairs, as one broadcast.
+    # the route u -> r -> r' -> v, minimized over all landmark pairs
+    # as one broadcast.
     pi = delta_u[:, None] + meta.dist + delta_v[None, :]
     d_top_value = float(pi.min()) if pi.size else np.inf
     if not np.isfinite(d_top_value):
@@ -91,8 +92,3 @@ def compute_sketch(labelling: PathLabelling, meta: MetaGraph,
         sketch.side_v[r_prime] = int(delta_v[r_prime])
         sketch.meta_pairs.append((r, r_prime))
     return sketch
-
-
-def _label_row(labelling: PathLabelling, t: int) -> np.ndarray:
-    """Label distances of ``t`` as float64 with ``inf`` for absent."""
-    return labelling.label_rows_float([t])[0]

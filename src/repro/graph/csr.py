@@ -86,6 +86,14 @@ class Graph:
         """Concatenated adjacency array (read-only view)."""
         return self._indices
 
+    # The dual-CSR view the QbS pipeline is written against
+    # (``DiGraph`` stores the two sides separately). An undirected
+    # graph's successors are its predecessors, so both sides name the
+    # one CSR — ``out_indices is in_indices`` is how shared code sees
+    # that a graph is symmetric.
+    out_indptr = in_indptr = indptr
+    out_indices = in_indices = indices
+
     @property
     def num_vertices(self) -> int:
         return len(self._indptr) - 1

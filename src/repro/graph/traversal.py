@@ -10,7 +10,8 @@ re-wrapping.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from collections import defaultdict
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .csr import Graph
 
 __all__ = [
     "expand_frontier",
+    "descend_levels",
     "bfs_distances",
     "bfs_distances_bounded",
     "bfs_distances_offsets",
@@ -49,6 +51,42 @@ def expand_frontier(indptr: np.ndarray, indices: np.ndarray,
                        counts)
     positions = np.arange(total, dtype=np.int64) + shifts
     return indices[positions]
+
+
+def descend_levels(graph, level: np.ndarray, root: int, seeds,
+                   arcs: Set[Tuple[int, int]], *, forward: bool) -> None:
+    """Add to ``arcs`` every arc on a shortest path joining ``root``
+    and ``seeds``.
+
+    ``level[x]`` is the exact BFS level of ``x`` counted from ``root``
+    — along the arcs when ``forward``, against them otherwise — and
+    any other value where ``x`` lies on no such path (a depth array's
+    ``UNREACHED``, a label column's ``NO_LABEL``). Every neighbour one
+    level closer to the root is a BFS parent, so the walk collects
+    whole levels at a time and visits a shared sub-path once. Level-1
+    vertices link to ``root`` directly; the root itself needs neither
+    a level nor a row in ``graph`` (a landmark has no label and is
+    absent from the sparsified graph).
+
+    ``graph`` is any dual-CSR view (``Graph`` or ``DiGraph``); arcs
+    come out oriented ``(tail, head)``.
+    """
+    if forward:
+        indptr, indices = graph.in_indptr, graph.in_indices
+    else:
+        indptr, indices = graph.out_indptr, graph.out_indices
+    buckets: Dict[int, Set[int]] = defaultdict(set)
+    for x in seeds:
+        buckets[int(level[x])].add(int(x))
+    for d in range(max(buckets, default=0), 0, -1):
+        for x in buckets[d]:
+            if d == 1:
+                arcs.add((root, x) if forward else (x, root))
+                continue
+            for y in indices[indptr[x]:indptr[x + 1]].tolist():
+                if level[y] == d - 1:
+                    arcs.add((y, x) if forward else (x, y))
+                    buckets[d - 1].add(y)
 
 
 def bfs_distances(graph: Graph, source: int,

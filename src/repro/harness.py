@@ -119,17 +119,12 @@ def run_table2_construction(names: Optional[Iterable[str]] = None,
     small = set(small_dataset_names())
     for name in _datasets(names):
         graph = load_dataset(name)
-        with Stopwatch() as sw_seq:
+        with Stopwatch() as sw_qbs:
             build_index(graph, "qbs", num_landmarks=num_landmarks)
-        with Stopwatch() as sw_par:
-            build_index(graph, "qbs", num_landmarks=num_landmarks,
-                        parallel=True)
         row = {
             "dataset": name,
-            "qbs_p": format_seconds(sw_par.elapsed),
-            "qbs": format_seconds(sw_seq.elapsed),
-            "qbs_p_seconds": sw_par.elapsed,
-            "qbs_seconds": sw_seq.elapsed,
+            "qbs": format_seconds(sw_qbs.elapsed),
+            "qbs_seconds": sw_qbs.elapsed,
         }
         row["ppl"], row["ppl_seconds"] = _timed_build(
             lambda budget: build_index(graph, "ppl", budget=budget),

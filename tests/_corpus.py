@@ -10,6 +10,8 @@ exactly the collection error this file fixes.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from repro import Graph
@@ -96,6 +98,13 @@ def random_graph_corpus(seed: int = 0, count: int = 40):
         else:
             m = int(rng.integers(1, min(3, n - 1)))
             yield f"plc-{i}", powerlaw_cluster(n, m, 0.5, seed=rng)
+
+
+def label_rng(label: str) -> np.random.Generator:
+    """A generator seeded by a corpus label. ``crc32``, not ``hash()``:
+    string hashes are salted per interpreter, and a test that draws
+    different landmarks on every run cannot be reproduced."""
+    return np.random.default_rng(zlib.crc32(label.encode()))
 
 
 def random_digraph_corpus(seed: int = 0, count: int = 10):

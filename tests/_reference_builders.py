@@ -12,17 +12,25 @@ only tests ever selected them, so they live here:
   whose prune rule is unsound (``test_ppl.py`` shows the
   counterexample);
 * :func:`index_from_lists` — wrap list-of-lists labels as a queryable
-  ``PPLIndex``.
+  ``PPLIndex``;
+* :func:`label_bfs` — one QbS labelled BFS as a 1-lane run of the
+  lockstep kernel (what the 64-lane sweep is compared against);
+* :func:`two_queue_labelled_bfs` / :func:`two_queue_scheme` —
+  Algorithm 2's ``Q_L``/``Q_N`` walk over one CSR orientation, which
+  shares nothing with the lockstep kernel (the directed index's
+  builder until the pipeline was written once over a dual-CSR view).
 """
 
 from collections import deque
 
 import numpy as np
 
+from repro._util import NO_LABEL
 from repro.baselines import PPLIndex
-from repro.core.build_kernels import restricted_distances
+from repro.core.build_kernels import (_csr_triple, qbs_batch_levels,
+                                      restricted_distances)
 from repro.dynamic import MutableLabels
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import bfs_distances, expand_frontier
 
 
 def degree_order(graph):
@@ -108,3 +116,67 @@ def index_from_lists(graph, order, label_ranks, label_dists):
     """A queryable ``PPLIndex`` over list-of-lists labels."""
     labels = MutableLabels(order, label_ranks, label_dists).to_flat()
     return PPLIndex(graph, order, labels)
+
+
+def label_bfs(graph, root, is_landmark, label_column):
+    """One labelled BFS from landmark ``root`` over an undirected
+    graph: fills ``label_column`` (uint8, length ``|V|``) in place and
+    returns the meta edges found as ``[(landmark_vertex, weight)]``."""
+    csr = _csr_triple(graph.indptr, graph.indices)
+    meta_edges = []
+    for depth, vertices, _bits in qbs_batch_levels(
+            csr, csr, np.array([root], dtype=np.int64), is_landmark):
+        if depth == 0:
+            continue
+        label_column[vertices[~is_landmark[vertices]]] = depth
+        meta_edges.extend((int(hit), depth)
+                          for hit in vertices[is_landmark[vertices]])
+    return meta_edges
+
+
+def two_queue_labelled_bfs(indptr, indices, root, is_landmark, column):
+    """Algorithm 2 over one orientation, two queues per level: fills
+    ``column`` with the depths of labelled vertices and returns
+    landmark hits as ``[(landmark_vertex, depth)]``."""
+    visited = np.zeros(len(is_landmark), dtype=bool)
+    visited[root] = True
+    labelled = np.array([root], dtype=np.int32)
+    silent = np.empty(0, dtype=np.int32)
+    hits = []
+    depth = 0
+    while len(labelled) or len(silent):
+        depth += 1
+        fresh = expand_frontier(indptr, indices, labelled)
+        fresh = np.unique(fresh[~visited[fresh]])
+        visited[fresh] = True
+        landmark_hits = fresh[is_landmark[fresh]]
+        labelled = fresh[~is_landmark[fresh]]
+        column[labelled] = depth
+        hits.extend((int(hit), depth) for hit in landmark_hits)
+        silent_fresh = expand_frontier(indptr, indices, silent)
+        silent_fresh = np.unique(silent_fresh[~visited[silent_fresh]])
+        visited[silent_fresh] = True
+        silent = np.concatenate((landmark_hits, silent_fresh))
+    return hits
+
+
+def two_queue_scheme(graph, landmarks):
+    """``(forward, backward, meta_arcs)`` of a dual-CSR view, one
+    two-queue BFS per landmark and orientation."""
+    n = graph.num_vertices
+    position = np.full(n, -1, dtype=np.int32)
+    position[landmarks] = np.arange(len(landmarks), dtype=np.int32)
+    is_landmark = position >= 0
+    forward = np.full((n, len(landmarks)), NO_LABEL, dtype=np.uint8)
+    backward = np.full((n, len(landmarks)), NO_LABEL, dtype=np.uint8)
+    meta = {}
+    for i, root in enumerate(np.asarray(landmarks).tolist()):
+        for hit, weight in two_queue_labelled_bfs(
+                graph.out_indptr, graph.out_indices, root, is_landmark,
+                forward[:, i]):
+            assert meta.setdefault((i, int(position[hit])), weight) == weight
+        for hit, weight in two_queue_labelled_bfs(
+                graph.in_indptr, graph.in_indices, root, is_landmark,
+                backward[:, i]):
+            assert meta.setdefault((int(position[hit]), i), weight) == weight
+    return forward, backward, meta

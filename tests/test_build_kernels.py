@@ -20,14 +20,15 @@ from repro._util import NO_LABEL, TimeBudget
 from repro.baselines import ParentPPLIndex, PPLIndex
 from repro.core.build_kernels import (RaggedView, build_sound_labels,
                                       restricted_distances)
-from repro.core.labelling import build_labelling, label_bfs
+from repro.core.labelling import build_labelling
 from repro.dynamic import DynamicIndex
 from repro.dynamic import incremental as inc
 from repro.graph import barabasi_albert, erdos_renyi
 from repro.graph.traversal import bfs_distances
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
-from _reference_builders import restricted_bfs, sound_scalar_labels
+from _reference_builders import (label_bfs, restricted_bfs,
+                                 sound_scalar_labels)
 
 SETTINGS = dict(
     max_examples=40,

@@ -30,17 +30,6 @@ def test_bibfs_exact_on_dataset(name):
         assert baseline.query(u, v) == spg_oracle(graph, u, v), (name, u, v)
 
 
-def test_parallel_build_equal_on_dataset():
-    graph = load_dataset("douban")
-    import numpy as np
-
-    a = QbSIndex.build(graph, num_landmarks=20)
-    b = QbSIndex.build(graph, num_landmarks=20, parallel=True)
-    assert np.array_equal(a.labelling.label_matrix,
-                          b.labelling.label_matrix)
-    assert a.meta_graph.edges == b.meta_graph.edges
-
-
 def test_coverage_regimes_hold():
     """The Figure 8 extremes, as a cheap integration check."""
     pairs_hub = sample_pairs(load_dataset("youtube"), 60, seed=45)

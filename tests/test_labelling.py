@@ -11,12 +11,12 @@ import pytest
 from repro import Graph, IndexBuildError
 from repro._util import NO_LABEL, UNREACHED
 from repro.core.labelling import build_labelling
-from repro.core.parallel import build_labelling_parallel
 from repro.graph.traversal import bfs_distances
 
 from _corpus import (
     FIGURE4_LABELS,
     FIGURE4_META,
+    label_rng,
     random_graph_corpus,
 )
 
@@ -95,7 +95,7 @@ class TestDefinitionEquivalence:
     def test_matches_brute_force(self, label, graph):
         if graph.num_vertices < 4:
             pytest.skip("too small")
-        rng = np.random.default_rng(hash(label) % (2 ** 32))
+        rng = label_rng(label)
         count = int(rng.integers(1, min(5, graph.num_vertices)))
         landmarks = rng.choice(graph.num_vertices, size=count,
                                replace=False).astype(np.int32)
@@ -145,26 +145,6 @@ class TestDeterminism:
 
         assert canon(meta_a) == canon(meta_b), label
 
-    def test_parallel_equals_sequential(self, figure4_graph):
-        sequential = build_labelling(figure4_graph, LANDMARKS)
-        parallel = build_labelling_parallel(figure4_graph, LANDMARKS,
-                                            num_threads=3)
-        assert np.array_equal(sequential.label_matrix,
-                              parallel.label_matrix)
-        assert sequential.meta_edges == parallel.meta_edges
-
-    @pytest.mark.parametrize("label,graph",
-                             list(random_graph_corpus(seed=43, count=6)))
-    def test_parallel_equals_sequential_random(self, label, graph):
-        if graph.num_vertices < 4:
-            pytest.skip("too small")
-        landmarks = np.array([0, 1, 2, 3], dtype=np.int32)
-        sequential = build_labelling(graph, landmarks)
-        parallel = build_labelling_parallel(graph, landmarks)
-        assert np.array_equal(sequential.label_matrix,
-                              parallel.label_matrix), label
-        assert sequential.meta_edges == parallel.meta_edges, label
-
 
 class TestValidation:
     def test_empty_landmarks_rejected(self, figure4_graph):
@@ -180,11 +160,6 @@ class TestValidation:
         with pytest.raises(IndexBuildError):
             build_labelling(figure4_graph,
                             np.array([99], dtype=np.int32))
-
-    def test_parallel_validation(self, figure4_graph):
-        with pytest.raises(IndexBuildError):
-            build_labelling_parallel(figure4_graph,
-                                     np.array([], dtype=np.int32))
 
     def test_label_matrix_sentinel(self, figure4_graph):
         scheme = build_labelling(figure4_graph, LANDMARKS)

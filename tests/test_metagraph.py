@@ -9,7 +9,7 @@ from repro.core.labelling import build_labelling
 from repro.core.metagraph import build_meta_graph
 from repro.graph.traversal import bfs_distances
 
-from _corpus import random_graph_corpus
+from _corpus import label_rng, random_graph_corpus
 
 LANDMARKS = np.array([0, 1, 2], dtype=np.int32)
 
@@ -35,7 +35,7 @@ class TestDistancePreservation:
     def test_random_graphs(self, label, graph):
         if graph.num_vertices < 5:
             pytest.skip("too small")
-        rng = np.random.default_rng(hash(label) % (2 ** 32))
+        rng = label_rng(label)
         count = int(rng.integers(2, min(6, graph.num_vertices)))
         landmarks = rng.choice(graph.num_vertices, size=count,
                                replace=False).astype(np.int32)
@@ -92,7 +92,7 @@ class TestDelta:
     def test_random_graphs(self, label, graph):
         if graph.num_vertices < 5:
             pytest.skip("too small")
-        rng = np.random.default_rng(hash(label) % (2 ** 32))
+        rng = label_rng(label)
         count = int(rng.integers(2, min(5, graph.num_vertices)))
         landmarks = rng.choice(graph.num_vertices, size=count,
                                replace=False).astype(np.int32)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro import Graph, QbSIndex, bidirectional_spg, spg_oracle
 from repro.core.labelling import build_labelling
-from repro.core.parallel import build_labelling_parallel
 
 SETTINGS = dict(
     max_examples=60,
@@ -77,16 +76,6 @@ def test_labelling_deterministic_under_permutation(case, data):
     for vertex in range(graph.num_vertices):
         assert dict(a.label_entries(vertex)) == \
             dict(b.label_entries(vertex))
-
-
-@given(case=graph_query_landmarks())
-@settings(**SETTINGS)
-def test_parallel_labelling_identical(case):
-    graph, _, _, landmarks = case
-    sequential = build_labelling(graph, landmarks)
-    parallel = build_labelling_parallel(graph, landmarks, num_threads=4)
-    assert np.array_equal(sequential.label_matrix, parallel.label_matrix)
-    assert sequential.meta_edges == parallel.meta_edges
 
 
 @given(case=graph_query_landmarks())
