@@ -14,11 +14,11 @@ paper's regimes — small (douban), clustered (dblp), hub-dominated
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any
 
-from repro.obs.bench import BenchRecorder
 from repro.workloads import dataset_names
 
 #: Paper default |R| (§6.1).
@@ -42,33 +42,15 @@ def all_datasets():
     return tuple(dataset_names())
 
 
-# ----------------------------------------------------------------------
-# Bench trajectory (perf-regression ledger)
-# ----------------------------------------------------------------------
-
-#: Repo-root ledger every suite appends one record per run to; CI
-#: uploads it next to the ``BENCH_*.json`` artifacts and gates on
-#: ``repro bench compare``. Override with ``REPRO_BENCH_TRAJECTORY``
-#: (the gate's self-test points it at a scratch copy).
-TRAJECTORY_PATH = Path(
-    os.environ.get("REPRO_BENCH_TRAJECTORY")
-    or Path(__file__).resolve().parents[1] / "BENCH_TRAJECTORY.jsonl")
+#: Where the stack suites drop their JSON / trace artifacts. The
+#: directory is git-ignored, so a number read from it was produced by
+#: this checkout's own run (CI uploads it per suite).
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 
-def record_suite(suite: str, metrics: Dict[str, float], *,
-                 seed: Optional[int] = None,
-                 workload: Optional[str] = None,
-                 extra: Optional[Dict[str, Any]] = None,
-                 mismatches: Optional[int] = None) -> Dict[str, Any]:
-    """Append one suite's trajectory record (schema-versioned).
-
-    The one helper every ``benchmarks/test_*.py`` writer goes through,
-    so suite records carry identical provenance (git sha, machine
-    fingerprint) and the schema cannot drift per suite.
-    """
-    recorder = BenchRecorder(suite=suite, seed=seed,
-                             workload=workload, extra=extra)
-    recorder.add_many(metrics)
-    if mismatches is not None:
-        recorder.set_mismatches(mismatches)
-    return recorder.append(TRAJECTORY_PATH)
+def write_artifact(name: str, payload: Any) -> Path:
+    """Dump one suite artifact as sorted, indented JSON under ``out/``."""
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / name
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path

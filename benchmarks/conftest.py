@@ -14,32 +14,12 @@ whatever the canonical construction path produces.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.engine import build_index
 from repro.workloads import load_dataset, sample_pairs
 
-from _bench import BENCH_PAIRS, NUM_LANDMARKS, record_suite, \
-    timed_datasets
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _module_trajectory(request):
-    """Append one wall-time trajectory record per benchmark module.
-
-    Every ``benchmarks/test_*.py`` run leaves a schema-valid record in
-    ``BENCH_TRAJECTORY.jsonl`` (suite = module name) even when the
-    module has no bespoke metrics; the rich suites additionally write
-    metric-heavy records through ``record_suite`` themselves. Module
-    wall time is load-sensitive, so the tolerance file gives
-    ``suite_wall_s`` a loose band.
-    """
-    start = time.perf_counter()
-    yield
-    record_suite(request.module.__name__,
-                 {"suite_wall_s": time.perf_counter() - start})
+from _bench import BENCH_PAIRS, NUM_LANDMARKS, timed_datasets
 
 
 @pytest.fixture(scope="session")

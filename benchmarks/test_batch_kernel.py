@@ -13,13 +13,9 @@ subsystem on a 10k-vertex Barabási–Albert graph:
 2. **Exactness** — on >= 300 sampled pairs per family the batched
    answers must show **0 mismatches** against the BFS oracle.
 
-Alongside the assertions the module writes ``BENCH_batch.json`` at
-the repo root so batched-query throughput is tracked file-over-file
-(CI uploads it as an artifact).
+Alongside the assertions the module writes
+``benchmarks/out/BENCH_batch.json`` (CI uploads it as an artifact).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +26,7 @@ from repro.dynamic import DynamicIndex
 from repro.graph import barabasi_albert
 from repro.workloads import generate_update_stream, sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 #: >= 10k vertices, per the subsystem's acceptance experiment.
 GRAPH_N = 10_000
@@ -43,8 +39,6 @@ ORACLE_PAIRS = 300
 
 #: The asserted floor: vectorized >= 3x the scalar loop (ppl).
 SPEEDUP_FLOOR = 3.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_batch.json"
 
 #: Gathered across tests, dumped by the final writer test.
 _RESULTS = {}
@@ -189,14 +183,4 @@ def test_write_bench_json():
         "speedup_floor": SPEEDUP_FLOOR,
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n")
-    assert BENCH_PATH.exists()
-    record_suite("batch-kernel", {
-        "ppl_speedup": _RESULTS["ppl"]["speedup"],
-        "ppl_vectorized_qps": _RESULTS["ppl"]["vectorized_qps"],
-        "qbs_speedup": _RESULTS["qbs"]["speedup"],
-        "sharded_speedup": _RESULTS["sharded"]["speedup"],
-        "dynamic_speedup": _RESULTS["dynamic"]["speedup"],
-    }, seed=GRAPH_SEED, workload=f"ba-{GRAPH_N} vectorized batches",
-        mismatches=_RESULTS["ppl"]["oracle_mismatches"])
+    write_artifact("BENCH_batch.json", payload)

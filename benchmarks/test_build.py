@@ -8,14 +8,12 @@ full scalar build takes tens of minutes at this size), and assert the
 kernel is at least 5x faster. Alongside, the module measures the
 root-batch pool scaling, the dynamic insert-repair speedup of the
 frontier resume over the deque resume, checks 300 query pairs against
-the BFS oracle, and dumps ``BENCH_build.json`` at the repo root plus
-one ``build`` record into the perf trajectory ledger.
+the BFS oracle, and dumps ``benchmarks/out/BENCH_build.json``.
 """
 
 import json
 import multiprocessing
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from repro.graph.traversal import bfs_distances
 from repro.obs import get_registry
 from repro.workloads import sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 #: The tentpole experiment size; scalar PPL needed ~27s at a tenth of
 #: this scale, so the scalar side is estimated from sampled roots.
@@ -46,8 +44,6 @@ ORACLE_PAIRS = 300
 #: Dynamic insert-repair comparison scale.
 REPAIR_N = 10_000
 REPAIR_EDGES = 40
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_build.json"
 
 _RESULTS = {}
 
@@ -225,15 +221,6 @@ def test_write_bench_json(bench_graph):
         },
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
-    assert json.loads(BENCH_PATH.read_text())["scalar_estimate"][
+    written = write_artifact("BENCH_build.json", payload)
+    assert json.loads(written.read_text())["scalar_estimate"][
         "kernel_speedup"] >= 5.0
-    record_suite("build", {
-        "kernel_build_s": _RESULTS["kernel_build"]["build_seconds"],
-        "kernel_speedup": _RESULTS["scalar_estimate"]["kernel_speedup"],
-        "pool_jobs2_speedup": _RESULTS["pool_scaling"][
-            "parallel_speedup"],
-        "repair_speedup": _RESULTS["insert_repair"]["repair_speedup"],
-    }, seed=GRAPH_SEED, workload=f"ba-{GRAPH_N} construction",
-        mismatches=_RESULTS["exactness"]["mismatches"])

@@ -5,16 +5,13 @@ generated graph: build the PPL labels once, promote to a
 :class:`~repro.dynamic.DynamicIndex`, replay a 50/50 insert/delete
 stream, and compare the amortized per-mutation latency with what a
 build-once deployment pays — a full rebuild per update. Alongside the
-assertions, the module writes the machine-readable perf artifact
-``BENCH_dynamic.json`` at the repo root (build time, amortized update
-latency, per-family query latency, exactness check), so the perf
-trajectory of the subsystem is tracked file-over-file rather than in
-scrollback.
+assertions, the module writes the machine-readable artifact
+``benchmarks/out/BENCH_dynamic.json`` (build time, amortized update
+latency, per-family query latency, exactness check).
 """
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -25,7 +22,7 @@ from repro.dynamic import DynamicIndex
 from repro.graph import barabasi_albert
 from repro.workloads import generate_update_stream, sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 #: >= 10k vertices, per the subsystem's acceptance experiment.
 GRAPH_N = 10_000
@@ -34,8 +31,6 @@ GRAPH_SEED = 7
 
 NUM_OPS = 300
 QUERY_PAIRS = 150
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_dynamic.json"
 
 #: Gathered across tests, dumped by the final writer test.
 _RESULTS = {}
@@ -173,14 +168,6 @@ def test_write_bench_json(bench_graph):
         },
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
-    assert json.loads(BENCH_PATH.read_text())["rebuild_per_update"][
+    written = write_artifact("BENCH_dynamic.json", payload)
+    assert json.loads(written.read_text())["rebuild_per_update"][
         "speedup"] >= 10.0
-    record_suite("dynamic-updates", {
-        "rebuild_speedup": _RESULTS["rebuild_per_update"]["speedup"],
-        **{f"query_{family}_ms": latency
-           for family, latency
-           in sorted(_RESULTS["query_latency_ms"].items())},
-    }, seed=GRAPH_SEED, workload=f"ba-{GRAPH_N} update stream",
-        mismatches=_RESULTS["exactness"]["mismatches"])

@@ -1,7 +1,7 @@
 """Observability overhead benchmark — instrumentation must be ~free.
 
 Two acceptance numbers for the :mod:`repro.obs` subsystem, written to
-``BENCH_obs.json`` at the repo root (CI uploads it as an artifact):
+``benchmarks/out/BENCH_obs.json`` (CI uploads it as an artifact):
 
 1. **Overhead** — the ``ppl`` batch-kernel query path (1024-pair
    ``query_many`` batches, cache off, tracing off) with the default
@@ -24,14 +24,12 @@ Two acceptance numbers for the :mod:`repro.obs` subsystem, written to
 4. **Stitched coverage** — cross-shard bursts through a four-worker
    fleet at rate 1.0 must stitch into single-rooted trees whose
    worker stage spans cover **≥95%** of worker batch wall time; the
-   traces export to ``TRACE_cross_shard.json`` (valid Chrome
-   trace-event JSON, CI uploads it for Perfetto).
+   traces export to ``benchmarks/out/TRACE_cross_shard.json`` (valid
+   Chrome trace-event JSON, CI uploads it for Perfetto).
 """
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +41,7 @@ from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import stage_totals
 from repro.workloads import sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 GRAPH_N = 4_000
 GRAPH_M = 2
@@ -71,10 +69,6 @@ FLEET_WORKERS = 4
 FLEET_BURSTS = 6
 FLEET_BURST_PAIRS = 64
 STITCH_COVERAGE_FLOOR = 0.95
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
-TRACE_PATH = Path(__file__).resolve().parents[1] / \
-    "TRACE_cross_shard.json"
 
 _RESULTS = {}
 
@@ -286,8 +280,7 @@ def test_cross_shard_stitched_trace_coverage():
     payload = chrome_trace(traces)
     problems = validate_chrome_trace(payload)
     assert problems == [], problems
-    TRACE_PATH.write_text(json.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n")
+    write_artifact("TRACE_cross_shard.json", payload)
     _RESULTS["fleet_trace"] = {
         "workers": FLEET_WORKERS,
         "bursts": FLEET_BURSTS,
@@ -317,18 +310,4 @@ def test_write_bench_json():
                   "m": GRAPH_M, "seed": GRAPH_SEED},
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n")
-    assert BENCH_PATH.exists()
-    record_suite("obs", {
-        "enabled_p50_ms": _RESULTS["overhead"]["enabled_p50_ms"],
-        "disabled_p50_ms": _RESULTS["overhead"]["disabled_p50_ms"],
-        "overhead_fraction": _RESULTS["overhead"]["overhead_fraction"],
-        "coverage_p50": _RESULTS["stage_coverage"]["coverage_p50"],
-        "trace_overhead_fraction":
-            _RESULTS["trace_overhead"]["trace_overhead_fraction"],
-        "stitch_coverage_p50":
-            _RESULTS["fleet_trace"]["stitch_coverage_p50"],
-    }, seed=GRAPH_SEED,
-        workload=f"ba-{GRAPH_N} kernel batches + sharded coverage "
-                 f"+ {FLEET_WORKERS}-worker stitched fleet")
+    write_artifact("BENCH_obs.json", payload)

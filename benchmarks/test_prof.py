@@ -1,7 +1,7 @@
 """Continuous-profiling benchmark — sampling must be ~free and honest.
 
 Two acceptance numbers for :mod:`repro.obs.profiler`, written to
-``BENCH_prof.json`` at the repo root (CI uploads it as an artifact):
+``benchmarks/out/BENCH_prof.json`` (CI uploads it as an artifact):
 
 1. **Overhead** — the ``ppl`` batch-kernel query path (1024-pair
    ``query_many`` batches, cache off) with a ``SamplingProfiler``
@@ -18,10 +18,8 @@ Two acceptance numbers for :mod:`repro.obs.profiler`, written to
    full stack, so numpy leaves reached *from* repro count.)
 """
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +30,7 @@ from repro.graph import barabasi_albert, stochastic_block
 from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.workloads import sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 GRAPH_N = 4_000
 GRAPH_M = 2
@@ -55,8 +53,6 @@ ATTRIBUTION_FLOOR = 0.80
 #: Keep querying at least this long so the sampler gets a fair look.
 ATTRIBUTION_SECONDS = 2.0
 MIN_SAMPLES = 40
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_prof.json"
 
 _RESULTS = {}
 
@@ -162,13 +158,4 @@ def test_write_bench_json():
                   "m": GRAPH_M, "seed": GRAPH_SEED},
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n")
-    assert BENCH_PATH.exists()
-    record_suite("obs-prof", {
-        "enabled_p50_ms": _RESULTS["overhead"]["enabled_p50_ms"],
-        "disabled_p50_ms": _RESULTS["overhead"]["disabled_p50_ms"],
-        "overhead_fraction": _RESULTS["overhead"]["overhead_fraction"],
-        "repro_fraction": _RESULTS["attribution"]["repro_fraction"],
-    }, seed=GRAPH_SEED,
-        workload=f"ba-{GRAPH_N} profiled batches + sharded attribution")
+    write_artifact("BENCH_prof.json", payload)

@@ -19,15 +19,13 @@ Barabási–Albert graph:
    keep querying; every answer must match the BFS oracle *of the
    epoch that served it*.
 
-Alongside the assertions the module writes ``BENCH_serving.json`` at
-the repo root, so serving throughput/latency is tracked file-over-file
-(CI uploads it as an artifact).
+Alongside the assertions the module writes
+``benchmarks/out/BENCH_serving.json`` (CI uploads it as an artifact).
 """
 
 import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,7 +38,7 @@ from repro.serving import QueryService, run_burst, run_closed_loop
 from repro.workloads import generate_update_stream, \
     sample_pairs_hotspot
 
-from _bench import record_suite
+from _bench import write_artifact
 
 #: >= 10k vertices, per the subsystem's acceptance experiment.
 GRAPH_N = 10_000
@@ -61,8 +59,6 @@ SPEEDUP_FLOOR = 4.0
 UPDATE_OPS = 24
 UPDATE_CHUNK = 6
 AUDIT_REQUESTS = 400
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 #: Gathered across tests, dumped by the final writer test.
 _RESULTS = {}
@@ -234,15 +230,7 @@ def test_write_bench_json(bench_graph):
         },
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
-    written = json.loads(BENCH_PATH.read_text())
+    written = json.loads(
+        write_artifact("BENCH_serving.json", payload).read_text())
     assert written["service"]["speedup_vs_sequential"] >= SPEEDUP_FLOOR
     assert written["under_updates"]["mismatches"] == 0
-    record_suite("serving", {
-        "sequential_qps": _RESULTS["sequential"]["throughput_qps"],
-        "sequential_mean_ms": _RESULTS["sequential"]["mean_query_ms"],
-        "service_speedup": _RESULTS["service"]["speedup_vs_sequential"],
-        "deduplicated": _RESULTS["service"]["deduplicated"],
-    }, seed=GRAPH_SEED, workload="hotspot burst, 4-worker service",
-        mismatches=_RESULTS["under_updates"]["mismatches"])

@@ -19,14 +19,13 @@ budget**:
 4. **Telemetry** — hot-tier hit rate and cold-read scalar latency
    p50/p99 are recorded against the fully resident baseline.
 
-Alongside the assertions the module writes ``BENCH_store.json`` at
-the repo root (CI uploads it as an artifact).
+Alongside the assertions the module writes
+``benchmarks/out/BENCH_store.json`` (CI uploads it as an artifact).
 """
 
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -38,7 +37,7 @@ from repro.graph import barabasi_albert
 from repro.store import pack_index_store
 from repro.workloads import sample_pairs
 
-from _bench import record_suite
+from _bench import write_artifact
 
 GRAPH_N = 9_000
 GRAPH_M = 2
@@ -61,8 +60,6 @@ BLOCK_BYTES = 64 * 2**10
 #: Narrow dense head, so most label mass lands in the cold tier.
 HEAD_WIDTH = 16
 HOT_ROWS = 32
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
 
 _RESULTS = {}
 
@@ -269,13 +266,4 @@ def test_write_bench_json():
         "hot_rows": HOT_ROWS,
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n")
-    assert BENCH_PATH.exists()
-    record_suite("store", {
-        "store_mix_qps": _RESULTS["mix"]["store_mix_qps"],
-        "resident_mix_qps": _RESULTS["mix"]["resident_mix_qps"],
-        "cold_scalar_ms_p50": _RESULTS["mix"]["cold_scalar_ms_p50"],
-        "hot_tier_hit_rate": _RESULTS["mix"]["hot_tier_hit_rate"],
-    }, seed=GRAPH_SEED, workload=f"ba-{GRAPH_N} tiered-store mix",
-        mismatches=_RESULTS["mix"]["oracle_mismatches"])
+    write_artifact("BENCH_store.json", payload)

@@ -88,16 +88,6 @@ Three kinds of commands:
           --out douban.folded
       python -m repro profile top douban.folded -n 20
 
-* **bench** — operate the ``BENCH_TRAJECTORY.jsonl`` perf ledger the
-  benchmark suites append to: list records, gate on regressions
-  against the recorded baseline (nonzero exit on violation — the CI
-  gate), or append a synthetic slowdown to prove the gate trips::
-
-      python -m repro bench list
-      python -m repro bench compare \\
-          --tolerance-file benchmarks/tolerances.json
-      python -m repro bench inject --scale 2.0
-
 * **partition** — partition a stand-in and print the quality report
   (edge cut, balance, boundary fraction), optionally saving the
   partition map for a later sharded build::
@@ -395,20 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="R",
                             help="oracle audit rate in --index mode "
                                  "(default: 1.0)")
-    slo_status.add_argument("--inject-latency-ms", type=float,
-                            default=None, metavar="MS",
-                            help="self-test hook: record N synthetic "
-                                 "observations at MS into the first "
-                                 "latency objective before scoring")
-    slo_status.add_argument("--inject-count", type=int, default=100,
-                            metavar="N",
-                            help="observations for "
-                                 "--inject-latency-ms (default: 100)")
-    slo_status.add_argument("--inject-mismatch", type=int, default=0,
-                            metavar="N",
-                            help="self-test hook: corrupt N audited "
-                                 "answers so the correctness SLO "
-                                 "breaches")
 
     inspect_cmd = commands.add_parser(
         "inspect", help="print a saved index's header and array "
@@ -488,45 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_top_cmd.add_argument("-n", "--count", type=int, default=15,
                                  help="rows to print (default: 15)")
 
-    bench_cmd = commands.add_parser(
-        "bench", help="bench-trajectory ledger: list records, gate on "
-                      "regressions, inject a synthetic slowdown")
-    bench_actions = bench_cmd.add_subparsers(
-        dest="bench_action", required=True, metavar="action")
-    bench_flags = argparse.ArgumentParser(add_help=False)
-    bench_flags.add_argument("--trajectory",
-                             default="BENCH_TRAJECTORY.jsonl",
-                             help="trajectory ledger path (default: "
-                                  "./BENCH_TRAJECTORY.jsonl)")
-    bench_compare_cmd = bench_actions.add_parser(
-        "compare", parents=[bench_flags],
-        help="diff each suite's newest record against its baseline; "
-             "exit 1 on any tolerance violation")
-    bench_compare_cmd.add_argument("--tolerance-file", default=None,
-                                   help="JSON tolerance bands "
-                                        "(default: ratio 1.5 on "
-                                        "timing metrics)")
-    bench_compare_cmd.add_argument("--suites", nargs="+", default=None,
-                                   help="restrict the gate to these "
-                                        "suites")
-    bench_compare_cmd.add_argument("--verbose", action="store_true",
-                                   help="print passing metrics too")
-    bench_list_cmd = bench_actions.add_parser(
-        "list", parents=[bench_flags],
-        help="summarize the trajectory's records")
-    bench_list_cmd.add_argument("--suite", default=None,
-                                help="restrict to one suite")
-    bench_inject_cmd = bench_actions.add_parser(
-        "inject", parents=[bench_flags],
-        help="append a synthetic regression record (the CI gate's "
-             "self-test)")
-    bench_inject_cmd.add_argument("--suite", default=None,
-                                  help="suite to clone (default: the "
-                                       "newest record's suite)")
-    bench_inject_cmd.add_argument("--scale", type=float, default=2.0,
-                                  help="timing-metric multiplier "
-                                       "(default: 2.0)")
-
     partition_cmd = commands.add_parser(
         "partition", help="partition a stand-in and report quality")
     partition_cmd.add_argument("--dataset", required=True,
@@ -574,8 +511,6 @@ def _dispatch(args) -> int:
         return _run_store(args)
     if args.experiment == "profile":
         return _run_profile(args)
-    if args.experiment == "bench":
-        return _run_bench(args)
     if args.experiment == "partition":
         return _run_partition(args)
     runner = _EXPERIMENTS[args.experiment]
@@ -1046,16 +981,10 @@ def _slo_self_hosted_report(args) -> dict:
     with QueryService(index, num_workers=args.workers,
                       options=options,
                       audit_rate=args.audit_rate) as service:
-        if args.inject_mismatch and service.auditor is not None:
-            service.auditor.inject_mismatch(args.inject_mismatch)
         for u, v in pairs:
             service.submit(u, v, mode=args.mode).result(timeout=60.0)
         if service.auditor is not None:
             service.auditor.flush()
-        if args.inject_latency_ms is not None:
-            service.slo_engine.inject_latency(
-                args.inject_latency_ms / 1000.0,
-                count=args.inject_count)
         return service.slo_status()
 
 
@@ -1243,49 +1172,6 @@ def _run_profile_top(args) -> int:
                               columns=("frame", "samples", "share")))
     print(f"{total} samples over {len(counts)} distinct stacks")
     return 0
-
-
-def _run_bench(args) -> int:
-    from .obs.bench import (
-        compare_trajectory,
-        format_comparisons,
-        inject_slowdown,
-        load_tolerances,
-        load_trajectory,
-    )
-
-    if args.bench_action == "list":
-        records = load_trajectory(args.trajectory)
-        if args.suite is not None:
-            records = [record for record in records
-                       if record["suite"] == args.suite]
-        rows = [{
-            "suite": record["suite"],
-            "unix_time": int(record["unix_time"]),
-            "git_sha": (record.get("git_sha") or "-")[:12],
-            "metrics": len(record["metrics"]),
-            "injected": ("yes" if record.get("extra", {})
-                         .get("injected_slowdown") else "-"),
-        } for record in records]
-        print(harness.format_rows(
-            rows, columns=("suite", "unix_time", "git_sha", "metrics",
-                           "injected")))
-        print(f"{len(records)} records in {args.trajectory}")
-        return 0
-    if args.bench_action == "inject":
-        record = inject_slowdown(args.trajectory, suite=args.suite,
-                                 scale=args.scale)
-        print(f"appended synthetic x{args.scale:g} slowdown record "
-              f"for suite {record['suite']!r} to {args.trajectory}")
-        return 0
-    tolerances = (load_tolerances(args.tolerance_file)
-                  if args.tolerance_file is not None else {})
-    comparisons, notes = compare_trajectory(args.trajectory, tolerances,
-                                            suites=args.suites)
-    print(format_comparisons(comparisons, notes,
-                             verbose=args.verbose))
-    violations = [c for c in comparisons if not c.ok]
-    return 1 if violations else 0
 
 
 def _run_partition(args) -> int:

@@ -1,36 +1,27 @@
-"""Observability layer: metrics, traces, profiles, resources, bench.
+"""Observability layer: metrics, traces, profiles, resources.
 
 See :mod:`repro.obs.registry` for the metrics model (counters, gauges,
 numpy-backed histograms, fork-aware deltas, Prometheus rendering) and
 :mod:`repro.obs.trace` for span-based tracing with a zero-cost
-untraced path. Everything instruments against the process default
-registry (:func:`get_registry`); swap it with :func:`set_registry`
-(e.g. a ``MetricsRegistry(enabled=False)`` to measure uninstrumented
+untraced path, cross-process trace contexts, the stitched-trace buffer
+with tail retention and Chrome trace-event export for Perfetto.
+Everything instruments against the process default registry
+(:func:`get_registry`); swap it with :func:`set_registry` (e.g. a
+``MetricsRegistry(enabled=False)`` to measure uninstrumented
 baselines).
 
 On top of the registry sit the continuous-profiling pieces:
-:mod:`repro.obs.profiler` (folded-stack sampling profiler),
+:mod:`repro.obs.profiler` (folded-stack sampling profiler) and
 :mod:`repro.obs.resources` (RSS / fd / GC telemetry — its scrape-time
 collector and GC hook are installed on the default registry at
-import), and :mod:`repro.obs.bench` (the ``BENCH_TRAJECTORY.jsonl``
-perf ledger and the ``repro bench compare`` regression gate).
+import).
 
-The fleet-facing layer: :mod:`repro.obs.traces` (cross-process trace
-contexts, the stitched-trace buffer with tail retention, Chrome
-trace-event export for Perfetto), :mod:`repro.obs.slo` (declarative
-objectives scored with multi-window burn rates) and
-:mod:`repro.obs.audit` (continuous oracle auditing of served
-answers).
+The fleet-facing layer: :mod:`repro.obs.slo` (declarative objectives
+scored with multi-window burn rates) and :mod:`repro.obs.audit`
+(continuous oracle auditing of served answers).
 """
 
 from .audit import OracleAuditor
-from .bench import (
-    BenchRecorder,
-    compare_trajectory,
-    inject_slowdown,
-    load_tolerances,
-    load_trajectory,
-)
 from .profiler import (
     SamplingProfiler,
     active_profiler,
@@ -62,22 +53,20 @@ from .resources import (
 from .slowlog import SLOWLOG, log_slow_query
 from .trace import (
     Span,
+    StitchedTrace,
+    TraceBuffer,
+    TraceContext,
     TraceSampler,
+    chrome_trace,
     current_add,
     current_attr,
     current_span,
     format_span_tree,
     span,
+    span_records,
     stage_breakdown,
     stage_totals,
     start_trace,
-)
-from .traces import (
-    StitchedTrace,
-    TraceBuffer,
-    TraceContext,
-    chrome_trace,
-    span_records,
     trace_from_context,
     validate_chrome_trace,
 )
@@ -103,11 +92,6 @@ __all__ = [
     "resource_snapshot",
     "register_resource_collector",
     "install_gc_telemetry",
-    "BenchRecorder",
-    "compare_trajectory",
-    "inject_slowdown",
-    "load_tolerances",
-    "load_trajectory",
     "Span",
     "TraceSampler",
     "start_trace",

@@ -84,9 +84,6 @@ class OracleAuditor:
         self._wakeup = threading.Event()
         self._closed = False
         self._inflight = False
-        #: Test hook: corrupt the next N expected values by +1 so a
-        #: mismatch flows through the full audit path.
-        self._inject_remaining = 0
         self._thread = threading.Thread(
             target=self._run, name="oracle-auditor", daemon=True)
         self._thread.start()
@@ -128,17 +125,14 @@ class OracleAuditor:
                         self._wakeup.clear()
                         break
                     item = self._queue.popleft()
-                    inject = self._inject_remaining > 0
-                    if inject:
-                        self._inject_remaining -= 1
                     self._inflight = True
                 try:
-                    self._check(item, inject)
+                    self._check(item)
                 finally:
                     with self._lock:
                         self._inflight = False
 
-    def _check(self, item: _AuditItem, inject: bool) -> None:
+    def _check(self, item: _AuditItem) -> None:
         # Imported here, not at module scope: repro.baselines pulls in
         # repro.core, which itself imports repro.obs — a module-level
         # import would be circular.
@@ -151,19 +145,11 @@ class OracleAuditor:
             return
         expected = distance_oracle(graph, item.u, item.v)
         expected = _UNREACHABLE if expected is None else float(expected)
-        served = item.value
-        if inject:
-            served = served + 1.0 if served != _UNREACHABLE else 0.0
         self._m_checked.inc()
-        if served != expected:
+        if item.value != expected:
             self._m_mismatch.inc()
 
     # -- management ----------------------------------------------------
-
-    def inject_mismatch(self, count: int = 1) -> None:
-        """Corrupt the next ``count`` audited answers (test hook)."""
-        with self._lock:
-            self._inject_remaining += int(count)
 
     def flush(self, timeout: float = 5.0) -> bool:
         """Block until the queue drains (tests); True on success."""

@@ -337,24 +337,3 @@ class SloEngine:
             report["objectives"][objective.name] = entry
             report["breached"] = report["breached"] or breached
         return report
-
-    # -- test / gate hooks ---------------------------------------------
-
-    def inject_latency(self, seconds: float, count: int = 1,
-                       objective: Optional[str] = None) -> None:
-        """Observe synthetic latencies into a latency objective's
-        histogram — the ``slo-gate`` CI self-test drives a burn-rate
-        breach through exactly the path real slow requests would take.
-        """
-        for candidate in self.objectives:
-            if candidate.kind != "latency":
-                continue
-            if objective is not None and candidate.name != objective:
-                continue
-            histogram = self._registry.histogram(
-                candidate.histogram, **(candidate.labels or {}))
-            for _ in range(count):
-                histogram.observe(seconds)
-            return
-        raise ValueError(
-            f"no latency objective matching {objective!r}")

@@ -29,6 +29,38 @@ an accumulator that adds ``rate`` per decision and fires when it
 crosses 1 — ``rate=0.25`` traces exactly every 4th query, ``rate=1``
 every query. Deterministic sampling keeps tests exact and spreads
 samples evenly under load.
+
+The second half of the module makes the tree *fleet-wide*:
+
+* a :class:`TraceContext` is the picklable sampling decision a
+  :class:`~repro.serving.pool.BatchMessage` carries to a worker —
+  trace id, the batcher-side parent span id, and the sampled flag;
+* :func:`trace_from_context` opens a worker-side root under that
+  context, so the worker's stage spans belong to the batcher's trace;
+* :func:`span_records` flattens a finished tree into plain-dict
+  records (picklable, JSON-ready) that ride home in
+  :class:`~repro.serving.pool.BatchResponse.spans` exactly like the
+  metrics/profile deltas;
+* the Batcher stitches its own records (``queue.wait``, the
+  ``serving.request`` envelope) with the worker records into one
+  :class:`StitchedTrace` per sampled batch and hands it to a
+  :class:`TraceBuffer`;
+* :func:`chrome_trace` renders buffered traces as Chrome trace-event
+  JSON — ``GET /traces`` and ``repro trace export`` emit it, and the
+  file opens directly in Perfetto / ``chrome://tracing``.
+
+Timestamps in span records are wall-clock (``time.time()`` seconds):
+monotonic clocks are per-process, so the wall clock is the only
+timeline batcher and worker spans can share. Sub-millisecond skew
+between processes on one machine is visible in Perfetto but does not
+break containment badly enough to matter for stage attribution.
+
+Fleet sampling is two-staged: *head* sampling (the batcher's
+:class:`TraceSampler` decides before dispatch whether a batch is
+traced at all) and *tail* retention (the buffer, when full, evicts
+ordinary traces first and keeps error traces and traces over its
+latency threshold — the interesting tail survives a burst of boring
+ones).
 """
 
 from __future__ import annotations
@@ -38,14 +70,16 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from .registry import get_registry
 
 __all__ = [
     "Span", "TraceSampler", "start_trace", "span", "current_span",
     "current_add", "current_attr", "format_span_tree", "stage_totals",
-    "stage_breakdown",
+    "stage_breakdown", "TraceContext", "StitchedTrace", "TraceBuffer",
+    "trace_from_context", "span_records", "chrome_trace",
+    "validate_chrome_trace", "new_trace_id", "new_span_id",
 ]
 
 #: Histogram fed by every closed span of a sampled trace.
@@ -56,13 +90,15 @@ _span_counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
 
-def _next_trace_id() -> str:
+def new_trace_id() -> str:
+    """A fresh process-unique trace id."""
     with _counter_lock:
         serial = next(_trace_counter)
     return f"{os.getpid():x}-{serial:06x}"
 
 
-def _next_span_id() -> str:
+def new_span_id() -> str:
+    """A fresh process-unique span id."""
     with _counter_lock:
         serial = next(_span_counter)
     return f"{os.getpid():x}-s{serial:06x}"
@@ -78,7 +114,7 @@ class Span:
     workers) land on one Chrome trace-event timeline — perf_counter
     epochs are not comparable across processes. ``remote_parent`` is
     the span id of a parent living in another process (set on roots
-    opened from a shipped :class:`~repro.obs.traces.TraceContext`).
+    opened from a shipped :class:`TraceContext`).
     """
 
     __slots__ = ("name", "trace_id", "attrs", "counts", "children",
@@ -96,7 +132,7 @@ class Span:
         self.children: List[Span] = []
         self._start = 0.0
         self.elapsed = 0.0
-        self.span_id = _next_span_id()
+        self.span_id = new_span_id()
         self.start_wall = 0.0
         self.remote_parent: Optional[str] = None
 
@@ -191,7 +227,7 @@ def start_trace(name: str, **attrs: Any):
     The root itself is *not* observed into ``stage_seconds`` — it is
     the end-to-end envelope the stage spans are compared against.
     """
-    return _RootSpan(Span(name, _next_trace_id(), **attrs))
+    return _RootSpan(Span(name, new_trace_id(), **attrs))
 
 
 def span(name: str, **attrs: Any):
@@ -328,3 +364,263 @@ def stage_breakdown(root: Span) -> List[Dict[str, Any]]:
     for child in root.children:
         visit(child, 0)
     return rows
+
+
+# ----------------------------------------------------------------------
+# Cross-process traces: context propagation, buffering, export
+# ----------------------------------------------------------------------
+
+class TraceContext(NamedTuple):
+    """The trace state a batch carries across the process boundary."""
+
+    trace_id: str
+    #: Span id of the batcher-side envelope span; the worker's root
+    #: reports it as its remote parent, which is what lets the
+    #: batcher stitch the two trees without coordination.
+    parent_span_id: str
+    sampled: bool = True
+
+
+def trace_from_context(context: TraceContext, name: str, **attrs: Any):
+    """Open a trace root continuing a remote parent's trace.
+
+    Returns the same context manager as :func:`start_trace`; the root
+    span carries the context's trace id and records the remote parent
+    span id, so :func:`span_records` emits it as a child of the
+    batcher-side envelope instead of an orphan root.
+    """
+    root = Span(name, context.trace_id, **attrs)
+    root.remote_parent = context.parent_span_id
+    return _RootSpan(root)
+
+
+def span_records(root: Optional[Span],
+                 process: str = "main") -> Optional[List[dict]]:
+    """Flatten a finished span tree into plain-dict records.
+
+    Each record is picklable and JSON-ready::
+
+        {"trace": id, "span": id, "parent": id-or-None, "name": str,
+         "ts": wall-seconds, "dur": seconds, "proc": str,
+         "attrs": {...}, "counts": {...}}
+
+    ``None`` in, ``None`` out (the untraced batch fast path).
+    """
+    if root is None:
+        return None
+    records: List[dict] = []
+
+    def visit(span_obj: Span, parent_id: Optional[str]) -> None:
+        record = {
+            "trace": span_obj.trace_id,
+            "span": span_obj.span_id,
+            "parent": parent_id,
+            "name": span_obj.name,
+            "ts": span_obj.start_wall,
+            "dur": span_obj.elapsed,
+            "proc": process,
+        }
+        if span_obj.attrs:
+            record["attrs"] = dict(span_obj.attrs)
+        if span_obj.counts:
+            record["counts"] = dict(span_obj.counts)
+        records.append(record)
+        for child in span_obj.children:
+            visit(child, span_obj.span_id)
+
+    visit(root, root.remote_parent)
+    return records
+
+
+class StitchedTrace(NamedTuple):
+    """One fully stitched trace: batcher + worker span records."""
+
+    trace_id: str
+    #: Flat span records (see :func:`span_records`); exactly one has
+    #: ``parent=None`` — the batcher-side envelope root.
+    spans: List[dict]
+    #: Wall-clock start (seconds) and end-to-end duration (seconds).
+    ts: float
+    duration: float
+    error: bool = False
+    mode: Optional[str] = None
+    pairs: int = 0
+
+    @property
+    def duration_ms(self) -> float:
+        return self.duration * 1e3
+
+    def to_dict(self) -> dict:
+        return {
+            "trace_id": self.trace_id,
+            "ts": self.ts,
+            "duration_ms": self.duration_ms,
+            "error": self.error,
+            "mode": self.mode,
+            "pairs": self.pairs,
+            "spans": self.spans,
+        }
+
+
+class TraceBuffer:
+    """Bounded in-memory store of stitched traces with tail retention.
+
+    ``capacity`` bounds memory; when full, the *oldest ordinary* trace
+    is evicted first — error traces and traces at or over ``slow_ms``
+    end-to-end latency are retained preferentially, so the tail worth
+    debugging survives long after the traffic that produced it. Once
+    every buffered trace is retained-class, the oldest goes anyway
+    (the buffer never exceeds ``capacity``).
+    """
+
+    def __init__(self, capacity: int = 256,
+                 slow_ms: float = 100.0) -> None:
+        if capacity < 1:
+            raise ValueError("trace buffer capacity must be >= 1")
+        self.capacity = capacity
+        self.slow_ms = float(slow_ms)
+        self._lock = threading.Lock()
+        self._traces: List[StitchedTrace] = []
+        self.added_total = 0
+        self.evicted_total = 0
+
+    def _retained(self, trace: StitchedTrace) -> bool:
+        return trace.error or trace.duration_ms >= self.slow_ms
+
+    def add(self, trace: StitchedTrace) -> None:
+        with self._lock:
+            self.added_total += 1
+            if len(self._traces) >= self.capacity:
+                victim = next(
+                    (i for i, t in enumerate(self._traces)
+                     if not self._retained(t)), 0)
+                del self._traces[victim]
+                self.evicted_total += 1
+            self._traces.append(trace)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._traces)
+
+    def traces(self, *, limit: Optional[int] = None,
+               min_ms: float = 0.0,
+               errors_only: bool = False) -> List[StitchedTrace]:
+        """Newest-first filtered view of the buffered traces."""
+        with self._lock:
+            out = list(self._traces)
+        out.reverse()
+        if errors_only:
+            out = [t for t in out if t.error]
+        if min_ms > 0:
+            out = [t for t in out if t.duration_ms >= min_ms]
+        if limit is not None:
+            out = out[:limit]
+        return out
+
+    def stats(self) -> Dict[str, Any]:
+        with self._lock:
+            buffered = len(self._traces)
+            errors = sum(1 for t in self._traces if t.error)
+        return {
+            "buffered": buffered,
+            "errors": errors,
+            "capacity": self.capacity,
+            "slow_ms": self.slow_ms,
+            "added_total": self.added_total,
+            "evicted_total": self.evicted_total,
+        }
+
+
+# ----------------------------------------------------------------------
+# Chrome trace-event export
+# ----------------------------------------------------------------------
+
+def chrome_trace(traces: Iterable[StitchedTrace]) -> Dict[str, Any]:
+    """Render stitched traces as a Chrome trace-event JSON object.
+
+    Uses complete (``"ph": "X"``) duration events with microsecond
+    ``ts``/``dur``, one synthetic pid per originating process
+    (``batcher``, ``worker-N``) named through ``process_name``
+    metadata events — the layout Perfetto and ``chrome://tracing``
+    group lanes by. Span attrs/counts land in ``args``.
+    """
+    events: List[dict] = []
+    pids: Dict[str, int] = {}
+
+    def pid_of(proc: str) -> int:
+        pid = pids.get(proc)
+        if pid is None:
+            pid = len(pids) + 1
+            pids[proc] = pid
+            events.append({
+                "ph": "M", "name": "process_name", "pid": pid,
+                "tid": 0, "args": {"name": proc},
+            })
+        return pid
+
+    for trace in traces:
+        for record in trace.spans:
+            args: Dict[str, Any] = {
+                "trace_id": record.get("trace", trace.trace_id),
+                "span_id": record.get("span"),
+            }
+            if record.get("parent") is not None:
+                args["parent_span_id"] = record["parent"]
+            for key in ("attrs", "counts"):
+                for name, value in (record.get(key) or {}).items():
+                    args[name] = value
+            events.append({
+                "ph": "X",
+                "name": record["name"],
+                "cat": "serving" if trace.error is False else "error",
+                "ts": record["ts"] * 1e6,
+                "dur": max(0.0, record["dur"]) * 1e6,
+                "pid": pid_of(record.get("proc", "main")),
+                "tid": 1,
+                "args": args,
+            })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def validate_chrome_trace(payload: Any) -> List[str]:
+    """Structural check against the Chrome trace-event format.
+
+    Returns a list of problems (empty means the payload loads in
+    Perfetto / ``chrome://tracing``). Checked: the JSON-object array
+    form with a ``traceEvents`` list, per-event ``ph``/``name``
+    fields, numeric non-negative ``ts``/``dur`` on complete events,
+    and integer ``pid``/``tid``.
+    """
+    problems: List[str] = []
+    if not isinstance(payload, dict):
+        return [f"top level must be a JSON object, got "
+                f"{type(payload).__name__}"]
+    events = payload.get("traceEvents")
+    if not isinstance(events, list):
+        return ["'traceEvents' must be a list"]
+    for i, event in enumerate(events):
+        where = f"traceEvents[{i}]"
+        if not isinstance(event, dict):
+            problems.append(f"{where}: not an object")
+            continue
+        ph = event.get("ph")
+        if not isinstance(ph, str) or not ph:
+            problems.append(f"{where}: missing phase 'ph'")
+            continue
+        if not isinstance(event.get("name"), str):
+            problems.append(f"{where}: missing 'name'")
+        for key in ("pid", "tid"):
+            if not isinstance(event.get(key), int):
+                problems.append(f"{where}: '{key}' must be an int")
+        if ph == "M":
+            continue
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)) or ts < 0:
+            problems.append(f"{where}: 'ts' must be a non-negative "
+                            f"number (microseconds)")
+        if ph == "X":
+            dur = event.get("dur")
+            if not isinstance(dur, (int, float)) or dur < 0:
+                problems.append(f"{where}: complete event needs a "
+                                f"non-negative 'dur'")
+    return problems

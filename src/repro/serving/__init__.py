@@ -21,7 +21,8 @@ that into a *service* that answers millions of them — the ROADMAP's
   in-process facade), :func:`~repro.serving.http.make_server` (a
   stdlib JSON-over-HTTP endpoint), and
   :func:`~repro.serving.loadgen.run_closed_loop` (the closed-loop
-  load generator behind ``BENCH_serving.json``).
+  load generator behind ``serve --smoke`` and
+  ``benchmarks/test_serving.py``).
 
 Quickstart::
 

@@ -55,11 +55,11 @@ from ..errors import (
 from ..obs import get_registry
 from ..obs.profiler import merge_folded
 from ..obs.slowlog import log_slow_query
-from ..obs.trace import TraceSampler
-from ..obs.traces import (
+from ..obs.trace import (
     StitchedTrace,
     TraceBuffer,
     TraceContext,
+    TraceSampler,
     new_span_id,
     new_trace_id,
 )
@@ -449,8 +449,15 @@ class Batcher:
                                         "request was answered"))
             self._wake.notify_all()
         self._dispatcher.join(timeout=1.0)
-        # The collector blocks on the pool's response queue; it is a
-        # daemon and dies with the process once the pool closes.
+
+    def join(self, timeout: float = 5.0) -> None:
+        """Wait for the collector thread; call after closing the pool.
+
+        The collector blocks in the pool's ``get_response``. Closing
+        the pool ends the workers, every response pipe reads EOF, the
+        collector wakes, finds the batcher closed and returns.
+        """
+        self._collector.join(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Dispatch (batcher -> pool)

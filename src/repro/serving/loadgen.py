@@ -20,7 +20,7 @@ their whole slice as fast as the admission controller lets them and
 only then collect the answers, saturating the batcher so batches
 fill to ``max_batch`` and the worker pool runs hot. Use ``run_burst``
 for capacity numbers and ``run_closed_loop`` for latency numbers;
-``BENCH_serving.json`` records both.
+``benchmarks/test_serving.py`` records both.
 """
 
 from __future__ import annotations

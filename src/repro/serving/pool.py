@@ -9,13 +9,19 @@ materialized replica of the current snapshot
 worker the version-keyed LRU result cache for free).
 
 Protocol: the parent round-robins :class:`BatchMessage` tuples over
-*per-worker* request queues; each worker answers its batches onto one
-shared response queue. Requests deliberately do not share a queue: a
-blocked reader of a ``multiprocessing.Queue`` holds the queue's
-reader lock while waiting, so a worker killed mid-wait would poison a
-shared queue for every sibling — with one queue per worker, a death
+*per-worker* request queues and each worker answers down its *own*
+response pipe; :meth:`WorkerPool.get_response` multiplexes the pipes'
+read ends. Neither direction shares a channel between workers, because
+a shared ``multiprocessing.Queue`` is guarded by cross-process locks —
+the reader lock while a ``get`` waits, the writer lock while a feeder
+thread sends — and a worker killed holding one poisons the queue for
+every sibling and every respawn. With one channel per worker a death
 costs only that worker's undelivered batches, which the batcher
-re-dispatches. Every message carries the current
+re-dispatches. A response pipe has exactly one writer (the worker's
+main thread: no feeder thread, no lock) and the parent drops its copy
+of the write end before the next fork, so a dead worker reads as EOF
+— even mid-frame — and only its own connection is retired. Every
+message carries the current
 :class:`~repro.serving.snapshot.SnapshotHandle`; a worker whose
 materialized epoch differs re-materializes before answering — hot
 swaps need no broadcast and cannot be missed, a worker is simply
@@ -30,10 +36,12 @@ neither kills the worker.
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
-import queue
+import threading
 import time
+from multiprocessing.connection import wait
 from typing import List, NamedTuple, Optional, Tuple
 
 from .._util import Stopwatch
@@ -41,8 +49,8 @@ from ..engine.session import QueryOptions, QuerySession
 from ..errors import ReproError, ServingError, VertexError
 from ..obs import get_registry
 from ..obs.profiler import SamplingProfiler, merge_folded
-from ..obs.traces import TraceContext, span_records, trace_from_context
 from ..obs.resources import resource_snapshot
+from ..obs.trace import TraceContext, span_records, trace_from_context
 from .snapshot import SnapshotHandle, materialize_snapshot
 
 __all__ = ["WorkerPool", "BatchMessage", "BatchResponse", "PairError",
@@ -109,7 +117,7 @@ class BatchResponse(NamedTuple):
     #: the worker process, rate-limited to ~1/s; the batcher keeps the
     #: newest per worker. ``None`` between refreshes.
     resources: Optional[dict] = None
-    #: Flat span records (:func:`repro.obs.traces.span_records`) from
+    #: Flat span records (:func:`repro.obs.trace.span_records`) from
     #: answering this batch under a shipped trace context — present on
     #: error responses too, so failed batches still produce stitched
     #: traces for the buffer's tail retention. ``None`` untraced.
@@ -233,13 +241,13 @@ def _worker_main(worker_id: int, requests, responses,
         session = QuerySession(index, options)
         epoch = handle.epoch
     except BaseException as exc:  # startup failure: report and exit
-        responses.put(_Ready(worker_id, f"{type(exc).__name__}: {exc}"))
+        responses.send(_Ready(worker_id, f"{type(exc).__name__}: {exc}"))
         return
     # The fork copied the parent's registry, absolute counts included;
     # discard that inherited baseline (plus materialization noise) so
     # the first real flush ships only this worker's own query work.
     registry.flush_deltas()
-    responses.put(_Ready(worker_id, None))
+    responses.send(_Ready(worker_id, None))
     profile = _WorkerProfile()
     resources_at = 0.0
     while True:
@@ -284,7 +292,7 @@ def _worker_main(worker_id: int, requests, responses,
                     values = _answer_batch(session, pairs, mode,
                                            effective)
             except BaseException as exc:
-                responses.put(BatchResponse(
+                responses.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
                     f"{type(exc).__name__}: {exc}", sw.elapsed, 0,
                     None, registry.flush_deltas() or None,
@@ -293,7 +301,7 @@ def _worker_main(worker_id: int, requests, responses,
                                  process=f"worker-{worker_id}")))
                 continue
         store_stats = getattr(index, "store_stats", None)
-        responses.put(BatchResponse(
+        responses.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
             session.cache_hits_total - hits_before,
             store_stats() if store_stats is not None else None,
@@ -303,7 +311,8 @@ def _worker_main(worker_id: int, requests, responses,
 
 
 class WorkerPool:
-    """N query-serving processes, one request queue each.
+    """N query-serving processes, one request queue and one response
+    pipe each.
 
     The pool is transport only — admission control, deduplication and
     future plumbing live in :class:`~repro.serving.batcher.Batcher`.
@@ -320,11 +329,19 @@ class WorkerPool:
             raise ServingError("num_workers must be >= 1")
         self.num_workers = num_workers
         self.options = options if options is not None else QueryOptions()
-        context = multiprocessing.get_context()
-        self._responses = context.Queue()
-        self._context = context
+        self._context = multiprocessing.get_context()
         self._request_queues: List = []
         self._processes: List = []
+        #: Read ends of the live response pipes. Not keyed by slot: a
+        #: dead worker's pipe stays until it reads EOF, so whatever it
+        #: sent in full before dying is still delivered.
+        self._readers: List = []
+        #: Messages received but not yet handed out (one ``wait`` can
+        #: find several pipes readable).
+        self._received: collections.deque = collections.deque()
+        #: Serializes :meth:`get_response` against :meth:`close`
+        #: closing the read ends under it.
+        self._receive_lock = threading.Lock()
         self._next_slot = 0
         self._started = False
         self._closed = False
@@ -332,15 +349,23 @@ class WorkerPool:
     # -- lifecycle ------------------------------------------------------
 
     def _spawn(self, slot: int, handle: SnapshotHandle):
-        """One worker process with its own request queue."""
+        """One worker process with its own request queue and response
+        pipe."""
         queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, queue, self._responses, handle, self.options),
+            args=(slot, queue, writer, handle, self.options),
             daemon=True,
             name=f"repro-serving-worker-{slot}",
         )
         process.start()
+        # The worker holds the only write end from here on. Drop ours
+        # before anything else forks: a copy inherited by a sibling
+        # would keep the pipe open past this worker's death, and the
+        # death would never read as EOF.
+        writer.close()
+        self._readers.append(reader)
         return queue, process
 
     def start(self, handle: SnapshotHandle) -> None:
@@ -349,17 +374,15 @@ class WorkerPool:
             raise ServingError("worker pool already started")
         self._started = True
         for worker_id in range(self.num_workers):
-            # NB: do not name this local `queue` — `except queue.Empty`
-            # below needs the module.
-            requests, process = self._spawn(worker_id, handle)
-            self._request_queues.append(requests)
+            queue, process = self._spawn(worker_id, handle)
+            self._request_queues.append(queue)
             self._processes.append(process)
         failures = []
         for _ in range(self.num_workers):
-            try:
-                ready = self._responses.get(timeout=_READY_TIMEOUT)
-            except queue.Empty:
-                failures.append("worker startup timed out")
+            ready = self.get_response(timeout=_READY_TIMEOUT)
+            if ready is None:
+                failures.append("a worker died or timed out before "
+                                "reporting ready")
                 break
             if not isinstance(ready, _Ready):  # pragma: no cover
                 failures.append(f"unexpected startup message {ready!r}")
@@ -390,11 +413,23 @@ class WorkerPool:
 
     def get_response(self, timeout: Optional[float] = None
                      ) -> Optional[BatchResponse]:
-        """Next answered batch, or ``None`` on timeout."""
-        try:
-            return self._responses.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        """Next answered batch, or ``None`` on timeout.
+
+        Also returns ``None`` — early — when a worker's pipe reads EOF,
+        so the caller notices the death without waiting its timeout
+        out. One consumer at a time (the batcher's collector).
+        """
+        with self._receive_lock:
+            if not self._received:
+                for reader in wait(self._readers, timeout):
+                    try:
+                        self._received.append(reader.recv())
+                    except (EOFError, OSError):
+                        # The writer is gone, possibly mid-frame; only
+                        # this worker's channel is lost.
+                        self._readers.remove(reader)
+                        reader.close()
+            return self._received.popleft() if self._received else None
 
     @property
     def alive_workers(self) -> int:
@@ -405,7 +440,7 @@ class WorkerPool:
         """Replace dead workers; returns the respawned worker slots.
 
         Replacements materialize ``handle`` at startup and post their
-        readiness report on the response queue — consumers of
+        readiness report down their response pipe — consumers of
         :meth:`get_response` must skip non-:class:`BatchResponse`
         messages (the batcher's collector does). A batch a dead
         worker took down with it never produces a response; the
@@ -418,11 +453,12 @@ class WorkerPool:
         for slot, process in enumerate(self._processes):
             if process.is_alive():
                 continue
-            # A fresh queue, always: the dead worker may have died
+            # Fresh channels, always: the dead worker may have died
             # holding the old queue's reader lock, which would wedge
             # any successor reading from it. Undelivered batches in
             # the old queue are in flight by definition — the batcher
-            # re-dispatches them after this returns.
+            # re-dispatches them after this returns. The old response
+            # pipe retires itself in `get_response` once drained.
             old = self._request_queues[slot]
             queue, replacement = self._spawn(slot, handle)
             self._request_queues[slot] = queue
@@ -448,11 +484,22 @@ class WorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        for queue in (*self._request_queues, self._responses):
+        for queue, process in zip(self._request_queues, self._processes):
             queue.close()
-            # The feeder thread may still hold buffered items; don't
-            # let interpreter shutdown block on it.
-            queue.cancel_join_thread()
+            if process.exitcode == 0:
+                # It read up to the sentinel, so the feeder thread has
+                # nothing left to block on: leave no thread behind.
+                queue.join_thread()
+            else:
+                # Buffered batches nobody will read; don't let close()
+                # or interpreter shutdown block on the feeder.
+                queue.cancel_join_thread()
+        # Every worker is gone, so a `get_response` still waiting has
+        # been woken by EOF and lets go of the lock.
+        with self._receive_lock:
+            for reader in self._readers:
+                reader.close()
+            self._readers.clear()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -52,7 +52,7 @@ from ..obs.profiler import DEFAULT_HZ, collect_profile
 from ..obs.registry import format_sample
 from ..obs.resources import resource_snapshot
 from ..obs.slo import SloEngine, parse_slo_config
-from ..obs.traces import chrome_trace
+from ..obs.trace import chrome_trace
 from .batcher import Answer, Batcher
 from .pool import WorkerPool
 from .snapshot import Snapshot, SnapshotManager
@@ -398,10 +398,6 @@ class QueryService:
         return self._slo.evaluate()
 
     @property
-    def slo_engine(self) -> SloEngine:
-        return self._slo
-
-    @property
     def auditor(self) -> Optional[OracleAuditor]:
         """The oracle auditor, or ``None`` when ``audit_rate`` is 0."""
         return self._auditor
@@ -505,7 +501,12 @@ class QueryService:
             )
 
     def close(self) -> None:
-        """Drain, stop the workers, release snapshot storage."""
+        """Drain, stop the workers, release snapshot storage.
+
+        Nothing outlives the call: no worker process, no serving or
+        queue-feeder thread, no shared-memory segment, no snapshot
+        file or temp directory.
+        """
         if self._closed:
             return
         self._closed = True
@@ -515,6 +516,9 @@ class QueryService:
             self._batcher.close()
         if self._pool is not None:
             self._pool.close()
+        if self._batcher is not None:
+            # Only now: the workers' exit is what wakes the collector.
+            self._batcher.join()
         self._snapshots.close()
 
     def __enter__(self) -> "QueryService":

@@ -104,6 +104,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table99"])
 
+    def test_bench_command_is_gone(self):
+        """The perf ledger went with its command: ``bench`` is now as
+        unknown to argparse as any other word."""
+        with pytest.raises(SystemExit) as rejected:
+            main(["bench", "list"])
+        assert rejected.value.code == 2
+
     def test_accepts_returns_exact_flag_set(self):
         from repro.cli import _accepts
 

@@ -8,6 +8,9 @@ is installed — the CI path) instead of wedging the whole suite.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import tempfile
 import threading
 import time
 import urllib.error
@@ -27,8 +30,11 @@ from repro.errors import (
 )
 from repro.graph import barabasi_albert
 from repro.serving import (
+    BatchMessage,
+    BatchResponse,
     QueryService,
     SnapshotManager,
+    WorkerPool,
     make_server,
     materialize_snapshot,
     run_closed_loop,
@@ -388,6 +394,84 @@ class TestServiceLifecycle:
                 time.sleep(0.05)
             assert stats["worker_deaths"] >= 1
             assert service.stats()["alive_workers"] == 2
+
+    def test_worker_killed_mid_response_spares_its_siblings(self):
+        """A worker SIGKILLed while blocked half-way through sending a
+        response must cost only its own channel: the sibling's next
+        answer still arrives. (On a response queue shared by all
+        workers the victim dies holding the queue's write lock and
+        leaves a torn frame behind; nothing is ever received again.)
+        """
+        graph = _small_graph(seed=3, n=400)
+        manager = SnapshotManager(build_index(graph, "ppl"))
+        handle = manager.publish().handle
+        pool = WorkerPool(num_workers=2)
+        answered = []
+
+        def kill_respawn_ask():
+            victim = pool._processes[0]
+            victim.kill()
+            victim.join(timeout=10)
+            assert pool.respawn(handle) == [0]
+            pool.submit(BatchMessage(1, handle, "distance", ((0, 1),)))
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                response = pool.get_response(timeout=0.5)
+                if (isinstance(response, BatchResponse)
+                        and response.batch_id == 1):
+                    answered.append(response)
+                    return
+
+        try:
+            pool.start(handle)
+            # ~250 KB of pickled SPGs against a 64 KiB pipe, and nobody
+            # reading: worker 0 computes for well under a second, then
+            # blocks mid-send.
+            pool.submit(BatchMessage(
+                0, handle, "spg", tuple(sample_pairs(graph, 3000,
+                                                     seed=1))))
+            time.sleep(2.5)
+            # Round-robin hands batch 1 to worker 1, the sibling. The
+            # thread is the hang guard: a wedged `get_response` ignores
+            # its own timeout.
+            guard = threading.Thread(target=kill_respawn_ask,
+                                     daemon=True)
+            guard.start()
+            guard.join(timeout=45)
+            assert not guard.is_alive(), "get_response never returned"
+            assert [r.worker_id for r in answered] == [1]
+            assert answered[0].values == [distance_oracle(graph, 0, 1)]
+        finally:
+            pool.close()
+            manager.close()
+
+    @pytest.mark.parametrize("store", ["shm", "file", "mmap"])
+    def test_close_leaves_nothing_behind(self, store, tmp_path,
+                                         monkeypatch):
+        """After ``close()``: no child process, no serving or queue
+        feeder thread, no shm segment, no snapshot temp directory."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        graph = _small_graph(seed=13, n=80)
+        index = build_index(graph, "ppl")
+        shm = "/dev/shm" if os.path.isdir("/dev/shm") else None
+        segments = set(os.listdir(shm)) if shm else set()
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with QueryService(index, num_workers=2, store=store,
+                          options=QueryOptions(mode="distance"),
+                          max_delay=0.001) as service:
+            pairs = sample_pairs(graph, 20, seed=5)
+            for (u, v), answer in zip(pairs,
+                                      service.query_many(pairs)):
+                assert answer.value == distance_oracle(graph, u, v)
+        assert set(multiprocessing.active_children()) <= children
+        assert [thread.name for thread in threading.enumerate()
+                if thread not in threads
+                and (thread.name.startswith("repro-serving-")
+                     or thread.name == "QueueFeederThread")] == []
+        if shm:
+            assert set(os.listdir(shm)) <= segments
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_store_service(self, served_graph, tmp_path):
         index = build_index(served_graph, "ppl")

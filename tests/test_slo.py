@@ -5,7 +5,8 @@ isolated registry, the config parser's failure modes, the auditor's
 sampling and at-epoch checking, then the acceptance-style paths: a
 five-epoch update stream audited end to end with zero mismatches and
 a 100% correctness budget, and the ``repro slo status`` gate flipping
-its exit code on injected latency and injected wrong answers.
+its exit code when a live service is handed slow requests or a wrong
+answer through the intakes real traffic uses.
 """
 
 from __future__ import annotations
@@ -19,17 +20,54 @@ from repro.baselines.oracle import distance_oracle
 from repro.cli import main
 from repro.graph import barabasi_albert
 from repro.obs import (
+    DEFAULT_SLO_CONFIG,
     MetricsRegistry,
     OracleAuditor,
     SloEngine,
+    get_registry,
     parse_slo_config,
 )
-from repro.serving import QueryService
+from repro.serving import QueryService, make_server
 from repro.workloads import sample_pairs
 
 
 def _graph(seed=61, n=150):
     return barabasi_albert(n, 2, seed=seed)
+
+
+#: The default objectives plus one on the batcher's own end-to-end
+#: histogram, which lives in the serving process. The 1 s bound is far
+#: above anything a healthy test fleet produces.
+_SERVICE_SLO_CONFIG = DEFAULT_SLO_CONFIG + [
+    {"name": "latency-request", "kind": "latency", "target": 0.99,
+     "threshold_ms": 1000.0, "histogram": "serving_request_seconds"},
+]
+
+
+def _audited_service(graph):
+    return QueryService(build_index(graph, "ppl"), num_workers=1,
+                        options=QueryOptions(mode="distance",
+                                             cache_size=0),
+                        max_delay=0.001, audit_rate=1.0,
+                        slo_config=_SERVICE_SLO_CONFIG)
+
+
+def _offer_wrong_answers(service, graph, pairs):
+    """Hand the auditor off-by-one distances through ``offer`` — the
+    hook the batcher calls for every resolved answer."""
+    for u, v in pairs:
+        service.auditor.offer(u, v, "distance",
+                              distance_oracle(graph, u, v) + 1,
+                              service.epoch)
+    assert service.auditor.flush()
+
+
+def _observe_slow_requests(count=50, seconds=5.0):
+    """Slow observations into the series the batcher records every
+    resolved request in."""
+    histogram = get_registry().histogram("serving_request_seconds")
+    for _ in range(count):
+        histogram.observe(seconds)
 
 
 def _latency_engine(registry, threshold_ms=50.0, target=0.9):
@@ -134,16 +172,6 @@ class TestSloEngine:
         snap = registry.snapshot()["gauges"]
         assert "slo_budget_remaining{slo=lat}" in snap
         assert "slo_burn_rate{slo=lat,window=60s}" in snap
-
-    def test_inject_latency_needs_a_latency_objective(self):
-        registry = MetricsRegistry()
-        objectives = parse_slo_config([
-            {"name": "r", "kind": "ratio", "target": 0.9,
-             "bad": "b_total", "total": ["t_total"]},
-        ])
-        engine = SloEngine(objectives, registry=registry)
-        with pytest.raises(ValueError):
-            engine.inject_latency(1.0)
 
     @pytest.mark.parametrize("config", [
         "not a list",
@@ -278,22 +306,31 @@ class TestAuditedFleet:
         assert not correctness["breached"]
         assert correctness["budget_remaining"] == pytest.approx(1.0)
 
-    def test_injected_mismatch_breaches_correctness(self):
+    def test_wrong_answer_breaches_correctness(self):
         graph = _graph(seed=17, n=120)
-        index = build_index(graph, "ppl")
-        with QueryService(index, num_workers=1,
-                          options=QueryOptions(mode="distance",
-                                               cache_size=0),
-                          max_delay=0.001,
-                          audit_rate=1.0) as service:
-            service.auditor.inject_mismatch(2)
-            for u, v in sample_pairs(graph, 10, seed=19):
+        with _audited_service(graph) as service:
+            pairs = sample_pairs(graph, 10, seed=19)
+            for u, v in pairs:
                 service.query(u, v)
-            assert service.auditor.flush()
+            _offer_wrong_answers(service, graph, pairs[:2])
             report = service.slo_status()
         correctness = report["objectives"]["correctness"]
         assert correctness["breached"] and report["breached"]
-        assert correctness["bad"] >= 2.0
+        assert correctness["bad"] == 2.0
+        assert correctness["good"] == 10.0
+
+    def test_slow_requests_breach_latency(self):
+        graph = _graph(seed=17, n=120)
+        with _audited_service(graph) as service:
+            for u, v in sample_pairs(graph, 10, seed=19):
+                service.query(u, v)
+            clean = service.slo_status()
+            _observe_slow_requests()
+            report = service.slo_status()
+        assert not clean["breached"]
+        latency = report["objectives"]["latency-request"]
+        assert latency["breached"] and report["breached"]
+        assert latency["bad"] == 50.0 and latency["good"] == 10.0
 
 
 # ----------------------------------------------------------------------
@@ -317,23 +354,41 @@ class TestSloCli:
         assert "slo status: ok" in out
         assert "correctness" in out
 
-    def test_injected_mismatch_exits_nonzero(self, index_path,
-                                             capsys):
-        code = main(["slo", "status", "--index", index_path,
-                     "--random", "20", "--workers", "1",
-                     "--inject-mismatch", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "BREACHED" in out
+    @pytest.fixture()
+    def served(self):
+        """A live audited service behind an in-test HTTP endpoint."""
+        graph = _graph(seed=23, n=120)
+        with _audited_service(graph) as service:
+            server = make_server(service)
+            server.serve_in_background()
+            host, port = server.server_address[:2]
+            try:
+                pairs = sample_pairs(graph, 10, seed=31)
+                for u, v in pairs:
+                    service.query(u, v)
+                assert service.auditor.flush()
+                yield service, graph, pairs, f"http://{host}:{port}"
+            finally:
+                server.shutdown()
+                server.server_close()
 
-    def test_injected_latency_exits_nonzero(self, index_path,
-                                            capsys):
-        code = main(["slo", "status", "--index", index_path,
-                     "--random", "10", "--workers", "1",
-                     "--inject-latency-ms", "2000"])
+    def test_url_wrong_answer_exits_nonzero(self, served, capsys):
+        service, graph, pairs, url = served
+        assert main(["slo", "status", "--url", url]) == 0
+        assert "slo status: ok" in capsys.readouterr().out
+        _offer_wrong_answers(service, graph, pairs[:2])
+        assert main(["slo", "status", "--url", url]) == 1
         out = capsys.readouterr().out
-        assert code == 1
-        assert "latency-distance" in out and "BREACHED" in out
+        assert "correctness" in out and "BREACHED" in out
+
+    def test_url_slow_requests_exit_nonzero(self, served, capsys):
+        _service, _graph, _pairs, url = served
+        assert main(["slo", "status", "--url", url]) == 0
+        capsys.readouterr()
+        _observe_slow_requests()
+        assert main(["slo", "status", "--url", url]) == 1
+        out = capsys.readouterr().out
+        assert "latency-request" in out and "BREACHED" in out
 
     def test_needs_exactly_one_source(self, index_path):
         assert main(["slo", "status"]) == 2
