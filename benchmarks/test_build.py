@@ -13,7 +13,9 @@ the BFS oracle, and dumps ``benchmarks/out/BENCH_build.json``.
 
 import json
 import multiprocessing
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,10 @@ from repro.obs import get_registry
 from repro.workloads import sample_pairs
 
 from _bench import write_artifact
+
+# The scalar references live with the tier-1 tests that pin against them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _reference_builders import resume_pruned_bfs_scalar  # noqa: E402
 
 #: The tentpole experiment size; scalar PPL needed ~27s at a tenth of
 #: this scale, so the scalar side is estimated from sampled roots.
@@ -176,7 +182,7 @@ def test_insert_repair_frontier_vs_scalar():
     snapshots = {}
     original = inc._resume_pruned_bfs
     for mode, resume in (("frontier", original),
-                         ("scalar", inc._resume_pruned_bfs_scalar)):
+                         ("scalar", resume_pruned_bfs_scalar)):
         dynamic = DynamicIndex.from_static(base)
         inc._resume_pruned_bfs = resume
         try:

@@ -34,8 +34,8 @@ def main() -> None:
     print(f"graph: {graph}")
 
     # ------------------------------------------------------------------
-    # 2. The serving stack: 2 worker processes answering from
-    #    shared-memory snapshot replicas, requests coalesced and
+    # 2. The serving stack: 2 worker processes answering from one
+    #    mapped snapshot file they share, requests coalesced and
     #    deduplicated into batches, per-worker result caches.
     # ------------------------------------------------------------------
     with QueryService(index, num_workers=2,

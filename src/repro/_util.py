@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,13 +85,6 @@ class TimeBudget:
         return self._deadline - time.perf_counter()
 
 
-def pairs_upper_triangle(n: int) -> Iterator[tuple]:
-    """Yield all unordered pairs ``(i, j)`` with ``i < j < n``."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
-
-
 def format_bytes(num_bytes: float) -> str:
     """Render a byte count the way the paper's tables do (KB/MB/GB)."""
     value = float(num_bytes)
@@ -111,20 +104,3 @@ def format_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.3f}ms"
     return f"{seconds:.2f}s"
-
-
-def stable_unique(values: np.ndarray) -> np.ndarray:
-    """Deduplicate ``values`` preserving first-occurrence order."""
-    _, first = np.unique(values, return_index=True)
-    return values[np.sort(first)]
-
-
-def run_with_budget(fn: Callable, budget_seconds: float, label: str):
-    """Run ``fn(budget)`` under a :class:`TimeBudget`.
-
-    Returns ``(result, elapsed)`` or raises BudgetExceededError.
-    """
-    budget = TimeBudget(budget_seconds, label=label)
-    with Stopwatch() as sw:
-        result = fn(budget)
-    return result, sw.elapsed

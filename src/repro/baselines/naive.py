@@ -108,4 +108,4 @@ class NaiveLabelling(PathIndex):
     @classmethod
     def from_state(cls, meta, arrays):
         return cls(graph_from_arrays(arrays),
-                   arrays["matrix"].astype(np.int32))
+                   np.asarray(arrays["matrix"], dtype=np.int32))

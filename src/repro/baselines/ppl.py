@@ -81,7 +81,7 @@ class PPLIndex(PathIndex):
     """
 
     #: The family's flat label arrays (name -> dtype): what ``labels``
-    #: holds, and what the npz archive, the shared-memory snapshot and
+    #: holds, and what the npz archive, the serving snapshot file and
     #: the packed store carry.
     LABEL_ARRAYS: ClassVar[Dict[str, Any]] = {
         "label_offsets": np.int64,
@@ -320,4 +320,4 @@ class PPLIndex(PathIndex):
         labels = {name: np.asarray(arrays[name], dtype=dtype)
                   for name, dtype in cls.LABEL_ARRAYS.items()}
         return cls(graph_from_arrays(arrays),
-                   arrays["order"].astype(np.int64), labels)
+                   np.asarray(arrays["order"], dtype=np.int64), labels)

@@ -42,7 +42,10 @@ Three kinds of commands:
       python -m repro serve --index douban.idx --dynamic --smoke 2000
 
   ``--dynamic`` promotes the index so ``POST /update`` can mutate the
-  graph behind hot-swapped snapshots. SIGINT/SIGTERM shut the server
+  graph behind hot-swapped snapshots. A snapshot is one file all
+  workers map read-only; ``--store`` picks what it holds (``shm``:
+  every state array, any family; ``mmap``: the packed out-of-core
+  label store, ``ppl``/``parent-ppl``). SIGINT/SIGTERM shut the server
   down gracefully: the batcher drains and the worker pool is joined
   (or terminated), so no orphaned worker processes survive Ctrl-C.
 
@@ -272,10 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--queue-depth", type=int, default=10_000,
                            help="admission-control pending limit")
     serve_cmd.add_argument("--store", default="shm",
-                           choices=("shm", "file", "mmap"),
-                           help="snapshot transport to the workers "
-                                "(mmap: out-of-core label store, "
-                                "workers share the OS page cache)")
+                           choices=("shm", "mmap"),
+                           help="what a snapshot file holds: shm = "
+                                "every state array, mapped whole from "
+                                "/dev/shm (any family); mmap = the "
+                                "packed out-of-core label store on "
+                                "disk (ppl/parent-ppl)")
     serve_cmd.add_argument("--host", default="127.0.0.1",
                            help="bind address for the HTTP endpoint")
     serve_cmd.add_argument("--port", type=int, default=8080,

@@ -70,12 +70,14 @@ class MetaGraph:
     def num_landmarks(self) -> int:
         return len(self.landmarks)
 
-    def _key(self, i: int, j: int) -> Edge:
+    def edge_key(self, i: int, j: int) -> Edge:
+        """The key ``edges`` and ``delta`` hold meta edge ``i -> j``
+        under."""
         return (min(i, j), max(i, j)) if self.symmetric else (i, j)
 
     def weight(self, i: int, j: int) -> int:
         """σ(i, j) for an existing meta edge."""
-        return self.edges[self._key(i, j)]
+        return self.edges[self.edge_key(i, j)]
 
     def _arrays(self):
         """Meta edges as parallel numpy arrays (lazily materialized)."""
@@ -95,32 +97,36 @@ class MetaGraph:
         return self._edge_arrays
 
     def meta_spg_edges(self, i: int, j: int) -> List[Edge]:
-        """Meta edges lying on shortest ``i`` -> ``j`` paths *in M*.
+        """Meta edges lying on shortest ``i`` -> ``j`` paths *in M*,
+        each as the ``(tail, head)`` it is traversed in.
 
         A meta edge ``(a, b)`` of weight ``w`` is on such a path iff
-        ``d_M[i,a] + w + d_M[b,j] == d_M[i,j]`` (in either orientation
-        when ``symmetric``). Used by Algorithm 3 lines 10-12 to put
-        landmark-to-landmark structure into the sketch. Vectorized
-        over the edge arrays and memoized per landmark pair — this is
-        the §5.2 precomputation that keeps sketching O(|R|^2).
+        ``d_M[i,a] + w + d_M[b,j] == d_M[i,j]``; a ``symmetric`` edge
+        may instead be walked ``b -> a``, and is then returned as
+        ``(b, a)`` — an oriented answer needs to know which. Used by
+        Algorithm 3 lines 10-12 to put landmark-to-landmark structure
+        into the sketch. Vectorized over the edge arrays and memoized
+        per landmark pair — this is the §5.2 precomputation that keeps
+        sketching O(|R|^2).
         """
         if i == j:
             return []
-        key = self._key(i, j)
-        cached = self._spg_cache.get(key)
+        cached = self._spg_cache.get((i, j))
         if cached is not None:
             return cached
         target = self.dist[i, j]
         if not np.isfinite(target):
-            self._spg_cache[key] = []
+            self._spg_cache[(i, j)] = []
             return []
         a, b, w = self._arrays()
         on_path = self.dist[i, a] + w + self.dist[b, j] == target
-        if self.symmetric:
-            on_path |= self.dist[i, b] + w + self.dist[a, j] == target
         result = [(int(x), int(y))
                   for x, y in zip(a[on_path], b[on_path])]
-        self._spg_cache[key] = result
+        if self.symmetric:
+            on_path = self.dist[i, b] + w + self.dist[a, j] == target
+            result += [(int(y), int(x))
+                       for x, y in zip(a[on_path], b[on_path])]
+        self._spg_cache[(i, j)] = result
         return result
 
     def delta_total_edges(self) -> int:

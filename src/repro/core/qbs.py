@@ -333,8 +333,9 @@ class QbSIndex(PathIndex):
     @classmethod
     def from_state(cls, meta, arrays):
         graph = graph_from_arrays(arrays)
-        landmarks = arrays["landmarks"].astype(np.int32)
-        label_matrix = arrays["label_matrix"].astype(np.uint8)
+        landmarks = np.asarray(arrays["landmarks"], dtype=np.int32)
+        label_matrix = np.asarray(arrays["label_matrix"],
+                                  dtype=np.uint8)
         labelling = PathLabelling(
             landmarks=landmarks,
             landmark_position=landmark_positions(landmarks,

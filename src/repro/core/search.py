@@ -277,14 +277,14 @@ class GuidedSearcher:
         meta = self._meta
         expanded: Set[Arc] = set()
         for r, r_prime in set(sketch.meta_pairs):
-            for key in meta.meta_spg_edges(r, r_prime):
-                if key in expanded:
+            for arc in meta.meta_spg_edges(r, r_prime):
+                if arc in expanded:
                     continue
-                expanded.add(key)
-                delta = meta.delta.get(key)
+                expanded.add(arc)
+                delta = meta.delta.get(meta.edge_key(*arc))
                 if delta is None:
                     delta = landmark_pair_arcs(
-                        self._graph, labelling, *key, meta.edges[key])
+                        self._graph, labelling, *arc, meta.weight(*arc))
                 arcs |= delta
 
 

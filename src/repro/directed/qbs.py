@@ -118,21 +118,34 @@ class DirectedQbSIndex(PathIndex):
 
     @classmethod
     def from_state(cls, meta, arrays):
-        out_indptr = arrays["out_indptr"].astype(np.int64)
-        out_indices = arrays["out_indices"].astype(np.int32)
-        n = len(out_indptr) - 1
+        out_indices = np.asarray(arrays["out_indices"], dtype=np.int32)
+        n = len(arrays["out_indptr"]) - 1
         src = np.repeat(np.arange(n, dtype=np.int32),
-                        np.diff(out_indptr))
-        graph = DiGraph(*_csr(src, out_indices, n),
-                        *_csr(out_indices, src, n))
-        landmarks = arrays["landmarks"].astype(np.int32)
+                        np.diff(arrays["out_indptr"]))
+        out_csr = _csr(src, out_indices, n)
+        in_csr = _csr(out_indices, src, n)
+        # Shared code tells a symmetric graph by its two sides being
+        # ONE CSR, and a build over one keeps one label matrix and each
+        # meta edge once (``i < j``). Serialisation loses the identity;
+        # re-establish it: the CSRs are equal iff every arc is mutual.
+        symmetric = all(np.array_equal(a, b)
+                        for a, b in zip(out_csr, in_csr))
+        graph = DiGraph(*out_csr, *(out_csr if symmetric else in_csr))
+        landmarks = np.asarray(arrays["landmarks"], dtype=np.int32)
+        backward = np.asarray(arrays["backward"], dtype=np.uint8)
+        meta_edges = unpack_pairs(arrays["meta_key"],
+                                  arrays["meta_weight"])
+        if symmetric:
+            # An archive built over split CSRs holds both orientations.
+            meta_edges = {(min(i, j), max(i, j)): weight
+                          for (i, j), weight in meta_edges.items()}
         labelling = PathLabelling(
             landmarks=landmarks,
             landmark_position=landmark_positions(landmarks, n),
-            label_matrix=arrays["backward"].astype(np.uint8),
-            reverse_matrix=arrays["forward"].astype(np.uint8),
-            meta_edges=unpack_pairs(arrays["meta_key"],
-                                    arrays["meta_weight"]),
+            label_matrix=backward,
+            reverse_matrix=backward if symmetric else np.asarray(
+                arrays["forward"], dtype=np.uint8),
+            meta_edges=meta_edges,
         )
         return cls(graph, labelling,
                    build_meta_graph(graph, labelling,

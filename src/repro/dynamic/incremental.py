@@ -43,7 +43,6 @@ vertices at their true depths, and an edge ``(x, y)`` with
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, \
     Sequence, Tuple
 
@@ -257,28 +256,6 @@ def _resume_pruned_bfs(labels: MutableLabels, neighbors: NeighborFn,
             depth += 1
     finally:
         covered_by_rank[scattered] = _INF
-
-
-def _resume_pruned_bfs_scalar(labels: MutableLabels,
-                              neighbors: NeighborFn, root_rank: int,
-                              start: int, start_dist: int) -> None:
-    """Per-vertex reference for :func:`_resume_pruned_bfs`.
-
-    Kept for the property tests and the before/after benchmark; both
-    walks label the identical entry set (duplicates in the scalar
-    queue are pruned by the same ``known <= depth`` test that the
-    frontier version's dedup removes).
-    """
-    root = int(labels.order[root_rank])
-    queue = deque([(start, start_dist)])
-    while queue:
-        w, dw = queue.popleft()
-        known = labels.distance(root, w)
-        if known is not None and known <= dw:
-            continue
-        labels.set_entry(w, root_rank, dw)
-        for z in neighbors(w):
-            queue.append((int(z), dw + 1))
 
 
 def touches_phantom_edge(labels: MutableLabels, s: int, t: int, d: int,

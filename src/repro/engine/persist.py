@@ -20,9 +20,7 @@ and whose remaining entries are the family's numpy arrays (from
   lists every array's name/dtype/shape without reading array data;
 * **crash-safe** — ``save_index`` writes to a same-directory
   temporary file and ``os.replace``\\ s it into place, so a crash
-  mid-write can never leave a torn archive behind the final name (a
-  serving hot-swap only ever sees the old file or the complete new
-  one).
+  mid-write can never leave a torn archive behind the final name.
 
 Out-of-core stores: ``load_index`` also accepts the packed
 ``REPROSTR`` container written by

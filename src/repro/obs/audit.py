@@ -2,7 +2,7 @@
 
 The serving tier's headline claim is *oracle-exact distances*; tests
 assert it offline, but a live fleet can drift (a stale snapshot, a
-corrupted shared-memory segment, a store bug under concurrency). The
+corrupted snapshot file, a store bug under concurrency). The
 :class:`OracleAuditor` turns the claim into a monitored invariant:
 
 * the Batcher offers every resolved ``distance`` answer to the

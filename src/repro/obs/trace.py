@@ -450,17 +450,6 @@ class StitchedTrace(NamedTuple):
     def duration_ms(self) -> float:
         return self.duration * 1e3
 
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "ts": self.ts,
-            "duration_ms": self.duration_ms,
-            "error": self.error,
-            "mode": self.mode,
-            "pairs": self.pairs,
-            "spans": self.spans,
-        }
-
 
 class TraceBuffer:
     """Bounded in-memory store of stitched traces with tail retention.

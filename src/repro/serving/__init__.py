@@ -7,9 +7,9 @@ that into a *service* that answers millions of them — the ROADMAP's
 * :class:`~repro.serving.pool.WorkerPool` — N worker processes
   answering query batches from materialized snapshot replicas
   (parallelism that actually scales: processes, not GIL-bound
-  threads; snapshots cross the boundary via
-  ``multiprocessing.shared_memory``, with npz-file and packed-store
-  transports beside it);
+  threads; a snapshot crosses the boundary as one page-aligned
+  file every worker maps read-only — every array as is, or packed as
+  an out-of-core label store);
 * :class:`~repro.serving.batcher.Batcher` — request coalescing,
   intra-batch deduplication, queue-depth admission control, and
   per-request time budgets;

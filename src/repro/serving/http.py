@@ -65,6 +65,11 @@ Endpoints:
 Error mapping: 400 malformed input, 404 unknown path, 409 immutable
 source, 503 admission control (queue full — retry later), 504 time
 budget expired.
+
+Connections are keep-alive, except that a reply sent without reading
+the request body (``POST`` to an unknown path, a body over the size
+limit or of no declared length) carries ``Connection: close``: the
+unread bytes would otherwise be parsed as the next request.
 """
 
 from __future__ import annotations
@@ -200,29 +205,31 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str,
-                    content_type: str) -> None:
-        body = text.encode("utf-8")
+    def _reply(self, status: int, payload,
+               content_type: str = "application/json") -> None:
+        """Write one response; a ``str`` payload goes out as is."""
+        if not isinstance(payload, str):
+            payload = json.dumps(payload)
+        body = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+        declared = self.headers.get("Content-Length", "0")
+        length = int(declared) if declared.isdigit() else None
+        if length is None or length > _MAX_BODY:
+            # Left unread, the body would be parsed as the next
+            # request line: this reply is the connection's last.
+            self.close_connection = True
+            raise ValueError(f"request body over {_MAX_BODY} bytes, or "
+                             f"of no declared length")
+        if length == 0:
             raise ValueError("empty request body")
-        if length > _MAX_BODY:
-            raise ValueError(f"request body over {_MAX_BODY} bytes")
         raw = self.rfile.read(length)
         payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
@@ -240,8 +247,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts.path == "/stats":
             self._reply(200, service.stats())
         elif parts.path == "/metrics":
-            self._reply_text(200, service.metrics_text(),
-                             "text/plain; version=0.0.4; charset=utf-8")
+            self._reply(200, service.metrics_text(),
+                        "text/plain; version=0.0.4; charset=utf-8")
         elif parts.path == "/trace":
             self._reply(200, {"rate": service.trace_rate})
         elif parts.path == "/profile":
@@ -289,8 +296,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "top": top_frames(counts, 10),
             })
         else:
-            self._reply_text(200, render_folded(counts),
-                             "text/plain; charset=utf-8")
+            self._reply(200, render_folded(counts),
+                        "text/plain; charset=utf-8")
 
     _TRACES_PARAMS = [
         _Param("limit", int, 50, lo=1, hi=1000),
@@ -334,6 +341,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/trace":
             self._handle(self._do_trace)
         else:
+            self.close_connection = True  # body unread: see _read_json
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _handle(self, route) -> None:

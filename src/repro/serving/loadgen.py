@@ -69,9 +69,6 @@ class LoadReport:
     def throughput_qps(self) -> float:
         return self.answered / self.elapsed if self.elapsed > 0 else 0.0
 
-    def latency_ms(self, q: float) -> float:
-        return percentile(sorted(self.latencies_ms), q)
-
     def summary(self) -> Dict[str, float]:
         """The numbers a benchmark artifact records."""
         ordered = sorted(self.latencies_ms)

@@ -2,9 +2,10 @@
 
 Label-merge queries are pure Python over numpy-backed labels, so
 threads cannot scale them — every merge holds the GIL. The
-:class:`WorkerPool` runs N OS processes instead, each holding its own
-materialized replica of the current snapshot
-(:mod:`repro.serving.snapshot`) and a
+:class:`WorkerPool` runs N OS processes instead, each holding an index
+materialized over a read-only mapping of the current snapshot file
+(:mod:`repro.serving.snapshot` — the label pages are shared by the
+fleet, not copied per worker) and a
 :class:`~repro.engine.session.QuerySession` over it (giving every
 worker the version-keyed LRU result cache for free).
 
@@ -29,7 +30,7 @@ never allowed to answer a batch against the wrong epoch.
 
 Failure containment: a bad pair (unknown vertex) poisons only its own
 slot in the response (:class:`PairError`), and a batch-level failure
-(e.g. a retired snapshot segment) is reported in the response's
+(e.g. a retired snapshot file) is reported in the response's
 ``error`` field for the batcher to retry against the current epoch —
 neither kills the worker.
 """

@@ -5,9 +5,14 @@ One object wires the three serving pieces over any registered
 
 * a :class:`~repro.serving.snapshot.SnapshotManager` publishing
   versioned snapshots of the source index (hot-swapped while a
-  mutable source absorbs updates);
+  mutable source absorbs updates), each one file: ``store="shm"``
+  (default, every family) holds the state arrays as they are and the
+  fleet shares one mapped copy, ``store="mmap"`` (``ppl`` /
+  ``parent-ppl``) the out-of-core label store; ``directory=`` places
+  the files (unset: ``/dev/shm`` for ``shm``, else the temp dir);
 * a :class:`~repro.serving.pool.WorkerPool` of query processes, each
-  serving from its materialized replica of the current snapshot;
+  serving from a read-only mapping of the current snapshot, which
+  outlives the unlinking of a retired epoch's file;
 * a :class:`~repro.serving.batcher.Batcher` coalescing and
   deduplicating requests with admission control.
 
@@ -504,8 +509,8 @@ class QueryService:
         """Drain, stop the workers, release snapshot storage.
 
         Nothing outlives the call: no worker process, no serving or
-        queue-feeder thread, no shared-memory segment, no snapshot
-        file or temp directory.
+        queue-feeder thread, no snapshot file and no directory the
+        service created for them.
         """
         if self._closed:
             return

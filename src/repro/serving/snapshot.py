@@ -15,243 +15,118 @@ Snapshots are keyed on :attr:`~repro.engine.base.PathIndex.version`
 is a no-op while the counter stands still, so a refresh poll is cheap
 under read-only periods.
 
-Transport — how a snapshot reaches the worker processes — is
-pluggable through the ``kind`` of the :class:`SnapshotHandle`:
+A published epoch is exactly one file in the page-aligned ``REPROSTR``
+container of :mod:`repro.store.format`, which workers map read-only.
+The ``kind`` of the :class:`SnapshotHandle` says what the file holds:
 
 ``shm``
-    The index's uniform ``to_state`` decomposition (JSON metadata +
-    named numpy arrays) is packed once into a
-    :class:`multiprocessing.shared_memory.SharedMemory` segment.
-    Workers attach by name and reconstruct via ``from_state`` — one
-    write, N readers, no pickling and no per-worker pipe traffic. The
-    big label arrays cross the process boundary through the kernel's
-    shared mappings rather than being serialized per worker.
-``file``
-    The snapshot is saved in the uniform npz persistence format
-    (:mod:`repro.engine.persist`) and workers ``load_index`` it — the
-    fallback where POSIX shared memory is unavailable, and the
-    durable path (a published file survives the service).
+    The index's ``to_state`` decomposition, every array as is; each
+    worker's ``from_state`` gets non-owning views into the one shared
+    mapping (:func:`~repro.store.format.map_store_arrays`). One write,
+    N readers, no pickling, no per-worker copy — a fleet holds one set
+    of label pages. Written under ``/dev/shm`` when that is writable
+    (tmpfs, so never to a disk), else under the temp dir. Any family.
 ``mmap``
-    The snapshot is packed into the out-of-core ``REPROSTR``
-    container (:func:`repro.store.pack_index_store`) and workers open
-    it memory-mapped: the hot tier (head matrix, offsets, hub rows)
-    loads into each worker, but the cold label tail stays on disk and
-    is faulted through one shared set of OS page-cache pages — N
-    workers serve an index bigger than any single worker's RAM.
-    Only the label families (``ppl`` / ``parent-ppl``) pack.
+    The out-of-core label store (:func:`repro.store.pack_index_store`)
+    on a disk-backed directory: the hot tier (head matrix, offsets,
+    hub rows) loads into each worker, the cold label tail is faulted
+    through one shared set of OS page-cache pages — N workers serve an
+    index bigger than any one worker's RAM. ``ppl`` / ``parent-ppl``.
+
+Lifetime: the manager retires an epoch by unlinking its file, whatever
+the kind. POSIX keeps an unlinked file's mapping valid, so a worker
+already on that epoch keeps answering from it; a handle to a retired
+epoch reaching a worker *afterwards* fails with a typed
+:class:`~repro.errors.ServingError`, which the batcher retries.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional
 
-import numpy as np
-
 from .._util import Stopwatch
 from ..engine.base import PathIndex
-from ..engine.persist import load_index, save_index
 from ..engine.registry import get_index_class
-from ..errors import ServingError
+from ..errors import IndexFormatError, ServingError
 from ..obs import get_registry, span
+from ..store import (
+    STORE_METHODS,
+    map_store_arrays,
+    open_store_index,
+    pack_index_store,
+    write_store,
+)
 
 __all__ = ["SnapshotHandle", "Snapshot", "SnapshotManager",
            "materialize_snapshot", "SNAPSHOT_STORES"]
 
-#: Supported snapshot transport kinds.
-SNAPSHOT_STORES = ("shm", "file", "mmap")
+#: Supported snapshot kinds.
+SNAPSHOT_STORES = ("shm", "mmap")
 
-#: Alignment of array payloads inside a shared-memory segment.
-_ALIGN = 64
+#: Where ``shm`` snapshots go when it is a writable directory (tmpfs).
+_SHM_ROOT = "/dev/shm"
 
 
 class SnapshotHandle(NamedTuple):
-    """A picklable reference to one published snapshot.
+    """A picklable reference to one published snapshot; ``ref`` is
+    the path of its file.
 
     Handles are what crosses the process boundary: every request batch
     carries the current handle, and a worker whose materialized epoch
     differs re-materializes from it (the lazy half of a hot swap).
-    ``ref`` is the shm segment name or the file path.
     """
 
     epoch: int
     version: int
     method: str
     kind: str
-    ref: Any
+    ref: str
 
 
 @dataclass
 class Snapshot:
-    """One published snapshot plus serving-side bookkeeping.
-
-    ``graph`` is the graph the snapshot answers over, retained
-    manager-side so answers served at this epoch can be audited
-    against a BFS oracle even after later epochs supersede it.
+    """One published snapshot. ``graph`` is the graph it answers over,
+    retained manager-side so answers served at this epoch can be
+    audited against a BFS oracle even after later epochs supersede it.
     """
 
     handle: SnapshotHandle
     graph: Any
     retired: bool = False
-    _segment: Any = field(default=None, repr=False)
 
-
-# ----------------------------------------------------------------------
-# Shared-memory packing
-# ----------------------------------------------------------------------
-
-def _pack_to_shm(index: PathIndex):
-    """Pack ``index.to_state()`` into one shared-memory segment.
-
-    Layout: ``[8-byte little-endian header length][JSON header]
-    [aligned array payloads...]``. The header records the method name,
-    the family metadata, and each array's name/dtype/shape/offset.
-    """
-    from multiprocessing import shared_memory
-
-    meta, arrays = index.to_state()
-    specs: List[Dict[str, Any]] = []
-    cursor = 0  # payload offset, fixed up after the header is sized
-    blobs: List[np.ndarray] = []
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        cursor = _aligned(cursor)
-        specs.append({
-            "name": name,
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": cursor,
-        })
-        blobs.append(array)
-        cursor += array.nbytes
-    header = json.dumps({
-        "method": index.method,
-        "state": meta,
-        "arrays": specs,
-    }).encode("utf-8")
-    base = _aligned(8 + len(header))
-    total = max(1, base + cursor)
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=total)
-    except OSError as exc:
-        raise ServingError(
-            f"cannot allocate a {total}-byte shared-memory snapshot "
-            f"segment ({exc})"
-        ) from exc
-    buf = segment.buf
-    buf[:8] = len(header).to_bytes(8, "little")
-    buf[8:8 + len(header)] = header
-    for spec, array in zip(specs, blobs):
-        start = base + spec["offset"]
-        view = np.ndarray(array.shape, dtype=array.dtype,
-                          buffer=buf, offset=start)
-        view[...] = array
-    return segment
-
-
-def _attach_shm(name: str):
-    """Attach to a published segment without adopting its lifetime.
-
-    Before 3.13 an attaching process registers the segment with the
-    ``resource_tracker``, which makes the tracker believe the worker
-    owns it — risking spurious unlinks and "leaked shared_memory"
-    noise at exit. The publishing process owns unlinking, so attach
-    untracked: via ``track=False`` where available (3.13+), otherwise
-    by suppressing the tracker's ``register`` for the duration of the
-    attach (the standard workaround for bpo-39959).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        try:
-            segment = shared_memory.SharedMemory(name=name,
-                                                 track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original_register
-    except (FileNotFoundError, OSError) as exc:
-        raise ServingError(
-            f"snapshot segment {name!r} is gone ({exc}); it was "
-            f"probably retired by the publisher"
-        ) from exc
-    return segment
-
-
-def _unpack_from_shm(name: str) -> PathIndex:
-    segment = _attach_shm(name)
-    try:
-        buf = segment.buf
-        header_len = int.from_bytes(bytes(buf[:8]), "little")
-        header = json.loads(bytes(buf[8:8 + header_len]).decode("utf-8"))
-        base = _aligned(8 + header_len)
-        arrays = {}
-        for spec in header["arrays"]:
-            view = np.ndarray(tuple(spec["shape"]),
-                              dtype=np.dtype(spec["dtype"]),
-                              buffer=buf,
-                              offset=base + spec["offset"])
-            # Copy out: from_state must not keep views into the
-            # mapping, or the worker could not release the segment
-            # (and a later unlink+remap would corrupt live answers).
-            arrays[spec["name"]] = np.array(view, copy=True)
-        cls = get_index_class(header["method"])
-        return cls.from_state(header.get("state", {}), arrays)
-    finally:
-        segment.close()
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-# ----------------------------------------------------------------------
-# Materialization (the worker side)
-# ----------------------------------------------------------------------
 
 def materialize_snapshot(handle: SnapshotHandle) -> PathIndex:
-    """Reconstruct a served index from a snapshot handle.
+    """Reconstruct a served index from a snapshot handle (the worker
+    half of the snapshot path). The index reads the file through a
+    read-only mapping it keeps alive: it neither copies the arrays nor
+    may write to them."""
+    try:
+        if handle.kind == "mmap":
+            return open_store_index(handle.ref)
+        header, arrays = map_store_arrays(handle.ref)
+        return get_index_class(header["method"]).from_state(
+            header.get("state", {}), arrays)
+    except IndexFormatError as exc:
+        raise ServingError(
+            f"cannot open the snapshot of epoch {handle.epoch} "
+            f"({exc}); it was probably retired by the publisher"
+        ) from exc
 
-    This is the worker half of the snapshot path: ``shm`` handles
-    unpack the shared segment, ``file`` handles load the uniform npz
-    archive, ``mmap`` handles open the packed store.
-    """
-    if handle.kind == "shm":
-        return _unpack_from_shm(handle.ref)
-    if handle.kind == "file":
-        return load_index(handle.ref)
-    if handle.kind == "mmap":
-        from ..store import open_store_index
-
-        return open_store_index(handle.ref)
-    raise ServingError(
-        f"unknown snapshot transport {handle.kind!r}; "
-        f"expected one of {SNAPSHOT_STORES}"
-    )
-
-
-# ----------------------------------------------------------------------
-# Manager
-# ----------------------------------------------------------------------
 
 class SnapshotManager:
     """Publishes versioned snapshots of one source index.
 
-    The manager owns snapshot storage: it packs each publish into the
-    configured transport, retires storage beyond the ``keep`` most
-    recent epochs (late-arriving batches may still reference the
-    previous epoch, so at least two generations stay materialized),
-    and keeps the per-epoch graphs of the ``audit_history`` most
+    The manager owns snapshot storage: it writes each publish as one
+    file of the configured kind, retires the files beyond the ``keep``
+    most recent epochs (late-arriving batches may still reference the
+    previous epoch, so at least two generations stay on hand), and
+    keeps the per-epoch graphs of the ``audit_history`` most
     recent epochs for post-hoc exactness audits (bounded — each is an
     O(|V|+|E|) copy, and a long-running server publishes epochs
     indefinitely).
@@ -273,15 +148,12 @@ class SnapshotManager:
         if keep < 2:
             raise ServingError("keep must be >= 2 (a late batch may "
                                "still reference the previous epoch)")
-        if store == "mmap":
-            from ..store import STORE_METHODS
-
-            if source.method not in STORE_METHODS:
-                raise ServingError(
-                    f"store='mmap' packs label families "
-                    f"{STORE_METHODS}; {source.method!r} indexes "
-                    f"have no flat label layout to memory-map"
-                )
+        if store == "mmap" and source.method not in STORE_METHODS:
+            raise ServingError(
+                f"store='mmap' packs label families "
+                f"{STORE_METHODS}; {source.method!r} indexes "
+                f"have no flat label layout to memory-map"
+            )
         if audit_history < keep:
             raise ServingError("audit_history must be >= keep")
         self._source = source
@@ -290,15 +162,15 @@ class SnapshotManager:
         self._audit_history = audit_history
         self._directory = Path(directory) if directory is not None \
             else None
-        self._owns_directory = False
+        self._owns_directory = directory is None
         self._lock = threading.Lock()
         self._snapshots: Dict[int, Snapshot] = {}
         self._current: Optional[Snapshot] = None
         self._next_epoch = 0
         self._closed = False
-        #: ``time.monotonic()`` of the latest publish — feeds
-        #: :meth:`staleness_seconds` (the staleness SLO's provider).
-        self._published_mono: Optional[float] = None
+        #: ``time.monotonic()`` of the latest publish (set before
+        #: ``_current``) — feeds :meth:`staleness_seconds`.
+        self._published_mono = 0.0
 
     # -- publishing -----------------------------------------------------
 
@@ -321,10 +193,10 @@ class SnapshotManager:
                 "snapshot_publishes_total",
                 help="Snapshot epochs published.").inc()
             with span("snapshot.swap", epoch=epoch):
+                self._published_mono = time.monotonic()
                 self._snapshots[epoch] = snapshot
                 self._current = snapshot
                 self._retire_locked()
-            self._published_mono = time.monotonic()
             return snapshot
 
     def publish_if_changed(self) -> Optional[Snapshot]:
@@ -343,34 +215,33 @@ class SnapshotManager:
         source = self._source
         version = source.version
         graph = source.graph
-        kind = self._store
-        if kind == "shm":
-            segment = _pack_to_shm(source)
-            handle = SnapshotHandle(epoch, version, source.method,
-                                    "shm", segment.name)
-            return Snapshot(handle=handle, graph=graph,
-                            _segment=segment)
-        if kind == "file":
-            path = self._snapshot_path(epoch)
-            save_index(source, path)
-            handle = SnapshotHandle(epoch, version, source.method,
-                                    "file", str(path))
-            return Snapshot(handle=handle, graph=graph)
-        from ..store import pack_index_store
+        path = self._snapshot_path(epoch)
+        try:
+            if self._store == "mmap":
+                pack_index_store(source, path)
+            else:
+                state, arrays = source.to_state()
+                write_store(path, method=source.method, state=state,
+                            arrays=arrays, hot=arrays,
+                            source_arrays=arrays)
+        except IndexFormatError as exc:
+            raise ServingError(
+                f"cannot publish snapshot epoch {epoch} ({exc}); "
+                f"directory= places the files elsewhere") from exc
+        return Snapshot(SnapshotHandle(epoch, version, source.method,
+                                       self._store, str(path)), graph)
 
-        path = self._snapshot_path(epoch, suffix=".store")
-        pack_index_store(source, path)
-        handle = SnapshotHandle(epoch, version, source.method,
-                                "mmap", str(path))
-        return Snapshot(handle=handle, graph=graph)
-
-    def _snapshot_path(self, epoch: int, suffix: str = ".idx") -> Path:
+    def _snapshot_path(self, epoch: int) -> Path:
         if self._directory is None:
+            # A ``shm`` file is mapped whole, so it belongs in memory;
+            # the packed store exists to keep its cold tier on disk.
+            parent = _SHM_ROOT if (
+                self._store == "shm" and os.path.isdir(_SHM_ROOT)
+                and os.access(_SHM_ROOT, os.W_OK)) else None
             self._directory = Path(tempfile.mkdtemp(
-                prefix="repro-serving-"))
-            self._owns_directory = True
+                prefix="repro-serving-", dir=parent))
         self._directory.mkdir(parents=True, exist_ok=True)
-        return self._directory / f"snapshot-{epoch:06d}{suffix}"
+        return self._directory / f"snapshot-{epoch:06d}.store"
 
     # -- lookup ---------------------------------------------------------
 
@@ -417,50 +288,33 @@ class SnapshotManager:
         reads this through a provider.
         """
         current = self._current
-        if current is None:
-            return 0.0
-        if current.handle.version == self._source.version:
-            return 0.0
-        if self._published_mono is None:  # pragma: no cover
+        if current is None \
+                or current.handle.version == self._source.version:
             return 0.0
         return time.monotonic() - self._published_mono
 
     # -- retirement -----------------------------------------------------
 
     def _retire_locked(self) -> None:
-        live = [e for e, s in sorted(self._snapshots.items())
-                if not s.retired]
-        for epoch in live[:-self._keep]:
+        for epoch in sorted(self._snapshots)[:-self._keep]:
             self._retire_storage(self._snapshots[epoch])
-        # Audit records (the per-epoch graphs) are bounded too: a
-        # long-running server under update traffic publishes epochs
-        # indefinitely, and each graph is an O(|V|+|E|) copy.
+        # Audit records (the per-epoch graphs) are bounded too.
         for epoch in sorted(self._snapshots)[:-self._audit_history]:
             del self._snapshots[epoch]
 
     def _retire_storage(self, snapshot: Snapshot) -> None:
-        """Release the transport storage; the graph record stays."""
+        """Unlink the snapshot file; the graph record stays."""
         if snapshot.retired:
             return
         snapshot.retired = True
         get_registry().counter(
             "snapshot_retirements_total",
             help="Snapshot epochs whose storage was retired.").inc()
-        segment = snapshot._segment
-        if segment is not None:
-            snapshot._segment = None
-            try:
-                segment.close()
-                segment.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        elif snapshot.handle.kind in ("file", "mmap"):
-            # POSIX unlink with workers still holding the mapping is
-            # safe: their pages stay valid until the last close.
-            try:
-                Path(snapshot.handle.ref).unlink()
-            except (FileNotFoundError, OSError):
-                pass
+        # A worker's mapping of the file outlives the path.
+        try:
+            os.unlink(snapshot.handle.ref)
+        except OSError:
+            pass
 
     def close(self) -> None:
         """Retire every snapshot's storage and refuse new publishes."""

@@ -1,14 +1,14 @@
 """Out-of-core label store: tiered storage for bigger-than-RAM indexes.
 
-Every serving worker used to materialize the full snapshot in memory,
-capping the servable index at RAM times the worker count. This
-package moves the label arrays into a packed on-disk container and
-serves queries through a two-tier policy:
+A worker that maps a whole snapshot can serve at most what fits in
+RAM. This package moves the label arrays into a packed on-disk
+container and serves queries through a two-tier policy:
 
 * :mod:`~repro.store.format` — the ``REPROSTR`` container: page-
   aligned, *uncompressed* numpy arrays (the layout ``numpy.memmap``
   needs and compressed npz cannot provide), with a crash-safe
-  temp-file + ``os.replace`` writer;
+  temp-file + ``os.replace`` writer and the map-every-array reader
+  serving snapshots go through (:func:`map_store_arrays`);
 * :mod:`~repro.store.cache` — a block-granular LRU page cache with a
   byte budget, an unevictable pin set, and hit/miss/eviction
   counters, plus the :class:`CachedArray` wrapper that serves cold
@@ -49,6 +49,7 @@ from .format import (
     STORE_MAGIC,
     STORE_VERSION,
     is_store_file,
+    map_store_arrays,
     read_store_header,
     write_store,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "is_store_file",
     "write_store",
     "read_store_header",
+    "map_store_arrays",
     "STORE_MAGIC",
     "STORE_FORMAT",
     "STORE_VERSION",

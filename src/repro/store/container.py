@@ -22,7 +22,7 @@ CachedArray` faulting blocks through one shared
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .cache import (
     DEFAULT_CACHE_BYTES,
     PageCache,
 )
-from .format import read_store_header
+from .format import read_store_header, spec_array
 
 __all__ = ["LabelStore", "STORE_IO_MODES"]
 
@@ -70,14 +70,15 @@ class LabelStore:
         for spec in header["arrays"]:
             name = spec["name"]
             dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
             offset = base + int(spec["offset"])
             if spec["tier"] == "hot":
-                self._arrays[name] = self._read_span(
-                    offset, dtype, int(np.prod(shape, dtype=np.int64))
-                ).reshape(shape)
+                # Pinned: a private copy, whichever backend read it.
+                self._arrays[name] = spec_array(
+                    self._read_span(offset, np.dtype(np.uint8),
+                                    int(spec["nbytes"])), spec)
                 self._hot_bytes += int(spec["nbytes"])
             else:
+                shape = spec["shape"]
                 length = shape[0] if shape else 0
                 self._arrays[name] = CachedArray(
                     name, length, dtype,
@@ -160,9 +161,6 @@ class LabelStore:
             raise IndexFormatError(
                 f"{self._path}: store has no array {name!r} "
                 f"(has {sorted(self._arrays)})") from None
-
-    def array_names(self) -> List[str]:
-        return [spec["name"] for spec in self._header["arrays"]]
 
     @property
     def hot_bytes(self) -> int:

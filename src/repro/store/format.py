@@ -46,7 +46,7 @@ from ..errors import IndexFormatError
 
 __all__ = ["STORE_MAGIC", "STORE_FORMAT", "STORE_VERSION",
            "DEFAULT_PAGE_BYTES", "is_store_file", "write_store",
-           "read_store_header"]
+           "read_store_header", "spec_array", "map_store_arrays"]
 
 #: First 8 bytes of every packed store.
 STORE_MAGIC = b"REPROSTR"
@@ -146,7 +146,7 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
             cursor = 0
             for spec, blob in zip(specs, blobs):
                 handle.write(b"\x00" * (spec["offset"] - cursor))
-                handle.write(blob.tobytes())
+                handle.write(blob.data)
                 cursor = spec["offset"] + spec["nbytes"]
             handle.flush()
             os.fsync(handle.fileno())
@@ -214,8 +214,13 @@ def read_store_header(path) -> Tuple[Dict[str, Any], int]:
     base = _align(16 + header_len, page)
     for spec in specs:
         try:
-            end = base + int(spec["offset"]) + int(spec["nbytes"])
-            np.dtype(spec["dtype"])
+            offset, nbytes = int(spec["offset"]), int(spec["nbytes"])
+            # Readers size their views from dtype and shape alone.
+            if offset < 0 or nbytes != (
+                    int(np.prod(spec["shape"], dtype=np.int64))
+                    * np.dtype(spec["dtype"]).itemsize):
+                raise ValueError("extent does not match dtype x shape")
+            end = base + offset + nbytes
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexFormatError(
                 f"{path}: malformed array spec in store header"
@@ -226,3 +231,31 @@ def read_store_header(path) -> Tuple[Dict[str, Any], int]:
                 f"{spec.get('name')!r} needs {end} bytes, file has "
                 f"{size}")
     return header, base
+
+
+def spec_array(buffer, spec: Mapping[str, Any],
+               offset: int = 0) -> np.ndarray:
+    """The array a header ``spec`` describes, as a view of ``buffer``
+    from ``offset`` bytes in: no copy, writable only if ``buffer`` is."""
+    return np.ndarray(tuple(spec["shape"]), np.dtype(spec["dtype"]),
+                      buffer, offset)
+
+
+def map_store_arrays(path) -> Tuple[Dict[str, Any],
+                                    Dict[str, np.ndarray]]:
+    """Map a store read-only; returns ``(header, name -> array)``.
+
+    Every array is a read-only view into one shared mapping of the
+    file, so N processes hold one set of physical pages between them.
+    The mapping lives as long as any view does, also after the path is
+    unlinked — a reader never copies out to outlive the file.
+    """
+    header, base = read_store_header(path)
+    try:
+        mapping = np.memmap(path, dtype=np.uint8, mode="r")
+    except (OSError, ValueError) as exc:
+        raise IndexFormatError(
+            f"{path}: cannot map label store ({exc})") from exc
+    return header, {spec["name"]: spec_array(mapping, spec,
+                                             base + int(spec["offset"]))
+                    for spec in header["arrays"]}

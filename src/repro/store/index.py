@@ -191,8 +191,6 @@ def _pin_hub_rows(store: LabelStore, order, offsets,
     """
     for name in ("label_ranks", "label_dists"):
         cold = store.array(name)
-        if not hasattr(cold, "pin_range"):  # pragma: no cover
-            continue
         for vertex in np.asarray(order[:max(0, hot_rows)]).tolist():
             cold.pin_range(int(offsets[vertex]),
                            int(offsets[vertex + 1]))

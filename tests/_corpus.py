@@ -123,3 +123,11 @@ def sample_vertex_pairs(graph: Graph, count: int, seed: int = 0):
     n = graph.num_vertices
     return [(int(rng.integers(n)), int(rng.integers(n)))
             for _ in range(count)]
+
+
+def shared_arrays(graph: Graph) -> DiGraph:
+    """Both orientations of ``graph`` as ONE CSR named twice — what
+    ``repro build --method qbs-directed`` makes of an undirected
+    stand-in, and what the shared QbS code recognises as symmetric."""
+    return DiGraph(graph.indptr, graph.indices,
+                   graph.indptr, graph.indices)

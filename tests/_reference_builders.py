@@ -18,7 +18,11 @@ only tests ever selected them, so they live here:
 * :func:`two_queue_labelled_bfs` / :func:`two_queue_scheme` —
   Algorithm 2's ``Q_L``/``Q_N`` walk over one CSR orientation, which
   shares nothing with the lockstep kernel (the directed index's
-  builder until the pipeline was written once over a dual-CSR view).
+  builder until the pipeline was written once over a dual-CSR view);
+* :func:`resume_pruned_bfs_scalar` — the dynamic insert repair's
+  resumed pruned BFS one vertex at a time, which
+  ``repro.dynamic.incremental._resume_pruned_bfs`` does a frontier at
+  a time.
 """
 
 from collections import deque
@@ -180,3 +184,23 @@ def two_queue_scheme(graph, landmarks):
                 backward[:, i]):
             assert meta.setdefault((int(position[hit]), i), weight) == weight
     return forward, backward, meta
+
+
+def resume_pruned_bfs_scalar(labels, neighbors, root_rank, start,
+                             start_dist):
+    """Per-vertex reference for ``incremental._resume_pruned_bfs``.
+
+    Both walks label the identical entry set (duplicates in the scalar
+    queue are pruned by the same ``known <= depth`` test that the
+    frontier version's dedup removes).
+    """
+    root = int(labels.order[root_rank])
+    queue = deque([(start, start_dist)])
+    while queue:
+        w, dw = queue.popleft()
+        known = labels.distance(root, w)
+        if known is not None and known <= dw:
+            continue
+        labels.set_entry(w, root_rank, dw)
+        for z in neighbors(w):
+            queue.append((int(z), dw + 1))

@@ -9,12 +9,61 @@ modules must import helpers with ``from _corpus import ...`` — never
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+import time
+
 import pytest
 
 from repro import Graph
 from repro.graph import cycle_graph, grid_2d, path_graph
 
 from _corpus import FIGURE3_EDGES, FIGURE4_EDGES
+
+# ----------------------------------------------------------------------
+# Nothing outlives the session
+# ----------------------------------------------------------------------
+
+def _snapshot_entries():
+    """Snapshot directories under the two roots the serving layer
+    derives for itself (``tempfile.gettempdir()`` re-reads the global a
+    test may have patched and restored)."""
+    return {path for root in ("/dev/shm", tempfile.gettempdir())
+            for path in glob.glob(os.path.join(root, "repro-serving-*"))}
+
+
+def _live_children():
+    """``{pid: command}`` of this process's running children."""
+    children = {}
+    for stat_path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat_path) as handle:
+                command, _, rest = handle.read().rpartition(")")
+        except OSError:  # raced an exit
+            continue
+        state, parent = rest.split()[:2]
+        if int(parent) == os.getpid() and state != "Z":
+            children[int(stat_path.split("/")[2])] = command
+    return children
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _nothing_outlives_the_session():
+    """Fail the run if a test left a snapshot directory or a running
+    child process behind — `QueryService.close()` is checked for this
+    test by test; this catches the test that forgot to close."""
+    before = _snapshot_entries()
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:  # an exiting child may need a moment
+        children = _live_children()
+        if not children or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    leaked = sorted(_snapshot_entries() - before)
+    assert not leaked, f"snapshot directories left behind: {leaked}"
+    assert not children, f"child processes still running: {children}"
 
 # ----------------------------------------------------------------------
 # The paper's running examples

@@ -28,6 +28,7 @@ from repro.graph.traversal import bfs_distances
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
 from _reference_builders import (label_bfs, restricted_bfs,
+                                 resume_pruned_bfs_scalar,
                                  sound_scalar_labels)
 
 SETTINGS = dict(
@@ -310,7 +311,7 @@ class TestDynamicRepairFrontier:
         for a, b in missing:
             frontier.insert_edge(a, b)
         monkeypatch.setattr(inc, "_resume_pruned_bfs",
-                            inc._resume_pruned_bfs_scalar)
+                            resume_pruned_bfs_scalar)
         for a, b in missing:
             scalar.insert_edge(a, b)
         assert _label_snapshot(frontier) == _label_snapshot(scalar)

@@ -18,14 +18,14 @@ from repro import IndexBuildError, IndexFormatError, available_methods, \
 from repro.baselines import BiBFS, NaiveLabelling, ParentPPLIndex, \
     PPLIndex, distance_oracle
 from repro.core import QbSIndex
-from repro.directed import DiGraph, DirectedQbSIndex
+from repro.directed import DirectedQbSIndex
 from repro.dynamic import DynamicIndex
 from repro.engine import get_index_class
 from repro.graph import erdos_renyi
 from repro.shard import ShardedIndex
 from repro.store import open_store_index, pack_index_store
 
-from _corpus import sample_vertex_pairs
+from _corpus import sample_vertex_pairs, shared_arrays
 
 FAMILY_CLASSES = {
     "qbs": (QbSIndex, "repro.core.qbs"),
@@ -67,8 +67,7 @@ def graph():
 
 def _build(graph, method):
     if get_index_class(method).directed:
-        graph = DiGraph(graph.indptr, graph.indices,
-                        graph.indptr, graph.indices)
+        graph = shared_arrays(graph)
     return build_index(graph, method)
 
 

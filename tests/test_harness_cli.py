@@ -138,6 +138,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "5 queries" in out
 
+    def test_directed_build_answers_like_the_oracle_after_load(
+            self, tmp_path, capsys):
+        """`build --method qbs-directed` hands the index a stand-in's
+        one CSR as both sides of a `DiGraph`. Loaded back, that index
+        answered 7 of 300 uniform distances too long and 41 of 150
+        SPGs wrong: its once-stored meta edges were re-read as one-way
+        arcs."""
+        import numpy as np
+
+        from repro import load_index
+        from repro.directed import directed_spg_oracle
+
+        path = tmp_path / "douban-directed.idx"
+        assert main(["build", "--method", "qbs-directed",
+                     "--dataset", "douban", "--out", str(path),
+                     "--param", "num_landmarks=20"]) == 0
+        capsys.readouterr()
+        index = load_index(path)
+        graph = index.graph
+        pairs = np.random.default_rng(7).integers(
+            0, graph.num_vertices, size=(300, 2)).tolist()
+        oracle = [directed_spg_oracle(graph, u, v) for u, v in pairs]
+        assert [index.distance(u, v) for u, v in pairs] \
+            == [spg.distance for spg in oracle]
+        assert [index.query(u, v) for u, v in pairs[:150]] \
+            == oracle[:150]
+
     def test_query_explicit_pairs_and_cache(self, tmp_path, capsys):
         path = tmp_path / "bibfs.idx"
         assert main(["build", "--method", "bibfs",

@@ -15,7 +15,8 @@ from repro.core.search import SearchStats
 from repro.directed import DiGraph, DirectedQbSIndex, directed_spg_oracle
 
 from _corpus import (label_rng, random_digraph_corpus,
-                     random_graph_corpus, sample_vertex_pairs)
+                     random_graph_corpus, sample_vertex_pairs,
+                     shared_arrays)
 from _reference_builders import two_queue_scheme
 
 SETTINGS = dict(max_examples=60, deadline=None,
@@ -56,6 +57,31 @@ def test_directed_index_on_symmetric_digraph_equals_undirected(label, graph):
         assert {(min(a, b), max(a, b)) for a, b in arcs.arcs} \
             == edges.edges, f"{label} ({u},{v})"
         assert directed.distance(u, v) == undirected.distance(u, v)
+
+
+@pytest.mark.parametrize("label,graph",
+                         list(random_graph_corpus(seed=320, count=10)))
+@pytest.mark.parametrize("view", [shared_arrays, both_orientations])
+def test_symmetric_digraph_answers_are_oriented_and_survive_state(
+        view, label, graph):
+    """A symmetric digraph keeps one label matrix and each meta edge
+    once, but its answers are still *arcs*: a meta edge walked against
+    its stored orientation must come out reversed. And `from_state`
+    must land in the same regime whichever way the source was built —
+    the once-stored meta edges of a shared-array build used to be
+    re-read as one-way arcs (distances too long, SPGs too small)."""
+    digraph = view(graph)
+    built = DirectedQbSIndex.build(digraph, num_landmarks=4)
+    assert built._labelling.symmetric == (view is shared_arrays)
+    restored = DirectedQbSIndex.from_state(*built.to_state())
+    assert restored._labelling.symmetric
+    assert restored.graph.out_indices is restored.graph.in_indices
+    assert all(i < j for i, j in restored._labelling.meta_edges)
+    pairs = sample_vertex_pairs(graph, 40, seed=23)
+    pairs += [(int(r), v) for r, (_, v) in zip(built.landmarks, pairs)]
+    pairs += [(u, int(r)) for r, (u, _) in zip(built.landmarks, pairs)]
+    assert_matches_oracle(built, digraph, pairs)
+    assert_matches_oracle(restored, digraph, pairs)
 
 
 # ----------------------------------------------------------------------

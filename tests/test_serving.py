@@ -16,12 +16,13 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-from repro import Graph, QueryOptions, build_index, spg_oracle
+from repro import Graph, QueryOptions, build_index, load_index, spg_oracle
 from repro.baselines.oracle import distance_oracle
-from repro.directed import DiGraph
-from repro.engine import available_methods, get_index_class
+from repro.directed import DiGraph, directed_spg_oracle
+from repro.engine import available_methods
 from repro.errors import (
     RequestExpiredError,
     ServiceOverloadedError,
@@ -39,9 +40,10 @@ from repro.serving import (
     materialize_snapshot,
     run_closed_loop,
 )
+from repro.store import STORE_METHODS, open_store_index, pack_index_store
 from repro.workloads import sample_pairs
 
-from _corpus import sample_vertex_pairs
+from _corpus import sample_vertex_pairs, shared_arrays
 
 #: Build params that keep every family fast on the small test graphs.
 _BUILD_PARAMS = {
@@ -64,49 +66,189 @@ def served_graph() -> Graph:
 
 
 # ----------------------------------------------------------------------
-# Snapshot persistence: every family through the serving snapshot path
+# Round-trip matrix: every family across every boundary its state crosses
 # ----------------------------------------------------------------------
 
-class TestSnapshotPersistence:
-    """Satellite: save -> load_index -> identical answers, per family.
+def _two_component_graph() -> Graph:
+    """A BA graph plus a short path and an isolated vertex, so the
+    pairs include unreachable ones."""
+    hub = _small_graph(seed=31, n=60)
+    return Graph.from_edges(list(hub.edges()) + [(60, 61), (61, 62)],
+                            num_vertices=64)
 
-    The ``file`` store is exactly the uniform persistence format, so
-    this doubles as a round-trip conformance check for every
-    registered family, driven through the serving machinery rather
-    than the persistence API directly. The ``shm`` store exercises the
-    shared-memory packing of the same ``to_state`` decomposition.
+
+def _one_way_digraph() -> DiGraph:
+    rng = np.random.default_rng(32)
+    return DiGraph.from_arcs(rng.integers(0, 50, size=(140, 2)),
+                             num_vertices=52)
+
+
+def _round_trip_source(case):
+    """The built index of one matrix row, and the graph it answers
+    over."""
+    if case == "qbs-directed":
+        graph = _one_way_digraph()
+    elif case == "qbs-directed-shared":
+        graph = shared_arrays(_two_component_graph())
+    else:
+        graph = _two_component_graph()
+    index = _build(case.replace("-shared", ""), graph)
+    if case == "dynamic":
+        # Non-empty `added` / `phantom` state.
+        index.insert_edge(3, 62)
+        index.remove_edge(*next(graph.edges()))
+    return index, index.graph
+
+
+def _oracle(graph, u, v):
+    """``(distance, shortest path graph)`` by plain BFS."""
+    if isinstance(graph, DiGraph):
+        spg = directed_spg_oracle(graph, u, v)
+        return spg.distance, spg
+    return distance_oracle(graph, u, v), spg_oracle(graph, u, v)
+
+
+def _round_trip_pairs(index, graph, count=200):
+    pairs = sample_vertex_pairs(graph, count, seed=41)
+    landmarks = getattr(index, "landmarks", None)
+    if landmarks is not None:
+        # Landmark endpoints take the unguided path: as the first end,
+        # as the second, as both.
+        marks = [int(r) for r in landmarks]
+        for k, r in enumerate(marks):
+            u, v = pairs[3 * k]
+            pairs[3 * k:3 * k + 3] = [
+                (r, v), (u, r), (r, marks[(k + 1) % len(marks)])]
+    return pairs
+
+
+_ROUND_TRIP_CASES = sorted(available_methods()) + ["qbs-directed-shared"]
+
+#: ``(boundary, case)``; only the label families pack into a store.
+_ROUND_TRIPS = [(boundary, case)
+                for boundary in ("state", "file", "shm")
+                for case in _ROUND_TRIP_CASES] \
+    + [("store", method) for method in STORE_METHODS]
+
+
+class TestSnapshotPersistence:
+    """State -> boundary -> ``from_state`` gives BFS-oracle answers.
+
+    One row per registered family (``qbs-directed`` twice: one-way arcs
+    and a shared-array symmetric ``DiGraph``), one column per boundary
+    the ``to_state`` decomposition crosses:
+
+    ``state``  ``cls.from_state(*index.to_state())``, nothing between;
+    ``file``   ``save`` -> ``load_index`` of the npz archive;
+    ``shm``    ``SnapshotManager.publish`` -> ``materialize_snapshot``,
+               the replica queried after the manager is closed and the
+               file unlinked;
+    ``store``  ``pack_index_store`` -> ``open_store_index`` (label
+               families only).
+
+    The replica is compared with the oracle, not with its source: an
+    answer both get wrong is still wrong.
     """
 
-    @pytest.mark.parametrize("method", sorted(available_methods()))
-    @pytest.mark.parametrize("store", ["file", "shm"])
-    def test_round_trip_identical_answers(self, method, store,
+    @pytest.mark.parametrize(
+        "boundary,case", _ROUND_TRIPS,
+        ids=[f"{boundary}-{case}" for boundary, case in _ROUND_TRIPS])
+    def test_round_trip_identical_answers(self, boundary, case,
                                           tmp_path):
-        if get_index_class(method).directed:
-            graph = DiGraph.from_arcs(
-                [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (3, 0)])
+        index, graph = _round_trip_source(case)
+        if boundary == "state":
+            replica = type(index).from_state(*index.to_state())
+        elif boundary == "file":
+            index.save(tmp_path / "index.idx")
+            replica = load_index(tmp_path / "index.idx")
+        elif boundary == "store":
+            pack_index_store(index, tmp_path / "index.store")
+            replica = open_store_index(tmp_path / "index.store")
         else:
-            graph = _small_graph(seed=31, n=60)
-        index = _build(method, graph)
-        manager = SnapshotManager(index, store=store,
-                                  directory=tmp_path)
-        try:
-            snapshot = manager.publish()
-            replica = materialize_snapshot(snapshot.handle)
-            assert type(replica) is type(index)
-            pairs = sample_vertex_pairs(graph, 10, seed=41)
-            for u, v in pairs:
-                assert replica.distance(u, v) == index.distance(u, v)
-                assert replica.query(u, v) == index.query(u, v)
-        finally:
-            manager.close()
+            with SnapshotManager(index, store="shm",
+                                 directory=tmp_path) as manager:
+                replica = materialize_snapshot(manager.publish().handle)
+            assert list(tmp_path.iterdir()) == []
+        assert type(replica) is type(index)
+        wrong = []
+        for u, v in _round_trip_pairs(index, graph):
+            distance, spg = _oracle(graph, u, v)
+            if replica.distance(u, v) != distance:
+                wrong.append(("distance", u, v))
+            if replica.query(u, v) != spg:
+                wrong.append(("query", u, v))
+        assert wrong == []
 
-    def test_shm_segment_retired_after_close(self):
+    @pytest.mark.parametrize("store", ["shm", "mmap"])
+    def test_retired_epoch_is_unlinked_under_a_live_replica(self, store):
+        """Retiring an epoch unlinks its file. A replica materialized
+        before that keeps its mapping and its answers; a handle that
+        arrives afterwards fails with the typed error the batcher
+        retries on."""
         graph = _small_graph(seed=34, n=40)
-        manager = SnapshotManager(_build("ppl", graph), store="shm")
-        handle = manager.publish().handle
-        manager.close()
-        with pytest.raises(ServingError, match="gone"):
-            materialize_snapshot(handle)
+        pairs = sample_vertex_pairs(graph, 50, seed=42)
+        with SnapshotManager(_build("ppl", graph), store=store,
+                             keep=2) as manager:
+            first = manager.publish().handle
+            replica = materialize_snapshot(first)
+            directory = os.path.dirname(first.ref)
+            manager.publish()
+            assert os.path.exists(first.ref)
+            manager.publish()
+            assert not os.path.exists(first.ref)
+            assert len(os.listdir(directory)) == 2
+            with pytest.raises(ServingError, match="retired"):
+                materialize_snapshot(first)
+            for u, v in pairs:
+                assert replica.distance(u, v) \
+                    == distance_oracle(graph, u, v)
+            last = manager.current.handle
+        assert not os.path.exists(directory)
+        with pytest.raises(ServingError, match="retired"):
+            materialize_snapshot(last)
+        assert replica.distance(*pairs[0]) \
+            == distance_oracle(graph, *pairs[0])
+
+    def test_replica_arrays_are_views_of_the_one_mapping(self):
+        """A worker fleet holds one copy of the labels: what
+        ``from_state`` gets are read-only views into the mapped file,
+        and the ppl index keeps them as they are."""
+        graph = _small_graph(seed=33, n=80)
+        with SnapshotManager(_build("ppl", graph)) as manager:
+            replica = materialize_snapshot(manager.publish().handle)
+        arrays = replica.to_state()[1]
+        assert set(arrays) == {"indptr", "indices", "order",
+                               "label_offsets", "label_ranks",
+                               "label_dists"}
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            assert not array.flags.owndata, name
+            root = array
+            while root.base is not None \
+                    and not isinstance(root, np.memmap):
+                root = root.base
+            assert isinstance(root, np.memmap), name
+
+    def test_default_directories(self, tmp_path, monkeypatch):
+        """Unset, `directory` is derived: `shm` files are mapped whole
+        and go to tmpfs when there is one; the packed store's point is
+        a cold tier on disk, so `mmap` never does."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        index = _build("ppl", _small_graph(seed=33, n=40))
+        shm_root = "/dev/shm"
+        has_shm = os.path.isdir(shm_root) and os.access(shm_root,
+                                                        os.W_OK)
+        for store in ("shm", "mmap"):
+            with SnapshotManager(index, store=store) as manager:
+                path = manager.publish().handle.ref
+                on_shm = os.path.dirname(os.path.dirname(path)) \
+                    == shm_root
+                assert on_shm == (store == "shm" and has_shm)
+                if not on_shm:
+                    assert path.startswith(str(tmp_path))
+                assert os.path.basename(os.path.dirname(path)) \
+                    .startswith("repro-serving-")
+            assert not os.path.exists(os.path.dirname(path))
 
 
 class TestSnapshotManager:
@@ -129,8 +271,7 @@ class TestSnapshotManager:
         """Per-epoch graphs are dropped beyond the audit window."""
         graph = _small_graph(seed=38, n=40)
         index = build_index(graph, "dynamic")
-        manager = SnapshotManager(index, store="file",
-                                  directory=tmp_path, keep=2,
+        manager = SnapshotManager(index, directory=tmp_path, keep=2,
                                   audit_history=3)
         try:
             for step in range(6):
@@ -152,8 +293,7 @@ class TestSnapshotManager:
     def test_graphs_survive_retirement(self, tmp_path):
         graph = _small_graph(seed=36, n=50)
         index = build_index(graph, "dynamic")
-        manager = SnapshotManager(index, store="file",
-                                  directory=tmp_path, keep=2)
+        manager = SnapshotManager(index, directory=tmp_path, keep=2)
         try:
             for step in range(4):
                 index.insert_edge(step, 40 + step)
@@ -168,8 +308,12 @@ class TestSnapshotManager:
 
     def test_rejects_unknown_store_and_tiny_keep(self):
         index = _build("ppl", _small_graph(seed=37, n=30))
-        with pytest.raises(ServingError, match="unknown snapshot"):
-            SnapshotManager(index, store="carrier-pigeon")
+        # "file" was a third kind once; it is as unknown as any other.
+        for store in ("carrier-pigeon", "file"):
+            with pytest.raises(ServingError, match="unknown snapshot"):
+                SnapshotManager(index, store=store)
+            with pytest.raises(ServingError, match="unknown snapshot"):
+                QueryService(index, num_workers=1, store=store)
         with pytest.raises(ServingError, match="keep"):
             SnapshotManager(index, keep=1)
 
@@ -341,6 +485,32 @@ class TestHotSwap:
             # The pre-swap epoch is still auditable.
             assert service.graph_at(0).num_edges == graph.num_edges
 
+    def test_twenty_hot_swaps_stay_exact(self):
+        """Every swap is a new file the two workers map and an old one
+        unlinked under them; each answer is the BFS answer on the graph
+        of the epoch it names, and no batch has to be retried."""
+        graph = _small_graph(seed=62, n=120)
+        index = build_index(graph, "dynamic")
+        pairs = sample_pairs(graph, 16, seed=64)
+        edges = list(graph.edges())
+        with QueryService(index, num_workers=2,
+                          options=QueryOptions(mode="distance"),
+                          max_delay=0.001) as service:
+            for step in range(20):
+                op = ("insert", step, 119 - step) if step % 3 \
+                    else ("delete", *edges[step])
+                outcome = service.apply_updates([op])
+                assert outcome["epoch"] == step + 1
+                for (u, v), answer in zip(pairs,
+                                          service.query_many(pairs)):
+                    assert answer.epoch == step + 1
+                    assert answer.value == distance_oracle(
+                        service.graph_at(answer.epoch), u, v)
+            stats = service.stats()
+            assert stats["retries"] == 0
+            assert stats["worker_deaths"] == 0
+            assert stats["alive_workers"] == 2
+
     def test_refresh_without_changes_is_noop(self, served_graph):
         index = build_index(served_graph, "ppl")
         with QueryService(index, num_workers=1) as service:
@@ -445,11 +615,11 @@ class TestServiceLifecycle:
             pool.close()
             manager.close()
 
-    @pytest.mark.parametrize("store", ["shm", "file", "mmap"])
+    @pytest.mark.parametrize("store", ["shm", "mmap"])
     def test_close_leaves_nothing_behind(self, store, tmp_path,
                                          monkeypatch):
         """After ``close()``: no child process, no serving or queue
-        feeder thread, no shm segment, no snapshot temp directory."""
+        feeder thread, nothing new under /dev/shm or the temp dir."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         graph = _small_graph(seed=13, n=80)
         index = build_index(graph, "ppl")
@@ -473,15 +643,26 @@ class TestServiceLifecycle:
             assert set(os.listdir(shm)) <= segments
         assert list(tmp_path.iterdir()) == []
 
-    def test_file_store_service(self, served_graph, tmp_path):
+    @pytest.mark.parametrize("store", ["shm", "mmap"])
+    def test_directory_places_the_snapshot_files(self, store,
+                                                 served_graph,
+                                                 tmp_path):
+        """`directory=` is the deployment path: the epochs' files land
+        there, `close()` removes them and leaves the directory, which
+        the service did not create."""
         index = build_index(served_graph, "ppl")
-        with QueryService(index, num_workers=1, store="file",
+        with QueryService(index, num_workers=1, store=store,
                           directory=tmp_path,
                           options=QueryOptions(mode="distance")
                           ) as service:
+            assert service.refresh(force=True) is not None
+            assert sorted(path.name for path in tmp_path.iterdir()) \
+                == ["snapshot-000000.store", "snapshot-000001.store"]
             u, v = sample_pairs(served_graph, 1, seed=67)[0]
-            assert service.query(u, v).value \
-                == distance_oracle(served_graph, u, v)
+            answer = service.query(u, v)
+            assert answer.epoch == 1
+            assert answer.value == distance_oracle(served_graph, u, v)
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -704,6 +885,67 @@ class TestHTTPErrorPaths:
             tight_endpoint, "/query",
             json.dumps({"u": 0, "v": 1}).encode())
         assert status == 200
+
+
+    @pytest.mark.parametrize("case", ["unknown-path", "oversize"])
+    def test_connection_reusable_after_unread_body(self, tight_endpoint,
+                                                   case):
+        """A reply that leaves the request body unread must end the
+        keep-alive connection: otherwise the leftover bytes are parsed
+        as the next request line, and the next (valid) request on the
+        same client connection is answered 400 with an HTML page."""
+        import http.client
+
+        host, port = tight_endpoint[len("http://"):].split(":")
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=30)
+        try:
+            if case == "unknown-path":
+                connection.request("POST", "/nope", body=b'{"x": 1}')
+                expected = 404
+            else:
+                # Declare more than the limit, send only a little of
+                # it: the server must answer from the headers alone.
+                connection.putrequest("POST", "/query")
+                connection.putheader("Content-Length",
+                                     str(64 * 1024 * 1024))
+                connection.endheaders()
+                connection.send(b"x" * 1024)
+                expected = 400
+            reply = connection.getresponse()
+            assert reply.status == expected
+            assert reply.getheader("Connection") == "close"
+            assert "error" in json.loads(reply.read())
+            connection.request("POST", "/query",
+                               body=json.dumps({"u": 0, "v": 1}))
+            reply = connection.getresponse()
+            assert reply.status == 200, reply.read()
+            assert json.loads(reply.read())["results"][0]["value"] \
+                == distance_oracle(_small_graph(seed=81, n=80), 0, 1)
+        finally:
+            connection.close()
+
+    def test_answered_requests_keep_the_connection(self,
+                                                   tight_endpoint):
+        """The close is for unread bodies only: a 400 whose body was
+        read, and a 200, leave the socket open for the next request."""
+        import http.client
+
+        host, port = tight_endpoint[len("http://"):].split(":")
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=30)
+        try:
+            for body, expected in ((b"{not json", 400),
+                                   (b'{"u": 0, "v": 1}', 200),
+                                   (b'{"u": 0, "v": 2}', 200)):
+                connection.request("POST", "/query", body=body)
+                reply = connection.getresponse()
+                reply.read()
+                assert reply.status == expected
+                assert reply.getheader("Connection") is None
+                assert connection.sock is not None
+        finally:
+            connection.close()
 
 
 @pytest.mark.timeout(180)

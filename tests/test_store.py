@@ -25,6 +25,7 @@ from repro.store import (
     LabelStore,
     PageCache,
     is_store_file,
+    map_store_arrays,
     open_store_index,
     pack_index_store,
     write_store,
@@ -165,6 +166,60 @@ class TestContainerFormat:
             assert store.state == {"k": 1}
             assert store.hot_bytes == hot.nbytes
             assert store.cold_bytes == cold.nbytes
+
+    def test_map_store_arrays_shares_one_read_only_mapping(self,
+                                                           tmp_path):
+        """The whole-file reader: every array, hot or cold, 2-D or
+        empty, as a read-only view that outlives the path."""
+        path = tmp_path / "t.store"
+        arrays = {"matrix": np.arange(12, dtype=np.uint8).reshape(3, 4),
+                  "flat": np.arange(1000, dtype=np.int64) * 3,
+                  "empty": np.zeros((0, 2), dtype=np.int32)}
+        write_store(path, method="ppl", state={"k": [1, 2]},
+                    arrays=arrays, hot=("matrix", "empty"),
+                    source_arrays=arrays)
+        header, mapped = map_store_arrays(path)
+        os.unlink(path)
+        assert header["state"] == {"k": [1, 2]}
+        assert list(mapped) == list(arrays)
+        for name, array in arrays.items():
+            view = mapped[name]
+            assert view.dtype == array.dtype
+            assert view.shape == array.shape
+            np.testing.assert_array_equal(view, array)
+            assert not view.flags.writeable
+            assert not view.flags.owndata
+            assert type(view) is np.ndarray
+        with pytest.raises(IndexFormatError, match="cannot read"):
+            map_store_arrays(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shape", [11]), ("nbytes", 72), ("offset", -4096),
+        ("dtype", "no-such-dtype"), ("shape", ["ten"])])
+    def test_inconsistent_array_spec_rejected(self, tmp_path, field,
+                                              value):
+        """Readers size their views from dtype and shape: a header
+        whose spec disagrees with itself must fail as a format error,
+        not as a numpy error out of `frombuffer`."""
+        import json
+
+        path = tmp_path / "t.store"
+        write_store(path, method="ppl", state={},
+                    arrays={"a": np.arange(10, dtype=np.int64)},
+                    hot=("a",), source_arrays=("a",))
+        raw = path.read_bytes()
+        length = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + length])
+        header["arrays"][0][field] = value
+        # The header is padded to a page, so there is room to grow.
+        encoded = json.dumps(header).encode("utf-8")
+        assert 16 + len(encoded) <= 4096
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(8, "little")
+                         + encoded.ljust(4096 - 16, b"\x00")
+                         + raw[4096:])
+        for reader in (map_store_arrays, LabelStore.open):
+            with pytest.raises(IndexFormatError, match="malformed"):
+                reader(path)
 
     def test_not_a_store(self, tmp_path):
         path = tmp_path / "junk"

@@ -20,7 +20,6 @@ from repro._util import (
     check_random_state,
     format_bytes,
     format_seconds,
-    stable_unique,
 )
 
 
@@ -101,9 +100,3 @@ class TestRandomState:
     def test_generator_passthrough(self):
         rng = np.random.default_rng(1)
         assert check_random_state(rng) is rng
-
-
-class TestStableUnique:
-    def test_preserves_first_occurrence_order(self):
-        values = np.array([3, 1, 3, 2, 1])
-        assert stable_unique(values).tolist() == [3, 1, 2]
