@@ -192,8 +192,7 @@ def test_trace_overhead_within_five_percent(ppl_index):
     traced, untraced = [], []
     with QueryService(ppl_index, num_workers=2,
                       options=QueryOptions(mode="distance",
-                                           cache_size=0),
-                      max_delay=0.001) as service:
+                                           cache_size=0)) as service:
         def _rep(rate):
             service.set_trace_rate(rate)
             start = time.perf_counter()
@@ -247,8 +246,7 @@ def test_cross_shard_stitched_trace_coverage():
             pairs.append((u, v))
     with QueryService(index, num_workers=FLEET_WORKERS,
                       options=QueryOptions(mode="distance",
-                                           cache_size=0),
-                      max_delay=0.001) as service:
+                                           cache_size=0)) as service:
         # Warm every worker before measuring coverage.
         service.query_many(pairs[:FLEET_BURST_PAIRS], timeout=120.0)
         service.set_trace_rate(1.0)

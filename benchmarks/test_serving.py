@@ -112,7 +112,7 @@ def test_batched_service_beats_sequential(ppl_index, workload,
     with QueryService(ppl_index, num_workers=NUM_WORKERS,
                       options=QueryOptions(mode=MODE,
                                            cache_size=4096),
-                      max_batch=256, max_delay=0.001,
+                      max_batch=256,
                       max_pending=4 * REQUESTS) as service:
         # Warmup: populates the per-worker result caches with the hot
         # keys — the serving steady state under hot-key traffic, and
@@ -169,7 +169,7 @@ def test_exact_under_concurrent_updates(bench_graph, ppl_index):
     with QueryService(dynamic, num_workers=NUM_WORKERS,
                       options=QueryOptions(mode="distance",
                                            cache_size=1024),
-                      max_batch=128, max_delay=0.001) as service:
+                      max_batch=128) as service:
 
         def updater():
             for start in range(0, len(updates), UPDATE_CHUNK):

@@ -39,7 +39,7 @@ def main() -> None:
     with QueryService(index, num_workers=2,
                       options=QueryOptions(mode="distance",
                                            cache_size=512),
-                      max_batch=128, max_delay=0.002) as service:
+                      max_batch=128) as service:
         server = make_server(service)
         server.serve_in_background()
         host, port = server.server_address[:2]

@@ -41,7 +41,7 @@ def main() -> None:
     with QueryService(index, num_workers=2,
                       options=QueryOptions(mode="distance",
                                            cache_size=1024),
-                      max_batch=128, max_delay=0.002) as service:
+                      max_batch=128) as service:
         print(f"service: {service.num_workers} workers, "
               f"epoch {service.epoch}, store "
               f"{service.stats()['store']}")

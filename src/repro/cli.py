@@ -41,6 +41,9 @@ Three kinds of commands:
       python -m repro serve --dataset douban --workers 4 --port 8080
       python -m repro serve --index douban.idx --dynamic --smoke 2000
 
+  A request goes to a worker as soon as one is idle and waits —
+  coalescing with the others waiting, ``--batch`` pairs per message at
+  most — only while all are busy; there is no batching delay to set.
   ``--dynamic`` promotes the index so ``POST /update`` can mutate the
   graph behind hot-swapped snapshots. A snapshot is one file all
   workers map read-only; ``--store`` picks what it holds (``shm``:
@@ -240,7 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="save the updated index here")
 
     serve_cmd = commands.add_parser(
-        "serve", help="serve queries concurrently over HTTP")
+        "serve", help="serve queries concurrently over HTTP",
+        description="Serve queries over HTTP from worker processes "
+                    "that hold one batch each. A request goes to a "
+                    "worker the moment one is idle; while all are "
+                    "busy, requests wait and leave together "
+                    "(deduplicated, --batch pairs a message at most) "
+                    "when one frees.")
     source = serve_cmd.add_mutually_exclusive_group(required=True)
     source.add_argument("--dataset", default=None,
                         help="stand-in dataset to build and serve")
@@ -269,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--budget", type=float, default=None,
                            help="per-request time budget in seconds")
     serve_cmd.add_argument("--batch", type=int, default=256,
-                           help="max distinct pairs per worker batch")
-    serve_cmd.add_argument("--delay-ms", type=float, default=2.0,
-                           help="max batching delay in milliseconds")
+                           help="max distinct pairs per worker batch "
+                                "(requests coalesce only while no "
+                                "worker is idle)")
     serve_cmd.add_argument("--queue-depth", type=int, default=10_000,
                            help="admission-control pending limit")
     serve_cmd.add_argument("--store", default="shm",
@@ -739,7 +748,6 @@ def _run_serve(args) -> int:
                       options=options,
                       store=args.store,
                       max_batch=args.batch,
-                      max_delay=args.delay_ms / 1000.0,
                       max_pending=args.queue_depth,
                       audit_rate=args.audit_rate) as service:
         if args.trace_rate:

@@ -21,8 +21,8 @@ When a trace *is* active:
   read) without knowing about the trace structure.
 
 Nesting uses a :class:`contextvars.ContextVar`, so traces are correct
-across threads (the Batcher's dispatcher/collector threads never see
-a request thread's trace) and cheap to consult.
+across threads (the Batcher's collector thread never sees a request
+thread's trace) and cheap to consult.
 
 Sampling is deterministic, not random: :class:`TraceSampler` carries
 an accumulator that adds ``rate`` per decision and fires when it

@@ -9,10 +9,12 @@ that into a *service* that answers millions of them — the ROADMAP's
   (parallelism that actually scales: processes, not GIL-bound
   threads; a snapshot crosses the boundary as one page-aligned
   file every worker maps read-only — every array as is, or packed as
-  an out-of-core label store);
-* :class:`~repro.serving.batcher.Batcher` — request coalescing,
-  intra-batch deduplication, queue-depth admission control, and
-  per-request time budgets;
+  an out-of-core label store), one duplex pipe and at most one batch
+  per worker;
+* :class:`~repro.serving.batcher.Batcher` — the one queue in front of
+  the pool and its one dispatch rule (a worker is idle: send; none
+  is: wait and coalesce — no timer), intra-batch deduplication,
+  queue-depth admission control, and per-request time budgets;
 * :class:`~repro.serving.snapshot.SnapshotManager` — versioned,
   hot-swappable snapshots keyed on ``PathIndex.version``, so serving
   stays oracle-exact per epoch while a

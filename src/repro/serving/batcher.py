@@ -1,13 +1,26 @@
-"""Request batching: coalescing, deduplication, admission control.
+"""Request batching: one queue, coalescing, deduplication, admission.
 
-Per-request IPC would drown the worker pool in queue overhead — a
+Per-request IPC would drown the worker pool in pipe overhead — a
 label-merge distance query costs tens of microseconds, about the same
-as pickling one message. The :class:`Batcher` amortizes that cost by
-coalescing in-flight requests into batches, and exploits traffic
-skew by *deduplicating* within a batch: identical ``(u, v, mode)``
-keys are computed once and fanned out to every waiting caller. For
-undirected indexes (``directed=False``, the default — gate it on
-:attr:`~repro.engine.base.PathIndex.is_directed`) the key of an
+as pickling one message. The :class:`Batcher` is the only queue between
+a caller and a worker, and it has one dispatch rule:
+
+    a worker is idle  ->  the oldest queued batch leaves for it, now;
+    no worker is idle ->  requests wait here, and coalesce while they do.
+
+No timer, nothing to tune: a lone request on an idle service leaves
+alone and at once, and batches grow exactly as large as the
+back-pressure that made them wait (at most ``max_batch`` distinct keys
+per message; full batches queue FIFO). The rule is applied at the end
+of every :meth:`~Batcher.submit_many` — after the *whole* burst is
+enqueued — and by the collector thread the moment a response frees a
+worker, which hands that worker its next batch *before* resolving the
+response's futures.
+
+Waiting requests are *deduplicated* within their batch: identical
+``(u, v, mode)`` keys are computed once and fanned out to every waiting
+caller. For undirected indexes (``directed=False``, the default — gate
+it on :attr:`~repro.engine.base.PathIndex.is_directed`) the key of an
 orientation-free request (``distance`` / ``count-paths``) is
 normalized to ``(min(u, v), max(u, v))``, so ``(v, u)`` requests
 coalesce with ``(u, v)`` instead of doubling the worker work; the
@@ -26,25 +39,27 @@ Flow control is explicit rather than emergent:
 * **time budgets** — with a ``time_budget`` (taken from the service's
   :class:`~repro.engine.session.QueryOptions`), a request that is
   still queued at its deadline fails with
-  :class:`~repro.errors.RequestExpiredError` at flush, and one whose
-  answer arrives late gets the same error instead of a stale success.
+  :class:`~repro.errors.RequestExpiredError` when its batch's turn
+  comes, and one whose answer arrives late gets the same error instead
+  of a stale success.
 
-A dispatcher thread flushes an accumulating batch when it reaches
-``max_batch`` distinct keys or has aged ``max_delay`` seconds; a
-collector thread resolves futures from worker responses. Batches
-whose snapshot was retired under them (a hot-swap race) are retried
-once against the current snapshot before failing their futures.
+In-flight batches are kept by the worker holding them, so a worker
+death re-queues exactly the victim's batch, at the head of the queue.
+Batches whose snapshot was retired under them (a hot-swap race) are
+retried once against the current snapshot before failing their futures.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import logging
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..engine.session import normalize_pair
 from ..errors import (
@@ -95,38 +110,34 @@ class _Entry:
     #: ``time.monotonic()`` of the first caller's admission; feeds the
     #: ``serving_request_seconds`` end-to-end latency histogram.
     submitted: float = 0.0
-    #: ``time.monotonic()`` of the batch dispatch; ``dispatched -
-    #: submitted`` is the queue wait, the rest of the end-to-end time
-    #: is worker residency (both show up in slow-query records).
-    dispatched: float = 0.0
 
 
 @dataclass
-class _Accumulating:
-    """A per-mode batch still open for coalescing."""
-
-    opened: float
-    entries: "Dict[Tuple[int, int], _Entry]" = field(
-        default_factory=dict)
-
-
-@dataclass
-class _InFlight:
-    """A dispatched batch awaiting its response."""
+class _Batch:
+    """One batch of one mode: queued (and, while it is the open one
+    for its mode, still coalescing), then in flight on a worker."""
 
     mode: Optional[str]
-    keys: List[Tuple[int, int]]
-    entries: Dict[Tuple[int, int], _Entry]
+    #: ``time.monotonic()`` of the first request's admission.
+    opened: float
+    #: Insertion-ordered, so ``tuple(entries)`` is the message's keys
+    #: and lines up with the response's values.
+    entries: "Dict[Tuple[int, int], _Entry]" = field(
+        default_factory=dict)
+    #: ``time.monotonic()`` of the first hand-off to a worker (0 while
+    #: queued). ``dispatched - entry.submitted`` is an entry's queue
+    #: wait, the rest of its end-to-end time is worker residency (both
+    #: show up in slow-query records).
+    dispatched: float = 0.0
+    #: Id of the current attempt's message: a re-dispatch takes a
+    #: fresh one, so a late answer to an earlier attempt matches none.
+    id: int = -1
     retried: bool = False
     #: Distributed-trace context of a sampled batch. Survives retries
     #: and worker-death re-dispatch, so the retried attempt's worker
     #: spans still land in the *same* stitched trace — a killed worker
     #: must not orphan a trace.
     trace: Optional[TraceContext] = None
-    #: Wall-clock bookkeeping for the batcher-side records (batch
-    #: opened for coalescing / handed to the pool).
-    opened_wall: float = 0.0
-    dispatched_wall: float = 0.0
     #: Worker span records from *failed* attempts, kept so the final
     #: stitched trace shows every attempt, not just the one that
     #: resolved.
@@ -139,13 +150,13 @@ class Batcher:
     ``handle_provider`` returns the current
     :class:`~repro.serving.snapshot.SnapshotHandle`; it is consulted
     at dispatch time, so a hot swap takes effect on the very next
-    batch without any coordination with callers.
+    batch without any coordination with callers. All sends to the
+    pool happen under this object's lock, one at a time.
     """
 
     def __init__(self, pool: WorkerPool,
                  handle_provider: Callable[[], SnapshotHandle], *,
                  max_batch: int = 256,
-                 max_delay: float = 0.002,
                  max_pending: int = 10_000,
                  time_budget: Optional[float] = None,
                  directed: bool = False,
@@ -153,14 +164,11 @@ class Batcher:
                  slow_query_ms: Optional[float] = None) -> None:
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")
-        if max_delay <= 0:
-            raise ServingError("max_delay must be positive")
         if max_pending < 1:
             raise ServingError("max_pending must be >= 1")
         self._pool = pool
         self._handle_provider = handle_provider
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.max_pending = max_pending
         self.time_budget = time_budget
         self.directed = directed
@@ -175,8 +183,17 @@ class Batcher:
         self.slow_query_ms = slow_query_ms
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._accumulating: Dict[Optional[str], _Accumulating] = {}
-        self._inflight: Dict[int, _InFlight] = {}
+        #: Batches no worker has taken yet, oldest first.
+        self._queue: Deque[_Batch] = collections.deque()
+        #: Per mode, the queued batch still short of ``max_batch``
+        #: keys: where the next request of that mode coalesces.
+        self._open: Dict[Optional[str], _Batch] = {}
+        #: One-key batches owed to a particular worker (the profiling
+        #: nudge); they leave when *that* worker is idle.
+        self._addressed: Dict[int, _Batch] = {}
+        #: Dispatched batches awaiting their response, by the slot of
+        #: the worker holding them — one each, by construction.
+        self._inflight: Dict[int, _Batch] = {}
         self._batch_ids = itertools.count()
         self._pending = 0  # unresolved requests (admission control)
         self._closed = False
@@ -208,8 +225,8 @@ class Batcher:
         self._m_queue_wait = registry.histogram(
             "serving_queue_wait_seconds",
             help="Admission-to-dispatch wait of one deduplicated "
-                 "request key (time spent coalescing in the batcher "
-                 "before any worker saw it).")
+                 "request key (time spent queued in the batcher "
+                 "because no worker was idle).")
         #: Worker continuous-profiling state: the hz shipped on every
         #: dispatched batch, the fleet-wide folded-stack counts merged
         #: from worker responses, and the newest resource snapshot per
@@ -232,13 +249,9 @@ class Batcher:
         #: resolved answer — the oracle auditor's sampling intake. Must
         #: be cheap; it runs on the collector thread under the lock.
         self._answer_hook: Optional[Callable] = None
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True,
-            name="repro-serving-dispatcher")
         self._collector = threading.Thread(
             target=self._collect_loop, daemon=True,
             name="repro-serving-collector")
-        self._dispatcher.start()
         self._collector.start()
 
     def _count(self, key: str, amount: float = 1) -> None:
@@ -254,37 +267,21 @@ class Batcher:
                mode: Optional[str] = None) -> "Future[Answer]":
         """Enqueue one request; the future resolves to an
         :class:`Answer` (or raises the request's failure)."""
-        future: "Future[Answer]" = Future()
-        now = time.monotonic()
-        deadline = (now + self.time_budget
-                    if self.time_budget is not None else None)
-        with self._lock:
-            if self._closed:
-                raise ServingError("batcher is closed")
-            if self._pending >= self.max_pending:
-                self._count("rejected")
-                raise ServiceOverloadedError(
-                    f"serving queue is full "
-                    f"({self._pending} requests pending, "
-                    f"limit {self.max_pending}); retry later"
-                )
-            self._pending += 1
-            self._count("submitted")
-            self._enqueue_locked(mode, u, v, future, deadline, now)
-        return future
+        return self.submit_many([(u, v)], mode)[0]
 
     def submit_many(self, pairs, mode: Optional[str] = None
                     ) -> List["Future[Answer]"]:
-        """Bulk admission: one lock pass for a whole burst of pairs.
+        """Admit a burst of pairs in one lock pass, then dispatch.
 
-        All-or-nothing against the pending limit (a burst that does
+        All-or-nothing against the pending limit: a burst that does
         not fit raises :class:`ServiceOverloadedError` without partial
-        admission); otherwise exactly like per-pair :meth:`submit`.
+        admission.
         """
         pairs = list(pairs)
         now = time.monotonic()
         deadline = (now + self.time_budget
                     if self.time_budget is not None else None)
+        effective = mode if mode is not None else self.default_mode
         futures: List["Future[Answer]"] = []
         with self._lock:
             if self._closed:
@@ -299,50 +296,57 @@ class Batcher:
             self._pending += len(pairs)
             self._count("submitted", len(pairs))
             for u, v in pairs:
-                future: "Future[Answer]" = Future()
-                futures.append(future)
-                self._enqueue_locked(mode, u, v, future, deadline,
-                                     now)
+                key = normalize_pair(u, v, effective, self.directed)
+                batch = self._open.get(mode)
+                if batch is None:
+                    batch = self._open[mode] = _Batch(mode, opened=now)
+                    self._queue.append(batch)
+                entry = batch.entries.get(key)
+                if entry is None:
+                    entry = batch.entries[key] = _Entry(
+                        deadline=deadline, submitted=now)
+                else:
+                    self._count("deduplicated")
+                    if deadline is not None:
+                        entry.deadline = max(entry.deadline or 0.0,
+                                             deadline)
+                futures.append(Future())
+                entry.futures.append(futures[-1])
+                if len(batch.entries) >= self.max_batch:
+                    del self._open[mode]  # full: waits as it is
+            self._dispatch_locked()
         return futures
 
-    def _enqueue_locked(self, mode: Optional[str], u: int, v: int,
-                        future: "Future[Answer]",
-                        deadline: Optional[float],
-                        now: float) -> None:
-        effective = mode if mode is not None else self.default_mode
-        u, v = normalize_pair(u, v, effective, self.directed)
-        batch = self._accumulating.get(mode)
-        if batch is None:
-            batch = _Accumulating(opened=now)
-            self._accumulating[mode] = batch
-            # Wake the dispatcher only for a *new* batch — it sleeps
-            # until this batch ripens; per-request wakeups would just
-            # burn context switches at high submit rates.
-            self._wake.notify()
-        entry = batch.entries.get((u, v))
-        if entry is None:
-            entry = _Entry(deadline=deadline, submitted=now)
-            batch.entries[(u, v)] = entry
-        else:
-            self._count("deduplicated")
-            if deadline is not None:
-                entry.deadline = max(entry.deadline or 0.0, deadline)
-        entry.futures.append(future)
-        if len(batch.entries) >= self.max_batch:
-            self._flush_locked(mode)
+    def nudge_workers(self) -> List["Future[Answer]"]:
+        """One single-key batch *addressed* to each worker.
 
-    def flush(self) -> None:
-        """Dispatch every accumulating batch immediately."""
+        Worker profiling is switched and harvested over the ordinary
+        batch channel (:meth:`set_profile_hz`), and ordinary batches go
+        to whichever worker is idle; these go to every slot on purpose,
+        each as soon as its worker is idle. Exempt from admission
+        control; the key is ``(0, 0)``, so the graph needs a vertex.
+        """
+        now = time.monotonic()
+        futures: List["Future[Answer]"] = [
+            Future() for _ in range(self._pool.num_workers)]
         with self._lock:
-            for mode in list(self._accumulating):
-                self._flush_locked(mode)
+            if self._closed:
+                raise ServingError("batcher is closed")
+            for slot, future in enumerate(futures):
+                batch = self._addressed.setdefault(
+                    slot, _Batch(None, opened=now))
+                batch.entries.setdefault(
+                    (0, 0), _Entry(submitted=now)).futures.append(future)
+            self._pending += len(futures)
+            self._count("submitted", len(futures))
+            self._dispatch_locked()
+        return futures
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Flush, then wait for all in-flight batches to resolve."""
-        self.flush()
+        """Wait for everything queued or in flight to resolve."""
         deadline = time.monotonic() + timeout
         with self._lock:
-            while self._inflight or self._accumulating:
+            while self._queue or self._addressed or self._inflight:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -399,7 +403,8 @@ class Batcher:
 
         Takes effect on the next dispatched batch per worker —
         activation rides the ordinary request path, exactly like
-        hot-swap epochs, so there is no side-channel to workers.
+        hot-swap epochs, so there is no side-channel to workers
+        (:meth:`nudge_workers` makes "next" now, fleet-wide).
         """
         if hz < 0:
             raise ServingError("profile hz must be >= 0")
@@ -436,25 +441,24 @@ class Batcher:
             if self._closed:
                 return
             self._closed = True
-            leftovers: List[_Entry] = []
-            for batch in self._accumulating.values():
-                leftovers.extend(batch.entries.values())
-            self._accumulating.clear()
-            for inflight in self._inflight.values():
-                leftovers.extend(inflight.entries.values())
+            leftovers = [*self._queue, *self._addressed.values(),
+                         *self._inflight.values()]
+            self._queue.clear()
+            self._open.clear()
+            self._addressed.clear()
             self._inflight.clear()
-            for entry in leftovers:
-                self._fail_entry_locked(
-                    entry, ServingError("serving shut down before the "
-                                        "request was answered"))
+            failure = ServingError("serving shut down before the "
+                                   "request was answered")
+            for batch in leftovers:
+                for entry in batch.entries.values():
+                    self._fail_entry_locked(entry, failure)
             self._wake.notify_all()
-        self._dispatcher.join(timeout=1.0)
 
     def join(self, timeout: float = 5.0) -> None:
         """Wait for the collector thread; call after closing the pool.
 
         The collector blocks in the pool's ``get_response``. Closing
-        the pool ends the workers, every response pipe reads EOF, the
+        the pool ends the workers, every pipe reads EOF, the
         collector wakes, finds the batcher closed and returns.
         """
         self._collector.join(timeout=timeout)
@@ -463,61 +467,56 @@ class Batcher:
     # Dispatch (batcher -> pool)
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                ripest = None
-                for mode, batch in list(self._accumulating.items()):
-                    age = now - batch.opened
-                    if age >= self.max_delay:
-                        self._flush_locked(mode)
-                    elif ripest is None or batch.opened < ripest:
-                        ripest = batch.opened
-                wait = (self.max_delay if ripest is None
-                        else max(0.0, ripest + self.max_delay - now))
-                self._wake.wait(timeout=wait)
+    def _dispatch_locked(self) -> None:
+        """The one dispatch rule: each idle worker takes the batch
+        addressed to it, else the oldest queued one. With no idle
+        worker everything stays queued — and coalesces — until the
+        collector calls this again for a freed one."""
+        if not (self._queue or self._addressed):
+            return
+        for slot in self._pool.idle_workers:
+            if slot in self._inflight:
+                # Answered, but the collector has not taken the answer
+                # yet; it dispatches again when it does.
+                continue
+            batch = (self._addressed.pop(slot, None)
+                     or self._next_queued_locked())
+            if batch is not None:
+                self._send_locked(batch, slot)
 
-    def _flush_locked(self, mode: Optional[str]) -> None:
-        batch = self._accumulating.pop(mode, None)
-        if batch is None:
-            return
+    def _next_queued_locked(self) -> Optional[_Batch]:
+        """Pop the oldest queued batch with an unexpired entry."""
         now = time.monotonic()
-        live: Dict[Tuple[int, int], _Entry] = {}
-        for key, entry in batch.entries.items():
-            if entry.deadline is not None and now > entry.deadline:
-                self._fail_entry_locked(entry, RequestExpiredError(
-                    f"request ({key[0]}, {key[1]}) expired after "
-                    f"{self.time_budget:.3f}s in the serving queue"),
-                    expired=True)
-            else:
-                live[key] = entry
-        if not live:
-            return
-        batch_id = next(self._batch_ids)
-        keys = list(live)
-        handle = self._handle_provider()
-        inflight = _InFlight(mode=mode, keys=keys, entries=live)
-        if self.trace_sampler.should_sample():
-            inflight.trace = TraceContext(new_trace_id(),
-                                          new_span_id())
-            # Wall-clock timeline shared with the worker spans; the
-            # batch opened (now - batch.opened) seconds ago.
-            wall_now = time.time()
-            inflight.opened_wall = wall_now - (now - batch.opened)
-            inflight.dispatched_wall = wall_now
-        self._inflight[batch_id] = inflight
-        self._count("batches")
-        for entry in live.values():
-            entry.dispatched = now
-            if entry.submitted:
+        while self._queue:
+            batch = self._queue.popleft()
+            if self._open.get(batch.mode) is batch:
+                del self._open[batch.mode]
+            for key, entry in list(batch.entries.items()):
+                if entry.deadline is not None and now > entry.deadline:
+                    del batch.entries[key]
+                    self._fail_entry_locked(entry, RequestExpiredError(
+                        f"request ({key[0]}, {key[1]}) expired after "
+                        f"{self.time_budget:.3f}s in the serving "
+                        f"queue"), expired=True)
+            if batch.entries:
+                return batch
+        return None
+
+    def _send_locked(self, batch: _Batch, slot: int) -> None:
+        """Hand ``batch`` to the idle worker ``slot``."""
+        if not batch.dispatched:  # not a retry or a death re-dispatch
+            now = batch.dispatched = time.monotonic()
+            self._count("batches")
+            for entry in batch.entries.values():
                 self._m_queue_wait.observe(now - entry.submitted)
+            if self.trace_sampler.should_sample():
+                batch.trace = TraceContext(new_trace_id(), new_span_id())
+        batch.id = next(self._batch_ids)
+        self._inflight[slot] = batch
         self._pool.submit(BatchMessage(
-            batch_id, handle, mode, tuple(keys),
-            trace=inflight.trace,
-            profile_hz=self._profile_hz))
+            batch.id, self._handle_provider(), batch.mode,
+            tuple(batch.entries), trace=batch.trace,
+            profile_hz=self._profile_hz), slot)
 
     # ------------------------------------------------------------------
     # Collection (pool -> futures)
@@ -529,56 +528,59 @@ class Batcher:
             with self._lock:
                 if self._closed and not self._inflight:
                     return
+                if isinstance(response, BatchResponse):
+                    self._absorb_locked(response)
                 self._reap_dead_workers_locked()
-                if response is None:
-                    continue
-                if not isinstance(response, BatchResponse):
-                    continue  # readiness report of a respawned worker
-                if response.metrics:
-                    # Fold the worker's registry increments into the
-                    # parent registry. Deltas are flushed per response
-                    # and re-based in the worker, so each event lands
-                    # here exactly once — even across respawns (a
-                    # fresh worker discards its inherited baseline
-                    # before its first batch).
-                    self._registry.merge(response.metrics)
-                if response.profile:
-                    merge_folded(self._worker_profile,
-                                 response.profile)
-                if response.resources is not None:
-                    self._worker_resources[response.worker_id] = \
-                        response.resources
-                inflight = self._inflight.pop(response.batch_id, None)
-                if inflight is None:  # resolved by close()
-                    continue
-                if response.error is not None:
-                    if response.spans:
-                        # Failed attempt's worker spans: kept on the
-                        # in-flight record so the eventual stitched
-                        # trace shows this attempt too.
-                        inflight.spans.extend(response.spans)
-                    self._handle_batch_error_locked(response.batch_id,
-                                                    inflight,
-                                                    response.error)
-                else:
-                    self._resolve_locked(inflight, response)
-                    self._stitch_locked(inflight, response, None)
-                    self._count("worker_cache_hits",
-                                response.cache_hits)
-                    if response.store is not None:
-                        self._store_stats[response.worker_id] = \
-                            response.store
-                self._count("worker_seconds", response.seconds)
+                # For whatever this pass re-queued, and for a
+                # respawned worker that just reported ready.
+                self._dispatch_locked()
                 self._wake.notify_all()
+
+    def _absorb_locked(self, response: BatchResponse) -> None:
+        batch = self._inflight.get(response.worker_id)
+        if batch is not None and batch.id == response.batch_id:
+            del self._inflight[response.worker_id]
+        else:  # resolved by close(), or re-dispatched after a death
+            batch = None
+        # The sender is idle: its next batch leaves before this one's
+        # futures resolve, so the worker computes while callers wake.
+        self._dispatch_locked()
+        if response.metrics:
+            # Fold the worker's registry increments into the parent
+            # registry. Deltas are flushed per response and re-based
+            # in the worker, so each event lands here exactly once —
+            # even across respawns (a fresh worker discards its
+            # inherited baseline before its first batch).
+            self._registry.merge(response.metrics)
+        if response.profile:
+            merge_folded(self._worker_profile, response.profile)
+        if response.resources is not None:
+            self._worker_resources[response.worker_id] = \
+                response.resources
+        if batch is None:
+            return
+        self._count("worker_seconds", response.seconds)
+        if response.error is not None:
+            if response.spans:
+                # Failed attempt's worker spans: kept on the batch so
+                # the eventual stitched trace shows this attempt too.
+                batch.spans.extend(response.spans)
+            self._handle_batch_error_locked(response.batch_id, batch,
+                                            response.error)
+        else:
+            self._resolve_locked(batch, response)
+            self._stitch_locked(batch, response, None)
+            self._count("worker_cache_hits", response.cache_hits)
+            if response.store is not None:
+                self._store_stats[response.worker_id] = response.store
 
     def _reap_dead_workers_locked(self) -> None:
         """Heal the pool after a worker death (OOM, kill, segfault).
 
-        A batch a dead worker held never gets a response, which would
+        The batch a dead worker held never gets a response, which would
         leak its futures and its admission-control budget forever.
-        Respawn the missing workers, then re-dispatch everything in
-        flight: a batch that was merely still queued gets answered
-        twice, and the duplicate finds no in-flight entry — harmless.
+        Respawn the missing workers and re-queue what *they* held; the
+        survivors' batches are untouched.
         """
         pool = self._pool
         if pool.alive_workers >= pool.num_workers:
@@ -593,48 +595,34 @@ class Batcher:
             "alive=%d/%d",
             ",".join(map(str, respawned)), handle.epoch,
             len(self._inflight), pool.alive_workers, pool.num_workers)
-        # A dead worker's profile deltas died with it; drop its stale
-        # resource snapshot so `/stats` doesn't report a ghost pid.
         for slot in respawned:
+            # A dead worker's profile deltas died with it; drop its
+            # stale resource snapshot so `/stats` doesn't report a
+            # ghost pid.
             self._worker_resources.pop(slot, None)
-        inflight, self._inflight = self._inflight, {}
-        for batch in inflight.values():
-            new_id = next(self._batch_ids)
-            self._inflight[new_id] = batch
-            # Keep the trace context: the re-dispatched attempt's
-            # worker spans must land in the original stitched trace.
-            pool.submit(BatchMessage(new_id, handle, batch.mode,
-                                     tuple(batch.keys),
-                                     trace=batch.trace,
-                                     profile_hz=self._profile_hz))
+            if slot in self._inflight:  # next in line, for whoever
+                self._queue.appendleft(self._inflight.pop(slot))
 
-    def _handle_batch_error_locked(self, batch_id: int,
-                                   inflight: _InFlight,
+    def _handle_batch_error_locked(self, batch_id: int, batch: _Batch,
                                    error: str) -> None:
-        if not inflight.retried:
+        if not batch.retried:
             # Most batch-level failures are hot-swap races (the
             # snapshot was retired mid-flight); one retry against the
             # current handle resolves those.
-            inflight.retried = True
+            batch.retried = True
             self._count("retries")
-            handle = self._handle_provider()
             _log.warning(
                 "batch_retry batch=%d epoch=%d keys=%d error=%s",
-                batch_id, handle.epoch, len(inflight.keys), error)
-            new_id = next(self._batch_ids)
-            self._inflight[new_id] = inflight
-            self._pool.submit(BatchMessage(
-                new_id, handle, inflight.mode,
-                tuple(inflight.keys),
-                trace=inflight.trace,
-                profile_hz=self._profile_hz))
+                batch_id, self._handle_provider().epoch,
+                len(batch.entries), error)
+            self._queue.appendleft(batch)
             return
         failure = ServingError(f"batch failed in worker: {error}")
-        self._stitch_locked(inflight, None, error)
-        for entry in inflight.entries.values():
+        self._stitch_locked(batch, None, error)
+        for entry in batch.entries.values():
             self._fail_entry_locked(entry, failure)
 
-    def _stitch_locked(self, inflight: _InFlight, response,
+    def _stitch_locked(self, batch: _Batch, response,
                        error: Optional[str]) -> None:
         """Assemble one cross-process trace and buffer it.
 
@@ -644,15 +632,17 @@ class Batcher:
         ``queue.wait`` child; the worker records from every attempt
         hang under the envelope by construction.
         """
-        context = inflight.trace
+        context = batch.trace
         if context is None:
             return
-        end_wall = time.time()
-        duration = max(0.0, end_wall - inflight.opened_wall)
-        mode = (inflight.mode if inflight.mode is not None
+        # Wall-clock timeline shared with the worker spans; the batch
+        # opened `duration` seconds ago.
+        duration = time.monotonic() - batch.opened
+        opened_wall = time.time() - duration
+        mode = (batch.mode if batch.mode is not None
                 else self.default_mode)
         attrs: Dict[str, object] = {"mode": mode,
-                                    "keys": len(inflight.keys)}
+                                    "keys": len(batch.entries)}
         if error is not None:
             attrs["error"] = error
         records = [{
@@ -660,7 +650,7 @@ class Batcher:
             "span": context.parent_span_id,
             "parent": None,
             "name": "serving.request",
-            "ts": inflight.opened_wall,
+            "ts": opened_wall,
             "dur": duration,
             "proc": "batcher",
             "attrs": attrs,
@@ -669,19 +659,18 @@ class Batcher:
             "span": new_span_id(),
             "parent": context.parent_span_id,
             "name": "queue.wait",
-            "ts": inflight.opened_wall,
-            "dur": max(0.0, inflight.dispatched_wall
-                       - inflight.opened_wall),
+            "ts": opened_wall,
+            "dur": batch.dispatched - batch.opened,
             "proc": "batcher",
         }]
-        records.extend(inflight.spans)
+        records.extend(batch.spans)
         if response is not None and response.spans:
             records.extend(response.spans)
         self.trace_buffer.add(StitchedTrace(
             trace_id=context.trace_id, spans=records,
-            ts=inflight.opened_wall, duration=duration,
+            ts=opened_wall, duration=duration,
             error=error is not None, mode=mode,
-            pairs=len(inflight.keys)))
+            pairs=len(batch.entries)))
 
     def set_answer_hook(self, hook: Optional[Callable]) -> None:
         """Install the resolved-answer tap (``fn(u, v, mode, value,
@@ -689,13 +678,12 @@ class Batcher:
         with self._lock:
             self._answer_hook = hook
 
-    def _resolve_locked(self, inflight: _InFlight,
-                        response) -> None:
+    def _resolve_locked(self, batch: _Batch, response) -> None:
         now = time.monotonic()
-        mode = (inflight.mode if inflight.mode is not None
+        mode = (batch.mode if batch.mode is not None
                 else self.default_mode)
-        for key, value in zip(inflight.keys, response.values):
-            entry = inflight.entries[key]
+        for (key, entry), value in zip(batch.entries.items(),
+                                       response.values):
             if isinstance(value, PairError):
                 self._fail_entry_locked(
                     entry, ServingError(value.message))
@@ -712,13 +700,19 @@ class Batcher:
                                       response.epoch)
                 except Exception:  # the audit tap must never fail a
                     pass           # request
-            if entry.submitted:
-                elapsed = now - entry.submitted
-                self._m_request_seconds.observe(elapsed)
-                if (self.slow_query_ms is not None
-                        and elapsed * 1e3 >= self.slow_query_ms):
-                    self._log_slow_locked(key, mode, entry, elapsed,
-                                          response)
+            elapsed = now - entry.submitted
+            self._m_request_seconds.observe(elapsed)
+            if (self.slow_query_ms is not None
+                    and elapsed * 1e3 >= self.slow_query_ms):
+                # With the two stages the worker trace cannot see
+                # (they happen in the parent); worker residency is the
+                # whole batch's wall time, an upper bound for this key.
+                log_slow_query(
+                    key[0], key[1], mode, elapsed * 1e3,
+                    self.slow_query_ms, None, extra_stages=[
+                        ("queue.wait",
+                         (batch.dispatched - entry.submitted) * 1e3),
+                        ("batch.worker", response.seconds * 1e3)])
             for future in entry.futures:
                 self._pending -= 1
                 self._count("answered")
@@ -726,23 +720,6 @@ class Batcher:
                     future.set_result(answer)
                 except InvalidStateError:  # caller cancelled
                     pass
-
-    def _log_slow_locked(self, key: Tuple[int, int], mode: str,
-                         entry: _Entry, elapsed: float,
-                         response) -> None:
-        """Slow-query record with the serving-side stage breakdown.
-
-        Queue wait and worker residency are the two stages the worker
-        trace cannot see (they happen in the parent); worker residency
-        is the whole batch's wall time, an upper bound for this key.
-        """
-        stages = [("batch.worker", response.seconds * 1e3)]
-        if entry.dispatched and entry.submitted:
-            stages.insert(0, ("queue.wait",
-                              (entry.dispatched - entry.submitted)
-                              * 1e3))
-        log_slow_query(key[0], key[1], mode, elapsed * 1e3,
-                       self.slow_query_ms, None, extra_stages=stages)
 
     def _fail_entry_locked(self, entry: _Entry, error: Exception, *,
                            expired: bool = False) -> None:

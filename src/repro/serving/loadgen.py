@@ -17,10 +17,10 @@ Closed-loop throughput is bounded by ``num_clients / latency`` — it
 measures what N patient clients *experience*, not what the service
 can absorb. :func:`run_burst` measures the latter: clients submit
 their whole slice as fast as the admission controller lets them and
-only then collect the answers, saturating the batcher so batches
-fill to ``max_batch`` and the worker pool runs hot. Use ``run_burst``
-for capacity numbers and ``run_closed_loop`` for latency numbers;
-``benchmarks/test_serving.py`` records both.
+only then collect the answers, so every worker is always busy, what
+waits behind them leaves in full batches, and the pool runs hot. Use
+``run_burst`` for capacity numbers and ``run_closed_loop`` for latency
+numbers; ``benchmarks/test_serving.py`` records both.
 """
 
 from __future__ import annotations

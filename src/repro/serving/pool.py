@@ -9,20 +9,24 @@ fleet, not copied per worker) and a
 :class:`~repro.engine.session.QuerySession` over it (giving every
 worker the version-keyed LRU result cache for free).
 
-Protocol: the parent round-robins :class:`BatchMessage` tuples over
-*per-worker* request queues and each worker answers down its *own*
-response pipe; :meth:`WorkerPool.get_response` multiplexes the pipes'
-read ends. Neither direction shares a channel between workers, because
-a shared ``multiprocessing.Queue`` is guarded by cross-process locks —
-the reader lock while a ``get`` waits, the writer lock while a feeder
-thread sends — and a worker killed holding one poisons the queue for
-every sibling and every respawn. With one channel per worker a death
-costs only that worker's undelivered batches, which the batcher
-re-dispatches. A response pipe has exactly one writer (the worker's
-main thread: no feeder thread, no lock) and the parent drops its copy
-of the write end before the next fork, so a dead worker reads as EOF
-— even mid-frame — and only its own connection is retired. Every
-message carries the current
+Protocol: each worker owns one duplex pipe. The parent sends it
+:class:`BatchMessage` tuples and the worker answers on the same pipe;
+:meth:`WorkerPool.get_response` multiplexes the parent ends. Nothing is
+shared between workers — a ``multiprocessing.Queue`` is guarded by
+cross-process locks, and a worker killed holding one poisons it for
+every sibling and every respawn — and nothing is buffered per worker:
+a worker holds **at most one batch**. :meth:`WorkerPool.submit` only
+sends to an *idle* worker (one that has reported ready or answered its
+last batch; longest idle first) and says which, so whoever queues the
+work — the batcher — knows which worker is free and which batch a dead
+one took with it. Depth one is also what makes a bare pipe safe: a
+worker handed a batch is blocked in ``recv``, so the sender never
+waits on a full pipe buffer while holding the batcher's lock. The two
+directions of a pipe share no state — one thread at a time sends (the
+batcher's lock serializes them), the collector receives. The parent
+drops its copy of the worker's end right after the fork, so a dead
+worker reads as EOF — even mid-frame — and only its own pipe is
+retired. Every message carries the current
 :class:`~repro.serving.snapshot.SnapshotHandle`; a worker whose
 materialized epoch differs re-materializes before answering — hot
 swaps need no broadcast and cannot be missed, a worker is simply
@@ -224,8 +228,8 @@ class _WorkerProfile:
 _RESOURCE_INTERVAL = 1.0
 
 
-def _worker_main(worker_id: int, requests, responses,
-                 handle: SnapshotHandle, options: QueryOptions) -> None:
+def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
+                 options: QueryOptions) -> None:
     """Worker process body: materialize, then serve batches forever."""
     import signal
 
@@ -242,19 +246,19 @@ def _worker_main(worker_id: int, requests, responses,
         session = QuerySession(index, options)
         epoch = handle.epoch
     except BaseException as exc:  # startup failure: report and exit
-        responses.send(_Ready(worker_id, f"{type(exc).__name__}: {exc}"))
+        pipe.send(_Ready(worker_id, f"{type(exc).__name__}: {exc}"))
         return
     # The fork copied the parent's registry, absolute counts included;
     # discard that inherited baseline (plus materialization noise) so
     # the first real flush ships only this worker's own query work.
     registry.flush_deltas()
-    responses.send(_Ready(worker_id, None))
+    pipe.send(_Ready(worker_id, None))
     profile = _WorkerProfile()
     resources_at = 0.0
     while True:
         try:
-            message = requests.get()
-        except (EOFError, OSError):  # parent tore the queue down
+            message = pipe.recv()
+        except (EOFError, OSError):  # parent closed its end
             break
         if message is _SHUTDOWN:
             break
@@ -293,7 +297,7 @@ def _worker_main(worker_id: int, requests, responses,
                     values = _answer_batch(session, pairs, mode,
                                            effective)
             except BaseException as exc:
-                responses.send(BatchResponse(
+                pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
                     f"{type(exc).__name__}: {exc}", sw.elapsed, 0,
                     None, registry.flush_deltas() or None,
@@ -302,7 +306,7 @@ def _worker_main(worker_id: int, requests, responses,
                                  process=f"worker-{worker_id}")))
                 continue
         store_stats = getattr(index, "store_stats", None)
-        responses.send(BatchResponse(
+        pipe.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
             session.cache_hits_total - hits_before,
             store_stats() if store_stats is not None else None,
@@ -312,11 +316,12 @@ def _worker_main(worker_id: int, requests, responses,
 
 
 class WorkerPool:
-    """N query-serving processes, one request queue and one response
-    pipe each.
+    """N query-serving processes, one duplex pipe and at most one batch
+    each.
 
-    The pool is transport only — admission control, deduplication and
-    future plumbing live in :class:`~repro.serving.batcher.Batcher`.
+    The pool is transport only — queueing, admission control,
+    deduplication and future plumbing live in
+    :class:`~repro.serving.batcher.Batcher`.
     ``start`` blocks until every worker has materialized the initial
     snapshot and reported ready, so construction errors surface as one
     :class:`ServingError` instead of a hung first query.
@@ -331,43 +336,46 @@ class WorkerPool:
         self.num_workers = num_workers
         self.options = options if options is not None else QueryOptions()
         self._context = multiprocessing.get_context()
-        self._request_queues: List = []
         self._processes: List = []
-        #: Read ends of the live response pipes. Not keyed by slot: a
-        #: dead worker's pipe stays until it reads EOF, so whatever it
-        #: sent in full before dying is still delivered.
+        #: Parent end of each live worker's pipe, by slot.
+        self._pipes: List = []
+        #: Every parent end still open. A dead worker's pipe stays here
+        #: (and out of ``_pipes`` once respawned) until it reads EOF,
+        #: so whatever it sent in full before dying is still delivered.
         self._readers: List = []
+        #: Slots holding no batch, longest idle first. Appended by the
+        #: receiving thread, taken by the sending one.
+        self._idle: collections.deque = collections.deque()
+        self._idle_lock = threading.Lock()
         #: Messages received but not yet handed out (one ``wait`` can
         #: find several pipes readable).
         self._received: collections.deque = collections.deque()
         #: Serializes :meth:`get_response` against :meth:`close`
-        #: closing the read ends under it.
+        #: closing the pipes under it.
         self._receive_lock = threading.Lock()
-        self._next_slot = 0
         self._started = False
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
 
     def _spawn(self, slot: int, handle: SnapshotHandle):
-        """One worker process with its own request queue and response
-        pipe."""
-        queue = self._context.Queue()
-        reader, writer = self._context.Pipe(duplex=False)
+        """One worker process and the parent end of its pipe. The
+        worker is idle once its readiness report arrives."""
+        ours, theirs = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, queue, writer, handle, self.options),
+            args=(slot, theirs, handle, self.options),
             daemon=True,
             name=f"repro-serving-worker-{slot}",
         )
         process.start()
-        # The worker holds the only write end from here on. Drop ours
-        # before anything else forks: a copy inherited by a sibling
-        # would keep the pipe open past this worker's death, and the
-        # death would never read as EOF.
-        writer.close()
-        self._readers.append(reader)
-        return queue, process
+        # The worker holds the only copy of its end from here on. Drop
+        # ours before anything else forks: a copy inherited by a
+        # sibling would keep the pipe open past this worker's death,
+        # and the death would never read as EOF.
+        theirs.close()
+        self._readers.append(ours)
+        return process, ours
 
     def start(self, handle: SnapshotHandle) -> None:
         """Spawn the workers and wait for their readiness reports."""
@@ -375,9 +383,9 @@ class WorkerPool:
             raise ServingError("worker pool already started")
         self._started = True
         for worker_id in range(self.num_workers):
-            queue, process = self._spawn(worker_id, handle)
-            self._request_queues.append(queue)
+            process, pipe = self._spawn(worker_id, handle)
             self._processes.append(process)
+            self._pipes.append(pipe)
         failures = []
         for _ in range(self.num_workers):
             ready = self.get_response(timeout=_READY_TIMEOUT)
@@ -395,22 +403,37 @@ class WorkerPool:
             raise ServingError(
                 "worker pool failed to start: " + "; ".join(failures))
 
-    def submit(self, message: BatchMessage) -> None:
-        """Enqueue one batch, round-robin over the live workers."""
+    @property
+    def idle_workers(self) -> Tuple[int, ...]:
+        """Slots that hold no batch, longest idle first."""
+        with self._idle_lock:
+            return tuple(self._idle)
+
+    def submit(self, message: BatchMessage,
+               slot: Optional[int] = None) -> int:
+        """Send one batch to an idle worker; returns that worker's slot.
+
+        The longest-idle worker takes it unless ``slot`` names one
+        (which must be idle too). One sender at a time. A worker that
+        died idle fails the send silently: its slot is still returned,
+        and whoever tracks the batch learns of the death from
+        :meth:`respawn`, as for any other batch a dead worker held.
+        """
         if self._closed:
             raise ServingError("worker pool is closed")
         if not self._started:
             raise ServingError("worker pool not started")
-        slot = self._next_slot % self.num_workers
-        for offset in range(self.num_workers):
-            candidate = (self._next_slot + offset) % self.num_workers
-            if self._processes[candidate].is_alive():
-                slot = candidate
-                break
-        # With every worker dead the batch still lands in a queue; the
-        # batcher re-dispatches in-flight batches after a respawn.
-        self._next_slot = (slot + 1) % self.num_workers
-        self._request_queues[slot].put(message)
+        with self._idle_lock:
+            if slot is None and self._idle:
+                slot = self._idle[0]
+            if slot not in self._idle:
+                raise ServingError(f"no idle worker (asked: {slot})")
+            self._idle.remove(slot)
+        try:
+            self._pipes[slot].send(message)
+        except OSError:  # died idle: `respawn` will say so
+            pass
+        return slot
 
     def get_response(self, timeout: Optional[float] = None
                      ) -> Optional[BatchResponse]:
@@ -418,18 +441,28 @@ class WorkerPool:
 
         Also returns ``None`` — early — when a worker's pipe reads EOF,
         so the caller notices the death without waiting its timeout
-        out. One consumer at a time (the batcher's collector).
+        out. One consumer at a time (the batcher's collector). The
+        sender of a received message is idle from then on.
         """
         with self._receive_lock:
             if not self._received:
-                for reader in wait(self._readers, timeout):
+                for pipe in wait(self._readers, timeout):
                     try:
-                        self._received.append(reader.recv())
+                        message = pipe.recv()
                     except (EOFError, OSError):
-                        # The writer is gone, possibly mid-frame; only
-                        # this worker's channel is lost.
-                        self._readers.remove(reader)
-                        reader.close()
+                        # The worker is gone, possibly mid-frame; only
+                        # its own pipe is lost.
+                        self._readers.remove(pipe)
+                        pipe.close()
+                        continue
+                    self._received.append(message)
+                    # A failed start exits, and a replaced worker's
+                    # last words free nobody.
+                    if (pipe is self._pipes[message.worker_id]
+                            and (isinstance(message, BatchResponse)
+                                 or message.error is None)):
+                        with self._idle_lock:
+                            self._idle.append(message.worker_id)
             return self._received.popleft() if self._received else None
 
     @property
@@ -441,12 +474,13 @@ class WorkerPool:
         """Replace dead workers; returns the respawned worker slots.
 
         Replacements materialize ``handle`` at startup and post their
-        readiness report down their response pipe — consumers of
+        readiness report down their pipe — consumers of
         :meth:`get_response` must skip non-:class:`BatchResponse`
-        messages (the batcher's collector does). A batch a dead
-        worker took down with it never produces a response; the
-        batcher re-dispatches its in-flight batches after calling
-        this (and logs/counts each slot returned here).
+        messages (the batcher's collector does). The batch a dead
+        worker held never produces a response; the batcher
+        re-dispatches the batches it sent to the slots returned here
+        (and logs/counts each of them). The old pipe retires itself in
+        :meth:`get_response` once drained.
         """
         if self._closed or not self._started:
             return []
@@ -454,18 +488,11 @@ class WorkerPool:
         for slot, process in enumerate(self._processes):
             if process.is_alive():
                 continue
-            # Fresh channels, always: the dead worker may have died
-            # holding the old queue's reader lock, which would wedge
-            # any successor reading from it. Undelivered batches in
-            # the old queue are in flight by definition — the batcher
-            # re-dispatches them after this returns. The old response
-            # pipe retires itself in `get_response` once drained.
-            old = self._request_queues[slot]
-            queue, replacement = self._spawn(slot, handle)
-            self._request_queues[slot] = queue
-            self._processes[slot] = replacement
-            old.close()
-            old.cancel_join_thread()
+            with self._idle_lock:
+                if slot in self._idle:  # it died holding nothing
+                    self._idle.remove(slot)
+            self._processes[slot], self._pipes[slot] = \
+                self._spawn(slot, handle)
             respawned.append(slot)
         return respawned
 
@@ -474,10 +501,11 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        for queue in self._request_queues:
+        for pipe in self._pipes:
             try:
-                queue.put(_SHUTDOWN)
-            except (ValueError, OSError):  # queue already torn down
+                # A few bytes: never blocks, even on a busy worker.
+                pipe.send(_SHUTDOWN)
+            except OSError:  # the worker is already gone
                 pass
         for process in self._processes:
             process.join(timeout=timeout)
@@ -485,21 +513,11 @@ class WorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        for queue, process in zip(self._request_queues, self._processes):
-            queue.close()
-            if process.exitcode == 0:
-                # It read up to the sentinel, so the feeder thread has
-                # nothing left to block on: leave no thread behind.
-                queue.join_thread()
-            else:
-                # Buffered batches nobody will read; don't let close()
-                # or interpreter shutdown block on the feeder.
-                queue.cancel_join_thread()
         # Every worker is gone, so a `get_response` still waiting has
         # been woken by EOF and lets go of the lock.
         with self._receive_lock:
-            for reader in self._readers:
-                reader.close()
+            for pipe in self._readers:
+                pipe.close()
             self._readers.clear()
 
     def __enter__(self) -> "WorkerPool":

@@ -13,8 +13,9 @@ One object wires the three serving pieces over any registered
 * a :class:`~repro.serving.pool.WorkerPool` of query processes, each
   serving from a read-only mapping of the current snapshot, which
   outlives the unlinking of a retired epoch's file;
-* a :class:`~repro.serving.batcher.Batcher` coalescing and
-  deduplicating requests with admission control.
+* a :class:`~repro.serving.batcher.Batcher` — the one queue in front
+  of the workers: a request leaves the moment a worker is idle, waits
+  (coalescing and deduplicating, under admission control) otherwise.
 
 Typical use::
 
@@ -75,7 +76,6 @@ class QueryService:
                  directory=None,
                  snapshot_keep: int = 2,
                  max_batch: int = 256,
-                 max_delay: float = 0.002,
                  max_pending: int = 10_000,
                  audit_rate: float = 0.0,
                  slo_config: Optional[list] = None) -> None:
@@ -96,8 +96,7 @@ class QueryService:
             self._pool.start(snapshot.handle)
             self._batcher = Batcher(
                 self._pool, self._snapshots.current_handle,
-                max_batch=max_batch, max_delay=max_delay,
-                max_pending=max_pending,
+                max_batch=max_batch, max_pending=max_pending,
                 time_budget=self._options.time_budget,
                 # Undirected sources get symmetric dedup keys for
                 # orientation-free modes: a (v, u) distance request
@@ -131,20 +130,8 @@ class QueryService:
     def submit(self, u: int, v: int,
                mode: Optional[str] = None) -> "Future[Answer]":
         """Asynchronous query; the future resolves to an
-        :class:`~repro.serving.batcher.Answer`.
-
-        Vertex ids (against the current snapshot's graph) and the
-        mode are validated here, so a bad request is rejected at
-        admission instead of travelling to a worker and back.
-        """
-        self._check_open()
-        self._check_mode(mode)
-        u, v = int(u), int(v)
-        num_vertices = self._snapshots.current.graph.num_vertices
-        for vertex in (u, v):
-            if not 0 <= vertex < num_vertices:
-                raise VertexError(vertex, num_vertices)
-        return self._batcher.submit(u, v, mode)
+        :class:`~repro.serving.batcher.Answer`."""
+        return self.submit_many([(u, v)], mode)[0]
 
     def query(self, u: int, v: int, mode: Optional[str] = None, *,
               timeout: float = 30.0) -> Answer:
@@ -154,7 +141,12 @@ class QueryService:
     def submit_many(self, pairs: Iterable[Tuple[int, int]],
                     mode: Optional[str] = None
                     ) -> List["Future[Answer]"]:
-        """Bulk-admit a burst of pairs (one admission-control pass)."""
+        """Bulk-admit a burst of pairs (one admission-control pass).
+
+        Vertex ids (against the current snapshot's graph) and the
+        mode are validated here, so a bad request is rejected at
+        admission instead of travelling to a worker and back.
+        """
         self._check_open()
         self._check_mode(mode)
         pairs = [(int(u), int(v)) for u, v in pairs]
@@ -422,7 +414,7 @@ class QueryService:
         """Profile for a bounded window; returns folded-stack counts.
 
         With ``workers=False`` (default) the parent process is sampled
-        — the batcher/dispatcher/HTTP threads, i.e. serving overhead.
+        — the submitting/collector/HTTP threads, i.e. serving overhead.
         With ``workers=True`` the window activates the continuous
         profiler in every worker instead (activation and folded-stack
         deltas ride the ordinary batch channel), so the counts
@@ -445,24 +437,17 @@ class QueryService:
         return batcher.worker_profile(take=True)
 
     def _nudge_workers(self, timeout: float = 5.0) -> None:
-        """One tiny batch per worker, so every worker sees the current
-        ``profile_hz`` and ships its accumulated profile deltas.
+        """One tiny batch addressed to each worker, so every worker
+        sees the current ``profile_hz`` and ships its accumulated
+        profile deltas.
 
-        The pool round-robins batches, so ``num_workers`` single-key
-        batches touch every live worker; responses are merged by the
-        collector before the futures resolve, so waiting on the
-        futures is waiting on the deltas.
+        A busy worker gets its nudge when it frees, the others at
+        once; responses are merged by the collector before the futures
+        resolve, so waiting on the futures is waiting on the deltas.
         """
         if self._snapshots.current.graph.num_vertices < 1:
             return
-        futures = []
-        for _ in range(self._pool.num_workers):
-            try:
-                futures.append(self._batcher.submit(0, 0, None))
-            except ServingError:
-                break
-            self._batcher.flush()
-        for future in futures:
+        for future in self._batcher.nudge_workers():
             try:
                 future.result(timeout=timeout)
             except Exception:
@@ -508,9 +493,9 @@ class QueryService:
     def close(self) -> None:
         """Drain, stop the workers, release snapshot storage.
 
-        Nothing outlives the call: no worker process, no serving or
-        queue-feeder thread, no snapshot file and no directory the
-        service created for them.
+        Nothing outlives the call: no worker process, no serving
+        thread, no snapshot file and no directory the service created
+        for them.
         """
         if self._closed:
             return

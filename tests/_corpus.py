@@ -1,4 +1,5 @@
-"""Shared test corpus: paper example graphs and random-graph helpers.
+"""Shared test corpus: paper example graphs, random-graph helpers and
+the two handles serving tests need on a worker fleet.
 
 This module is imported by test modules directly (``from _corpus
 import ...``) instead of living in ``conftest.py``. Test helpers must
@@ -10,6 +11,9 @@ exactly the collection error this file fixes.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 import zlib
 
 import numpy as np
@@ -23,6 +27,7 @@ from repro.graph import (
     powerlaw_cluster,
     watts_strogatz,
 )
+from repro.serving import BatchResponse
 
 # ----------------------------------------------------------------------
 # The paper's running examples
@@ -131,3 +136,48 @@ def shared_arrays(graph: Graph) -> DiGraph:
     stand-in, and what the shared QbS code recognises as symmetric."""
     return DiGraph(graph.indptr, graph.indices,
                    graph.indptr, graph.indices)
+
+
+# ----------------------------------------------------------------------
+# Serving: a busy worker without a clock, and what the collector saw
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def frozen_workers(service, *slots):
+    """SIGSTOP these workers of a ``QueryService`` for the block. A
+    frozen worker keeps whatever batch it holds (or is handed) for
+    exactly as long as the test needs, on any machine."""
+    processes = [service._pool._processes[slot] for slot in slots]
+    for process in processes:
+        os.kill(process.pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        for process in processes:
+            if process.is_alive():
+                os.kill(process.pid, signal.SIGCONT)
+
+
+@contextlib.contextmanager
+def recorded_responses(service):
+    """The batch responses the service's collector receives during the
+    block, in order, as a list that fills while it runs."""
+    pool, seen = service._pool, []
+    receive = pool.get_response
+
+    def recording(timeout=None):
+        message = receive(timeout)
+        if isinstance(message, BatchResponse):
+            seen.append(message)
+        return message
+
+    pool.get_response = recording
+    try:
+        # The collector is still inside an unrecorded call, which may
+        # swallow one response: cycle it before anything is counted.
+        while not seen:
+            service.query(0, 0)
+        seen.clear()
+        yield seen
+    finally:
+        del pool.get_response

@@ -37,7 +37,11 @@ from repro.obs.registry import _page_cache_collector, _page_caches
 from repro.serving import QueryService, make_server
 from repro.store.cache import PageCache
 
-from _corpus import sample_vertex_pairs
+from _corpus import (
+    frozen_workers,
+    recorded_responses,
+    sample_vertex_pairs,
+)
 
 
 @pytest.fixture()
@@ -370,8 +374,7 @@ class TestServingObservability:
         index = build_index(_small_graph(seed=29, n=150), "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=64),
-                          max_delay=0.001) as service:
+                                               cache_size=64)) as service:
             first = sample_vertex_pairs(index.graph, 40, seed=1)
             service.query_many(first)
             service._batcher.drain()
@@ -399,8 +402,7 @@ class TestServingObservability:
                                               fresh_registry):
         index = build_index(_small_graph(seed=31, n=100), "ppl")
         with QueryService(index, num_workers=1,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             service.query(0, 5)
             service._batcher.drain()
             with caplog.at_level(logging.WARNING,
@@ -419,8 +421,7 @@ class TestServingObservability:
     def test_stats_keys_are_registry_derived(self, fresh_registry):
         index = build_index(_small_graph(seed=37, n=100), "ppl")
         with QueryService(index, num_workers=1,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             service.query_many(
                 sample_vertex_pairs(index.graph, 10, seed=3))
             stats = service.stats()
@@ -449,8 +450,7 @@ class TestMetricsEndpoint:
         try:
             with QueryService(index, num_workers=2,
                               options=QueryOptions(mode="distance",
-                                                   cache_size=64),
-                              max_delay=0.001) as service:
+                                                   cache_size=64)) as service:
                 server = make_server(service)
                 server.serve_in_background()
                 host, port = server.server_address[:2]
@@ -593,8 +593,8 @@ class TestQueueWait:
         with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
             with QueryService(index, num_workers=1,
                               options=QueryOptions(
-                                  mode="distance", slow_query_ms=0.0),
-                              max_delay=0.001) as service:
+                                  mode="distance", slow_query_ms=0.0)
+                              ) as service:
                 pairs = sample_vertex_pairs(graph, 8, seed=31)
                 service.query_many(pairs, timeout=60)
                 service._batcher.drain()
@@ -616,8 +616,8 @@ class TestQueueWait:
         index = build_index(graph, "ppl")
         with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
             with QueryService(index, num_workers=1,
-                              options=QueryOptions(mode="distance"),
-                              max_delay=0.001) as service:
+                              options=QueryOptions(mode="distance")
+                              ) as service:
                 service.query(0, 5)
         assert not [r for r in caplog.records
                     if "queue.wait" in r.getMessage()]
@@ -637,8 +637,8 @@ class TestProfileEndpoint:
         index = build_index(graph, "ppl")
         try:
             with QueryService(index, num_workers=2,
-                              options=QueryOptions(mode="distance"),
-                              max_delay=0.001) as service:
+                              options=QueryOptions(mode="distance")
+                              ) as service:
                 server = make_server(service)
                 server.serve_in_background()
                 host, port = server.server_address[:2]
@@ -708,6 +708,33 @@ class TestProfileEndpoint:
         with pytest.raises(Exception):
             service.set_profile_hz(-1.0)
 
+    def test_nudge_is_addressed_to_each_worker(self, endpoint):
+        """One worker busy, the nudge still reaches the other — and
+        the busy one gets its own when it frees, not a second helping
+        for its sibling."""
+        _base, service, _graph = endpoint
+        with recorded_responses(service) as seen:
+            with frozen_workers(service, 0):
+                # Longest idle first: whichever worker takes the first
+                # of two lone requests, the frozen one ends up holding
+                # one.
+                requests = [service.submit(0, 5), service.submit(0, 6)]
+                nudges = service._batcher.nudge_workers()
+                assert len(nudges) == 2
+                nudges[1].result(timeout=30)
+                assert [r.worker_id for r in seen] == [1, 1]
+                assert not nudges[0].done()
+                # The bounded wait `profile(workers=True)` ends with
+                # gives up on the held worker instead of hanging.
+                service._nudge_workers(timeout=0.2)
+            nudges[0].result(timeout=30)
+            assert service._batcher.drain(timeout=30)
+        # A lone request each; the free worker answered both rounds of
+        # nudges, the held one its two owed nudges as one batch.
+        assert sorted(r.worker_id for r in seen) == [0, 0, 1, 1, 1]
+        for request in requests:
+            request.result(timeout=30)
+
 
 # ----------------------------------------------------------------------
 # Concurrent scrapes under churn (hot-swap + worker death)
@@ -723,8 +750,7 @@ class TestConcurrentScrape:
         graph = _small_graph(seed=53, n=160)
         index = build_index(graph, "dynamic")
         with QueryService(index, num_workers=2,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             server = make_server(service)
             server.serve_in_background()
             host, port = server.server_address[:2]

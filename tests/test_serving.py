@@ -7,6 +7,7 @@ is installed — the CI path) instead of wedging the whole suite.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -30,7 +31,9 @@ from repro.errors import (
     VertexError,
 )
 from repro.graph import barabasi_albert
+from repro.obs import get_registry
 from repro.serving import (
+    Batcher,
     BatchMessage,
     BatchResponse,
     QueryService,
@@ -43,7 +46,12 @@ from repro.serving import (
 from repro.store import STORE_METHODS, open_store_index, pack_index_store
 from repro.workloads import sample_pairs
 
-from _corpus import sample_vertex_pairs, shared_arrays
+from _corpus import (
+    frozen_workers,
+    recorded_responses,
+    sample_vertex_pairs,
+    shared_arrays,
+)
 
 #: Build params that keep every family fast on the small test graphs.
 _BUILD_PARAMS = {
@@ -329,8 +337,7 @@ class TestQueryService:
         index = build_index(served_graph, "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=256),
-                          max_delay=0.001) as service:
+                                               cache_size=256)) as service:
             yield service
 
     def test_answers_match_oracle(self, service, served_graph):
@@ -351,11 +358,13 @@ class TestQueryService:
 
     def test_deduplication_counted(self, service, served_graph):
         before = service.stats()["deduplicated"]
-        futures = [service.submit(3, 77) for _ in range(40)]
+        futures = service.submit_many([(3, 77)] * 40)
         values = {future.result(timeout=30).value
                   for future in futures}
-        assert len(values) == 1
-        assert service.stats()["deduplicated"] >= before + 30
+        assert values == {distance_oracle(served_graph, 3, 77)}
+        # One burst is enqueued whole before anything leaves: one key,
+        # 39 duplicates, under any dispatch policy.
+        assert service.stats()["deduplicated"] == before + 39
 
     def test_reversed_pairs_deduplicated(self, service, served_graph):
         """On an undirected index (v, u) coalesces with (u, v)."""
@@ -366,9 +375,9 @@ class TestQueryService:
         assert len(values) == 1
         assert next(iter(values)) == distance_oracle(served_graph,
                                                      5, 91)
-        # One submit_many burst lands in one accumulating batch, so
-        # all 40 requests share a single symmetric key.
-        assert service.stats()["deduplicated"] >= before + 39
+        # One submit_many burst lands in one open batch, so all 40
+        # requests share a single symmetric key.
+        assert service.stats()["deduplicated"] == before + 39
 
     def test_vertex_validated_at_admission(self, service):
         with pytest.raises(VertexError, match="out of range"):
@@ -391,8 +400,7 @@ class TestQueryService:
         index = build_index(served_graph, "ppl")
         with QueryService(index, num_workers=1,
                           options=QueryOptions(mode="distance"),
-                          max_pending=16, max_batch=8,
-                          max_delay=0.001) as service:
+                          max_pending=16, max_batch=8) as service:
             pairs = sample_pairs(served_graph, 60, seed=59)
             report = run_burst(service.submit, pairs, num_clients=2,
                                submit_many=service.submit_many,
@@ -427,27 +435,35 @@ class TestAdmissionControl:
         index = build_index(served_graph, "ppl")
         with QueryService(index, num_workers=1,
                           options=QueryOptions(mode="distance"),
-                          max_pending=5, max_batch=4,
-                          max_delay=0.5) as service:
-            accepted, rejected = [], 0
-            for k in range(30):
-                try:
-                    accepted.append(service.submit(0, 1 + k % 150))
-                except ServiceOverloadedError:
-                    rejected += 1
-            assert rejected > 0
-            assert service.stats()["rejected"] == rejected
-            done = [f.result(timeout=30) for f in accepted]
-            assert all(a.value is not None for a in done)
+                          max_pending=5, max_batch=4) as service:
+            # The worker cannot answer, so what is pending stays
+            # pending: the limit trips on the count, not on a race.
+            with frozen_workers(service, 0):
+                accepted = service.submit_many(
+                    [(0, 1 + k) for k in range(5)])
+                with pytest.raises(ServiceOverloadedError,
+                                   match="5 requests pending"):
+                    service.submit(0, 7)
+                with pytest.raises(ServiceOverloadedError,
+                                   match="does not fit"):
+                    service.submit_many([(0, 8), (0, 9)])
+                assert service.stats()["rejected"] == 3
+                assert service.stats()["pending"] == 5
+            for k, future in enumerate(accepted):
+                assert future.result(timeout=30).value \
+                    == distance_oracle(served_graph, 0, 1 + k)
+            assert service.query(0, 7).value \
+                == distance_oracle(served_graph, 0, 7)
 
     def test_time_budget_expiry(self, served_graph):
         index = build_index(served_graph, "ppl")
-        # A budget far below the batching delay: every request is
-        # already expired when its batch is formed.
+        # A budget far below one worker round trip: the first request
+        # leaves at once and is answered too late, the rest are
+        # already expired when their batch's turn comes.
         with QueryService(index, num_workers=1,
                           options=QueryOptions(mode="distance",
                                                time_budget=1e-4),
-                          max_batch=64, max_delay=0.05) as service:
+                          max_batch=64) as service:
             futures = [service.submit(0, 1 + k) for k in range(8)]
             outcomes = []
             for future in futures:
@@ -467,8 +483,7 @@ class TestHotSwap:
         index = build_index(graph, "dynamic")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=64),
-                          max_delay=0.001) as service:
+                                               cache_size=64)) as service:
             pairs = sample_pairs(graph, 12, seed=63)
             for u, v in pairs:
                 assert service.query(u, v).value \
@@ -494,8 +509,7 @@ class TestHotSwap:
         pairs = sample_pairs(graph, 16, seed=64)
         edges = list(graph.edges())
         with QueryService(index, num_workers=2,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             for step in range(20):
                 op = ("insert", step, 119 - step) if step % 3 \
                     else ("delete", *edges[step])
@@ -544,8 +558,7 @@ class TestServiceLifecycle:
         keep flowing (and keep being exact)."""
         index = build_index(served_graph, "ppl")
         with QueryService(index, num_workers=2,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             assert service.query(0, 1).value \
                 == distance_oracle(served_graph, 0, 1)
             victim = service._pool._processes[0]
@@ -567,7 +580,7 @@ class TestServiceLifecycle:
 
     def test_worker_killed_mid_response_spares_its_siblings(self):
         """A worker SIGKILLed while blocked half-way through sending a
-        response must cost only its own channel: the sibling's next
+        response must cost only its own pipe: the sibling's next
         answer still arrives. (On a response queue shared by all
         workers the victim dies holding the queue's write lock and
         leaves a torn frame behind; nothing is ever received again.)
@@ -578,11 +591,13 @@ class TestServiceLifecycle:
         pool = WorkerPool(num_workers=2)
         answered = []
 
-        def kill_respawn_ask():
-            victim = pool._processes[0]
-            victim.kill()
-            victim.join(timeout=10)
-            assert pool.respawn(handle) == [0]
+        def kill_respawn_ask(victim):
+            process = pool._processes[victim]
+            process.kill()
+            process.join(timeout=10)
+            assert pool.respawn(handle) == [victim]
+            # The replacement is not idle before it reports ready, so
+            # this goes to the sibling.
             pool.submit(BatchMessage(1, handle, "distance", ((0, 1),)))
             deadline = time.monotonic() + 20
             while time.monotonic() < deadline:
@@ -594,22 +609,22 @@ class TestServiceLifecycle:
 
         try:
             pool.start(handle)
-            # ~250 KB of pickled SPGs against a 64 KiB pipe, and nobody
-            # reading: worker 0 computes for well under a second, then
-            # blocks mid-send.
-            pool.submit(BatchMessage(
+            # ~250 KB of pickled SPGs against the pipe's buffer, and
+            # nobody reading: the worker computes for well under a
+            # second, then blocks mid-send.
+            victim = pool.submit(BatchMessage(
                 0, handle, "spg", tuple(sample_pairs(graph, 3000,
                                                      seed=1))))
             time.sleep(2.5)
-            # Round-robin hands batch 1 to worker 1, the sibling. The
-            # thread is the hang guard: a wedged `get_response` ignores
-            # its own timeout.
+            # The thread is the hang guard: a wedged `get_response`
+            # ignores its own timeout.
             guard = threading.Thread(target=kill_respawn_ask,
-                                     daemon=True)
+                                     args=(victim,), daemon=True)
             guard.start()
             guard.join(timeout=45)
             assert not guard.is_alive(), "get_response never returned"
-            assert [r.worker_id for r in answered] == [1]
+            # A live sibling answered — whichever slot that is.
+            assert [r.worker_id for r in answered] == [1 - victim]
             assert answered[0].values == [distance_oracle(graph, 0, 1)]
         finally:
             pool.close()
@@ -618,8 +633,9 @@ class TestServiceLifecycle:
     @pytest.mark.parametrize("store", ["shm", "mmap"])
     def test_close_leaves_nothing_behind(self, store, tmp_path,
                                          monkeypatch):
-        """After ``close()``: no child process, no serving or queue
-        feeder thread, nothing new under /dev/shm or the temp dir."""
+        """After ``close()``: no child process, no serving thread (and
+        while it runs, the collector is the only one), nothing new
+        under /dev/shm or the temp dir."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         graph = _small_graph(seed=13, n=80)
         index = build_index(graph, "ppl")
@@ -628,12 +644,16 @@ class TestServiceLifecycle:
         children = set(multiprocessing.active_children())
         threads = set(threading.enumerate())
         with QueryService(index, num_workers=2, store=store,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             pairs = sample_pairs(graph, 20, seed=5)
             for (u, v), answer in zip(pairs,
                                       service.query_many(pairs)):
                 assert answer.value == distance_oracle(graph, u, v)
+            # One parent-side thread for any number of workers: no
+            # dispatcher timer, no per-worker queue feeder.
+            assert [thread.name for thread in threading.enumerate()
+                    if thread not in threads] \
+                == ["repro-serving-collector"]
         assert set(multiprocessing.active_children()) <= children
         assert [thread.name for thread in threading.enumerate()
                 if thread not in threads
@@ -666,6 +686,187 @@ class TestServiceLifecycle:
 
 
 # ----------------------------------------------------------------------
+# Dispatch: idle worker -> send, otherwise wait and coalesce
+# ----------------------------------------------------------------------
+
+#: The removed knob's spellings, assembled so a grep for them over the
+#: tree comes back empty.
+_DELAY_KWARG = "max_" + "delay"
+_DELAY_FLAG = "--delay" + "-ms"
+
+
+def _queue_wait():
+    """``(sum, count)`` of ``serving_queue_wait_seconds`` so far."""
+    waits = get_registry().snapshot()["histograms"][
+        "serving_queue_wait_seconds"]
+    return waits["sum"], waits["count"]
+
+
+@pytest.mark.timeout(180)
+class TestDispatch:
+    def _service(self, graph, num_workers, **kwargs):
+        return QueryService(build_index(graph, "ppl"),
+                            num_workers=num_workers,
+                            options=QueryOptions(mode="distance"),
+                            **kwargs)
+
+    def test_lone_request_leaves_at_once(self, served_graph):
+        """An idle service adds no wait: every sequential query is its
+        own batch, dispatched inside the `submit` that admitted it."""
+        pairs = sample_pairs(served_graph, 200, seed=101)
+        with self._service(served_graph, 1) as service:
+            service.query(0, 1)
+            batches = service.stats()["batches"]
+            waited, count = _queue_wait()
+            for u, v in pairs:
+                assert service.query(u, v).value \
+                    == distance_oracle(served_graph, u, v)
+            assert service.stats()["batches"] == batches + 200
+            waited_now, count_now = _queue_wait()
+            assert count_now == count + 200
+            assert (waited_now - waited) / 200 < 0.2e-3
+
+    def test_back_pressure_makes_the_batch(self, served_graph):
+        """While the only worker is held, requests submitted one by one
+        wait in one open batch — deduplicated — and leave together the
+        moment it frees."""
+        pairs = sorted({tuple(sorted(pair)) for pair in
+                        sample_pairs(served_graph, 80, seed=103)})[:50]
+        with self._service(served_graph, 1) as service:
+            with frozen_workers(service, 0):
+                holder = service.submit(0, 1)
+                before = service.stats()
+                assert before["inflight_batches"] == 1
+                futures = [service.submit(u, v)
+                           for u, v in pairs + [pairs[7][::-1]]]
+                held = service.stats()
+                assert held["pending"] == 52
+                assert held["inflight_batches"] == 1
+                assert held["batches"] == before["batches"]
+            for (u, v), future in zip(pairs + [pairs[7]], futures):
+                assert future.result(timeout=30).value \
+                    == distance_oracle(served_graph, u, v)
+            assert holder.result(timeout=30).value \
+                == distance_oracle(served_graph, 0, 1)
+            after = service.stats()
+            assert after["batches"] == before["batches"] + 1
+            assert after["deduplicated"] == before["deduplicated"] + 1
+
+    def test_busy_worker_does_not_block_the_idle_one(self):
+        """Head-of-line: one worker held by a full `spg` batch must not
+        delay a lone request while its sibling sits idle. (With a
+        request queue per worker, filled blind, every second one waits
+        out the held batch.)"""
+        graph = _small_graph(seed=17, n=300)
+        bursts = [sample_pairs(graph, 32, seed=seed)
+                  for seed in (105, 107)]
+        lone = sample_pairs(graph, 20, seed=109)
+        with self._service(graph, 2, max_batch=32) as service:
+            for u, v in lone[:4]:  # both workers warm
+                service.query(u, v)
+            with frozen_workers(service, 0):
+                # Two full batches, one per worker; worker 0 keeps its
+                # one, worker 1 answers and goes idle.
+                spg = [service.submit_many(burst, mode="spg")
+                       for burst in bursts]
+                done, _ = concurrent.futures.wait(
+                    spg[0] + spg[1], timeout=30,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                assert done
+                for u, v in lone:
+                    assert service.query(u, v, timeout=10).value \
+                        == distance_oracle(graph, u, v)
+                held = [future for future in spg[0] + spg[1]
+                        if not future.done()]
+                assert len(held) == 32
+                assert service.stats()["inflight_batches"] == 1
+            for burst, futures in zip(bursts, spg):
+                for (u, v), future in zip(burst, futures):
+                    assert future.result(timeout=30).value \
+                        == spg_oracle(graph, u, v)
+            assert service.stats()["worker_deaths"] == 0
+
+    def test_death_costs_only_the_victims_batch(self, served_graph):
+        """Both workers hold a batch, one is SIGKILLed: its batch is
+        re-dispatched, the sibling's is left alone and answered once."""
+        mine = sample_pairs(served_graph, 7, seed=111)
+        theirs = sample_pairs(served_graph, 11, seed=113)
+        with self._service(served_graph, 2) as service:
+            for u, v in mine[:4]:
+                service.query(u, v)
+            with recorded_responses(service) as seen:
+                with frozen_workers(service, 0, 1):
+                    futures = [service.submit_many(mine),
+                               service.submit_many(theirs)]
+                    assert service.stats()["inflight_batches"] == 2
+                    victim = service._pool._processes[0]
+                    victim.kill()
+                    victim.join(timeout=10)
+                    assert not victim.is_alive()
+                for pairs, burst in zip((mine, theirs), futures):
+                    for (u, v), future in zip(pairs, burst):
+                        assert future.result(timeout=60).value \
+                            == distance_oracle(served_graph, u, v)
+                assert service._batcher.drain(timeout=30)
+            stats = service.stats()
+            assert stats["worker_deaths"] == 1
+            assert stats["retries"] == 0
+            assert sorted(len(response.values)
+                          for response in seen) == [7, 11]
+
+    def test_a_worker_never_holds_two_batches(self, served_graph):
+        """The invariant that lets the sender use a bare pipe under the
+        batcher's lock: through a saturating burst of `max_batch`-sized
+        messages, batches in flight never outnumber the workers."""
+        n = served_graph.num_vertices
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        depths, stop = [], threading.Event()
+        with self._service(served_graph, 2, max_batch=4096,
+                           max_pending=len(pairs)) as service:
+
+            def watch():
+                while not stop.is_set():
+                    health = service.health()
+                    depths.append((health["inflight_batches"],
+                                   health["alive_workers"]))
+
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            try:
+                futures = [future for start in range(0, len(pairs), 2500)
+                           for future in service.submit_many(
+                               pairs[start:start + 2500])]
+                answers = [future.result(timeout=120).value
+                           for future in futures]
+            finally:
+                stop.set()
+                watcher.join(timeout=30)
+            stats = service.stats()
+        assert not watcher.is_alive()
+        sample = range(0, len(pairs), 97)
+        assert [answers[k] for k in sample] == [
+            distance_oracle(served_graph, *pairs[k]) for k in sample]
+        assert stats["batches"] >= len(pairs) // 4096
+        assert max(depth for depth, _ in depths) == 2
+        assert all(depth <= alive for depth, alive in depths)
+
+    def test_the_delay_knob_is_gone(self, served_graph):
+        """Nothing to tune: the option is unknown to the service, the
+        batcher and the command line alike."""
+        from repro.cli import main
+
+        index = build_index(served_graph, "ppl")
+        with pytest.raises(TypeError, match=_DELAY_KWARG):
+            QueryService(index, num_workers=1, **{_DELAY_KWARG: 0.002})
+        with pytest.raises(TypeError, match=_DELAY_KWARG):
+            Batcher(None, None, **{_DELAY_KWARG: 0.002})
+        with pytest.raises(SystemExit) as rejected:
+            main(["serve", "--dataset", "douban", "--smoke", "10",
+                  _DELAY_FLAG, "2"])
+        assert rejected.value.code == 2
+
+
+# ----------------------------------------------------------------------
 # HTTP front-end
 # ----------------------------------------------------------------------
 
@@ -677,8 +878,7 @@ class TestHTTP:
         index = build_index(graph, "dynamic")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=64),
-                          max_delay=0.001) as service:
+                                               cache_size=64)) as service:
             server = make_server(service)
             server.serve_in_background()
             host, port = server.server_address[:2]
@@ -720,7 +920,7 @@ class TestHTTP:
     def test_healthz_is_503_after_close(self):
         graph = _small_graph(seed=73, n=130)
         service = QueryService(build_index(graph, "ppl"),
-                               num_workers=1, max_delay=0.001)
+                               num_workers=1)
         server = make_server(service)
         server.serve_in_background()
         host, port = server.server_address[:2]
@@ -827,7 +1027,7 @@ class TestHTTPErrorPaths:
         index = _build("ppl", graph)
         with QueryService(index, num_workers=1,
                           options=QueryOptions(mode="distance"),
-                          max_delay=0.001, max_pending=4) as service:
+                          max_pending=4) as service:
             server = make_server(service)
             server.serve_in_background()
             host, port = server.server_address[:2]

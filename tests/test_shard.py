@@ -353,8 +353,7 @@ class TestShardedServing:
         index = build_index(graph, "sharded", num_shards=4,
                             inner="ppl")
         with QueryService(index, num_workers=2,
-                          options=QueryOptions(mode="distance"),
-                          max_delay=0.001) as service:
+                          options=QueryOptions(mode="distance")) as service:
             pairs = sample_vertex_pairs(graph, 25, seed=95)
             answers = service.query_many(pairs)
         for (u, v), answer in zip(pairs, answers):

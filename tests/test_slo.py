@@ -48,7 +48,7 @@ def _audited_service(graph):
     return QueryService(build_index(graph, "ppl"), num_workers=1,
                         options=QueryOptions(mode="distance",
                                              cache_size=0),
-                        max_delay=0.001, audit_rate=1.0,
+                        audit_rate=1.0,
                         slo_config=_SERVICE_SLO_CONFIG)
 
 
@@ -283,7 +283,6 @@ class TestAuditedFleet:
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
                                                cache_size=0),
-                          max_delay=0.001,
                           audit_rate=1.0) as service:
             rim = graph.num_vertices - 1
             for epoch in range(5):

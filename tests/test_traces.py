@@ -205,8 +205,7 @@ class TestStitchedFleet:
         index = build_index(graph, "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=0),
-                          max_delay=0.001) as service:
+                                               cache_size=0)) as service:
             service.set_trace_rate(1.0)
             pairs = sample_pairs(graph, 12, seed=3)
             for u, v in pairs:
@@ -248,8 +247,7 @@ class TestStitchedFleet:
         index = build_index(graph, "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=0),
-                          max_delay=0.001) as service:
+                                               cache_size=0)) as service:
             service.set_trace_rate(1.0)
             assert service.query(0, 1) is not None
             victim = service._pool._processes[0]
@@ -289,8 +287,7 @@ class TestTracesEndpoint:
         index = build_index(graph, "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=0),
-                          max_delay=0.001) as service:
+                                               cache_size=0)) as service:
             service.set_trace_rate(1.0)
             server = make_server(service)
             server.serve_in_background()
@@ -355,8 +352,7 @@ class TestTraceCli:
         index = build_index(graph, "ppl")
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
-                                               cache_size=0),
-                          max_delay=0.001) as service:
+                                               cache_size=0)) as service:
             service.set_trace_rate(1.0)
             server = make_server(service)
             server.serve_in_background()
