@@ -14,8 +14,8 @@ Run with::
 
 import numpy as np
 
-from repro import build_index
-from repro.directed import DiGraph, directed_spg_oracle
+from repro import build_index, spg_oracle
+from repro.directed import DiGraph
 
 
 def make_web_graph(num_pages=4000, seed=17):
@@ -64,10 +64,10 @@ def main() -> None:
             else:
                 print(f"  {label:8}: distance={spg.distance}, "
                       f"{spg.count_paths()} shortest click paths, "
-                      f"{spg.num_arcs} arcs in the SPG")
+                      f"{spg.num_edges} arcs in the SPG")
         # Exactness check against the double-BFS oracle.
-        assert forward == directed_spg_oracle(graph, u, v)
-        assert backward == directed_spg_oracle(graph, v, u)
+        assert forward == spg_oracle(graph, u, v)
+        assert backward == spg_oracle(graph, v, u)
         if shown == 5:
             break
 

@@ -11,7 +11,7 @@ method; the gap is what Figures 10-11 and §6.5 decompose.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.search import SearchStats, bidirectional_spg
 from ..core.spg import ShortestPathGraph
@@ -28,6 +28,8 @@ __all__ = ["BiBFS"]
 class BiBFS(PathIndex):
     """Online bidirectional-BFS query answerer (no precomputation)."""
 
+    search_stats = SearchStats
+
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
 
@@ -40,19 +42,15 @@ class BiBFS(PathIndex):
             )
         return cls(graph)
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
-        """Exact ``SPG(u, v)`` via bidirectional BFS + reverse search."""
-        return bidirectional_spg(self._graph, u, v)
+    def _query(self, u: int, v: int, stats: Optional[SearchStats] = None
+               ) -> ShortestPathGraph:
+        """Exact ``SPG(u, v)`` via bidirectional BFS + reverse search;
+        ``query_with_stats`` hands in the traversal counters (for the
+        §6.5 comparison)."""
+        return bidirectional_spg(self._graph, u, v, stats)
 
-    def query_with_stats(self, u: int, v: int
-                         ) -> Tuple[ShortestPathGraph, SearchStats]:
-        """Query with traversal counters (for the §6.5 comparison)."""
-        stats = SearchStats()
-        spg = bidirectional_spg(self._graph, u, v, stats)
-        return spg, stats
-
-    def distance(self, u: int, v: int) -> Optional[int]:
-        return self.query(u, v).distance
+    def _distance(self, u: int, v: int) -> Optional[int]:
+        return self._query(u, v).distance
 
     @property
     def graph(self) -> Graph:

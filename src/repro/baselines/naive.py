@@ -16,7 +16,6 @@ import numpy as np
 from .._util import UNREACHED, TimeBudget
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
-from ..engine.batch import pairs_to_arrays
 from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import register_index
 from ..errors import BudgetExceededError
@@ -55,24 +54,19 @@ class NaiveLabelling(PathIndex):
             bfs_distances(graph, v, out=matrix[v])
         return cls(graph, matrix)
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
+    def _distance(self, u: int, v: int) -> Optional[int]:
         d = int(self._matrix[u, v])
         return None if d == UNREACHED else d
 
-    def distance_many(self, pairs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> List[Optional[int]]:
         """One fancy-index gather over the all-pairs matrix."""
-        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
         row = self._matrix[us, vs]
         return [None if value == UNREACHED else int(value)
                 for value in row.tolist()]
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
         """SPG directly from the stored distance rows."""
-        if u == v:
-            return ShortestPathGraph.trivial(u)
-        distance = self.distance(u, v)
+        distance = self._distance(u, v)
         if distance is None:
             return ShortestPathGraph.empty(u, v)
         edge_array = spg_edges_from_distances(

@@ -46,7 +46,7 @@ from ..core.build_kernels import RaggedView, build_sound_labels
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.batch import LabelArrays, finalize_distances, \
-    pairs_to_arrays, two_hop_distance_many
+    two_hop_distance_many
 from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import register_index
 from ..graph.csr import Graph
@@ -150,19 +150,15 @@ class PPLIndex(PathIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def distance(self, u: int, v: int) -> Optional[int]:
+    def _distance(self, u: int, v: int) -> Optional[int]:
         """Exact distance from the 2-hop labels (``None`` if apart)."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return 0
         best = self._query_distance_lists(
             self._label_ranks[u], self._label_dists[u],
             self._label_ranks[v], self._label_dists[v],
         )
         return None if best == INF else int(best)
 
-    def distance_many(self, pairs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> List[Optional[int]]:
         """Batched 2-hop label merges as one vectorized kernel call.
 
         The sound labels are a 2-hop distance cover, so
@@ -171,7 +167,6 @@ class PPLIndex(PathIndex):
         :class:`~repro.engine.batch.LabelArrays` costs one pass over
         every label entry and is built on first use.
         """
-        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
         if self._batch_labels is None:
             self._batch_labels = LabelArrays.from_flat(
                 self._label_ranks.offsets, self._label_ranks.flat,
@@ -179,13 +174,9 @@ class PPLIndex(PathIndex):
         return finalize_distances(
             two_hop_distance_many(self._batch_labels, us, vs))
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
         """Answer ``SPG(u, v)`` by recursive label resolution (§3.2)."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return ShortestPathGraph.trivial(u)
-        distance = self.distance(u, v)
+        distance = self._distance(u, v)
         if distance is None:
             return ShortestPathGraph.empty(u, v)
         memo: Dict[Edge, FrozenSet[Edge]] = {}
@@ -205,9 +196,6 @@ class PPLIndex(PathIndex):
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if distance == 0:
-            memo[key] = frozenset()
-            return memo[key]
         if distance == 1:
             memo[key] = frozenset({key})
             return memo[key]

@@ -1243,10 +1243,7 @@ def _render_value(value) -> str:
         return str(value)
     if value.distance is None:
         return "unreachable"
-    size = getattr(value, "num_edges", None)
-    if size is None:
-        size = value.num_arcs
-    return f"d={value.distance} |E|={size}"
+    return f"d={value.distance} |E|={value.num_edges}"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,17 +24,17 @@ precomputed and the vectorized ``distance_many`` bounds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .._util import Stopwatch
 from ..engine.base import PathIndex
-from ..engine.batch import batched_min_plus, pairs_to_arrays
+from ..engine.batch import batched_min_plus
 from ..engine.persist import graph_arrays, graph_from_arrays, \
     pack_pairs, unpack_pairs
 from ..engine.registry import register_index
-from ..errors import QueryError, VertexError
+from ..errors import QueryError
 from ..graph.csr import Graph
 from .labelling import PathLabelling, build_labelling, \
     landmark_positions
@@ -73,6 +73,8 @@ class BuildReport:
 @register_index("qbs")
 class QbSIndex(PathIndex):
     """A built Query-by-Sketch index over one graph."""
+
+    search_stats = SearchStats
 
     def __init__(self, graph: Graph, labelling: PathLabelling,
                  meta: MetaGraph, sparsified: Graph,
@@ -143,60 +145,45 @@ class QbSIndex(PathIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
-        """Answer ``SPG(u, v)`` exactly (Definition 2.3)."""
-        spg, _ = self.query_with_stats(u, v)
-        return spg
+    def _query(self, u: int, v: int, stats: Optional[SearchStats] = None,
+               use_budgets: bool = True) -> ShortestPathGraph:
+        """Answer ``SPG(u, v)`` exactly (Definition 2.3).
 
-    def query_with_stats(self, u: int, v: int, use_budgets: bool = True
-                         ) -> Tuple[ShortestPathGraph, SearchStats]:
-        """Like :meth:`query`, returning search instrumentation too.
-
-        ``use_budgets=False`` disables the sketch's side-selection
-        guidance (ablation of §6.5 gain source (2)); results are
-        identical, only traversal effort changes.
+        ``query_with_stats(u, v, use_budgets=False)`` disables the
+        sketch's side-selection guidance (ablation of §6.5 gain source
+        (2)); results are identical, only traversal effort changes.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return ShortestPathGraph.trivial(u), SearchStats()
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
             # Labels are defined on V \ R (Definition 4.2); the paper
             # leaves landmark endpoints implicit. They are rare
             # (|R| << |V|) and answered exactly by the Bi-BFS fallback.
-            stats = SearchStats()
-            return bidirectional_spg(self._graph, u, v, stats), stats
-        sketch = self.sketch(u, v)
-        stats = SearchStats()
-        found = self._searcher.run(sketch, stats, use_budgets=use_budgets)
-        return ShortestPathGraph(u, v, *found), stats
+            return bidirectional_spg(self._graph, u, v, stats)
+        found = self._searcher.run(
+            compute_sketch(self._labelling, self._meta, u, v), stats,
+            use_budgets=use_budgets)
+        return ShortestPathGraph(u, v, *found)
 
     def sketch(self, u: int, v: int) -> Sketch:
         """Compute the query sketch only (Algorithm 3); for analysis."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self.check_pair(u, v)
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
             raise QueryError(
                 "sketches are defined for non-landmark endpoints"
             )
         return compute_sketch(self._labelling, self._meta, u, v)
 
-    def distance(self, u: int, v: int) -> Optional[int]:
+    def _distance(self, u: int, v: int) -> Optional[int]:
         """Exact shortest-path distance (``None`` when disconnected).
 
         Uses a fast path that runs only the sketch and the bounded
         bidirectional stage — no SPG is materialized.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
             return bidirectional_spg(self._graph, u, v).distance
-        sketch = self.sketch(u, v)
-        return self._searcher.distance_only(sketch)
+        return self._searcher.distance_only(
+            compute_sketch(self._labelling, self._meta, u, v))
 
-    def distance_many(self, pairs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> List[Optional[int]]:
         """Batched distances via one vectorized sketch-bound pass.
 
         The sketch upper bound ``d_top`` (Eq. 3) for the whole batch
@@ -215,17 +202,11 @@ class QbSIndex(PathIndex):
         sketch-disconnected pairs — falls back to the per-pair guided
         search, whose answers the bounds never contradict.
         """
-        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
         count = len(us)
         results: List[Optional[int]] = [None] * count
-        if count == 0:
-            return results
-        resolved = us == vs
-        for i in np.nonzero(resolved)[0].tolist():
-            results[i] = 0
+        resolved = np.zeros(count, dtype=bool)
         landmark = self._labelling.landmark_position >= 0
-        sketchable = ~resolved & ~landmark[us] & ~landmark[vs]
-        idx = np.nonzero(sketchable)[0]
+        idx = np.nonzero(~landmark[us] & ~landmark[vs])[0]
         if len(idx):
             label_u = self._labelling.label_rows_float(us[idx])
             label_v = self._labelling.label_rows_float(vs[idx])
@@ -248,7 +229,7 @@ class QbSIndex(PathIndex):
                     int(us[b]), int(vs[b])) else 2
                 resolved[b] = True
         for b in np.nonzero(~resolved)[0].tolist():
-            results[b] = self.distance(int(us[b]), int(vs[b]))
+            results[b] = self._distance(int(us[b]), int(vs[b]))
         return results
 
     # ------------------------------------------------------------------
@@ -294,10 +275,6 @@ class QbSIndex(PathIndex):
             "build_seconds": self.report.total_seconds,
         })
         return base
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._graph.num_vertices:
-            raise VertexError(v, self._graph.num_vertices)
 
     # ------------------------------------------------------------------
     # Persistence (the engine's pickle-free npz format; files written

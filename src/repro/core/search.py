@@ -23,7 +23,7 @@ All of it is written once, against a dual-CSR view (``out_*`` /
 ``in_*`` arrays) and a pair of label matrices, so the one searcher
 serves ``QbSIndex`` over a ``Graph`` and ``DirectedQbSIndex`` over a
 ``DiGraph``; it returns ``(distance, arcs)`` with arcs oriented
-``(tail, head)`` and each index wraps that in its own answer type.
+``(tail, head)``, which is what a ``ShortestPathGraph`` is made of.
 An empty sketch (``d_top is None``) leaves stage 1 unbounded and
 unbiased and stage 3 idle — which is plain Bi-BFS, so
 :func:`bidirectional_spg`, the ``bibfs`` family and both indexes'
@@ -39,15 +39,13 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from .._util import UNREACHED
-from ..graph.csr import Graph
 from ..graph.traversal import descend_levels, expand_frontier
 from .labelling import PathLabelling
 from .metagraph import MetaGraph, landmark_pair_arcs
 from .sketch import Sketch
 from .spg import ShortestPathGraph
 
-__all__ = ["SearchStats", "GuidedSearcher", "bidirectional_arcs",
-           "bidirectional_spg"]
+__all__ = ["SearchStats", "GuidedSearcher", "bidirectional_spg"]
 
 Arc = Tuple[int, int]
 
@@ -114,7 +112,7 @@ class GuidedSearcher:
 
     ``graph`` and ``sparsified`` are dual-CSR views of ``G`` and
     ``G⁻``. Without a labelling there is nothing to recover and only
-    empty sketches make sense (see :func:`bidirectional_arcs`).
+    empty sketches make sense (see :func:`bidirectional_spg`).
     """
 
     def __init__(self, graph, sparsified,
@@ -288,27 +286,19 @@ class GuidedSearcher:
                 arcs |= delta
 
 
-def bidirectional_arcs(graph, u: int, v: int,
-                       stats: Optional[SearchStats] = None
-                       ) -> Tuple[Optional[int], Set[Arc]]:
-    """Plain bidirectional BFS over the *full* dual-CSR view.
+def bidirectional_spg(graph, u: int, v: int,
+                      stats: Optional[SearchStats] = None,
+                      directed: bool = False) -> ShortestPathGraph:
+    """Plain bidirectional BFS over the *full* dual-CSR view: the
+    Bi-BFS baseline of Table 2, and both QbS indexes' answer for
+    landmark endpoints.
 
-    The guided search with nothing to guide it: an empty sketch gives
+    The guided search with nothing to guide it — an empty sketch gives
     no bound, no budgets and no landmark routes, and the graph is not
-    sparsified. ``u != v``; returns what :meth:`GuidedSearcher.run`
-    does.
+    sparsified. ``u`` and ``v`` are vertex ids of ``graph``; ids are
+    checked at the ``PathIndex`` front door (``BiBFS(graph).query``).
     """
-    return GuidedSearcher(graph, graph).run(Sketch(u, v, None), stats)
-
-
-def bidirectional_spg(graph: Graph, u: int, v: int,
-                      stats: Optional[SearchStats] = None
-                      ) -> ShortestPathGraph:
-    """Bi-BFS SPG on an undirected graph — the baseline of Table 2
-    and :class:`~repro.core.qbs.QbSIndex`'s answer for landmark
-    endpoints."""
-    graph._check_vertex(u)
-    graph._check_vertex(v)
     if u == v:
-        return ShortestPathGraph.trivial(u)
-    return ShortestPathGraph(u, v, *bidirectional_arcs(graph, u, v, stats))
+        return ShortestPathGraph.trivial(u, directed)
+    found = GuidedSearcher(graph, graph).run(Sketch(u, v, None), stats)
+    return ShortestPathGraph(u, v, *found, directed=directed)

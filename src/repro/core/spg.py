@@ -4,8 +4,14 @@ Definition 2.2 of the paper: for vertices ``u`` and ``v`` of ``G``, the
 SPG ``G_uv`` is the subgraph whose edge set is the union of the edges
 of *all* shortest ``u``–``v`` paths (and whose vertex set is the union
 of their vertices). :class:`ShortestPathGraph` is the value returned by
-every query method in this library — QbS and all baselines — so results
-are directly comparable.
+every query method in this library — QbS, all baselines and the
+directed index — so results are directly comparable.
+
+An SPG is a DAG levelled by ``d(source, ·)`` whose every edge joins
+consecutive levels, so each edge's orientation is implied by the
+source and one stored edge set serves undirected and directed answers:
+``directed`` only says whether ``(source, target)`` is an ordered
+pair, and ``arcs`` is the oriented view either way.
 """
 
 from __future__ import annotations
@@ -29,16 +35,21 @@ class ShortestPathGraph:
 
     ``distance`` is ``None`` when the endpoints are disconnected (the
     edge set is then empty); ``0`` when ``source == target``.
+    ``directed`` marks the answer to a directed ``source -> target``
+    query: its endpoints are ordered, so it never equals the SPG of
+    the reverse pair (nor any undirected SPG).
     """
 
-    __slots__ = ("source", "target", "distance", "_edges", "_adjacency")
+    __slots__ = ("source", "target", "distance", "directed", "_edges",
+                 "_adjacency")
 
     def __init__(self, source: int, target: int,
                  distance: Optional[int],
-                 edges) -> None:
+                 edges, directed: bool = False) -> None:
         self.source = int(source)
         self.target = int(target)
         self.distance = None if distance is None else int(distance)
+        self.directed = bool(directed)
         normalized = frozenset(_normalize(int(a), int(b)) for a, b in edges)
         if self.distance in (None, 0) and normalized:
             raise QueryError(
@@ -52,14 +63,16 @@ class ShortestPathGraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def empty(cls, source: int, target: int) -> "ShortestPathGraph":
+    def empty(cls, source: int, target: int,
+              directed: bool = False) -> "ShortestPathGraph":
         """SPG for a disconnected pair."""
-        return cls(source, target, None, ())
+        return cls(source, target, None, (), directed)
 
     @classmethod
-    def trivial(cls, vertex: int) -> "ShortestPathGraph":
+    def trivial(cls, vertex: int,
+                directed: bool = False) -> "ShortestPathGraph":
         """SPG for ``u == v`` (a single vertex, no edges)."""
-        return cls(vertex, vertex, 0, ())
+        return cls(vertex, vertex, 0, (), directed)
 
     # ------------------------------------------------------------------
     # Views
@@ -69,6 +82,12 @@ class ShortestPathGraph:
     def edges(self) -> FrozenSet[Edge]:
         """Frozen set of undirected edges, normalized ``(min, max)``."""
         return self._edges
+
+    @property
+    def arcs(self) -> FrozenSet[Edge]:
+        """The edges oriented ``(tail, head)`` from ``source`` towards
+        ``target`` — the arc set of a directed answer."""
+        return frozenset(self.dag_edges())
 
     @property
     def vertices(self) -> Set[int]:
@@ -225,18 +244,21 @@ class ShortestPathGraph:
     # Comparisons
     # ------------------------------------------------------------------
 
+    def _key(self):
+        """What ``==`` compares; the pair is ordered when directed."""
+        pair = (self.source, self.target)
+        return (pair if self.directed else frozenset(pair),
+                self.distance, self._edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShortestPathGraph):
             return NotImplemented
-        same_pair = ({self.source, self.target}
-                     == {other.source, other.target})
-        return (same_pair and self.distance == other.distance
-                and self._edges == other._edges)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((frozenset((self.source, self.target)),
-                     self.distance, self._edges))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return (f"ShortestPathGraph({self.source} ~ {self.target}, "
+        return (f"ShortestPathGraph({self.source} "
+                f"{'->' if self.directed else '~'} {self.target}, "
                 f"distance={self.distance}, edges={len(self._edges)})")

@@ -1,14 +1,9 @@
 """Directed-graph extension of Query-by-Sketch (paper §2 claim)."""
 
 from .digraph import DiGraph
-from .oracle import directed_bfs, directed_spg_oracle
 from .qbs import DirectedQbSIndex
-from .spg import DirectedSPG
 
 __all__ = [
     "DiGraph",
-    "DirectedSPG",
     "DirectedQbSIndex",
-    "directed_spg_oracle",
-    "directed_bfs",
 ]

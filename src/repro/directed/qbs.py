@@ -4,8 +4,9 @@ The extension the paper claims in §2 ("our work can be easily extended
 to directed ... graphs"). Nothing here re-implements the method: the
 labelling sweep, the sketch and the guided search in :mod:`repro.core`
 are written against a dual-CSR view, which a :class:`DiGraph` is, so
-this module only assembles them and owns the family's archive layout
-and answer type.
+this module only assembles them and owns the family's archive layout;
+the answer is the one :class:`~repro.core.spg.ShortestPathGraph`, with
+``directed=True``.
 
 * **Labelling** — :func:`~repro.core.labelling.build_labelling` sweeps
   the out-CSR for ``forward`` (``F[v, i] = d(r_i -> v)``) and the
@@ -32,14 +33,14 @@ import numpy as np
 from ..core.labelling import PathLabelling, build_labelling, \
     landmark_positions
 from ..core.metagraph import MetaGraph, build_meta_graph
-from ..core.search import GuidedSearcher, bidirectional_arcs
+from ..core.search import GuidedSearcher, bidirectional_spg
 from ..core.sketch import compute_sketch
+from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.persist import pack_pairs, unpack_pairs
 from ..engine.registry import register_index
 from ..errors import IndexBuildError
 from .digraph import DiGraph, _csr
-from .spg import DirectedSPG
 
 __all__ = ["DirectedQbSIndex"]
 
@@ -155,29 +156,20 @@ class DirectedQbSIndex(PathIndex):
     # Query
     # ------------------------------------------------------------------
 
-    def query(self, u: int, v: int) -> DirectedSPG:
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
         """All shortest directed ``u -> v`` paths, exactly."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return DirectedSPG.trivial(u)
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
             # Labels are defined on V \ R; landmark endpoints get the
             # unguided search over the whole graph.
-            found = bidirectional_arcs(self._graph, u, v)
-        else:
-            found = self._searcher.run(
-                compute_sketch(self._labelling, self._meta, u, v))
-        return DirectedSPG(u, v, *found)
+            return bidirectional_spg(self._graph, u, v, directed=True)
+        found = self._searcher.run(
+            compute_sketch(self._labelling, self._meta, u, v))
+        return ShortestPathGraph(u, v, *found, directed=True)
 
-    def distance(self, u: int, v: int) -> Optional[int]:
+    def _distance(self, u: int, v: int) -> Optional[int]:
         """Exact ``d(u -> v)`` (``None`` when unreachable), from the
         sketch and the bounded search alone — no SPG is built."""
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return 0
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
-            return bidirectional_arcs(self._graph, u, v)[0]
+            return bidirectional_spg(self._graph, u, v).distance
         return self._searcher.distance_only(
             compute_sketch(self._labelling, self._meta, u, v))

@@ -242,6 +242,10 @@ class DeltaGraph:
         """Adjacency array of the materialized snapshot (see above)."""
         return self.snapshot().indices
 
+    # The dual-CSR names, as on ``Graph``: one CSR serves both sides.
+    out_indptr = in_indptr = indptr
+    out_indices = in_indices = indices
+
     def __repr__(self) -> str:
         return (f"DeltaGraph(num_vertices={self.num_vertices}, "
                 f"num_edges={self.num_edges}, "

@@ -42,7 +42,7 @@ from ..baselines.oracle import spg_oracle
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.batch import cached_label_arrays, distances_to_float, \
-    finalize_distances, pairs_to_arrays, two_hop_distance_many
+    finalize_distances, two_hop_distance_many
 from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import build_index, register_index
 from ..errors import IndexBuildError, IndexFormatError, QueryError
@@ -279,12 +279,10 @@ class DynamicIndex(PathIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        self._delta._check_vertex(u)
-        self._delta._check_vertex(v)
+    def _distance(self, u: int, v: int) -> Optional[int]:
         return self._resolve_distance(u, v)[0]
 
-    def distance_many(self, pairs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> List[Optional[int]]:
         """Batched distances: one label kernel + per-pair delta check.
 
         The maintained labels answer the whole batch through the
@@ -300,7 +298,6 @@ class DynamicIndex(PathIndex):
         pairs, the common case, never leave the kernel.
         """
         labels = self._labels
-        us, vs = pairs_to_arrays(pairs, self._delta.num_vertices)
         # Keyed on the label-mutation counter, not the index version:
         # deletions only poison (labels untouched), so they must not
         # force an O(size(L)) re-flatten before the next batch.
@@ -317,7 +314,7 @@ class DynamicIndex(PathIndex):
         if len(unique) * len(phantom_vertices) > _SCREEN_GRID_LIMIT:
             # Screening grid too large to materialize; screen per pair.
             for b, d in enumerate(results):
-                if d is None or us[b] == vs[b]:
+                if d is None:
                     continue
                 u, v = int(us[b]), int(vs[b])
                 if touches_phantom_edge(labels, u, v, d,
@@ -339,7 +336,7 @@ class DynamicIndex(PathIndex):
             col_a, col_b = column[a], column[b]
             poisoned |= to_u[:, col_a] + 1.0 + to_v[:, col_b] == label_d
             poisoned |= to_u[:, col_b] + 1.0 + to_v[:, col_a] == label_d
-        poisoned &= np.isfinite(label_d) & (us != vs)
+        poisoned &= np.isfinite(label_d)
         for b in np.nonzero(poisoned)[0].tolist():
             results[b] = self._resolve_distance(int(us[b]),
                                                 int(vs[b]))[0]
@@ -357,8 +354,6 @@ class DynamicIndex(PathIndex):
         validation sweep to :meth:`query` where one already ran, so a
         poisoned-but-validated SPG query does not redo it.
         """
-        if u == v:
-            return 0, True, None
         d = self._labels.distance(u, v)
         if d is None:
             # The labels' graph is a supergraph of the current one, so
@@ -379,11 +374,7 @@ class DynamicIndex(PathIndex):
             fallback = int(bfs_distances(self._delta.snapshot(), u)[v])
         return (None if fallback == UNREACHED else fallback), False, None
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
-        self._delta._check_vertex(u)
-        self._delta._check_vertex(v)
-        if u == v:
-            return ShortestPathGraph.trivial(u)
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
         d, labels_exact, from_u = self._resolve_distance(u, v)
         if d is None:
             return ShortestPathGraph.empty(u, v)

@@ -3,21 +3,10 @@
 The paper presents Query-by-Sketch as one member of a family of
 labelling-based shortest-path-graph indexes and benchmarks it against
 several others (PPL, ParentPPL, the naive labelling, online Bi-BFS).
-Each family in this repo grew its own ad-hoc surface; this module
-defines the single contract they all satisfy:
-
-* ``build(graph, **params)``  — offline construction (classmethod);
-* ``distance(u, v)``          — exact distance, ``None`` if apart;
-* ``distance_many(pairs)``    — batched distances (families override
-  the per-pair default with vectorized kernels; see
-  :mod:`repro.engine.batch`);
-* ``query(u, v)``             — the shortest path graph, exactly;
-* ``query_many(pairs)``       — batched queries;
-* ``query_with_stats(u, v)``  — query plus search instrumentation
-  (``None`` stats where a family has no counters);
-* ``stats`` / ``size_bytes``  — uniform introspection;
-* ``save(path)`` / ``load(path)`` — one npz/json persistence format
-  for every family (see :mod:`repro.engine.persist`).
+This module defines the single contract they all satisfy — build,
+distance / batched distance, SPG query (with search instrumentation
+where a family has counters), uniform ``stats`` / ``size_bytes``, and
+one npz/json persistence format (:mod:`repro.engine.persist`).
 
 Implementations register themselves with
 :func:`repro.engine.registry.register_index`, which is what makes
@@ -28,11 +17,14 @@ suite enumerate them without fan-out edits.
 from __future__ import annotations
 
 import abc
+from operator import index as _as_int
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import IndexFormatError
+from ..core.spg import ShortestPathGraph
+from ..errors import IndexFormatError, QueryError, VertexError
+from .batch import pairs_to_arrays
 
 __all__ = ["PathIndex"]
 
@@ -43,12 +35,21 @@ State = Tuple[Dict[str, Any], Dict[str, np.ndarray]]
 class PathIndex(abc.ABC):
     """Abstract base for every shortest-path-graph index family.
 
-    Subclasses are the concrete index implementations, one class per
-    family, each registered under a string method name.
-    The contract is graph-kind agnostic: undirected families answer
-    with :class:`~repro.core.spg.ShortestPathGraph`, directed families
-    with :class:`~repro.directed.spg.DirectedSPG`; both expose
-    ``distance``, ``count_paths`` and edge/arc sets.
+    One class per family, registered under a string method name. The
+    four query methods are written here, once — they check the ids,
+    answer ``u == v`` (``0`` / the trivial SPG) and hand the rest to
+    the family's ``_distance`` / ``_query`` / ``_distance_many`` — so
+    this is the only place an id is checked.
+
+    An id is an integer in ``[0, num_vertices)``; anything with
+    ``__index__`` is one (``np.int64(3)`` is ``3``, ``True`` is ``1``).
+    A float (``2.0`` too), a string or ``None`` raises
+    :class:`~repro.errors.QueryError`, an integer out of range
+    :class:`~repro.errors.VertexError` — the same two on every family
+    and every surface built on one (sessions, the query service, HTTP
+    ``400``). ``query`` answers with one
+    :class:`~repro.core.spg.ShortestPathGraph` whatever the graph
+    kind; a directed family's carries ``directed=True``.
     """
 
     #: Registry key, set by :func:`~repro.engine.registry.register_index`.
@@ -56,6 +57,10 @@ class PathIndex(abc.ABC):
 
     #: True for families built over :class:`~repro.directed.digraph.DiGraph`.
     directed: ClassVar[bool] = False
+
+    #: The counters type ``_query`` fills through its ``stats=``
+    #: keyword, on families that instrument their search (QbS, Bi-BFS).
+    search_stats: ClassVar[Optional[type]] = None
 
     @property
     def is_directed(self) -> bool:
@@ -83,35 +88,79 @@ class PathIndex(abc.ABC):
     # Queries
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
+    def check_pair(self, u, v) -> Tuple[int, int]:
+        """``(u, v)`` as in-range Python ints, or the typed refusal —
+        for callers that key on a pair before they ask about it."""
+        try:
+            u, v = _as_int(u), _as_int(v)
+        except TypeError:
+            raise QueryError(
+                f"vertex ids must be integers; got ({u!r}, {v!r})"
+            ) from None
+        n = self.num_vertices
+        if not 0 <= u < n:
+            raise VertexError(u, n)
+        if not 0 <= v < n:
+            raise VertexError(v, n)
+        return u, v
+
     def distance(self, u: int, v: int) -> Optional[int]:
         """Exact shortest-path distance (``None`` when disconnected)."""
+        u, v = self.check_pair(u, v)
+        return 0 if u == v else self._distance(u, v)
 
     def distance_many(self, pairs: Iterable[Tuple[int, int]]
                       ) -> List[Optional[int]]:
-        """Exact distances for a batch of ``(u, v)`` pairs.
+        """Exact distances for a batch of ``(u, v)`` pairs — the
+        answers of :meth:`distance` per pair, from one vectorized
+        kernel call where the family has one
+        (:mod:`repro.engine.batch`). An integer ``(k, 2)`` ndarray is
+        validated without any per-pair work."""
+        us, vs = pairs_to_arrays(pairs, self.num_vertices)
+        distinct = us != vs
+        if distinct.all():
+            return self._distance_many(us, vs)
+        results: List[Optional[int]] = [0] * len(us)
+        rest = np.flatnonzero(distinct)
+        for i, value in zip(rest.tolist(),
+                            self._distance_many(us[rest], vs[rest])):
+            results[i] = value
+        return results
 
-        The contract's answers are identical to calling
-        :meth:`distance` per pair — this default does exactly that.
-        Families with array-backed labels override it with one
-        vectorized kernel invocation per batch
-        (:mod:`repro.engine.batch`); callers should always prefer
-        this entry point for more than a handful of pairs.
-        """
-        return [self.distance(u, v) for u, v in pairs]
+    def query(self, u: int, v: int) -> ShortestPathGraph:
+        """The exact shortest path graph between ``u`` and ``v``."""
+        u, v = self.check_pair(u, v)
+        if u == v:
+            return ShortestPathGraph.trivial(u, self.directed)
+        return self._query(u, v)
+
+    def query_with_stats(self, u: int, v: int, **search):
+        """Like :meth:`query`, returning ``(spg, stats_or_None)``:
+        a populated :class:`~repro.core.search.SearchStats` from the
+        instrumented families (QbS, Bi-BFS). ``search`` options go
+        through to ``_query`` (QbS: ``use_budgets``)."""
+        u, v = self.check_pair(u, v)
+        stats = None
+        if self.search_stats is not None:
+            stats = search["stats"] = self.search_stats()
+        if u == v:
+            return ShortestPathGraph.trivial(u, self.directed), stats
+        return self._query(u, v, **search), stats
 
     @abc.abstractmethod
-    def query(self, u: int, v: int):
-        """The exact shortest path graph between ``u`` and ``v``."""
+    def _distance(self, u: int, v: int) -> Optional[int]:
+        """``distance`` for checked, distinct ``u`` and ``v``."""
 
-    def query_with_stats(self, u: int, v: int):
-        """Like :meth:`query`, returning ``(spg, stats_or_None)``.
+    def _distance_many(self, us: np.ndarray, vs: np.ndarray
+                       ) -> List[Optional[int]]:
+        """``distance_many`` for checked int64 id arrays, ``us[i] !=
+        vs[i]`` throughout (possibly empty). Default: pair by pair."""
+        return [self._distance(u, v)
+                for u, v in zip(us.tolist(), vs.tolist())]
 
-        Families with search instrumentation (QbS, Bi-BFS) override
-        this to return a populated
-        :class:`~repro.core.search.SearchStats`.
-        """
-        return self.query(u, v), None
+    @abc.abstractmethod
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
+        """``query`` for checked, distinct ``u`` and ``v``."""
 
     def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List:
         """Answer a batch of ``(u, v)`` queries."""
@@ -128,13 +177,9 @@ class PathIndex(abc.ABC):
 
     @property
     def num_vertices(self) -> int:
-        """Vertex count of the indexed graph.
-
-        Kept contract-level so hot paths can range-check vertex ids
-        without touching :attr:`graph` — mutable families override
-        this, because their ``graph`` property materializes a
-        snapshot.
-        """
+        """Vertex count of the indexed graph — what the front door
+        range-checks against. Mutable families override this, because
+        their ``graph`` property materializes a snapshot."""
         return self.graph.num_vertices
 
     @property

@@ -3,12 +3,14 @@
 The paper's headline claim is *online query speed*, yet a batch
 answered through a Python loop pays interpreter dispatch per pair —
 orders of magnitude more than the label arithmetic itself. This module
-holds the shared numpy kernels the index families build their
-:meth:`~repro.engine.base.PathIndex.distance_many` overrides from:
+holds the shared numpy kernels behind
+:meth:`~repro.engine.base.PathIndex.distance_many` and the families'
+``_distance_many``:
 
 * :func:`pairs_to_arrays` — one validation pass turning an iterable of
-  ``(u, v)`` pairs into two int64 arrays (bad vertex ids raise
-  :class:`~repro.errors.VertexError` exactly like the scalar path);
+  ``(u, v)`` pairs into two int64 arrays (non-integer ids raise
+  :class:`~repro.errors.QueryError`, out-of-range ones
+  :class:`~repro.errors.VertexError`, exactly like the scalar path);
 * :class:`LabelArrays` — per-vertex ragged 2-hop labels, flattened
   once per index version (cache via :func:`cached_label_arrays`) into
   a **dense head** and a **sparse tail**: label entries on the
@@ -57,27 +59,37 @@ def pairs_to_arrays(pairs: Iterable[Tuple[int, int]],
                     num_vertices: int) -> Tuple[np.ndarray, np.ndarray]:
     """Validate a pair batch into ``(us, vs)`` int64 arrays.
 
-    Vertex ids are range-checked up front (one vectorized pass) so a
-    kernel never computes on garbage indices; the first offending id
-    raises :class:`VertexError`, matching the scalar ``distance``.
+    The batch half of the :class:`~repro.engine.base.PathIndex` front
+    door. Ids must be integers: an integer ``(k, 2)`` ndarray is taken
+    as it is, anything else must *come out* of ``np.asarray`` integer
+    — a float, a string or ``None`` anywhere refuses the batch with
+    :class:`QueryError`, nothing is cast. The range check is one
+    vectorized pass; the first offending id raises
+    :class:`VertexError`.
     """
-    rows = list(pairs)
-    if not rows:
+    if not isinstance(pairs, np.ndarray):
+        try:
+            pairs = np.asarray(list(pairs))
+        except ValueError as exc:  # ragged rows
+            raise QueryError(f"expected (u, v) pairs: {exc}") from None
+    if pairs.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy()
-    array = np.asarray(rows, dtype=np.int64)
-    if array.ndim != 2 or array.shape[1] != 2:
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise QueryError(
             f"distance_many expects (u, v) pairs; got shape "
-            f"{array.shape}"
+            f"{pairs.shape}"
         )
-    us, vs = array[:, 0].copy(), array[:, 1].copy()
-    for side in (us, vs):
-        bad = (side < 0) | (side >= num_vertices)
-        if bad.any():
-            raise VertexError(int(side[int(np.argmax(bad))]),
-                              num_vertices)
-    return us, vs
+    if pairs.dtype.kind not in "iub":
+        raise QueryError(
+            f"vertex ids must be integers; got a batch of "
+            f"{pairs.dtype.name} values"
+        )
+    sides = np.ascontiguousarray(pairs.T, dtype=np.int64)
+    bad = (sides < 0) | (sides >= num_vertices)
+    if bad.any():
+        raise VertexError(int(sides[bad][0]), num_vertices)
+    return sides[0], sides[1]
 
 
 def finalize_distances(best: np.ndarray) -> List[Optional[int]]:

@@ -25,11 +25,7 @@ and whose remaining entries are the family's numpy arrays (from
 Out-of-core stores: ``load_index`` also accepts the packed
 ``REPROSTR`` container written by
 :func:`repro.store.pack_index_store` (detected by magic) and returns
-a store-backed index that faults labels in on demand. Passing
-``mmap=True`` *requires* the memmap-served path — on a compressed
-npz archive (which cannot be memmapped) it raises
-:class:`~repro.errors.IndexFormatError` pointing at
-``repro store pack`` instead of silently materializing everything.
+a store-backed index that faults labels in on demand.
 """
 
 from __future__ import annotations
@@ -212,26 +208,17 @@ def read_index_state(path) -> Tuple[str, Dict[str, Any],
     return header["method"], header.get("state", {}), arrays
 
 
-def load_index(path, *, mmap: bool = False) -> PathIndex:
+def load_index(path) -> PathIndex:
     """Load a saved index of any registered family.
 
     ``path`` may be an npz archive (fully materialized on load) or a
     packed label store (opened out-of-core: hot tier in RAM, cold
-    labels faulted per query). With ``mmap=True`` the memmap-served
-    path is *required*: a packed store opens as usual, a compressed
-    npz raises :class:`IndexFormatError` (compressed archives cannot
-    be memmapped — convert once with ``repro store pack``).
+    labels faulted per query); the two are told apart by magic.
     """
     if _is_store(path):
         from ..store import open_store_index
 
         return open_store_index(path)
-    if mmap:
-        raise IndexFormatError(
-            f"{path}: not a packed label store — compressed npz "
-            f"archives cannot be memmapped; convert it once with "
-            f"'repro store pack' and load the .store file"
-        )
     header, arrays = _read_archive(path, with_arrays=True)
     try:
         cls = get_index_class(header["method"])

@@ -45,6 +45,7 @@ from ..obs import get_registry, log_slow_query, span, start_trace
 from ..obs.profiler import attach_profile
 from ..obs.trace import Span, TraceSampler
 from .base import PathIndex
+from .batch import pairs_to_arrays
 
 __all__ = ["QueryOptions", "QueryRecord", "BatchReport", "QuerySession",
            "normalize_pair"]
@@ -299,6 +300,7 @@ class QuerySession:
         cached.
         """
         mode = self._resolve_mode(mode)
+        u, v = self._index.check_pair(u, v)
         if self._sampler.should_sample():
             with start_trace("query", u=u, v=v, mode=mode) as root:
                 record = self._query_inner(u, v, mode)
@@ -374,7 +376,8 @@ class QuerySession:
         :meth:`query` calls (SPG extraction has no batch kernel).
         """
         mode = self._resolve_mode(mode)
-        pairs = [(int(u), int(v)) for u, v in pairs]
+        us, vs = pairs_to_arrays(pairs, self._index.num_vertices)
+        pairs = list(zip(us.tolist(), vs.tolist()))
         if self._sampler.should_sample():
             with start_trace("query_many", mode=mode,
                              pairs=len(pairs)) as root:

@@ -89,21 +89,23 @@ def descend_levels(graph, level: np.ndarray, root: int, seeds,
                     buckets[d - 1].add(y)
 
 
-def bfs_distances(graph: Graph, source: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+def bfs_distances(graph, source: int, out: Optional[np.ndarray] = None,
+                  *, forward: bool = True) -> np.ndarray:
     """Exact BFS distances from ``source`` (``UNREACHED`` where cut off)."""
-    return bfs_distances_bounded(graph, source, max_depth=None, out=out)
+    return bfs_distances_bounded(graph, source, max_depth=None, out=out,
+                                 forward=forward)
 
 
-def bfs_distances_bounded(graph: Graph, source: int,
+def bfs_distances_bounded(graph, source: int,
                           max_depth: Optional[int],
-                          out: Optional[np.ndarray] = None) -> np.ndarray:
+                          out: Optional[np.ndarray] = None,
+                          *, forward: bool = True) -> np.ndarray:
     """BFS distances from ``source`` up to ``max_depth`` levels.
 
     Parameters
     ----------
     graph:
-        The graph to traverse.
+        Any dual-CSR view (``Graph`` or ``DiGraph``).
     source:
         Start vertex.
     max_depth:
@@ -111,6 +113,9 @@ def bfs_distances_bounded(graph: Graph, source: int,
     out:
         Optional preallocated int32 array to fill (reused across calls
         by hot loops); it is reset to ``UNREACHED`` first.
+    forward:
+        Follow the arcs (``d(source -> x)``) or run against them
+        (``d(x -> source)``); the same thing on an undirected graph.
     """
     graph._check_vertex(source)
     n = graph.num_vertices
@@ -122,7 +127,10 @@ def bfs_distances_bounded(graph: Graph, source: int,
     dist[source] = 0
     frontier = np.array([source], dtype=np.int32)
     depth = 0
-    indptr, indices = graph.indptr, graph.indices
+    if forward:
+        indptr, indices = graph.out_indptr, graph.out_indices
+    else:
+        indptr, indices = graph.in_indptr, graph.in_indices
     while len(frontier):
         if max_depth is not None and depth >= max_depth:
             break

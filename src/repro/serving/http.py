@@ -77,6 +77,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from operator import index as _as_int
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -179,18 +180,17 @@ def _parse_params(params: Dict[str, List[str]],
 
 
 def render_value(value: Any) -> Any:
-    """JSON-render one query answer (distance, count, or SPG)."""
+    """JSON-render one query answer (distance, count, or SPG).
+
+    A directed SPG goes out as its oriented ``"arcs"``, an undirected
+    one as normalized ``"edges"``.
+    """
     if value is None or isinstance(value, (int, float)):
         return value
-    edges = getattr(value, "edges", None)
-    if edges is not None:
-        return {"distance": value.distance,
-                "edges": sorted([int(a), int(b)] for a, b in edges)}
-    arcs = getattr(value, "arcs", None)
-    if arcs is not None:
-        return {"distance": value.distance,
-                "arcs": sorted([int(a), int(b)] for a, b in arcs)}
-    return str(value)
+    key, pairs = (("arcs", value.arcs) if value.directed
+                  else ("edges", value.edges))
+    return {"distance": value.distance,
+            key: sorted([a, b] for a, b in pairs)}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -389,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(op, (list, tuple)) or len(op) != 3:
                 raise ValueError(f"malformed op {op!r}")
             kind, u, v = op
-            parsed.append((str(kind), int(u), int(v)))
+            parsed.append((str(kind), _as_int(u), _as_int(v)))
         outcome = service.apply_updates(
             parsed, refresh=bool(payload.get("refresh", True)))
         return 200, dict(outcome)
@@ -405,12 +405,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def _extract_pairs(payload: Dict[str, Any]) -> List[Tuple[int, int]]:
+    """The request's pairs as ints (the reply echoes them): a JSON
+    number that is not an integer is refused, as at the index's front
+    door, never truncated. The range is the service's to check."""
     if "pairs" in payload:
         pairs = payload["pairs"]
         if not isinstance(pairs, list) or not pairs:
             raise ValueError("'pairs' must be a non-empty list")
-        return [(int(u), int(v)) for u, v in pairs]
-    return [(int(payload["u"]), int(payload["v"]))]
+    else:
+        pairs = [(payload["u"], payload["v"])]
+    return [(_as_int(u), _as_int(v)) for u, v in pairs]
 
 
 class ServingHTTPServer(ThreadingHTTPServer):

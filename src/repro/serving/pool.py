@@ -26,8 +26,9 @@ directions of a pipe share no state — one thread at a time sends (the
 batcher's lock serializes them), the collector receives. The parent
 drops its copy of the worker's end right after the fork, so a dead
 worker reads as EOF — even mid-frame — and only its own pipe is
-retired. Every message carries the current
-:class:`~repro.serving.snapshot.SnapshotHandle`; a worker whose
+retired; a worker drops the parent ends it was forked with, so a dead
+parent reads as EOF too and its workers exit. Every message carries
+the current :class:`~repro.serving.snapshot.SnapshotHandle`; a worker whose
 materialized epoch differs re-materializes before answering — hot
 swaps need no broadcast and cannot be missed, a worker is simply
 never allowed to answer a batch against the wrong epoch.
@@ -51,7 +52,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .._util import Stopwatch
 from ..engine.session import QueryOptions, QuerySession
-from ..errors import ReproError, ServingError, VertexError
+from ..errors import ReproError, ServingError
 from ..obs import get_registry
 from ..obs.profiler import SamplingProfiler, merge_folded
 from ..obs.resources import resource_snapshot
@@ -142,40 +143,22 @@ class _Ready(NamedTuple):
     error: Optional[str]
 
 
-def _answer_distance_batch(session: QuerySession, pairs,
-                           mode: Optional[str]) -> List:
-    """One bulk kernel invocation for a distance batch.
-
-    Out-of-range vertex ids are weeded into :class:`PairError` slots
-    per pair (exactly what the scalar path produced for them); the
-    surviving pairs reach the index as a single ``distance_many``
-    call through the session's deduplicating bulk cache path.
-    """
-    num_vertices = session.index.num_vertices
-    values: List = [None] * len(pairs)
-    good = []
-    slots = []
-    for i, (u, v) in enumerate(pairs):
-        bad = next((x for x in (u, v)
-                    if not 0 <= x < num_vertices), None)
-        if bad is None:
-            good.append((u, v))
-            slots.append(i)
-        else:
-            values[i] = PairError(str(VertexError(bad, num_vertices)))
-    if good:
-        for i, record in zip(slots, session.query_many(good, mode=mode)):
-            values[i] = record.value
-    return values
-
-
 def _answer_batch(session: QuerySession, pairs, mode: Optional[str],
                   effective: str) -> List:
-    """Answer one batch through the session (kernel or scalar path)."""
+    """Answer one batch through the session (kernel or scalar path).
+
+    A distance batch reaches the index whole, as one kernel call on
+    the session's deduplicating bulk path. Ids were checked at
+    admission; should that call raise all the same, the batch is
+    answered pair by pair and the bad pair fails alone
+    (:class:`PairError`), not its batch-mates.
+    """
     if effective == "distance":
-        # The whole deduplicated batch reaches the index as one
-        # vectorized kernel invocation.
-        return _answer_distance_batch(session, pairs, mode)
+        try:
+            return [record.value
+                    for record in session.query_many(pairs, mode=mode)]
+        except ReproError:
+            pass
     values: List = []
     for u, v in pairs:
         try:
@@ -229,10 +212,16 @@ _RESOURCE_INTERVAL = 1.0
 
 
 def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
-                 options: QueryOptions) -> None:
+                 options: QueryOptions, parent_ends) -> None:
     """Worker process body: materialize, then serve batches forever."""
     import signal
 
+    # A forked worker inherits the parent's end of its own pipe and of
+    # every elder sibling's. While any copy is open the pipe never
+    # reads EOF, and a worker whose parent was SIGKILLed would sit in
+    # ``recv`` forever.
+    for inherited in parent_ends:
+        inherited.close()
     # A terminal Ctrl-C delivers SIGINT to the whole process group;
     # shutdown belongs to the parent (sentinel, then terminate), so
     # workers must not die mid-batch with a KeyboardInterrupt spew.
@@ -364,7 +353,8 @@ class WorkerPool:
         ours, theirs = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, theirs, handle, self.options),
+            args=(slot, theirs, handle, self.options,
+                  [ours, *self._readers]),
             daemon=True,
             name=f"repro-serving-worker-{slot}",
         )

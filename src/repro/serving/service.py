@@ -45,12 +45,12 @@ from concurrent.futures import Future
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..engine.base import PathIndex
+from ..engine.batch import pairs_to_arrays
 from ..engine.session import QUERY_MODES, QueryOptions
 from ..errors import (
     ImmutableIndexError,
     QueryError,
     ServingError,
-    VertexError,
 )
 from ..obs import get_registry
 from ..obs.audit import OracleAuditor
@@ -143,19 +143,17 @@ class QueryService:
                     ) -> List["Future[Answer]"]:
         """Bulk-admit a burst of pairs (one admission-control pass).
 
-        Vertex ids (against the current snapshot's graph) and the
-        mode are validated here, so a bad request is rejected at
+        Vertex ids (against the current snapshot's graph, in one array
+        pass through the index contract's batch validator) and the
+        mode are checked here, so a bad request is rejected at
         admission instead of travelling to a worker and back.
         """
         self._check_open()
         self._check_mode(mode)
-        pairs = [(int(u), int(v)) for u, v in pairs]
-        num_vertices = self._snapshots.current.graph.num_vertices
-        for u, v in pairs:
-            for vertex in (u, v):
-                if not 0 <= vertex < num_vertices:
-                    raise VertexError(vertex, num_vertices)
-        return self._batcher.submit_many(pairs, mode)
+        us, vs = pairs_to_arrays(
+            pairs, self._snapshots.current.graph.num_vertices)
+        return self._batcher.submit_many(
+            list(zip(us.tolist(), vs.tolist())), mode)
 
     def query_many(self, pairs: Iterable[Tuple[int, int]],
                    mode: Optional[str] = None, *,

@@ -37,12 +37,15 @@ Lifetime: the manager retires an epoch by unlinking its file, whatever
 the kind. POSIX keeps an unlinked file's mapping valid, so a worker
 already on that epoch keeps answering from it; a handle to a retired
 epoch reaching a worker *afterwards* fails with a typed
-:class:`~repro.errors.ServingError`, which the batcher retries.
+:class:`~repro.errors.ServingError`, which the batcher retries. The
+directory a manager derives carries its pid (``repro-serving-<pid>-*``)
+and creating one removes the siblings whose owner no longer exists.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -99,6 +102,18 @@ class Snapshot:
     handle: SnapshotHandle
     graph: Any
     retired: bool = False
+
+
+def _sweep_dead_owners(parent: str) -> None:
+    """Remove the ``repro-serving-<pid>-*`` directories under ``parent``
+    whose owner is gone: a SIGKILLed server cannot retire its own."""
+    for stale in Path(parent).glob("repro-serving-*-*"):
+        try:
+            os.kill(int(stale.name.split("-")[2]), 0)
+        except ProcessLookupError:
+            shutil.rmtree(stale, ignore_errors=True)
+        except (ValueError, OSError):
+            pass  # no pid in the name, or a live process of another user
 
 
 def materialize_snapshot(handle: SnapshotHandle) -> PathIndex:
@@ -237,9 +252,11 @@ class SnapshotManager:
             # the packed store exists to keep its cold tier on disk.
             parent = _SHM_ROOT if (
                 self._store == "shm" and os.path.isdir(_SHM_ROOT)
-                and os.access(_SHM_ROOT, os.W_OK)) else None
+                and os.access(_SHM_ROOT, os.W_OK)) \
+                else tempfile.gettempdir()
+            _sweep_dead_owners(parent)
             self._directory = Path(tempfile.mkdtemp(
-                prefix="repro-serving-", dir=parent))
+                prefix=f"repro-serving-{os.getpid()}-", dir=parent))
         self._directory.mkdir(parents=True, exist_ok=True)
         return self._directory / f"snapshot-{epoch:06d}.store"
 

@@ -44,7 +44,7 @@ from ..baselines.oracle import spg_edges_from_distances
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.batch import batched_min_plus, distances_to_float, \
-    finalize_distances, pairs_to_arrays
+    finalize_distances
 from ..engine.registry import get_index_class, register_index
 from ..errors import GraphValidationError, IndexBuildError
 from ..graph.csr import Graph
@@ -205,11 +205,7 @@ class ShardedIndex(PathIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return 0
+    def _distance(self, u: int, v: int) -> Optional[int]:
         su = int(self._partition.assignment[u])
         direct = None
         if su == int(self._partition.assignment[v]):
@@ -224,7 +220,7 @@ class ShardedIndex(PathIndex):
         best, _, _ = self._assemble_distance(u, v, direct=direct)
         return None if np.isinf(best) else int(best)
 
-    def distance_many(self, pairs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> List[Optional[int]]:
         """Batched cross-shard assembly with per-shard bulk gathers.
 
         The scalar path pays one inner point query per boundary vertex
@@ -235,22 +231,16 @@ class ShardedIndex(PathIndex):
         overlay matrix per ``(shard, shard)`` group. Short local
         answers (``d <= 2``) keep their provable short-circuit.
         """
-        us, vs = pairs_to_arrays(pairs, self._graph.num_vertices)
         count = len(us)
-        if count == 0:
-            return []
         best = np.full(count, np.inf, dtype=np.float64)
         assignment = self._partition.assignment
         shard_u = assignment[us].astype(np.int64)
         shard_v = assignment[vs].astype(np.int64)
 
-        settled = us == vs
-        best[settled] = 0.0
-
         # Cohabiting pairs first: bulk inner answers, with the
-        # local-d<=2 short-circuit (provably global; see `distance`) —
+        # local-d<=2 short-circuit (provably global; see `_distance`) —
         # pairs it settles never pay for boundary rows below.
-        cohabiting = (shard_u == shard_v) & ~settled
+        cohabiting = shard_u == shard_v
         direct = np.full(count, np.inf, dtype=np.float64)
         with span("shard.local", pairs=int(cohabiting.sum())):
             for shard in range(self._partition.num_shards):
@@ -258,13 +248,11 @@ class ShardedIndex(PathIndex):
                 if not len(members):
                     continue
                 answers = self._shards[shard].distance_many(
-                    [(int(self._local_id[us[b]]),
-                      int(self._local_id[vs[b]]))
-                     for b in members.tolist()])
+                    np.column_stack((self._local_id[us[members]],
+                                     self._local_id[vs[members]])))
                 direct[members] = distances_to_float(answers)
-        short = cohabiting & (direct <= 2)
-        best[short] = direct[short]
-        settled |= short
+        settled = cohabiting & (direct <= 2)
+        best[settled] = direct[settled]
         # Longer cohabiting answers stay candidates against the relay.
         best[~settled] = direct[~settled]
 
@@ -295,8 +283,9 @@ class ShardedIndex(PathIndex):
                     continue
                 local_vertices = self._local_id[unique[members]]
                 answers = self._shards[shard].distance_many(
-                    [(int(x), int(b)) for x in local_vertices.tolist()
-                     for b in locals_b.tolist()])
+                    np.column_stack((
+                        np.repeat(local_vertices, len(locals_b)),
+                        np.tile(locals_b, len(members)))))
                 matrix = distances_to_float(answers).reshape(
                     len(members), len(locals_b))
                 for row, m in enumerate(members.tolist()):
@@ -334,11 +323,7 @@ class ShardedIndex(PathIndex):
                         best[group], batched_min_plus(du, block, dv))
         return finalize_distances(best)
 
-    def query(self, u: int, v: int) -> ShortestPathGraph:
-        self._graph._check_vertex(u)
-        self._graph._check_vertex(v)
-        if u == v:
-            return ShortestPathGraph.trivial(u)
+    def _query(self, u: int, v: int) -> ShortestPathGraph:
         best, du_b, dv_b = self._assemble_distance(u, v)
         if np.isinf(best):
             return ShortestPathGraph.empty(u, v)
@@ -398,7 +383,7 @@ class ShardedIndex(PathIndex):
         inner = self._shards[shard]
         locals_ = self._shard_boundary_local[shard]
         return distances_to_float(inner.distance_many(
-            [(local_v, int(lb)) for lb in locals_.tolist()]))
+            np.column_stack((np.full_like(locals_, local_v), locals_))))
 
     def _distance_field(self, u: int, du_b: np.ndarray,
                         other: int, dother_b: np.ndarray,

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.directed import (
-    DiGraph,
-    DirectedQbSIndex,
-    DirectedSPG,
-    directed_bfs,
-    directed_spg_oracle,
-)
+from repro import ShortestPathGraph, spg_oracle
+from repro.directed import DiGraph, DirectedQbSIndex
 from repro.errors import GraphValidationError, IndexBuildError, VertexError
+from repro.graph import bfs_distances
 
 
 def random_digraph(rng, n=None):
@@ -88,29 +84,30 @@ class TestDiGraph:
 class TestDirectedBfs:
     def test_forward_vs_backward(self):
         g = DiGraph.from_arcs([(0, 1), (1, 2)])
-        forward = directed_bfs(g, 0, forward=True)
+        forward = bfs_distances(g, 0, forward=True)
         assert forward.tolist() == [0, 1, 2]
-        backward = directed_bfs(g, 2, forward=False)
+        backward = bfs_distances(g, 2, forward=False)
         assert backward.tolist() == [2, 1, 0]
 
     def test_unreachable(self):
         g = DiGraph.from_arcs([(0, 1)])
-        dist = directed_bfs(g, 1, forward=True)
+        dist = bfs_distances(g, 1, forward=True)
         assert dist[0] == -1
 
 
 class TestDirectedSPG:
     def test_trivial_and_empty(self):
-        assert DirectedSPG.trivial(3).count_paths() == 1
-        assert DirectedSPG.empty(0, 1).count_paths() == 0
+        assert ShortestPathGraph.trivial(3, directed=True).count_paths() == 1
+        assert ShortestPathGraph.empty(0, 1, directed=True).count_paths() == 0
 
     def test_count_paths_diamond(self):
-        spg = DirectedSPG(0, 3, 2, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        spg = ShortestPathGraph(0, 3, 2, [(0, 1), (0, 2), (1, 3), (2, 3)],
+                                directed=True)
         assert spg.count_paths() == 2
         assert spg.vertices == {0, 1, 2, 3}
 
     def test_orientation_preserved(self):
-        spg = DirectedSPG(0, 1, 1, [(0, 1)])
+        spg = ShortestPathGraph(0, 1, 1, [(0, 1)], directed=True)
         assert (0, 1) in spg.arcs
         assert (1, 0) not in spg.arcs
 
@@ -118,25 +115,25 @@ class TestDirectedSPG:
         from repro.errors import QueryError
 
         with pytest.raises(QueryError):
-            DirectedSPG(0, 0, 0, [(0, 1)])
+            ShortestPathGraph(0, 0, 0, [(0, 1)], directed=True)
 
 
 class TestDirectedOracle:
     def test_simple_chain(self):
         g = DiGraph.from_arcs([(0, 1), (1, 2)])
-        spg = directed_spg_oracle(g, 0, 2)
+        spg = spg_oracle(g, 0, 2)
         assert spg.distance == 2
         assert spg.arcs == frozenset({(0, 1), (1, 2)})
 
     def test_direction_matters(self):
         g = DiGraph.from_arcs([(0, 1), (1, 2)])
-        assert directed_spg_oracle(g, 2, 0).distance is None
+        assert spg_oracle(g, 2, 0).distance is None
 
     def test_asymmetric_distances(self):
         # Cycle 0 -> 1 -> 2 -> 0: d(0,2) = 2 but d(2,0) = 1.
         g = DiGraph.from_arcs([(0, 1), (1, 2), (2, 0)])
-        assert directed_spg_oracle(g, 0, 2).distance == 2
-        assert directed_spg_oracle(g, 2, 0).distance == 1
+        assert spg_oracle(g, 0, 2).distance == 2
+        assert spg_oracle(g, 2, 0).distance == 1
 
 
 class TestDirectedQbS:
@@ -149,14 +146,14 @@ class TestDirectedQbS:
             index = DirectedQbSIndex.build(g, num_landmarks=count)
             for _ in range(10):
                 u, v = int(rng.integers(n)), int(rng.integers(n))
-                assert index.query(u, v) == directed_spg_oracle(g, u, v)
+                assert index.query(u, v) == spg_oracle(g, u, v)
 
     def test_asymmetric_queries(self):
         g = DiGraph.from_arcs([(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)])
         index = DirectedQbSIndex.build(g, num_landmarks=2)
         for u in range(4):
             for v in range(4):
-                assert index.query(u, v) == directed_spg_oracle(g, u, v)
+                assert index.query(u, v) == spg_oracle(g, u, v)
 
     def test_landmark_endpoint_fallback(self):
         rng = np.random.default_rng(11)
@@ -165,7 +162,7 @@ class TestDirectedQbS:
         landmark = int(index.landmarks[0])
         for v in range(0, 20, 3):
             assert index.query(landmark, v) == \
-                directed_spg_oracle(g, landmark, v)
+                spg_oracle(g, landmark, v)
 
     def test_self_query(self):
         g = DiGraph.from_arcs([(0, 1)])
@@ -192,7 +189,7 @@ class TestDirectedQbS:
         for u in range(15):
             for v in range(15):
                 assert index.distance(u, v) == \
-                    directed_spg_oracle(g, u, v).distance
+                    spg_oracle(g, u, v).distance
 
     def test_validation(self):
         g = DiGraph.from_arcs([(0, 1)])

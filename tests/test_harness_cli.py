@@ -147,8 +147,7 @@ class TestCli:
         arcs."""
         import numpy as np
 
-        from repro import load_index
-        from repro.directed import directed_spg_oracle
+        from repro import load_index, spg_oracle
 
         path = tmp_path / "douban-directed.idx"
         assert main(["build", "--method", "qbs-directed",
@@ -159,7 +158,7 @@ class TestCli:
         graph = index.graph
         pairs = np.random.default_rng(7).integers(
             0, graph.num_vertices, size=(300, 2)).tolist()
-        oracle = [directed_spg_oracle(graph, u, v) for u, v in pairs]
+        oracle = [spg_oracle(graph, u, v) for u, v in pairs]
         assert [index.distance(u, v) for u, v in pairs] \
             == [spg.distance for spg in oracle]
         assert [index.query(u, v) for u, v in pairs[:150]] \

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro import BiBFS, QbSIndex, bidirectional_spg, spg_oracle
 from repro.core.labelling import build_labelling
 from repro.core.search import SearchStats
-from repro.directed import DiGraph, DirectedQbSIndex, directed_spg_oracle
+from repro.directed import DiGraph, DirectedQbSIndex
 
 from _corpus import (label_rng, random_digraph_corpus,
                      random_graph_corpus, sample_vertex_pairs,
@@ -31,7 +31,7 @@ def both_orientations(graph) -> DiGraph:
 
 def assert_matches_oracle(index, graph, pairs):
     for u, v in pairs:
-        expected = directed_spg_oracle(graph, u, v)
+        expected = spg_oracle(graph, u, v)
         assert index.query(u, v) == expected, (u, v)
         assert index.distance(u, v) == expected.distance, (u, v)
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro import Graph, QueryOptions, build_index, load_index, spg_oracle
 from repro.baselines.oracle import distance_oracle
-from repro.directed import DiGraph, directed_spg_oracle
+from repro.directed import DiGraph
 from repro.engine import available_methods
 from repro.errors import (
     RequestExpiredError,
@@ -111,7 +111,7 @@ def _round_trip_source(case):
 def _oracle(graph, u, v):
     """``(distance, shortest path graph)`` by plain BFS."""
     if isinstance(graph, DiGraph):
-        spg = directed_spg_oracle(graph, u, v)
+        spg = spg_oracle(graph, u, v)
         return spg.distance, spg
     return distance_oracle(graph, u, v), spg_oracle(graph, u, v)
 
@@ -976,6 +976,24 @@ class TestHTTP:
         status, _ = self._post(base, "/update", {"ops": []})
         assert status == 400
 
+    def test_non_integer_ids_are_refused_not_truncated(self, endpoint):
+        """``{"u": 1.9, "v": 3}`` was ``200 {"u": 1, ...}``: ``int()``
+        truncated the float (and parsed a string) on the way in."""
+        base, _graph = endpoint
+        for bad in (1.9, 2.0, "3", None, [1]):
+            for payload in ({"u": bad, "v": 3}, {"u": 3, "v": bad},
+                            {"pairs": [[0, 1], [bad, 3]]}):
+                status, reply = self._post(base, "/query", payload)
+                assert status == 400, (payload, reply)
+                assert "bad request" in reply["error"]
+            status, reply = self._post(
+                base, "/update", {"ops": [["insert", 1, bad]]})
+            assert status == 400, (bad, reply)
+        status, reply = self._post(base, "/query", {"u": True, "v": 3})
+        assert status == 200
+        assert reply["results"][0] == self._post(
+            base, "/query", {"u": 1, "v": 3})[1]["results"][0]
+
     def test_update_on_immutable_source_is_409(self):
         graph = _small_graph(seed=77, n=60)
         with QueryService(_build("ppl", graph), num_workers=1,
@@ -1150,12 +1168,13 @@ class TestHTTPErrorPaths:
 
 @pytest.mark.timeout(180)
 class TestServeSignalHandling:
-    """Satellite: SIGINT/SIGTERM leave no orphaned worker processes."""
+    """Satellite: SIGINT/SIGTERM leave no orphaned worker processes,
+    and a SIGKILL leaves nothing the next server does not clean up."""
 
-    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
-    def test_signal_shuts_down_cleanly(self, signame, tmp_path):
-        import os
-        import signal
+    @staticmethod
+    def _listening_server(tmp_path):
+        """``repro serve`` over a small index with two workers, as a
+        child process that has printed its readiness line."""
         import subprocess
         import sys
 
@@ -1177,9 +1196,19 @@ class TestServeSignalHandling:
                 line = process.stdout.readline()
                 assert line, "server exited before listening"
                 if "listening on" in line:
-                    break
-            else:
-                pytest.fail("server never reported listening")
+                    return process
+            pytest.fail("server never reported listening")
+        except BaseException:
+            process.kill()
+            process.communicate()
+            raise
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_signal_shuts_down_cleanly(self, signame, tmp_path):
+        import signal
+
+        process = self._listening_server(tmp_path)
+        try:
             process.send_signal(getattr(signal, signame))
             output, _ = process.communicate(timeout=60)
         finally:
@@ -1189,3 +1218,97 @@ class TestServeSignalHandling:
         assert process.returncode == 0, output
         assert "shutting down" in output
         assert "draining batcher and stopping workers" in output
+
+    def test_sigkill_takes_the_workers_and_the_next_server_sweeps(
+            self, tmp_path):
+        """A SIGKILLed server can run no cleanup. Its workers exit on
+        their own — the parent's end of their pipes closed with it, and
+        no sibling holds a copy — and the snapshot directory it leaves
+        is removed by the next manager to create one beside it."""
+        import glob
+        import shutil
+        import signal
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().rpartition(")")[2].split()[0] \
+                        != "Z"
+            except OSError:
+                return False
+
+        process = self._listening_server(tmp_path)
+        roots = ("/dev/shm", tempfile.gettempdir())
+        pattern = f"repro-serving-{process.pid}-*"
+        workers = []
+        try:
+            workers += [
+                int(path.split("/")[2])
+                for path in glob.glob("/proc/[0-9]*/stat")
+                if open(path).read().rpartition(")")[2].split()[1]
+                == str(process.pid)]
+            assert len(workers) == 2
+            # Not `communicate`: a surviving worker holds the stdout
+            # pipe open, and the read would never end.
+            process.kill()
+            process.wait(timeout=60)
+            deadline = time.monotonic() + 5.0
+            while any(map(running, workers)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers)), \
+                "workers outlived their SIGKILLed server"
+            left = [path for root in roots
+                    for path in glob.glob(os.path.join(root, pattern))]
+            assert len(left) == 1 and os.listdir(left[0])
+            with SnapshotManager(_build("bibfs", _small_graph(n=10)),
+                                 directory=None) as manager:
+                manager.publish()
+                assert os.path.dirname(os.path.dirname(
+                    manager.current.handle.ref)) \
+                    == os.path.dirname(left[0])
+            assert not os.path.exists(left[0])
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=60)
+            process.stdout.close()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for root in roots:
+                for path in glob.glob(os.path.join(root, pattern)):
+                    shutil.rmtree(path, ignore_errors=True)
+
+    def test_sweep_takes_dead_owners_only(self, tmp_path, monkeypatch):
+        """Beside its own directory a manager removes those named for
+        a process that no longer exists, and no others."""
+        import subprocess
+        import sys
+
+        from repro.serving import snapshot
+
+        monkeypatch.setattr(snapshot, "_SHM_ROOT", str(tmp_path))
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait(timeout=60)
+        alive = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"],
+            stdin=subprocess.PIPE)
+        try:
+            planted = {}
+            for name, owner in (("dead", gone.pid), ("live", alive.pid)):
+                planted[name] = tmp_path / f"repro-serving-{owner}-abc123"
+                planted[name].mkdir()
+                (planted[name] / "snapshot-000000.store").write_bytes(
+                    b"x")
+            unowned = tmp_path / "repro-serving-abc123"
+            unowned.mkdir()
+            with SnapshotManager(_build("bibfs", _small_graph(n=10))) \
+                    as manager:
+                manager.publish()
+                assert str(tmp_path) in manager.current.handle.ref
+                assert not planted["dead"].exists()
+                assert planted["live"].is_dir()
+                assert unowned.is_dir()
+        finally:
+            alive.communicate(b"", timeout=60)

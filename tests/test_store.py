@@ -4,9 +4,8 @@ Covers the container format (pack / open round-trips, crash-safe
 writes, magic detection), the block-granular page cache (LRU
 eviction, pinning, counters), the store-backed index families
 (exactness against the fully-resident originals on every query
-surface), the loader integration (``load_index`` on a packed store,
-the ``mmap=True`` contract), the CLI subcommands, and serving with
-``store="mmap"``.
+surface), the loader integration (``load_index`` on a packed store),
+the CLI subcommands, and serving with ``store="mmap"``.
 """
 
 from __future__ import annotations
@@ -351,19 +350,6 @@ class TestLoaderIntegration:
             assert hasattr(index, "label_store")
         finally:
             index.close()
-
-    def test_mmap_flag_accepts_store(self, tmp_path):
-        _, store_path = _packed(tmp_path, "ppl")
-        index = load_index(store_path, mmap=True)
-        index.close()
-
-    def test_mmap_flag_rejects_npz(self, tmp_path):
-        graph = random_graph(30, seed=1)
-        index = build_index(graph, method="ppl")
-        npz = tmp_path / "a.idx"
-        save_index(index, npz)
-        with pytest.raises(IndexFormatError, match="store pack"):
-            load_index(npz, mmap=True)
 
     def test_peek_and_describe_store(self, tmp_path):
         _, store_path = _packed(tmp_path, "parent-ppl")
