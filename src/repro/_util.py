@@ -5,6 +5,9 @@ Nothing in this module is part of the public API.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,6 +32,31 @@ def check_random_state(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary handle whose bytes become ``path`` all at once.
+
+    It is a temporary file in the *same directory* (same filesystem,
+    so the rename cannot degrade to a copy); a clean exit fsyncs it
+    and ``os.replace``\\ s it over ``path``. A crash or an exception
+    leaves the previous file or the complete new one, never a
+    truncated one, and ``np.savez`` handed this cannot append ``.npz``.
+    """
+    directory = os.path.dirname(os.path.abspath(os.fspath(path)))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".repro-",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class Stopwatch:

@@ -9,7 +9,7 @@ independent distance oracle in tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -58,11 +58,9 @@ class NaiveLabelling(PathIndex):
         d = int(self._matrix[u, v])
         return None if d == UNREACHED else d
 
-    def _distance_many(self, us, vs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> np.ndarray:
         """One fancy-index gather over the all-pairs matrix."""
-        row = self._matrix[us, vs]
-        return [None if value == UNREACHED else int(value)
-                for value in row.tolist()]
+        return self._matrix[us, vs]
 
     def _query(self, u: int, v: int) -> ShortestPathGraph:
         """SPG directly from the stored distance rows."""

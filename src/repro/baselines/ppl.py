@@ -45,8 +45,7 @@ from .._util import TimeBudget
 from ..core.build_kernels import RaggedView, build_sound_labels
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
-from ..engine.batch import LabelArrays, finalize_distances, \
-    two_hop_distance_many
+from ..engine.batch import LabelArrays, two_hop_distance_many
 from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import register_index
 from ..graph.csr import Graph
@@ -158,7 +157,7 @@ class PPLIndex(PathIndex):
         )
         return None if best == INF else int(best)
 
-    def _distance_many(self, us, vs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> np.ndarray:
         """Batched 2-hop label merges as one vectorized kernel call.
 
         The sound labels are a 2-hop distance cover, so
@@ -171,8 +170,7 @@ class PPLIndex(PathIndex):
             self._batch_labels = LabelArrays.from_flat(
                 self._label_ranks.offsets, self._label_ranks.flat,
                 self._label_dists.flat)
-        return finalize_distances(
-            two_hop_distance_many(self._batch_labels, us, vs))
+        return two_hop_distance_many(self._batch_labels, us, vs)
 
     def _query(self, u: int, v: int) -> ShortestPathGraph:
         """Answer ``SPG(u, v)`` by recursive label resolution (§3.2)."""

@@ -112,7 +112,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Set
@@ -197,9 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="worker processes for the label "
                                 "families' root-batch loop (ppl, "
-                                "parent-ppl, dynamic; default: all "
-                                "cores); sharded builds pass it to "
-                                "the shard pool's inner builds")
+                                "parent-ppl, dynamic; default: the "
+                                "serial loop, which the bench "
+                                "measures faster than the pool); "
+                                "sharded builds pass it to the shard "
+                                "pool's inner builds")
 
     query_cmd = commands.add_parser(
         "query", help="load a saved index and answer a query batch")
@@ -601,10 +602,6 @@ def _run_build(args) -> int:
                 "--jobs only applies to the label families "
                 "(ppl, parent-ppl, dynamic) and sharded builds")
         params.setdefault("jobs", args.jobs)
-    elif args.method in jobs_methods:
-        # Root batches are embarrassingly parallel; use the box unless
-        # told otherwise (--param jobs=N still wins).
-        params.setdefault("jobs", os.cpu_count() or 1)
     if args.shards is not None and args.partition_file is not None:
         raise ReproError("give --shards or --partition-file, not both")
     if args.shards is not None:

@@ -24,7 +24,7 @@ precomputed and the vectorized ``distance_many`` bounds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -183,7 +183,7 @@ class QbSIndex(PathIndex):
         return self._searcher.distance_only(
             compute_sketch(self._labelling, self._meta, u, v))
 
-    def _distance_many(self, us, vs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> np.ndarray:
         """Batched distances via one vectorized sketch-bound pass.
 
         The sketch upper bound ``d_top`` (Eq. 3) for the whole batch
@@ -200,13 +200,13 @@ class QbSIndex(PathIndex):
 
         Everything else — landmark endpoints, unproven bounds,
         sketch-disconnected pairs — falls back to the per-pair guided
-        search, whose answers the bounds never contradict.
+        search (the contract's default), whose answers the bounds
+        never contradict.
         """
-        count = len(us)
-        results: List[Optional[int]] = [None] * count
-        resolved = np.zeros(count, dtype=bool)
         landmark = self._labelling.landmark_position >= 0
         idx = np.nonzero(~landmark[us] & ~landmark[vs])[0]
+        dist = np.empty(len(us), dtype=np.int32)
+        unresolved = np.ones(len(us), dtype=bool)
         if len(idx):
             label_u = self._labelling.label_rows_float(us[idx])
             label_v = self._labelling.label_rows_float(vs[idx])
@@ -219,18 +219,15 @@ class QbSIndex(PathIndex):
             lower = gap.max(axis=1) if num_r else np.zeros(len(idx))
             finite = np.isfinite(d_top)
             tight = finite & (lower == d_top)
-            for k in np.nonzero(tight)[0].tolist():
-                results[idx[k]] = int(d_top[k])
-                resolved[idx[k]] = True
+            dist[idx[tight]] = d_top[tight]
             near = finite & ~tight & (d_top == 2.0)
-            for k in np.nonzero(near)[0].tolist():
-                b = idx[k]
-                results[b] = 1 if self._graph.has_edge(
+            for b in idx[near].tolist():
+                dist[b] = 1 if self._graph.has_edge(
                     int(us[b]), int(vs[b])) else 2
-                resolved[b] = True
-        for b in np.nonzero(~resolved)[0].tolist():
-            results[b] = self._distance(int(us[b]), int(vs[b]))
-        return results
+            unresolved[idx[tight | near]] = False
+        rest = np.flatnonzero(unresolved)
+        dist[rest] = super()._distance_many(us[rest], vs[rest])
+        return dist
 
     # ------------------------------------------------------------------
     # Introspection

@@ -41,8 +41,7 @@ from .._util import UNREACHED, Stopwatch
 from ..baselines.oracle import spg_oracle
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
-from ..engine.batch import cached_label_arrays, distances_to_float, \
-    finalize_distances, two_hop_distance_many
+from ..engine.batch import cached_label_arrays, two_hop_distance_many
 from ..engine.persist import graph_arrays, graph_from_arrays
 from ..engine.registry import build_index, register_index
 from ..errors import IndexBuildError, IndexFormatError, QueryError
@@ -282,12 +281,13 @@ class DynamicIndex(PathIndex):
     def _distance(self, u: int, v: int) -> Optional[int]:
         return self._resolve_distance(u, v)[0]
 
-    def _distance_many(self, us, vs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> np.ndarray:
         """Batched distances: one label kernel + per-pair delta check.
 
         The maintained labels answer the whole batch through the
         vectorized 2-hop kernel (their graph is a supergraph of the
-        current one, so ``inf`` there is disconnection here, exactly).
+        current one, so ``UNREACHED`` there is disconnection here,
+        exactly).
         With phantom edges pending, each finite answer is screened by
         the usual poisoning test — edge ``(a, b)`` poisons ``(u, v)``
         iff ``d(u,a) + 1 + d(b,v) = d`` in some orientation — but the
@@ -303,44 +303,42 @@ class DynamicIndex(PathIndex):
         # force an O(size(L)) re-flatten before the next batch.
         flat = cached_label_arrays(self, labels.ranks, labels.dists,
                                    labels.repaired_entries)
-        results = finalize_distances(
-            two_hop_distance_many(flat, us, vs))
+        dist = two_hop_distance_many(flat, us, vs)
         if not self._phantom:
-            return results
+            return dist
         unique, inverse = np.unique(np.concatenate((us, vs)),
                                     return_inverse=True)
         phantom_vertices = sorted({x for edge in self._phantom
                                    for x in edge})
         if len(unique) * len(phantom_vertices) > _SCREEN_GRID_LIMIT:
             # Screening grid too large to materialize; screen per pair.
-            for b, d in enumerate(results):
-                if d is None:
-                    continue
-                u, v = int(us[b]), int(vs[b])
-                if touches_phantom_edge(labels, u, v, d,
-                                        self._phantom):
-                    results[b] = self._resolve_distance(u, v)[0]
-            return results
-        grid = two_hop_distance_many(
-            flat,
-            np.repeat(unique, len(phantom_vertices)),
-            np.tile(np.asarray(phantom_vertices, dtype=np.int64),
-                    len(unique)),
-        ).reshape(len(unique), len(phantom_vertices))
-        column = {x: j for j, x in enumerate(phantom_vertices)}
-        to_u = grid[inverse[:len(us)]]
-        to_v = grid[inverse[len(us):]]
-        label_d = distances_to_float(results)
-        poisoned = np.zeros(len(us), dtype=bool)
-        for a, b in self._phantom:
-            col_a, col_b = column[a], column[b]
-            poisoned |= to_u[:, col_a] + 1.0 + to_v[:, col_b] == label_d
-            poisoned |= to_u[:, col_b] + 1.0 + to_v[:, col_a] == label_d
-        poisoned &= np.isfinite(label_d)
-        for b in np.nonzero(poisoned)[0].tolist():
-            results[b] = self._resolve_distance(int(us[b]),
-                                                int(vs[b]))[0]
-        return results
+            poisoned = [
+                b for b in np.flatnonzero(dist != UNREACHED).tolist()
+                if touches_phantom_edge(labels, int(us[b]), int(vs[b]),
+                                        int(dist[b]), self._phantom)]
+        else:
+            grid = two_hop_distance_many(
+                flat,
+                np.repeat(unique, len(phantom_vertices)),
+                np.tile(np.asarray(phantom_vertices, dtype=np.int64),
+                        len(unique)),
+            ).reshape(len(unique), len(phantom_vertices))
+            # No path runs through an endpoint it cannot reach: put
+            # those legs beyond every distance (the sums stay int32).
+            grid[grid == UNREACHED] = np.iinfo(np.int32).max // 4
+            column = {x: j for j, x in enumerate(phantom_vertices)}
+            to_u = grid[inverse[:len(us)]]
+            to_v = grid[inverse[len(us):]]
+            hit = np.zeros(len(us), dtype=bool)
+            for a, b in self._phantom:
+                col_a, col_b = column[a], column[b]
+                hit |= to_u[:, col_a] + 1 + to_v[:, col_b] == dist
+                hit |= to_u[:, col_b] + 1 + to_v[:, col_a] == dist
+            poisoned = np.flatnonzero(hit).tolist()
+        for b in poisoned:
+            d = self._distance(int(us[b]), int(vs[b]))
+            dist[b] = UNREACHED if d is None else d
+        return dist
 
     def _resolve_distance(self, u: int, v: int
                           ) -> Tuple[Optional[int], bool,

@@ -22,9 +22,10 @@ from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .._util import UNREACHED
 from ..core.spg import ShortestPathGraph
 from ..errors import IndexFormatError, QueryError, VertexError
-from .batch import pairs_to_arrays
+from .batch import finalize_distances, pairs_to_arrays
 
 __all__ = ["PathIndex"]
 
@@ -39,7 +40,8 @@ class PathIndex(abc.ABC):
     four query methods are written here, once — they check the ids,
     answer ``u == v`` (``0`` / the trivial SPG) and hand the rest to
     the family's ``_distance`` / ``_query`` / ``_distance_many`` — so
-    this is the only place an id is checked.
+    this is the only place an id is checked, and the only place a
+    distance batch becomes a Python list.
 
     An id is an integer in ``[0, num_vertices)``; anything with
     ``__index__`` is one (``np.int64(3)`` is ``3``, ``True`` is ``1``).
@@ -50,6 +52,13 @@ class PathIndex(abc.ABC):
     ``400``). ``query`` answers with one
     :class:`~repro.core.spg.ShortestPathGraph` whatever the graph
     kind; a directed family's carries ``directed=True``.
+
+    A batch goes in and comes out as arrays: ``_distance_many`` takes
+    checked int64 id arrays and returns an int32 array of the same
+    length with :data:`~repro._util.UNREACHED` where there is no path
+    — what the kernels compute. ``distance_many`` boxes it to
+    ``List[Optional[int]]``, once; a family composing other indexes'
+    answers (sharded) asks them for ``_distance_array`` instead.
     """
 
     #: Registry key, set by :func:`~repro.engine.registry.register_index`.
@@ -116,16 +125,18 @@ class PathIndex(abc.ABC):
         kernel call where the family has one
         (:mod:`repro.engine.batch`). An integer ``(k, 2)`` ndarray is
         validated without any per-pair work."""
-        us, vs = pairs_to_arrays(pairs, self.num_vertices)
-        distinct = us != vs
-        if distinct.all():
-            return self._distance_many(us, vs)
-        results: List[Optional[int]] = [0] * len(us)
-        rest = np.flatnonzero(distinct)
-        for i, value in zip(rest.tolist(),
-                            self._distance_many(us[rest], vs[rest])):
-            results[i] = value
-        return results
+        return finalize_distances(self._distance_array(
+            *pairs_to_arrays(pairs, self.num_vertices)))
+
+    def _distance_array(self, us: np.ndarray, vs: np.ndarray
+                        ) -> np.ndarray:
+        """``distance_many`` between validation and boxing: checked
+        int64 id arrays in (``us[i] == vs[i]`` allowed, answered 0
+        here), the int32 answer array out."""
+        dist = np.zeros(len(us), dtype=np.int32)
+        rest = np.flatnonzero(us != vs)
+        dist[rest] = self._distance_many(us[rest], vs[rest])
+        return dist
 
     def query(self, u: int, v: int) -> ShortestPathGraph:
         """The exact shortest path graph between ``u`` and ``v``."""
@@ -152,11 +163,15 @@ class PathIndex(abc.ABC):
         """``distance`` for checked, distinct ``u`` and ``v``."""
 
     def _distance_many(self, us: np.ndarray, vs: np.ndarray
-                       ) -> List[Optional[int]]:
+                       ) -> np.ndarray:
         """``distance_many`` for checked int64 id arrays, ``us[i] !=
-        vs[i]`` throughout (possibly empty). Default: pair by pair."""
-        return [self._distance(u, v)
-                for u, v in zip(us.tolist(), vs.tolist())]
+        vs[i]`` throughout (possibly empty): an int32 array of that
+        length, ``UNREACHED`` where there is no path. Default: pair
+        by pair."""
+        return np.fromiter(
+            (UNREACHED if d is None else d
+             for d in map(self._distance, us.tolist(), vs.tolist())),
+            dtype=np.int32, count=len(us))
 
     @abc.abstractmethod
     def _query(self, u: int, v: int) -> ShortestPathGraph:

@@ -22,8 +22,9 @@ holds the shared numpy kernels behind
   contributes ``min_r d(u, r) + d(r, v)`` as one row gather + add +
   min-reduction over the whole batch, the tail via one sorted-key
   binary-search intersection — no per-pair merge joins anywhere;
-* :func:`finalize_distances` — float results (``inf`` = disconnected)
-  back to the contract's ``Optional[int]`` list.
+* :func:`finalize_distances` — an int32 answer array (``UNREACHED`` =
+  disconnected, what every ``_distance_many`` returns) to the public
+  ``Optional[int]`` list; the front door is its one caller.
 
 The kernel chunks its pair dimension so peak memory stays bounded
 regardless of batch size.
@@ -35,11 +36,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._util import UNREACHED
 from ..errors import QueryError, VertexError
 
 __all__ = ["pairs_to_arrays", "LabelArrays", "cached_label_arrays",
            "two_hop_distance_many", "batched_min_plus",
-           "finalize_distances", "distances_to_float"]
+           "finalize_distances"]
 
 #: Head width cap: ranks below this bound get dense columns.
 _HEAD_WIDTH = 256
@@ -92,20 +94,17 @@ def pairs_to_arrays(pairs: Iterable[Tuple[int, int]],
     return sides[0], sides[1]
 
 
-def finalize_distances(best: np.ndarray) -> List[Optional[int]]:
-    """Float distances (``inf`` = disconnected) -> ``Optional[int]``."""
-    return [None if value == np.inf else int(value)
-            for value in best.tolist()]
+def finalize_distances(dist: np.ndarray) -> List[Optional[int]]:
+    """An int32 answer array (``UNREACHED`` = disconnected) ->
+    ``Optional[int]``."""
+    return [None if value == UNREACHED else value
+            for value in dist.tolist()]
 
 
-def distances_to_float(values: Iterable[Optional[int]]) -> np.ndarray:
-    """``Optional[int]`` distances -> float64 (``None`` -> ``inf``).
-
-    The dual of :func:`finalize_distances`, for feeding contract-level
-    answers back into ``min``/``+`` compositions.
-    """
-    return np.array([np.inf if value is None else float(value)
-                     for value in values], dtype=np.float64)
+def seal_distances(best: np.ndarray) -> np.ndarray:
+    """Float distances out of a ``min``/``+`` composition (``inf`` =
+    disconnected) -> the int32 answer array (``UNREACHED`` there)."""
+    return np.where(best == np.inf, UNREACHED, best).astype(np.int32)
 
 
 def batched_min_plus(left: np.ndarray, matrix: np.ndarray,
@@ -260,9 +259,9 @@ def two_hop_distance_many(labels: LabelArrays, us: np.ndarray,
     """Batched 2-hop label merge: ``min_r d(u, r) + d(r, v)`` per pair.
 
     Exact whenever the labels are a 2-hop distance cover (the sound
-    PPL invariant). Returns float64 distances with ``inf`` where the
-    endpoints share no labelled rank; ``u == v`` pairs are 0 by
-    definition.
+    PPL invariant). Returns the int32 answer array, ``UNREACHED``
+    where the endpoints share no labelled rank; ``u == v`` pairs are
+    0 by definition.
     """
     count = len(us)
     out = np.full(count, np.inf, dtype=np.float64)
@@ -294,4 +293,4 @@ def two_hop_distance_many(labels: LabelArrays, us: np.ndarray,
                     np.minimum.reduceat(sums, group_starts))
         out[chunk] = best
     out[us == vs] = 0.0
-    return out
+    return seal_distances(out)

@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import tempfile
 import zipfile
-import zlib
 from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from .._util import atomic_write
 from ..errors import GraphValidationError, IndexFormatError
 from ..graph.csr import Graph
+from ..graph.io import NPZ_READ_ERRORS
 from .base import PathIndex
 from .registry import get_index_class
 
@@ -91,16 +90,10 @@ def unpack_pairs(key_array: np.ndarray,
 
 
 def save_index(index: PathIndex, path) -> None:
-    """Write ``index`` to ``path`` in the uniform format, atomically.
-
-    The archive is assembled in a temporary file in the *same
-    directory* (same filesystem, so the final rename cannot degrade
-    to a copy), fsynced, and moved over ``path`` with ``os.replace``.
-    A crash at any point leaves either the previous file or the
-    complete new one — never a truncated archive. The file is written
-    through an open handle so the name is taken literally
-    (``np.savez`` would append ``.npz`` to bare paths).
-    """
+    """Write ``index`` to ``path`` in the uniform format, atomically
+    (:func:`~repro._util.atomic_write`: the previous file or the
+    complete new one, never a truncated archive; the name is taken
+    literally)."""
     meta, arrays = index.to_state()
     if _META_KEY in arrays:
         raise IndexFormatError(
@@ -112,29 +105,15 @@ def save_index(index: PathIndex, path) -> None:
         "method": index.method,
         "state": meta,
     })
-    directory = os.path.dirname(os.path.abspath(os.fspath(path)))
-    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".repro-idx-",
-                                   suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
+        with atomic_write(path) as handle:
             np.savez_compressed(handle,
                                 **{_META_KEY: np.asarray(header)},
                                 **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        tmp = None
     except OSError as exc:
         raise IndexFormatError(
             f"{path}: cannot write index archive ({exc})"
         ) from exc
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover
-                pass
 
 
 def _read_archive(path, with_arrays: bool):
@@ -172,8 +151,7 @@ def _read_archive(path, with_arrays: bool):
                     arrays = {name: archive[name]
                               for name in archive.files
                               if name != _META_KEY}
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError,
-            struct.error, zlib.error) as exc:
+    except NPZ_READ_ERRORS as exc:
         raise IndexFormatError(
             f"{path}: not a repro index archive ({exc})"
         ) from exc
@@ -295,8 +273,7 @@ def describe_index(path) -> Dict[str, Any]:
                     "nbytes": int(np.prod(shape, dtype=np.int64)
                                   * dtype.itemsize),
                 })
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError,
-            struct.error, zlib.error) as exc:
+    except NPZ_READ_ERRORS as exc:
         raise IndexFormatError(
             f"{path}: cannot describe archive ({exc})"
         ) from exc

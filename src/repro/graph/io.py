@@ -13,7 +13,9 @@ Two formats are supported:
   returns the original-id mapping; duplicate edges (including both
   orientations) collapse to one.
 * **NPZ binary** — compressed numpy container with the CSR arrays;
-  loads in milliseconds and round-trips exactly.
+  loads in milliseconds and round-trips exactly. Written atomically
+  under exactly the name given; anything that is not such a file —
+  missing, truncated, foreign — is a :class:`GraphFormatError`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from __future__ import annotations
 import gzip
 import io
 import os
-from typing import Iterator, Tuple, Union
+import struct
+import zipfile
+import zlib
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._util import atomic_write
 from ..errors import GraphFormatError
 from .builder import build_graph
 from .csr import Graph
@@ -41,6 +47,12 @@ __all__ = [
 PathLike = Union[str, "os.PathLike[str]"]
 
 _COMMENT_PREFIXES = ("#", "%", "//")
+
+#: What ``np.load`` and reading its members raise on a file that is
+#: not a whole npz: missing, foreign, or cut short (the last three come
+#: from a truncated member as it decompresses).
+NPZ_READ_ERRORS = (zipfile.BadZipFile, OSError, ValueError, EOFError,
+                   struct.error, zlib.error)
 
 
 def _open_text(path: PathLike, mode: str):
@@ -146,27 +158,45 @@ def write_edge_list(graph: Graph, path: PathLike, *,
             handle.write(f"{u} {v}\n")
 
 
+def write_tagged_npz(path: PathLike, tag: str, **arrays) -> None:
+    """Write ``arrays`` and a ``format`` tag as one compressed npz,
+    atomically and under exactly ``path`` (the partition map's writer
+    too)."""
+    with atomic_write(path) as handle:
+        np.savez_compressed(handle, format=np.asarray([tag]), **arrays)
+
+
+def read_tagged_npz(path: PathLike, tag: str, names: Sequence[str],
+                    what: str) -> List[np.ndarray]:
+    """The ``names`` arrays of a :func:`write_tagged_npz` file; a
+    missing, truncated or foreign one, a missing array and a wrong
+    tag are all :class:`GraphFormatError`."""
+    try:
+        with open(path, "rb") as handle, \
+                np.load(handle, allow_pickle=False) as data:
+            found = str(data["format"][0])
+            arrays = [data[name] for name in names]
+    except KeyError as exc:
+        raise GraphFormatError(
+            f"{path}: missing array {exc} — not a {what} file"
+        ) from exc
+    except NPZ_READ_ERRORS as exc:
+        raise GraphFormatError(
+            f"{path}: not a {what} file ({exc})"
+        ) from exc
+    if found != tag:
+        raise GraphFormatError(f"{path}: unknown format tag {found!r}")
+    return arrays
+
+
 def save_npz(graph: Graph, path: PathLike) -> None:
     """Serialize the CSR arrays into a compressed ``.npz`` container."""
-    np.savez_compressed(
-        path,
-        format=np.asarray(["repro-csr-v1"]),
-        indptr=graph.indptr,
-        indices=graph.indices,
-    )
+    write_tagged_npz(path, "repro-csr-v1",
+                     indptr=graph.indptr, indices=graph.indices)
 
 
 def load_npz(path: PathLike) -> Graph:
     """Load a graph previously written by :func:`save_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            tag = str(data["format"][0])
-            indptr = data["indptr"]
-            indices = data["indices"]
-        except KeyError as exc:
-            raise GraphFormatError(
-                f"{path}: missing array {exc} — not a repro graph file"
-            ) from exc
-    if tag != "repro-csr-v1":
-        raise GraphFormatError(f"{path}: unknown format tag {tag!r}")
+    indptr, indices = read_tagged_npz(
+        path, "repro-csr-v1", ("indptr", "indices"), "repro graph")
     return Graph(indptr, indices, validate=True)

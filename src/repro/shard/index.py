@@ -43,8 +43,7 @@ from .._util import UNREACHED, Stopwatch
 from ..baselines.oracle import spg_edges_from_distances
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
-from ..engine.batch import batched_min_plus, distances_to_float, \
-    finalize_distances
+from ..engine.batch import batched_min_plus, seal_distances
 from ..engine.registry import get_index_class, register_index
 from ..errors import GraphValidationError, IndexBuildError
 from ..graph.csr import Graph
@@ -52,7 +51,8 @@ from ..graph.ops import induced_subgraph
 from ..graph.traversal import bfs_distances_offsets
 from ..obs import get_registry, span
 from .builder import ParallelBuilder, ShardBuildOutcome
-from .overlay import BoundaryOverlay, build_overlay, shard_boundary_ids
+from .overlay import BoundaryOverlay, build_overlay, \
+    float_distances, shard_boundary_ids
 from .partition import Partition, partition_graph
 
 __all__ = ["ShardedIndex"]
@@ -220,88 +220,64 @@ class ShardedIndex(PathIndex):
         best, _, _ = self._assemble_distance(u, v, direct=direct)
         return None if np.isinf(best) else int(best)
 
-    def _distance_many(self, us, vs) -> List[Optional[int]]:
+    def _distance_many(self, us, vs) -> np.ndarray:
         """Batched cross-shard assembly with per-shard bulk gathers.
 
         The scalar path pays one inner point query per boundary vertex
         per endpoint; batched, every shard answers *all* its endpoint
         boundary distances (and all cohabiting pairs) through the
-        inner family's own ``distance_many`` kernel, and the relay
-        minimum runs as one chunked min-plus reduction against the
-        overlay matrix per ``(shard, shard)`` group. Short local
-        answers (``d <= 2``) keep their provable short-circuit.
+        inner family's own batch kernel, and the relay minimum runs
+        as one chunked min-plus reduction against the overlay matrix
+        per ``(shard, shard)`` group. Short local answers (``d <= 2``)
+        keep their provable short-circuit.
         """
         count = len(us)
-        best = np.full(count, np.inf, dtype=np.float64)
+        num_shards = self._partition.num_shards
         assignment = self._partition.assignment
         shard_u = assignment[us].astype(np.int64)
         shard_v = assignment[vs].astype(np.int64)
 
-        # Cohabiting pairs first: bulk inner answers, with the
-        # local-d<=2 short-circuit (provably global; see `_distance`) —
-        # pairs it settles never pay for boundary rows below.
+        # Cohabiting pairs first: bulk inner answers, which stay
+        # candidates against the relay unless the local-d<=2
+        # short-circuit (provably global; see `_distance`) settles
+        # them — settled pairs never pay for boundary rows below.
         cohabiting = shard_u == shard_v
-        direct = np.full(count, np.inf, dtype=np.float64)
+        best = np.full(count, np.inf, dtype=np.float64)
         with span("shard.local", pairs=int(cohabiting.sum())):
-            for shard in range(self._partition.num_shards):
+            for shard in range(num_shards):
                 members = np.nonzero(cohabiting & (shard_u == shard))[0]
-                if not len(members):
-                    continue
-                answers = self._shards[shard].distance_many(
-                    np.column_stack((self._local_id[us[members]],
-                                     self._local_id[vs[members]])))
-                direct[members] = distances_to_float(answers)
-        settled = cohabiting & (direct <= 2)
-        best[settled] = direct[settled]
-        # Longer cohabiting answers stay candidates against the relay.
-        best[~settled] = direct[~settled]
+                if len(members):
+                    best[members] = float_distances(
+                        self._shards[shard]._distance_array(
+                            self._local_id[us[members]].astype(np.int64),
+                            self._local_id[vs[members]].astype(np.int64)))
 
-        # Per-unique-endpoint boundary distance rows for the pairs the
-        # relay must still consider, one bulk inner call per shard.
-        open_mask = ~settled
+        # The pairs the relay must still consider, grouped by their
+        # (su, sv) shard pair so each group shares one overlay block.
+        open_idx = np.nonzero(~(cohabiting & (best <= 2)))[0]
+        group_key = shard_u[open_idx] * num_shards + shard_v[open_idx]
+        order = np.argsort(group_key, kind="stable")
+        open_idx, group_key = open_idx[order], group_key[order]
+
+        # One boundary distance grid per shard, a row per unique
+        # endpoint of those pairs.
         unique, inverse = np.unique(
-            np.concatenate((us[open_mask], vs[open_mask])),
+            np.concatenate((us[open_idx], vs[open_idx])),
             return_inverse=True)
-        open_count = int(open_mask.sum())
-        slot_u = np.full(count, -1, dtype=np.int64)
-        slot_v = np.full(count, -1, dtype=np.int64)
-        slot_u[open_mask] = inverse[:open_count]
-        slot_v[open_mask] = inverse[open_count:]
-        boundary_rows: List[Optional[np.ndarray]] = [None] * len(unique)
-        unique_shard = assignment[unique] if len(unique) \
-            else np.zeros(0, dtype=np.int64)
+        unique_shard = assignment[unique]
+        row = np.empty(len(unique), dtype=np.int64)
+        grids: List[Optional[np.ndarray]] = [None] * num_shards
         with span("shard.boundary", endpoints=len(unique)):
-            for shard in range(self._partition.num_shards):
+            for shard in range(num_shards):
                 members = np.nonzero(unique_shard == shard)[0]
-                if not len(members):
-                    continue
-                locals_b = self._shard_boundary_local[shard]
-                if not len(locals_b):
-                    empty = np.zeros(0, dtype=np.float64)
-                    for m in members.tolist():
-                        boundary_rows[m] = empty
-                    continue
-                local_vertices = self._local_id[unique[members]]
-                answers = self._shards[shard].distance_many(
-                    np.column_stack((
-                        np.repeat(local_vertices, len(locals_b)),
-                        np.tile(locals_b, len(members)))))
-                matrix = distances_to_float(answers).reshape(
-                    len(members), len(locals_b))
-                for row, m in enumerate(members.tolist()):
-                    boundary_rows[m] = matrix[row]
+                if len(members):
+                    row[members] = np.arange(len(members))
+                    grids[shard] = self._boundary_grid(
+                        shard, self._local_id[unique[members]])
+        row_u, row_v = np.split(row[inverse], 2)
 
-        # Relay through the overlay, grouped by the (su, sv) shard
-        # pair so each group shares one overlay block.
-        open_idx = np.nonzero(open_mask)[0]
         if len(open_idx) and self._overlay.num_boundary:
             with span("shard.relay", pairs=len(open_idx)):
-                num_shards = self._partition.num_shards
-                group_key = shard_u[open_idx] * num_shards \
-                    + shard_v[open_idx]
-                order = np.argsort(group_key, kind="stable")
-                open_idx = open_idx[order]
-                group_key = group_key[order]
                 starts = np.nonzero(
                     np.r_[True, np.diff(group_key) != 0])[0]
                 ends = np.r_[starts[1:], len(open_idx)]
@@ -315,13 +291,11 @@ class ShardedIndex(PathIndex):
                         continue
                     block = self._overlay.dist_float(overlay_u,
                                                      overlay_v)
-                    du = np.stack([boundary_rows[slot_u[b]]
-                                   for b in group])
-                    dv = np.stack([boundary_rows[slot_v[b]]
-                                   for b in group])
                     best[group] = np.minimum(
-                        best[group], batched_min_plus(du, block, dv))
-        return finalize_distances(best)
+                        best[group], batched_min_plus(
+                            grids[s_u][row_u[lo:hi]], block,
+                            grids[s_v][row_v[lo:hi]]))
+        return seal_distances(best)
 
     def _query(self, u: int, v: int) -> ShortestPathGraph:
         best, du_b, dv_b = self._assemble_distance(u, v)
@@ -352,8 +326,8 @@ class ShardedIndex(PathIndex):
         su = int(self._partition.assignment[u])
         sv = int(self._partition.assignment[v])
         with span("shard.boundary", shards=f"{su},{sv}"):
-            du_b = self._boundary_distances(su, int(self._local_id[u]))
-            dv_b = self._boundary_distances(sv, int(self._local_id[v]))
+            du_b = self._boundary_grid(su, self._local_id[[u]])[0]
+            dv_b = self._boundary_grid(sv, self._local_id[[v]])[0]
         best = np.inf
         if su == sv:
             if direct is None:
@@ -372,18 +346,22 @@ class ShardedIndex(PathIndex):
                 best = min(best, float(relayed.min()))
         return best, du_b, dv_b
 
-    def _boundary_distances(self, shard: int, local_v: int) -> np.ndarray:
-        """Shard-local distances from ``local_v`` to the shard's
-        boundary, as float64 with ``inf`` where locally disconnected.
+    def _boundary_grid(self, shard: int,
+                       local_vertices: np.ndarray) -> np.ndarray:
+        """Shard-local distances from each of ``local_vertices`` to
+        the shard's boundary: ``(k, |B_shard|)`` float64, ``inf``
+        where locally disconnected.
 
         This is where the inner index earns its keep on the relay
         path: one bulk kernel call covering the boundary of *one*
         shard.
         """
-        inner = self._shards[shard]
-        locals_ = self._shard_boundary_local[shard]
-        return distances_to_float(inner.distance_many(
-            np.column_stack((np.full_like(locals_, local_v), locals_))))
+        locals_b = self._shard_boundary_local[shard]
+        local_vertices = np.asarray(local_vertices, dtype=np.int64)
+        return float_distances(self._shards[shard]._distance_array(
+            np.repeat(local_vertices, len(locals_b)),
+            np.tile(locals_b, len(local_vertices)),
+        )).reshape(len(local_vertices), len(locals_b))
 
     def _distance_field(self, u: int, du_b: np.ndarray,
                         other: int, dother_b: np.ndarray,

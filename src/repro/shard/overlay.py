@@ -42,8 +42,6 @@ from .partition import Partition
 __all__ = ["BoundaryOverlay", "boundary_clique", "build_overlay",
            "shard_boundary_ids"]
 
-_INF = np.inf
-
 
 def boundary_clique(subgraph: Graph,
                     boundary_local: np.ndarray) -> np.ndarray:
@@ -104,11 +102,17 @@ class BoundaryOverlay:
         The query assembly works in float so numpy ``min`` composes
         unreachable legs without sentinel bookkeeping.
         """
-        block = self.dist[np.ix_(rows, cols)] if cols is not None \
-            else self.dist[rows]
-        block = block.astype(np.float64)
-        block[block == UNREACHED] = _INF
-        return block
+        return float_distances(
+            self.dist[np.ix_(rows, cols)] if cols is not None
+            else self.dist[rows])
+
+
+def float_distances(dist: np.ndarray) -> np.ndarray:
+    """int32 distances (``UNREACHED`` = no path) as float64 with
+    ``inf`` there, for ``min``/``+`` compositions."""
+    out = dist.astype(np.float64)
+    out[dist == UNREACHED] = np.inf
+    return out
 
 
 def build_overlay(graph: Graph, partition: Partition,

@@ -45,6 +45,7 @@ import numpy as np
 from .._util import UNREACHED, check_random_state
 from ..errors import GraphValidationError, ReproError
 from ..graph.csr import Graph
+from ..graph.io import read_tagged_npz, write_tagged_npz
 from ..graph.traversal import expand_frontier, multi_source_bfs
 
 __all__ = ["Partition", "partition_graph", "save_partition",
@@ -597,9 +598,8 @@ _PARTITION_TAG = "repro-partition-v1"
 
 def save_partition(partition: Partition, path) -> None:
     """Write a partition map as a small npz archive."""
-    np.savez_compressed(
-        path,
-        format=np.asarray([_PARTITION_TAG]),
+    write_tagged_npz(
+        path, _PARTITION_TAG,
         assignment=partition.assignment,
         num_shards=np.asarray([partition.num_shards], dtype=np.int64),
         method=np.asarray([partition.method]),
@@ -608,19 +608,9 @@ def save_partition(partition: Partition, path) -> None:
 
 def load_partition(path) -> Partition:
     """Load a partition map written by :func:`save_partition`."""
-    from ..errors import GraphFormatError
-
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            tag = str(data["format"][0])
-            assignment = data["assignment"]
-            num_shards = int(data["num_shards"][0])
-            method = str(data["method"][0])
-        except KeyError as exc:
-            raise GraphFormatError(
-                f"{path}: missing array {exc} — not a partition file"
-            ) from exc
-    if tag != _PARTITION_TAG:
-        raise GraphFormatError(f"{path}: unknown format tag {tag!r}")
-    return Partition(assignment=assignment, num_shards=num_shards,
-                     method=method)
+    assignment, num_shards, method = read_tagged_npz(
+        path, _PARTITION_TAG, ("assignment", "num_shards", "method"),
+        "partition")
+    return Partition(assignment=assignment,
+                     num_shards=int(num_shards[0]),
+                     method=str(method[0]))

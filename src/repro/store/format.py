@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
+from .._util import atomic_write
 from ..errors import IndexFormatError
 
 __all__ = ["STORE_MAGIC", "STORE_FORMAT", "STORE_VERSION",
@@ -134,11 +134,8 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
     encoded = json.dumps(header).encode("utf-8")
     base = _align(16 + len(encoded), page_bytes)
 
-    directory = os.path.dirname(os.path.abspath(os.fspath(path)))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".repro-store-",
-                               suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with atomic_write(path) as handle:
             handle.write(STORE_MAGIC)
             handle.write(len(encoded).to_bytes(8, "little"))
             handle.write(encoded)
@@ -148,18 +145,9 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
                 handle.write(b"\x00" * (spec["offset"] - cursor))
                 handle.write(blob.data)
                 cursor = spec["offset"] + spec["nbytes"]
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
     except OSError as exc:
         raise IndexFormatError(
             f"{path}: cannot write label store ({exc})") from exc
-    finally:
-        if os.path.exists(tmp):
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover
-                pass
     return header
 
 

@@ -1,5 +1,5 @@
 """Shared test corpus: paper example graphs, random-graph helpers and
-the two handles serving tests need on a worker fleet.
+the three handles serving tests need on a worker fleet.
 
 This module is imported by test modules directly (``from _corpus
 import ...``) instead of living in ``conftest.py``. Test helpers must
@@ -156,6 +156,29 @@ def frozen_workers(service, *slots):
         for process in processes:
             if process.is_alive():
                 os.kill(process.pid, signal.SIGCONT)
+
+
+@contextlib.contextmanager
+def retired_handles(service, attempts):
+    """Hand the next ``attempts`` dispatches of a ``QueryService`` a
+    handle to an epoch whose file is gone — what a batch that loses a
+    hot-swap race carries — so the worker answers each with an error."""
+    pool, left = service._pool, [attempts]
+    submit = pool.submit
+
+    def retiring(message, slot=None):
+        if left[0]:
+            left[0] -= 1
+            handle = message.handle
+            message = message._replace(handle=handle._replace(
+                epoch=handle.epoch + 1000, ref=handle.ref + ".retired"))
+        return submit(message, slot)
+
+    pool.submit = retiring
+    try:
+        yield
+    finally:
+        del pool.submit
 
 
 @contextlib.contextmanager

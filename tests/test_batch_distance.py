@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import Graph, spg_oracle
+from repro._util import UNREACHED
 from repro.baselines.oracle import distance_oracle
 from repro.directed import DiGraph
 from repro.engine import (
@@ -302,8 +303,10 @@ class TestKernelHelpers:
             pairs_to_arrays([(1, 2, 3)], 10)
 
     def test_finalize_distances(self):
-        best = np.array([0.0, 3.0, np.inf])
-        assert finalize_distances(best) == [0, 3, None]
+        dist = np.array([0, 3, UNREACHED], dtype=np.int32)
+        boxed = finalize_distances(dist)
+        assert boxed == [0, 3, None]
+        assert [type(value) for value in boxed[:2]] == [int, int]
 
     def test_two_hop_diagonal_is_zero(self):
         graph = Graph.from_edges([(0, 1), (1, 2)])

@@ -4,8 +4,9 @@ Input: a vertex id is an integer in range — anything else is refused
 with one of two typed errors, the same whichever family answers and
 whichever surface (scalar, batch, session) carried the pair in.
 Output: one SPG type; a directed answer is the same type with ordered
-endpoints. And the policy lives in two modules: no family-side module
-checks an id for itself.
+endpoints; a distance batch is an int32 array until the front door
+boxes it. And the policy lives in two modules: no family-side module
+checks an id, or boxes a distance, for itself.
 """
 
 import re
@@ -24,11 +25,14 @@ from repro import (
     build_index,
     spg_oracle,
 )
+from repro._util import UNREACHED
 from repro.directed import DiGraph
 from repro.engine import get_index_class
+from repro.engine import batch as batch_module
 from repro.errors import QueryError, ReproError, VertexError
-from repro.graph import erdos_renyi
+from repro.graph import Graph, bfs_distances, erdos_renyi
 from repro.serving import QueryService, make_server
+from repro.store import open_store_index, pack_index_store
 
 from _corpus import shared_arrays
 
@@ -198,25 +202,106 @@ def test_directed_and_undirected_answers_never_compare_equal():
 
 
 # ----------------------------------------------------------------------
+# Output: an int32 array from the kernel to the front door
+# ----------------------------------------------------------------------
+
+SEAM_N = 41
+_SEAM_PARAMS = {**_PARAMS, "dynamic": {"rebuild_threshold": 0}}
+
+
+@pytest.fixture(scope="module")
+def seam_indexes(tmp_path_factory):
+    """Every family (and a store-backed ``ppl``) over one graph with
+    the seams in it: a 30-vertex component, a 10-ring apart from it,
+    an isolated vertex; the dynamic index carries pending phantoms."""
+    core = erdos_renyi(30, 0.15, seed=4)
+    ring = [(30 + i, 30 + (i + 1) % 10) for i in range(10)]
+    graph = Graph.from_edges(list(core.edges()) + ring,
+                             num_vertices=SEAM_N)
+    built = {}
+    for method in available_methods():
+        over = shared_arrays(graph) if get_index_class(method).directed \
+            else graph
+        built[method] = build_index(over, method,
+                                    **_SEAM_PARAMS.get(method, {}))
+    dynamic = built["dynamic"]
+    for edge in list(core.edges())[:4]:
+        assert dynamic.remove_edge(*edge)
+    assert dynamic.insert_edge(0, 35)
+    path = tmp_path_factory.mktemp("seams") / "ppl.store"
+    pack_index_store(built["ppl"], path)
+    with open_store_index(path, cache_bytes=1 << 14,
+                          block_bytes=1 << 9) as stored:
+        built["ppl/store"] = stored
+        yield built
+
+
+@pytest.mark.parametrize(
+    "case", sorted(available_methods()) + ["ppl/store"])
+def test_distance_batches_are_int32_arrays_until_boxed(seam_indexes,
+                                                       case):
+    index = seam_indexes[case]
+    graph = index.graph
+    truth = np.stack([bfs_distances(graph, u) for u in range(SEAM_N)])
+    # Every ordered pair of distinct vertices — so every landmark,
+    # boundary vertex, phantom endpoint and cross-component pair is an
+    # endpoint — repeated past the kernels' 4,096-pair chunk.
+    distinct = np.argwhere(~np.eye(SEAM_N, dtype=bool))
+    pairs = np.resize(distinct, (batch_module._CHUNK_PAIRS + 1, 2))
+    us, vs = np.ascontiguousarray(pairs.T)
+    assert (truth[us, vs] == UNREACHED).any()
+    if case == "qbs":
+        assert len(index.landmarks)
+    if case == "dynamic":
+        assert index.stats["phantom_edges"] == 4
+    if case == "sharded":
+        assert index.overlay.num_boundary
+
+    dist = index._distance_many(us, vs)
+    assert type(dist) is np.ndarray and dist.dtype == np.int32
+    assert dist.shape == (len(pairs),)
+    assert np.array_equal(dist, truth[us, vs])
+    empty = index._distance_many(us[:0], vs[:0])
+    assert empty.dtype == np.int32 and empty.shape == (0,)
+
+    boxed = index.distance_many(pairs)
+    assert {type(value) for value in boxed} == {int, type(None)}
+    assert boxed[:len(distinct)] \
+        == [index.distance(u, v) for u, v in distinct.tolist()] \
+        == [None if d == UNREACHED else d
+            for d in truth[distinct[:, 0], distinct[:, 1]].tolist()]
+    same = index.distance_many([(v, v) for v in range(SEAM_N)])
+    assert same == [0] * SEAM_N and {type(v) for v in same} == {int}
+    assert index.distance_many([]) == []
+
+
+# ----------------------------------------------------------------------
 # One place
 # ----------------------------------------------------------------------
 
 def test_no_family_checks_an_id_for_itself():
     """``PathIndex`` and ``pairs_to_arrays`` are the front door. The
     graph classes guard their own accessors, and the BFS oracle stays
-    self-contained; nobody else mentions a vertex check."""
+    self-contained; nobody else mentions a vertex check. The way out
+    is as narrow: no family boxes (or unboxes) a distance batch, and
+    the composing families never go back through an inner index's
+    public ``distance_many``."""
     source = Path(repro.__file__).parent
     exempt = {source / "directed" / "digraph.py",
               source / "dynamic" / "delta.py",
               source / "baselines" / "oracle.py"}
     offenders = []
     for package in ("core", "baselines", "directed", "dynamic", "shard"):
+        banned = [r"finalize_distances|distances_to_float"]
+        if package in ("dynamic", "shard"):
+            banned.append(r"\.distance_many\(")
         for path in sorted((source / package).rglob("*.py")):
-            if path in exempt:
-                continue
+            patterns = banned if path in exempt else \
+                banned + [r"_check_vertex|VertexError\("]
             for number, line in enumerate(path.read_text().splitlines(), 1):
-                if re.search(r"_check_vertex|VertexError\(", line):
+                if re.search("|".join(patterns), line):
                     offenders.append(f"{path.relative_to(source)}:{number}")
     assert not offenders, offenders
+    assert not hasattr(batch_module, "distances_to_float")
     for gone in ("directed/spg.py", "directed/oracle.py"):
         assert not (source / gone).exists()

@@ -1,13 +1,16 @@
 """Graph IO: edge-list text and npz binary round trips."""
 
 import io
+import os
 
+import numpy as np
 import pytest
 
 from repro import Graph, GraphFormatError
 from repro.graph import load_npz, read_edge_list, save_npz, write_edge_list
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import parse_edge_lines
+from repro.shard import load_partition, partition_graph, save_partition
 
 
 class TestParseEdgeLines:
@@ -95,6 +98,66 @@ class TestNpz:
         np.savez_compressed(path, data=np.arange(3))
         with pytest.raises(GraphFormatError):
             load_npz(path)
+
+
+def _graph_case():
+    return (save_npz, load_npz,
+            [erdos_renyi(40, 0.2, seed=seed) for seed in (1, 2)],
+            lambda g: (g.indptr.tolist(), g.indices.tolist()))
+
+
+def _partition_case():
+    graph = erdos_renyi(40, 0.2, seed=1)
+    return (save_partition, load_partition,
+            [partition_graph(graph, 3, method=method)
+             for method in ("bfs", "hash")],
+            lambda p: (p.num_shards, p.method, p.assignment.tolist()))
+
+
+@pytest.mark.parametrize("case", [_graph_case, _partition_case])
+class TestTaggedNpzFiles:
+    """The graph archive and the partition map: one writer, one
+    reader, the same promises."""
+
+    def test_bare_name_is_taken_literally(self, case, tmp_path):
+        save, load, (first, _), key = case()
+        path = tmp_path / "x.part"
+        save(first, path)
+        assert os.listdir(tmp_path) == ["x.part"]
+        assert key(load(path)) == key(first)
+
+    def test_half_a_file_and_no_file_are_format_errors(self, case,
+                                                       tmp_path):
+        save, load, (first, _), _ = case()
+        path = tmp_path / "whole.npz"
+        save(first, path)
+        data = path.read_bytes()
+        half = tmp_path / "half.npz"
+        for cut in (len(data) // 2, len(data) - 40):
+            half.write_bytes(data[:cut])
+            with pytest.raises(GraphFormatError, match="half.npz"):
+                load(half)
+        with pytest.raises(GraphFormatError, match="missing.npz"):
+            load(tmp_path / "missing.npz")
+
+    def test_failed_write_leaves_the_previous_file(self, case, tmp_path,
+                                                   monkeypatch):
+        save, load, (first, second), key = case()
+        path = tmp_path / "kept.npz"
+        save(first, path)
+
+        def disk_full(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save(second, path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["kept.npz"]
+        assert key(load(path)) == key(first)
+        save(second, path)
+        assert key(load(path)) == key(second)
 
 
 class TestGzipEdgeLists:

@@ -138,6 +138,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "5 queries" in out
 
+    def test_build_runs_the_serial_root_loop_unless_told(
+            self, tmp_path, capsys, monkeypatch):
+        """The bench measures the pool slower than the serial loop, so
+        `build` asks for it only when `--jobs` does."""
+        from repro import cli
+
+        asked = []
+        real = cli.build_index
+        monkeypatch.setattr(
+            cli, "build_index",
+            lambda graph, method, **params:
+                asked.append(params) or real(graph, method, **params))
+        out = str(tmp_path / "douban.idx")
+        base = ["build", "--method", "ppl", "--dataset", "douban",
+                "--out", out]
+        assert main(base) == 0
+        assert main(base + ["--jobs", "2"]) == 0
+        assert asked == [{}, {"jobs": 2}]
+
     def test_directed_build_answers_like_the_oracle_after_load(
             self, tmp_path, capsys):
         """`build --method qbs-directed` hands the index a stand-in's

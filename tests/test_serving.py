@@ -49,6 +49,7 @@ from repro.workloads import sample_pairs
 from _corpus import (
     frozen_workers,
     recorded_responses,
+    retired_handles,
     sample_vertex_pairs,
     shared_arrays,
 )
@@ -864,6 +865,68 @@ class TestDispatch:
             main(["serve", "--dataset", "douban", "--smoke", "10",
                   _DELAY_FLAG, "2"])
         assert rejected.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# A batch whose worker answers with an error: one retry, then failure
+# ----------------------------------------------------------------------
+
+@pytest.mark.timeout(120)
+class TestBatchRetry:
+    @pytest.fixture
+    def service(self, served_graph):
+        with QueryService(build_index(served_graph, "ppl"),
+                          num_workers=1,
+                          options=QueryOptions(mode="distance",
+                                               cache_size=0)) as service:
+            service.query(0, 1)
+            yield service
+
+    def _burst(self, graph):
+        pairs = sorted({tuple(sorted(pair)) for pair in
+                        sample_pairs(graph, 40, seed=211)})[:20]
+        return pairs + [pairs[3][::-1]]  # one deduplicated future
+
+    def test_one_error_is_retried_and_answered(self, service,
+                                               served_graph):
+        pairs = self._burst(served_graph)
+        before = service.stats()
+        with retired_handles(service, 1):
+            futures = service.submit_many(pairs)
+            values = [f.result(timeout=30).value for f in futures]
+        assert values == [distance_oracle(served_graph, u, v)
+                          for u, v in pairs]
+        after = service.stats()
+        assert after["retries"] == before["retries"] + 1
+        assert after["batches"] == before["batches"] + 1
+        assert after["failed"] == before["failed"]
+        assert after["answered"] == before["answered"] + len(pairs)
+        assert after["pending"] == 0
+        assert after["inflight_batches"] == 0
+
+    def test_two_errors_fail_every_future(self, service, served_graph):
+        pairs = self._burst(served_graph)
+        service.set_trace_rate(1.0)
+        before = service.stats()
+        with retired_handles(service, 2):
+            futures = service.submit_many(pairs)
+            for future in futures:
+                with pytest.raises(ServingError,
+                                   match="batch failed in worker"):
+                    future.result(timeout=30)
+        after = service.stats()
+        assert after["retries"] == before["retries"] + 1
+        assert after["failed"] == before["failed"] + len(pairs)
+        assert after["answered"] == before["answered"]
+        assert after["pending"] == 0
+        assert after["inflight_batches"] == 0
+        (trace,) = service.traces(errors_only=True)
+        (root,) = [r for r in trace.spans if r["parent"] is None]
+        assert "retired" in root["attrs"]["error"]
+        # The worker is none the worse: the next batch is answered.
+        u, v = pairs[0]
+        assert service.query(u, v).value \
+            == distance_oracle(served_graph, u, v)
 
 
 # ----------------------------------------------------------------------
