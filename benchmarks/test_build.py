@@ -22,7 +22,6 @@ import pytest
 
 from repro import build_index
 from repro._util import Stopwatch
-from repro.core.build_kernels import restricted_distances
 from repro.dynamic import DynamicIndex
 from repro.dynamic import incremental as inc
 from repro.graph import barabasi_albert
@@ -34,7 +33,10 @@ from _bench import write_artifact
 
 # The scalar references live with the tier-1 tests that pin against them.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _reference_builders import resume_pruned_bfs_scalar  # noqa: E402
+from _reference_builders import (  # noqa: E402
+    restricted_distances,
+    resume_pruned_bfs_scalar,
+)
 
 #: The tentpole experiment size; scalar PPL needed ~27s at a tenth of
 #: this scale, so the scalar side is estimated from sampled roots.

@@ -9,8 +9,6 @@ from .distances import (
 from .sizes import (
     QbSSizeReport,
     dataset_statistics,
-    parent_ppl_size_bytes,
-    ppl_size_bytes,
     qbs_size_report,
 )
 
@@ -22,7 +20,5 @@ __all__ = [
     "DistanceHistogram",
     "qbs_size_report",
     "QbSSizeReport",
-    "ppl_size_bytes",
-    "parent_ppl_size_bytes",
     "dataset_statistics",
 ]

@@ -16,14 +16,11 @@ print rows directly comparable with the paper's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..baselines.parent_ppl import ParentPPLIndex
-from ..baselines.ppl import PPLIndex
 from ..core.qbs import QbSIndex
 from ..graph.csr import Graph
 from ..graph.ops import average_distance_estimate, degree_statistics
 
-__all__ = ["QbSSizeReport", "qbs_size_report", "ppl_size_bytes",
-           "parent_ppl_size_bytes", "dataset_statistics"]
+__all__ = ["QbSSizeReport", "qbs_size_report", "dataset_statistics"]
 
 
 @dataclass
@@ -46,16 +43,6 @@ def qbs_size_report(index: QbSIndex) -> QbSSizeReport:
         delta_bytes=index.meta_graph.delta_total_edges() * 8,
         meta_bytes=index.meta_graph.paper_size_bytes(),
     )
-
-
-def ppl_size_bytes(index: PPLIndex) -> int:
-    """Table 3's PPL column under the 5-bytes-per-entry model."""
-    return index.paper_size_bytes()
-
-
-def parent_ppl_size_bytes(index: ParentPPLIndex) -> int:
-    """Table 3's ParentPPL column (entries + parent slots)."""
-    return index.paper_size_bytes()
 
 
 def dataset_statistics(graph: Graph, seed: int = 0,

@@ -16,7 +16,6 @@ from .common_links import TieProfile, common_links, common_vertices, \
 from .interdiction import (
     InterdictionReport,
     analyze_interdiction,
-    edge_path_counts,
     vertex_path_counts,
 )
 from .rerouting import (
@@ -30,7 +29,6 @@ __all__ = [
     "analyze_interdiction",
     "InterdictionReport",
     "vertex_path_counts",
-    "edge_path_counts",
     "rerouting_sequence",
     "single_swap_neighbors",
     "reconfiguration_components",

@@ -17,7 +17,7 @@ from typing import Dict, List, Set, Tuple
 from ..core.spg import ShortestPathGraph
 
 __all__ = ["InterdictionReport", "analyze_interdiction",
-           "vertex_path_counts", "edge_path_counts"]
+           "vertex_path_counts"]
 
 Edge = Tuple[int, int]
 
@@ -50,11 +50,6 @@ def vertex_path_counts(spg: ShortestPathGraph) -> Dict[int, int]:
         return {spg.source: spg.count_paths()}
     level, forward, backward = _dag_counts(spg)
     return {x: forward[x] * backward[x] for x in spg.vertices}
-
-
-def edge_path_counts(spg: ShortestPathGraph) -> Dict[Edge, int]:
-    """Number of shortest paths crossing each SPG edge."""
-    return spg.edge_betweenness()
 
 
 @dataclass

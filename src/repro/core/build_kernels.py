@@ -13,19 +13,17 @@ allowed sets — lower-ranked vertices for PPL, non-landmarks for QbS —
 and had quietly diverged; this module is now the single home for the
 prune predicate.
 
-Two execution strategies share the semantics:
-
-* :func:`restricted_distances` — one root, frontier-at-a-time numpy
-  (the scalar reference and the primitive for single-root callers).
-* :func:`_lockstep_sweep` — 64 roots per pass. Each vertex carries one
-  ``uint64`` whose bit *j* means "reached by root *j*"; a whole BFS
-  level for all 64 roots is one CSR gather plus an OR-reduction, and
-  the full and restricted sweeps advance in lockstep so the label test
-  (``fresh_full & fresh_restricted``) is a single AND per level. This
-  is the bit-parallel batching of Akiba et al. (SIGMOD 2013) adapted
-  to the restricted-interior rule. Root batches are independent for
-  the sound variant, so :func:`build_sound_labels` can fan them out
-  over a ``multiprocessing`` pool.
+:func:`_lockstep_sweep` runs it for 64 roots per pass. Each vertex
+carries one ``uint64`` whose bit *j* means "reached by root *j*"; a
+whole BFS level for all 64 roots is one CSR gather plus an
+OR-reduction, and the full and restricted sweeps advance in lockstep so
+the label test (``fresh_full & fresh_restricted``) is a single AND per
+level. This is the bit-parallel batching of Akiba et al. (SIGMOD 2013)
+adapted to the restricted-interior rule. Root batches are independent
+for the sound variant, so :func:`build_sound_labels` can fan them out
+over a ``multiprocessing`` pool. (The one-root, frontier-at-a-time form
+the sweep is pinned against is ``restricted_distances`` in
+``tests/_reference_builders.py``.)
 
 Construction output is flat CSR ``(offsets, flat_ranks, flat_dists)``
 sorted by ``(vertex, rank)`` — exactly what the batch kernel's
@@ -44,9 +42,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._util import UNREACHED, Stopwatch, TimeBudget
+from .._util import Stopwatch, TimeBudget
 from ..errors import IndexBuildError
-from ..graph.traversal import expand_frontier
 from ..obs import get_registry, span
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "RaggedView",
     "ParentsRow",
     "ParentsView",
-    "restricted_distances",
     "build_sound_labels",
     "qbs_batch_levels",
 ]
@@ -177,45 +173,6 @@ class ParentsView(Sequence):
         base = int(self.offsets[vertex])
         count = int(self.offsets[vertex + 1]) - base
         return ParentsRow(base, count, self.parent_offsets, self.parents)
-
-
-# ----------------------------------------------------------------------
-# Single-root primitive (shared prune semantics, frontier-at-a-time)
-# ----------------------------------------------------------------------
-
-def restricted_distances(indptr: np.ndarray, indices: np.ndarray,
-                         root: int, may_expand: np.ndarray,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
-    """BFS distances from ``root`` through allowed interiors only.
-
-    ``dist[u]`` is the length of the shortest ``root``-``u`` path whose
-    every *interior* vertex ``w`` satisfies ``may_expand[w]`` (the root
-    itself always expands; endpoints are unconstrained), or
-    :data:`~repro._util.UNREACHED`. With ``may_expand = rank_of > r``
-    this is PPL's rank-restricted BFS; with ``may_expand =
-    ~is_landmark`` it is the landmark-avoiding reachability of QbS
-    Algorithm 2 — a vertex deserves the label ``(root, d)`` exactly
-    when this distance equals the unrestricted one.
-    """
-    n = len(indptr) - 1
-    if out is None:
-        dist = np.full(n, UNREACHED, dtype=np.int32)
-    else:
-        dist = out
-        dist.fill(UNREACHED)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int32)
-    depth = 0
-    while len(frontier):
-        depth += 1
-        neighbors = expand_frontier(indptr, indices, frontier)
-        fresh = neighbors[dist[neighbors] == UNREACHED]
-        if len(fresh) == 0:
-            break
-        fresh = np.unique(fresh)
-        dist[fresh] = depth
-        frontier = fresh[may_expand[fresh]]
-    return dist
 
 
 # ----------------------------------------------------------------------

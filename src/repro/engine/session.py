@@ -115,11 +115,7 @@ class QueryOptions:
     slow_query_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in QUERY_MODES:
-            raise QueryError(
-                f"unknown query mode {self.mode!r}; "
-                f"expected one of {QUERY_MODES}"
-            )
+        self.resolve_mode(self.mode)
         if self.cache_size < 0:
             raise QueryError("cache_size must be >= 0")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -128,6 +124,17 @@ class QueryOptions:
             raise QueryError("trace_sample must be in [0, 1]")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise QueryError("slow_query_ms must be >= 0")
+
+    def resolve_mode(self, mode: Optional[str]) -> str:
+        """``mode`` once checked, or this policy's own for ``None``."""
+        if mode is None:
+            return self.mode
+        if mode not in QUERY_MODES:
+            raise QueryError(
+                f"unknown query mode {mode!r}; "
+                f"expected one of {QUERY_MODES}"
+            )
+        return mode
 
 
 @dataclass
@@ -263,16 +270,6 @@ class QuerySession:
     def index(self) -> PathIndex:
         return self._index
 
-    def _resolve_mode(self, mode: Optional[str]) -> str:
-        if mode is None:
-            return self.options.mode
-        if mode not in QUERY_MODES:
-            raise QueryError(
-                f"unknown query mode {mode!r}; "
-                f"expected one of {QUERY_MODES}"
-            )
-        return mode
-
     def _cache_key(self, u: int, v: int,
                    mode: str) -> Tuple[int, int, str, int]:
         """Cache/dedup key (see :func:`normalize_pair` for symmetry)."""
@@ -299,7 +296,7 @@ class QuerySession:
         ``count-paths``): ``query(v, u)`` hits what ``query(u, v)``
         cached.
         """
-        mode = self._resolve_mode(mode)
+        mode = self.options.resolve_mode(mode)
         u, v = self._index.check_pair(u, v)
         if self._sampler.should_sample():
             with start_trace("query", u=u, v=v, mode=mode) as root:
@@ -375,7 +372,7 @@ class QuerySession:
         batch is marked ``cached``. Other modes fall back to per-pair
         :meth:`query` calls (SPG extraction has no batch kernel).
         """
-        mode = self._resolve_mode(mode)
+        mode = self.options.resolve_mode(mode)
         us, vs = pairs_to_arrays(pairs, self._index.num_vertices)
         pairs = list(zip(us.tolist(), vs.tolist()))
         if self._sampler.should_sample():

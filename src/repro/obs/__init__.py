@@ -59,8 +59,6 @@ from .trace import (
     TraceSampler,
     chrome_trace,
     current_add,
-    current_attr,
-    current_span,
     format_span_tree,
     span,
     span_records,
@@ -96,9 +94,7 @@ __all__ = [
     "TraceSampler",
     "start_trace",
     "span",
-    "current_span",
     "current_add",
-    "current_attr",
     "format_span_tree",
     "stage_totals",
     "stage_breakdown",

@@ -42,6 +42,7 @@ import platform
 import threading
 import time
 import weakref
+from bisect import bisect_left
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -239,7 +240,7 @@ class Histogram:
         self._flushed_sum = 0.0
 
     def observe(self, value: float) -> None:
-        index = int(np.searchsorted(self.buckets, value, side="left"))
+        index = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value

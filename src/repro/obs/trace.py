@@ -75,8 +75,8 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 from .registry import get_registry
 
 __all__ = [
-    "Span", "TraceSampler", "start_trace", "span", "current_span",
-    "current_add", "current_attr", "format_span_tree", "stage_totals",
+    "Span", "TraceSampler", "start_trace", "span", "current_add",
+    "format_span_tree", "stage_totals",
     "stage_breakdown", "TraceContext", "StitchedTrace", "TraceBuffer",
     "trace_from_context", "span_records", "chrome_trace",
     "validate_chrome_trace", "new_trace_id", "new_span_id",
@@ -240,23 +240,11 @@ def span(name: str, **attrs: Any):
     return _ActiveSpan(child)
 
 
-def current_span() -> Optional[Span]:
-    """The innermost open span, or None outside any trace."""
-    return _current.get()
-
-
 def current_add(key: str, amount: float = 1.0) -> None:
     """Attach a count to the innermost open span (no-op untraced)."""
     open_span = _current.get()
     if open_span is not None:
         open_span.add(key, amount)
-
-
-def current_attr(key: str, value: Any) -> None:
-    """Attach an attribute to the innermost open span."""
-    open_span = _current.get()
-    if open_span is not None:
-        open_span.attrs[key] = value
 
 
 class TraceSampler:

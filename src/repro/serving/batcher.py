@@ -33,7 +33,7 @@ request count.
 Flow control is explicit rather than emergent:
 
 * **admission control** — at most ``max_pending`` requests may be
-  unresolved at once; past that, :meth:`submit` raises
+  unresolved at once; past that, :meth:`submit_many` raises
   :class:`~repro.errors.ServiceOverloadedError` immediately instead
   of growing an unbounded queue (the HTTP front-end maps this to 503);
 * **time budgets** — with a ``time_budget`` (taken from the service's
@@ -117,7 +117,7 @@ class _Batch:
     """One batch of one mode: queued (and, while it is the open one
     for its mode, still coalescing), then in flight on a worker."""
 
-    mode: Optional[str]
+    mode: str
     #: ``time.monotonic()`` of the first request's admission.
     opened: float
     #: Insertion-ordered, so ``tuple(entries)`` is the message's keys
@@ -160,7 +160,6 @@ class Batcher:
                  max_pending: int = 10_000,
                  time_budget: Optional[float] = None,
                  directed: bool = False,
-                 default_mode: str = "spg",
                  slow_query_ms: Optional[float] = None) -> None:
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")
@@ -172,9 +171,6 @@ class Batcher:
         self.max_pending = max_pending
         self.time_budget = time_budget
         self.directed = directed
-        #: What ``mode=None`` resolves to in the workers' sessions;
-        #: decides whether a request's key may be symmetric.
-        self.default_mode = default_mode
         #: End-to-end latency past which a resolved request is logged
         #: to the slow-query log with its queue-wait / worker-residency
         #: breakdown (``None`` disables; serving has no worker trace
@@ -187,7 +183,7 @@ class Batcher:
         self._queue: Deque[_Batch] = collections.deque()
         #: Per mode, the queued batch still short of ``max_batch``
         #: keys: where the next request of that mode coalesces.
-        self._open: Dict[Optional[str], _Batch] = {}
+        self._open: Dict[str, _Batch] = {}
         #: One-key batches owed to a particular worker (the profiling
         #: nudge); they leave when *that* worker is idle.
         self._addressed: Dict[int, _Batch] = {}
@@ -263,15 +259,13 @@ class Batcher:
     # Client surface
     # ------------------------------------------------------------------
 
-    def submit(self, u: int, v: int,
-               mode: Optional[str] = None) -> "Future[Answer]":
-        """Enqueue one request; the future resolves to an
-        :class:`Answer` (or raises the request's failure)."""
-        return self.submit_many([(u, v)], mode)[0]
+    def submit_many(self, pairs, mode: str) -> List["Future[Answer]"]:
+        """Admit a burst of pairs in one lock pass, then dispatch; each
+        future resolves to an :class:`Answer` or raises its failure.
 
-    def submit_many(self, pairs, mode: Optional[str] = None
-                    ) -> List["Future[Answer]"]:
-        """Admit a burst of pairs in one lock pass, then dispatch.
+        ``mode`` is a mode by name (the service resolves its callers'
+        ``None``): batches are keyed on it, so two spellings of one
+        mode would neither coalesce nor deduplicate.
 
         All-or-nothing against the pending limit: a burst that does
         not fit raises :class:`ServiceOverloadedError` without partial
@@ -281,7 +275,6 @@ class Batcher:
         now = time.monotonic()
         deadline = (now + self.time_budget
                     if self.time_budget is not None else None)
-        effective = mode if mode is not None else self.default_mode
         futures: List["Future[Answer]"] = []
         with self._lock:
             if self._closed:
@@ -296,7 +289,7 @@ class Batcher:
             self._pending += len(pairs)
             self._count("submitted", len(pairs))
             for u, v in pairs:
-                key = normalize_pair(u, v, effective, self.directed)
+                key = normalize_pair(u, v, mode, self.directed)
                 batch = self._open.get(mode)
                 if batch is None:
                     batch = self._open[mode] = _Batch(mode, opened=now)
@@ -324,7 +317,8 @@ class Batcher:
         batch channel (:meth:`set_profile_hz`), and ordinary batches go
         to whichever worker is idle; these go to every slot on purpose,
         each as soon as its worker is idle. Exempt from admission
-        control; the key is ``(0, 0)``, so the graph needs a vertex.
+        control; each asks for the distance ``(0, 0)``, so the graph
+        needs a vertex.
         """
         now = time.monotonic()
         futures: List["Future[Answer]"] = [
@@ -334,7 +328,7 @@ class Batcher:
                 raise ServingError("batcher is closed")
             for slot, future in enumerate(futures):
                 batch = self._addressed.setdefault(
-                    slot, _Batch(None, opened=now))
+                    slot, _Batch("distance", opened=now))
                 batch.entries.setdefault(
                     (0, 0), _Entry(submitted=now)).futures.append(future)
             self._pending += len(futures)
@@ -639,9 +633,7 @@ class Batcher:
         # opened `duration` seconds ago.
         duration = time.monotonic() - batch.opened
         opened_wall = time.time() - duration
-        mode = (batch.mode if batch.mode is not None
-                else self.default_mode)
-        attrs: Dict[str, object] = {"mode": mode,
+        attrs: Dict[str, object] = {"mode": batch.mode,
                                     "keys": len(batch.entries)}
         if error is not None:
             attrs["error"] = error
@@ -669,7 +661,7 @@ class Batcher:
         self.trace_buffer.add(StitchedTrace(
             trace_id=context.trace_id, spans=records,
             ts=opened_wall, duration=duration,
-            error=error is not None, mode=mode,
+            error=error is not None, mode=batch.mode,
             pairs=len(batch.entries)))
 
     def set_answer_hook(self, hook: Optional[Callable]) -> None:
@@ -680,8 +672,6 @@ class Batcher:
 
     def _resolve_locked(self, batch: _Batch, response) -> None:
         now = time.monotonic()
-        mode = (batch.mode if batch.mode is not None
-                else self.default_mode)
         for (key, entry), value in zip(batch.entries.items(),
                                        response.values):
             if isinstance(value, PairError):
@@ -696,7 +686,7 @@ class Batcher:
             answer = Answer(value, response.epoch)
             if self._answer_hook is not None:
                 try:
-                    self._answer_hook(key[0], key[1], mode, value,
+                    self._answer_hook(key[0], key[1], batch.mode, value,
                                       response.epoch)
                 except Exception:  # the audit tap must never fail a
                     pass           # request
@@ -708,7 +698,7 @@ class Batcher:
                 # (they happen in the parent); worker residency is the
                 # whole batch's wall time, an upper bound for this key.
                 log_slow_query(
-                    key[0], key[1], mode, elapsed * 1e3,
+                    key[0], key[1], batch.mode, elapsed * 1e3,
                     self.slow_query_ms, None, extra_stages=[
                         ("queue.wait",
                          (batch.dispatched - entry.submitted) * 1e3),

@@ -98,6 +98,9 @@ __all__ = ["ServingHTTPServer", "make_server", "render_value"]
 #: Largest accepted request body, in bytes (a burst of ~100k pairs).
 _MAX_BODY = 4 * 1024 * 1024
 
+#: Seconds a handler thread waits for one answer before replying 504.
+_QUERY_TIMEOUT = 30.0
+
 
 # ----------------------------------------------------------------------
 # Shared query-parameter parsing
@@ -371,7 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
         futures = service.submit_many(pairs, mode)
         results: List[Dict[str, Any]] = []
         for (u, v), future in zip(pairs, futures):
-            answer = future.result(timeout=self.server.query_timeout)
+            answer = future.result(timeout=_QUERY_TIMEOUT)
             results.append({"u": u, "v": v,
                             "value": render_value(answer.value),
                             "epoch": answer.epoch})
@@ -423,11 +426,9 @@ class ServingHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, service: QueryService, *,
-                 verbose: bool = False,
-                 query_timeout: float = 30.0) -> None:
+                 verbose: bool = False) -> None:
         self.service = service
         self.verbose = verbose
-        self.query_timeout = query_timeout
         super().__init__(address, _Handler)
 
     def serve_in_background(self) -> threading.Thread:
@@ -440,12 +441,11 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
 
 def make_server(service: QueryService, host: str = "127.0.0.1",
-                port: int = 0, *, verbose: bool = False,
-                query_timeout: float = 30.0) -> ServingHTTPServer:
+                port: int = 0, *,
+                verbose: bool = False) -> ServingHTTPServer:
     """Bind (but do not start) the JSON endpoint for ``service``.
 
     ``port=0`` picks a free ephemeral port; the bound address is at
     ``server.server_address``.
     """
-    return ServingHTTPServer((host, port), service, verbose=verbose,
-                             query_timeout=query_timeout)
+    return ServingHTTPServer((host, port), service, verbose=verbose)

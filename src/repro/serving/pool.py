@@ -79,7 +79,7 @@ class BatchMessage(NamedTuple):
 
     batch_id: int
     handle: SnapshotHandle
-    mode: Optional[str]
+    mode: str
     pairs: Tuple[Tuple[int, int], ...]
     #: Distributed-trace context (trace id, batcher-side parent span
     #: id, sampling decision), or ``None`` for the untraced fast path.
@@ -143,8 +143,7 @@ class _Ready(NamedTuple):
     error: Optional[str]
 
 
-def _answer_batch(session: QuerySession, pairs, mode: Optional[str],
-                  effective: str) -> List:
+def _answer_batch(session: QuerySession, pairs, mode: str) -> List:
     """Answer one batch through the session (kernel or scalar path).
 
     A distance batch reaches the index whole, as one kernel call on
@@ -153,7 +152,7 @@ def _answer_batch(session: QuerySession, pairs, mode: Optional[str],
     answered pair by pair and the bad pair fails alone
     (:class:`PairError`), not its batch-mates.
     """
-    if effective == "distance":
+    if mode == "distance":
         try:
             return [record.value
                     for record in session.query_many(pairs, mode=mode)]
@@ -270,8 +269,6 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                     session = QuerySession(index, options)
                     epoch = handle.epoch
                 hits_before = session.cache_hits_total
-                effective = (mode if mode is not None
-                             else options.mode)
                 if trace is not None:
                     # The shipped context makes this root a child of
                     # the batcher-side envelope span; __exit__ runs on
@@ -280,11 +277,9 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                     with trace_from_context(
                             trace, "serving.batch", batch=batch_id,
                             pairs=len(pairs)) as root_span:
-                        values = _answer_batch(session, pairs, mode,
-                                               effective)
+                        values = _answer_batch(session, pairs, mode)
                 else:
-                    values = _answer_batch(session, pairs, mode,
-                                           effective)
+                    values = _answer_batch(session, pairs, mode)
             except BaseException as exc:
                 pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,

@@ -46,12 +46,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..engine.base import PathIndex
 from ..engine.batch import pairs_to_arrays
-from ..engine.session import QUERY_MODES, QueryOptions
-from ..errors import (
-    ImmutableIndexError,
-    QueryError,
-    ServingError,
-)
+from ..engine.session import QueryOptions
+from ..errors import ImmutableIndexError, ServingError
 from ..obs import get_registry
 from ..obs.audit import OracleAuditor
 from ..obs.profiler import DEFAULT_HZ, collect_profile
@@ -74,7 +70,6 @@ class QueryService:
                  options: Optional[QueryOptions] = None,
                  store: str = "shm",
                  directory=None,
-                 snapshot_keep: int = 2,
                  max_batch: int = 256,
                  max_pending: int = 10_000,
                  audit_rate: float = 0.0,
@@ -83,8 +78,7 @@ class QueryService:
         self._options = options if options is not None else QueryOptions()
         self._update_lock = threading.Lock()
         self._snapshots = SnapshotManager(index, store=store,
-                                          directory=directory,
-                                          keep=snapshot_keep)
+                                          directory=directory)
         self._pool: Optional[WorkerPool] = None
         self._batcher: Optional[Batcher] = None
         self._auditor: Optional[OracleAuditor] = None
@@ -102,7 +96,6 @@ class QueryService:
                 # orientation-free modes: a (v, u) distance request
                 # coalesces with (u, v).
                 directed=index.is_directed,
-                default_mode=self._options.mode,
                 # The session-level slow log only sees worker-side
                 # time; the batcher's complement logs end-to-end
                 # latency with the queue-wait breakdown.
@@ -146,10 +139,12 @@ class QueryService:
         Vertex ids (against the current snapshot's graph, in one array
         pass through the index contract's batch validator) and the
         mode are checked here, so a bad request is rejected at
-        admission instead of travelling to a worker and back.
+        admission instead of travelling to a worker and back — and
+        ``mode=None`` becomes the service's default here, once, so the
+        batcher and the workers only ever see a mode by name.
         """
         self._check_open()
-        self._check_mode(mode)
+        mode = self._options.resolve_mode(mode)
         us, vs = pairs_to_arrays(
             pairs, self._snapshots.current.graph.num_vertices)
         return self._batcher.submit_many(
@@ -479,14 +474,6 @@ class QueryService:
     def _check_open(self) -> None:
         if self._closed:
             raise ServingError("query service is closed")
-
-    @staticmethod
-    def _check_mode(mode: Optional[str]) -> None:
-        if mode is not None and mode not in QUERY_MODES:
-            raise QueryError(
-                f"unknown query mode {mode!r}; "
-                f"expected one of {QUERY_MODES}"
-            )
 
     def close(self) -> None:
         """Drain, stop the workers, release snapshot storage.

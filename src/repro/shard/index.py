@@ -129,8 +129,7 @@ class ShardedIndex(PathIndex):
     @classmethod
     def build(cls, graph: Graph, *, num_shards: int = 4,
               inner: str = "ppl", partition_method: str = "bfs",
-              seed: int = 0, refine_sweeps: int = 4,
-              workers: Optional[int] = 1,
+              seed: int = 0, workers: Optional[int] = 1,
               **inner_params) -> "ShardedIndex":
         """Partition, build every shard, assemble the overlay.
 
@@ -143,8 +142,7 @@ class ShardedIndex(PathIndex):
             with Stopwatch() as sw:
                 partition = partition_graph(graph, num_shards,
                                             method=partition_method,
-                                            seed=seed,
-                                            refine_sweeps=refine_sweeps)
+                                            seed=seed)
         get_registry().histogram(
             "build_phase_seconds",
             help="Wall time of index build phases.",

@@ -58,6 +58,10 @@ PARTITION_METHODS = ("bfs", "hash")
 #: before label propagation refuses to move more vertices into it.
 _BALANCE_SLACK = 1.25
 
+#: Label-propagation passes over a BFS-grown assignment, at most (a
+#: pass that moves nothing ends refinement early).
+_REFINE_SWEEPS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -178,15 +182,15 @@ class Partition:
 # ----------------------------------------------------------------------
 
 def partition_graph(graph: Graph, num_shards: int, *,
-                    method: str = "bfs", seed: Optional[int] = 0,
-                    refine_sweeps: int = 4) -> Partition:
+                    method: str = "bfs",
+                    seed: Optional[int] = 0) -> Partition:
     """Partition ``graph`` into ``num_shards`` vertex shards.
 
     ``num_shards`` is clamped to the vertex count (every shard is
     non-empty whenever the graph has at least that many vertices).
-    ``seed`` feeds the stochastic tie-breaking of BFS growth;
-    ``refine_sweeps`` bounds the label-propagation passes (0 disables
-    refinement). Deterministic for fixed inputs.
+    ``seed`` feeds the stochastic tie-breaking of BFS growth, which at
+    most ``_REFINE_SWEEPS`` label-propagation passes then refine.
+    Deterministic for fixed inputs.
     """
     if num_shards < 1:
         raise ReproError("num_shards must be >= 1")
@@ -210,7 +214,7 @@ def partition_graph(graph: Graph, num_shards: int, *,
         _rebalance(graph, assignment, k)
     else:
         assignment = _bfs_assignment(graph, k, seed)
-        for _ in range(max(0, refine_sweeps)):
+        for _ in range(_REFINE_SWEEPS):
             if not _refine_sweep(graph, assignment, k):
                 break
         _rebalance(graph, assignment, k)
@@ -510,8 +514,7 @@ def _refine_sweep(graph: Graph, assignment: np.ndarray, k: int) -> bool:
     return moved
 
 
-def _rebalance(graph: Graph, assignment: np.ndarray, k: int,
-               max_moves: Optional[int] = None) -> None:
+def _rebalance(graph: Graph, assignment: np.ndarray, k: int) -> None:
     """Move *connected chunks* out of over-cap shards until balanced.
 
     BFS growth can strand a seed: a region encircled early stops
@@ -529,9 +532,7 @@ def _rebalance(graph: Graph, assignment: np.ndarray, k: int,
     ideal = max(1, n // k)
     indptr, indices = graph.indptr, graph.indices
     src = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    if max_moves is None:
-        max_moves = 8 * k
-    for _ in range(max_moves):
+    for _ in range(8 * k):
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
         over = int(np.argmax(sizes))
         if sizes[over] <= cap:

@@ -75,20 +75,16 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
                 arrays: Mapping[str, np.ndarray],
                 hot: Iterable[str],
                 source_arrays: Iterable[str],
-                extra: Mapping[str, Any] = (),
-                page_bytes: int = DEFAULT_PAGE_BYTES) -> Dict[str, Any]:
+                extra: Mapping[str, Any] = ()) -> Dict[str, Any]:
     """Write a packed store; returns the header that was written.
 
     ``hot`` names the arrays the opener pins in RAM; everything else
     is cold and must be one-dimensional (the block cache serves flat
     arrays). ``source_arrays`` names the subset that reconstructs the
     family via ``from_state`` — derived arrays (the dense head, the
-    tail CSR) are excluded from it.
+    tail CSR) are excluded from it. Payloads are aligned to
+    ``DEFAULT_PAGE_BYTES``, which the header records for readers.
     """
-    if page_bytes < 512 or page_bytes & (page_bytes - 1):
-        raise IndexFormatError(
-            f"page_bytes must be a power of two >= 512, "
-            f"got {page_bytes}")
     hot = set(hot)
     source_arrays = list(source_arrays)
     for name in (*hot, *source_arrays):
@@ -110,7 +106,7 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
                 f"cold array {name!r} must be one-dimensional "
                 f"(got shape {array.shape}); the block cache serves "
                 f"flat arrays")
-        offset = _align(offset, page_bytes)
+        offset = _align(offset, DEFAULT_PAGE_BYTES)
         specs.append({
             "name": name,
             "dtype": array.dtype.str,
@@ -126,13 +122,13 @@ def write_store(path, *, method: str, state: Mapping[str, Any],
         "version": STORE_VERSION,
         "method": method,
         "state": dict(state),
-        "page_bytes": page_bytes,
+        "page_bytes": DEFAULT_PAGE_BYTES,
         "source_arrays": source_arrays,
         "arrays": specs,
         **dict(extra),
     }
     encoded = json.dumps(header).encode("utf-8")
-    base = _align(16 + len(encoded), page_bytes)
+    base = _align(16 + len(encoded), DEFAULT_PAGE_BYTES)
 
     try:
         with atomic_write(path) as handle:

@@ -36,7 +36,7 @@ from ..errors import IndexFormatError
 from ..graph.csr import Graph
 from .cache import DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 from .container import LabelStore
-from .format import DEFAULT_PAGE_BYTES, write_store
+from .format import write_store
 
 __all__ = ["pack_index_store", "open_store_index", "STORE_METHODS",
            "DEFAULT_HEAD_WIDTH", "DEFAULT_HOT_ROWS"]
@@ -59,8 +59,7 @@ DEFAULT_HOT_ROWS = 32
 
 def pack_index_store(source, path, *,
                      head_width: int = DEFAULT_HEAD_WIDTH,
-                     hot_rows: int = DEFAULT_HOT_ROWS,
-                     page_bytes: int = DEFAULT_PAGE_BYTES
+                     hot_rows: int = DEFAULT_HOT_ROWS
                      ) -> Dict[str, Any]:
     """Write ``source`` (an index or an npz archive path) as a packed
     store at ``path``; returns the written header.
@@ -120,8 +119,7 @@ def pack_index_store(source, path, *,
             "hot_rows": int(hot_rows),
             "label_entries": int(offsets[-1]),
             "num_vertices": int(len(offsets) - 1),
-        },
-        page_bytes=page_bytes)
+        })
 
 
 def _check_method(source, method: str) -> None:

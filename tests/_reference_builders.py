@@ -4,8 +4,9 @@ Per-root, per-vertex Python loops — slow and obviously correct. They
 used to ship in ``repro.baselines`` behind a ``variant=`` build knob;
 only tests ever selected them, so they live here:
 
-* :func:`restricted_bfs` — PPL's rank-restricted BFS as one call of the
-  shared prune primitive;
+* :func:`restricted_distances` — the shared prune primitive, one root
+  and a frontier at a time (what the 64-root lockstep sweep computes);
+* :func:`restricted_bfs` — PPL's rank-restricted BFS as one call of it;
 * :func:`sound_scalar_labels` — the sound label rule, one full BFS plus
   one restricted BFS per root (``ppl`` and, with parents, ``parent-ppl``);
 * :func:`paper_algorithm1_labels` — the paper's Algorithm 1 verbatim,
@@ -29,16 +30,48 @@ from collections import deque
 
 import numpy as np
 
-from repro._util import NO_LABEL
+from repro._util import NO_LABEL, UNREACHED
 from repro.baselines import PPLIndex
-from repro.core.build_kernels import (_csr_triple, qbs_batch_levels,
-                                      restricted_distances)
+from repro.core.build_kernels import _csr_triple, qbs_batch_levels
 from repro.dynamic import MutableLabels
 from repro.graph.traversal import bfs_distances, expand_frontier
 
 
 def degree_order(graph):
     return np.argsort(-graph.degree(), kind="stable").astype(np.int64)
+
+
+def restricted_distances(indptr, indices, root, may_expand, out=None):
+    """BFS distances from ``root`` through allowed interiors only.
+
+    ``dist[u]`` is the length of the shortest ``root``-``u`` path whose
+    every *interior* vertex ``w`` satisfies ``may_expand[w]`` (the root
+    itself always expands; endpoints are unconstrained), or
+    ``UNREACHED``. With ``may_expand = rank_of > r`` this is PPL's
+    rank-restricted BFS; with ``may_expand = ~is_landmark`` it is the
+    landmark-avoiding reachability of QbS Algorithm 2 — a vertex
+    deserves the label ``(root, d)`` exactly when this distance equals
+    the unrestricted one.
+    """
+    n = len(indptr) - 1
+    if out is None:
+        dist = np.full(n, UNREACHED, dtype=np.int32)
+    else:
+        dist = out
+        dist.fill(UNREACHED)
+    dist[root] = 0
+    frontier = np.array([root], dtype=np.int32)
+    depth = 0
+    while len(frontier):
+        depth += 1
+        neighbors = expand_frontier(indptr, indices, frontier)
+        fresh = neighbors[dist[neighbors] == UNREACHED]
+        if len(fresh) == 0:
+            break
+        fresh = np.unique(fresh)
+        dist[fresh] = depth
+        frontier = fresh[may_expand[fresh]]
+    return dist
 
 
 def restricted_bfs(graph, root, rank_of, root_rank, out=None):

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from repro import BudgetExceededError, Graph, build_index
 from repro._util import NO_LABEL, TimeBudget
 from repro.baselines import ParentPPLIndex, PPLIndex
-from repro.core.build_kernels import (RaggedView, build_sound_labels,
-                                      restricted_distances)
+from repro.core.build_kernels import RaggedView, build_sound_labels
 from repro.core.labelling import build_labelling
 from repro.dynamic import DynamicIndex
 from repro.dynamic import incremental as inc
@@ -28,6 +27,7 @@ from repro.graph.traversal import bfs_distances
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
 from _reference_builders import (label_bfs, restricted_bfs,
+                                 restricted_distances,
                                  resume_pruned_bfs_scalar,
                                  sound_scalar_labels)
 

@@ -1,11 +1,17 @@
 """Harness and CLI smoke tests on the smallest stand-in."""
 
+import argparse
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import harness
 from repro.cli import build_parser, main
 
 SMALL = ["douban"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestHarnessRunners:
@@ -111,16 +117,34 @@ class TestCli:
             main(["bench", "list"])
         assert rejected.value.code == 2
 
-    def test_accepts_returns_exact_flag_set(self):
-        from repro.cli import _accepts
+    def test_runner_gets_exactly_the_flags_its_signature_names(
+            self, monkeypatch, capsys):
+        """Experiment flags are stored under the runners' parameter
+        names, so the keywords are a signature filter: `fig11` takes
+        all three given flags, `table1` takes only `names` and is not
+        handed `--pairs`."""
+        import functools
 
-        accepted = _accepts(harness.run_fig11)
-        assert isinstance(accepted, set)
-        assert accepted == {"pairs", "landmarks"}
-        assert _accepts(harness.run_table1) == set()
-        # Exact membership — no substring matching: "pair" is a
-        # substring of "pairs" but must not be accepted.
-        assert "pair" not in accepted
+        from repro import cli
+
+        calls = []
+        for name in ("fig11", "table1"):
+            runner = cli._RUNNERS[name]
+
+            @functools.wraps(runner)
+            def recording(*args, _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return []
+
+            monkeypatch.setitem(cli._RUNNERS, name, recording)
+        assert main(["fig11", "--landmarks", "5", "--pairs", "3",
+                     "--datasets", "douban"]) == 0
+        assert main(["table1", "--pairs", "3"]) == 0
+        assert calls == [
+            ("fig11", (), {"names": ["douban"], "landmark_counts": [5],
+                           "num_pairs": 3}),
+            ("table1", (), {}),
+        ]
 
     def test_build_and_query_round_trip(self, tmp_path, capsys):
         path = tmp_path / "douban.idx"
@@ -279,7 +303,7 @@ class TestCliUpdate:
         code = main(["update", "--index", str(path),
                      "--stream", str(stream)])
         assert code == 0
-        assert "promoted 'ppl' index to dynamic" in \
+        assert "promoted to a dynamic index over 'ppl' labels" in \
             capsys.readouterr().out
 
     def test_requires_exactly_one_source(self, saved_dynamic, capsys):
@@ -350,3 +374,187 @@ class TestCliServe:
         assert main(["serve", "--dataset", "douban",
                      "--method", "qbs-directed", "--smoke", "5"]) == 2
         assert "directed" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The command table: surface, refusals, help, subsystem removal, README
+# ----------------------------------------------------------------------
+
+def _leaf_parsers(parser, prefix=()):
+    """``("store pack", parser)`` for every command that runs."""
+    nested = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not nested:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in nested[0].choices.items():
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def cli_surface():
+    """What a user can type: per leaf command, each flag's option
+    strings, dest, default, choices, nargs and requiredness, plus the
+    mutually exclusive groups. ``tests/data/cli_surface.json`` is this,
+    dumped from the parser as it was before the command tables."""
+    surface = {}
+    for name, leaf in _leaf_parsers(build_parser()):
+        flags = {}
+        for action in leaf._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flags[" ".join(action.option_strings) or action.dest] = {
+                "action": type(action).__name__,
+                "dest": action.dest,
+                "default": action.default,
+                "choices": (None if action.choices is None
+                            else list(action.choices)),
+                "nargs": action.nargs,
+                "required": action.required,
+            }
+        surface[name] = {
+            "flags": flags,
+            "exclusive": [
+                {"required": group.required,
+                 "flags": [" ".join(member.option_strings)
+                           for member in group._group_actions]}
+                for group in leaf._mutually_exclusive_groups],
+        }
+    return json.loads(json.dumps(surface))
+
+
+#: Experiment flags are stored under the runner parameter they feed.
+_RUNNER_PARAMETERS = {"--datasets": "names", "--pairs": "num_pairs",
+                      "--landmarks": "landmark_counts",
+                      "--ops": "num_ops"}
+
+
+def _exit_code(argv):
+    """`main`'s status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCommandTable:
+    def test_surface_is_the_recorded_one(self):
+        """Every command, flag, default, choice, `nargs` and `required`
+        is what the hand-written parser declared — but for `store pack
+        --page-bytes` (the option became a constant) and the experiment
+        flags' dests (now the runners' parameter names)."""
+        recorded = json.loads(
+            (ROOT / "tests/data/cli_surface.json").read_text())
+        assert len(recorded) == 24
+        del recorded["store pack"]["flags"]["--page-bytes"]
+        for command in recorded.values():
+            for flag, dest in _RUNNER_PARAMETERS.items():
+                if flag in command["flags"]:
+                    command["flags"][flag]["dest"] = dest
+        assert cli_surface() == recorded
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        from repro import build_index
+        from repro.graph import cycle_graph
+
+        path = tmp_path_factory.mktemp("cli") / "ppl.idx"
+        build_index(cycle_graph(12), "ppl").save(path)
+        return str(path)
+
+    #: ``{index}`` is a saved ppl index, ``{tmp}`` a writable directory.
+    MALFORMED = [
+        # The sixteen probed when the table was written: the first nine
+        # used to end in a traceback (the ninth was accepted silently).
+        "serve --index {index} --smoke 5 --trace-rate 2",
+        "serve --index {index} --smoke 5 --audit-rate 2",
+        "serve --index {index} --port 99999",
+        "profile run --index {index} --hz 0",
+        "profile run --index {index} --hz -1",
+        "store pack --index {index} --out {tmp}/x.store --head-width -1",
+        "update --index {index} --stream {tmp}/missing.txt",
+        "partition --dataset douban --out /nonexistent/p.npz",
+        "store pack --index {index} --out {tmp}/x.store --hot-rows -5",
+        "serve --index {index} --smoke 5 --cache -1",
+        "serve --index {index} --smoke 5 --workers 0",
+        "serve --index {index} --smoke 5 --batch 0",
+        "update --index {index} --random-ops 3 --threshold -1",
+        "query --index {index} --random 3 --budget 0",
+        "query --index {index} --random 0",
+        "stats --index {index} --random 0",
+        # One value outside each declared domain, text included.
+        "query --index {index} --random many",
+        "stats --index {index} --cache 1.5",
+        "serve --index {index} --smoke 5 --trace-rate nan",
+        "profile run --index {index} --seconds inf-ish",
+        "serve --index {index} --port -1",
+        "profile top {tmp}/missing.folded",
+        "build --dataset douban --out {tmp}/no/such/dir/x.idx",
+        "build --dataset douban --out {tmp}/x.idx --param landmarks",
+        # Misuse argparse itself finds.
+        "query",
+        "store",
+        "query --index {index} --mode fastest --random 3",
+    ]
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_invocation_is_error_and_exit_2(
+            self, line, saved, tmp_path, capsys):
+        argv = line.format(index=saved, tmp=tmp_path).split()
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_every_leaf_command_has_help(self, capsys):
+        names = [name for name, _ in _leaf_parsers(build_parser())]
+        assert len(names) == 24
+        for name in names:
+            with pytest.raises(SystemExit) as shown:
+                main(name.split() + ["--help"])
+            assert shown.value.code == 0, name
+        assert "usage:" in capsys.readouterr().out
+
+    def test_a_subsystem_is_its_table_and_one_name(
+            self, monkeypatch, capsys):
+        """With the `STORE` table out of `COMMAND_TABLES` its commands
+        are unknown words and every other command parses and runs."""
+        from repro import cli
+
+        before = {name for name, _ in _leaf_parsers(build_parser())}
+        monkeypatch.setattr(cli, "COMMAND_TABLES", tuple(
+            table for table in cli.COMMAND_TABLES
+            if table is not cli.STORE))
+        after = {name for name, _ in _leaf_parsers(build_parser())}
+        assert before - after == {"store pack", "store inspect"}
+        with pytest.raises(SystemExit) as unknown:
+            main(["store", "inspect", "x.store"])
+        assert unknown.value.code == 2
+        for name in sorted(after):
+            with pytest.raises(SystemExit) as shown:
+                main(name.split() + ["--help"])
+            assert shown.value.code == 0, name
+        capsys.readouterr()
+        golden = str(ROOT / "tests/data/golden/ppl.idx")
+        assert main(["inspect", golden]) == 0
+        assert main(["query", "--index", golden, "--random", "3",
+                     "--mode", "distance"]) == 0
+        assert "3 queries" in capsys.readouterr().out
+
+    def test_readme_cli_section_names_exactly_the_commands(self):
+        """README's CLI section shows every leaf command (and the two
+        `trace` actions) as `repro <command>`, and no `repro <word>`
+        in it is a word the parser does not know."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        leaves = {name for name, _ in _leaf_parsers(build_parser())}
+        for name in sorted(leaves | {"trace export", "trace validate"}):
+            assert re.search(rf"\brepro {re.escape(name)}\b", section), \
+                f"README's CLI section does not show `repro {name}`"
+        tops = {name.split()[0] for name in leaves}
+        groups = {name.split()[0] for name in leaves if " " in name}
+        for top, action in re.findall(
+                r"\brepro ([a-z][\w-]*)(?: ([a-z][\w-]*))?", section):
+            assert top in tops, f"README names unknown `repro {top}`"
+            if top in groups:
+                assert f"{top} {action}" in leaves, \
+                    f"README names unknown `repro {top} {action}`"

@@ -139,6 +139,34 @@ class TestRegistry:
         assert lat.sum == pytest.approx(6.05)
         assert 0.1 <= lat.quantile(0.5) <= 1.0
 
+    def test_scalar_observe_places_like_the_vector_form(self):
+        """`observe` bisects the bucket tuple, `observe_many` calls
+        `np.searchsorted`; a value lands in the same bucket either way —
+        on a bound, just past one, between two, and at infinity."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @given(bounds=st.lists(
+            st.floats(min_value=1e-9, max_value=1e6, allow_nan=False),
+            min_size=1, max_size=12, unique=True).map(sorted),
+            interior=st.lists(
+                st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
+                max_size=12))
+        @settings(max_examples=60, deadline=None)
+        def check(bounds, interior):
+            values = [*bounds,
+                      *(np.nextafter(b, np.inf) for b in bounds),
+                      *interior, 0.0, float("inf")]
+            one_by_one = MetricsRegistry().histogram("t", buckets=bounds)
+            at_once = MetricsRegistry().histogram("t", buckets=bounds)
+            for value in values:
+                one_by_one.observe(value)
+            at_once.observe_many(values)
+            assert one_by_one.bucket_counts()[:2] \
+                == at_once.bucket_counts()[:2]
+
+        check()
+
     def test_same_name_same_labels_is_same_instrument(
             self, fresh_registry):
         a = fresh_registry.counter("t_total", mode="spg")

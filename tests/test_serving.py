@@ -753,6 +753,27 @@ class TestDispatch:
             assert after["batches"] == before["batches"] + 1
             assert after["deduplicated"] == before["deduplicated"] + 1
 
+    def test_default_mode_by_name_or_by_none_is_one_batch(
+            self, served_graph):
+        """`submit(u, v)` and `submit(u, v, "distance")` on a distance
+        service are the same request: queued behind a busy worker they
+        share a batch and one computation. (Keyed on the raw `None`
+        they left as two batches, answered twice.)"""
+        with self._service(served_graph, 1) as service:
+            with frozen_workers(service, 0):
+                holder = service.submit(0, 1)
+                before = service.stats()
+                unnamed = service.submit(5, 9)
+                named = service.submit(5, 9, "distance")
+                reversed_ = service.submit(9, 5, mode="distance")
+            answers = [future.result(timeout=30).value
+                       for future in (unnamed, named, reversed_)]
+            assert answers == [distance_oracle(served_graph, 5, 9)] * 3
+            holder.result(timeout=30)
+            after = service.stats()
+            assert after["batches"] == before["batches"] + 1
+            assert after["deduplicated"] == before["deduplicated"] + 2
+
     def test_busy_worker_does_not_block_the_idle_one(self):
         """Head-of-line: one worker held by a full `spg` batch must not
         delay a lone request while its sibling sits idle. (With a
