@@ -561,8 +561,7 @@ def _run_serve(args) -> int:
             print(f"batches: {stats['batches']}, deduplicated: "
                   f"{stats['deduplicated']}, epoch: {stats['epoch']}")
             return 0
-        server = make_server(service, host=args.host, port=args.port,
-                             verbose=True)
+        server = make_server(service, host=args.host, port=args.port)
         host, bound = server.server_address[:2]
         # SIGINT/SIGTERM end the wait below — a bare SIGTERM would skip
         # all cleanup and orphan the workers mid-batch. The handlers go

@@ -1078,6 +1078,121 @@ class TestHTTP:
         assert reply["results"][0] == self._post(
             base, "/query", {"u": 1, "v": 3})[1]["results"][0]
 
+    @staticmethod
+    def _connection(base):
+        import http.client
+
+        host, port = base[len("http://"):].split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=30)
+
+    @staticmethod
+    def _exchange(connection, method, path, payload=None):
+        """One request on a kept-alive connection: ``(status, body)``,
+        with the body's length checked against ``Content-Length``."""
+        body = None if payload is None else json.dumps(payload)
+        connection.request(method, path, body=body)
+        reply = connection.getresponse()
+        raw = reply.read()
+        assert len(raw) == int(reply.getheader("Content-Length"))
+        assert reply.getheader("Connection") is None
+        return reply.status, raw
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self,
+                                                            endpoint):
+        """Headers and body written as two segments with Nagle on made
+        every reply wait for the client's delayed ACK: ~44 ms each, so
+        these 50 requests took ~2.2 s on one connection."""
+        base, graph = endpoint
+        pairs = sample_pairs(graph, 40, seed=79)
+        _, burst = self._post(base, "/query", {"pairs": pairs})
+        connection = self._connection(base)
+        try:
+            self._exchange(connection, "GET", "/healthz")
+            sock = connection.sock
+            start = time.perf_counter()
+            for k, (u, v) in enumerate(pairs):
+                status, raw = self._exchange(connection, "POST", "/query",
+                                             {"u": u, "v": v})
+                assert status == 200
+                assert json.loads(raw)["results"] == [burst["results"][k]]
+                if k % 4 == 0:
+                    status, _ = self._exchange(connection, "GET",
+                                               "/healthz")
+                    assert status == 200
+            elapsed = time.perf_counter() - start
+            assert connection.sock is sock
+        finally:
+            connection.close()
+        assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f} s"
+
+    def test_reply_larger_than_write_buffer_arrives_whole(self, endpoint):
+        base, _graph = endpoint
+        pairs = [[u % 150, (7 * u + 3) % 150] for u in range(2000)]
+        connection = self._connection(base)
+        try:
+            status, raw = self._exchange(connection, "POST", "/query",
+                                         {"pairs": pairs})
+            assert status == 200 and len(raw) > 64 * 1024
+            results = json.loads(raw)["results"]
+            assert [[r["u"], r["v"]] for r in results] == pairs
+            first = self._post(base, "/query", {"pairs": pairs[:50]})[1]
+            assert results[:50] == first["results"]
+            status, raw = self._exchange(connection, "GET", "/metrics")
+            assert status == 200 and len(raw) > 8192
+            assert raw.decode("utf-8").endswith("\n")
+        finally:
+            connection.close()
+
+    def test_unsupported_method_is_a_prompt_501_then_close(self, endpoint):
+        """``send_error`` replies are flushed too: the whole 501 arrives
+        and the server closes the connection, without waiting on the
+        client."""
+        import socket
+
+        base, _graph = endpoint
+        host, port = base[len("http://"):].split(":")
+        body = b'{"u": 0, "v": 1}'
+        start = time.perf_counter()
+        with socket.create_connection((host, int(port)),
+                                      timeout=10) as sock:
+            sock.sendall(b"PUT /query HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n%s"
+                         % (len(body), body))
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        elapsed = time.perf_counter() - start
+        head, _, page = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith("HTTP/1.1 501 ")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(page)
+        assert b"501" in page
+        assert elapsed < 1.0
+
+    def test_get_and_post_alternate_on_one_connection(self, endpoint):
+        base, _graph = endpoint
+        connection = self._connection(base)
+        try:
+            self._exchange(connection, "GET", "/healthz")
+            sock = connection.sock
+            for u in range(10):
+                status, raw = self._exchange(connection, "GET", "/stats")
+                assert status == 200 and "submitted" in json.loads(raw)
+                status, raw = self._exchange(connection, "POST", "/query",
+                                             {"u": u, "v": 140})
+                assert status == 200
+                assert json.loads(raw)["results"][0]["u"] == u
+                status, raw = self._exchange(connection, "GET", "/metrics")
+                assert status == 200 and b"# TYPE" in raw
+                status, raw = self._exchange(connection, "POST", "/query",
+                                             {"u": u})
+                assert status == 400 and "error" in json.loads(raw)
+            assert connection.sock is sock
+        finally:
+            connection.close()
+
     def test_update_on_immutable_source_is_409(self):
         graph = _small_graph(seed=77, n=60)
         with QueryService(_build("ppl", graph), num_workers=1,
@@ -1189,13 +1304,15 @@ class TestHTTPErrorPaths:
         assert status == 200
 
 
-    @pytest.mark.parametrize("case", ["unknown-path", "oversize"])
+    @pytest.mark.parametrize("case", ["unknown-path", "oversize",
+                                      "non-ascii-length"])
     def test_connection_reusable_after_unread_body(self, tight_endpoint,
                                                    case):
         """A reply that leaves the request body unread must end the
         keep-alive connection: otherwise the leftover bytes are parsed
         as the next request line, and the next (valid) request on the
-        same client connection is answered 400 with an HTML page."""
+        same client connection is answered 400 with an HTML page.
+        ``Content-Length: ²`` passes ``str.isdigit`` but not ``int``."""
         import http.client
 
         host, port = tight_endpoint[len("http://"):].split(":")
@@ -1205,6 +1322,12 @@ class TestHTTPErrorPaths:
             if case == "unknown-path":
                 connection.request("POST", "/nope", body=b'{"x": 1}')
                 expected = 404
+            elif case == "non-ascii-length":
+                connection.putrequest("POST", "/query")
+                connection.putheader("Content-Length", "²")
+                connection.endheaders()
+                connection.send(b'{"u": 0, "v": 1}')
+                expected = 400
             else:
                 # Declare more than the limit, send only a little of
                 # it: the server must answer from the headers alone.
