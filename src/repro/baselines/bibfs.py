@@ -1,8 +1,9 @@
 """Bi-BFS — the search-based baseline of Table 2.
 
-A thin, stable-named wrapper over :func:`repro.core.search.
-bidirectional_spg`, which is the guided searcher run with an empty
-sketch: the same alternating level expansion from both endpoints, on
+A thin, stable-named wrapper over one
+:class:`repro.core.search.GuidedSearcher` run with an empty sketch
+(what :func:`~repro.core.search.bidirectional_spg` does once per
+call): the same alternating level expansion from both endpoints, on
 the *full* graph (no labelling, no sparsification, no sketch bound),
 followed by the reverse search that extracts the SPG.
 The paper reports QbS answering queries 10-300x faster than this
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.search import SearchStats, bidirectional_spg
+from ..core.search import GuidedSearcher, SearchStats
+from ..core.sketch import Sketch
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.persist import graph_arrays, graph_from_arrays
@@ -32,6 +34,7 @@ class BiBFS(PathIndex):
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
+        self._searcher = GuidedSearcher(graph, graph)
 
     @classmethod
     def build(cls, graph: Graph, **params) -> "BiBFS":
@@ -47,10 +50,11 @@ class BiBFS(PathIndex):
         """Exact ``SPG(u, v)`` via bidirectional BFS + reverse search;
         ``query_with_stats`` hands in the traversal counters (for the
         §6.5 comparison)."""
-        return bidirectional_spg(self._graph, u, v, stats)
+        found = self._searcher.run(Sketch(u, v, None), stats)
+        return ShortestPathGraph(u, v, *found)
 
     def _distance(self, u: int, v: int) -> Optional[int]:
-        return self._query(u, v).distance
+        return self._searcher.distance_only(Sketch(u, v, None))
 
     @property
     def graph(self) -> Graph:

@@ -24,7 +24,7 @@ precomputed and the vectorized ``distance_many`` bounds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .labelling import PathLabelling, build_labelling, \
     landmark_positions
 from .landmarks import select_landmarks
 from .metagraph import MetaGraph, build_meta_graph
-from .search import GuidedSearcher, SearchStats, bidirectional_spg
+from .search import GuidedSearcher, SearchStats
 from .sketch import Sketch, compute_sketch
 from .spg import ShortestPathGraph
 
@@ -84,6 +84,7 @@ class QbSIndex(PathIndex):
         self._meta = meta
         self._sparsified = sparsified
         self._searcher = GuidedSearcher(graph, sparsified, labelling, meta)
+        self._fallback: Optional[GuidedSearcher] = None
         self.report = report
 
     # ------------------------------------------------------------------
@@ -153,15 +154,22 @@ class QbSIndex(PathIndex):
         sketch's side-selection guidance (ablation of §6.5 gain source
         (2)); results are identical, only traversal effort changes.
         """
+        searcher, sketch = self._plan(u, v)
+        found = searcher.run(sketch, stats, use_budgets=use_budgets)
+        return ShortestPathGraph(u, v, *found)
+
+    def _plan(self, u: int, v: int) -> Tuple[GuidedSearcher, Sketch]:
+        """The searcher and sketch that answer ``(u, v)``."""
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
             # Labels are defined on V \ R (Definition 4.2); the paper
             # leaves landmark endpoints implicit. They are rare
-            # (|R| << |V|) and answered exactly by the Bi-BFS fallback.
-            return bidirectional_spg(self._graph, u, v, stats)
-        found = self._searcher.run(
-            compute_sketch(self._labelling, self._meta, u, v), stats,
-            use_budgets=use_budgets)
-        return ShortestPathGraph(u, v, *found)
+            # (|R| << |V|) and answered exactly by the Bi-BFS fallback,
+            # on a full-graph searcher made on first use and kept.
+            if self._fallback is None:
+                self._fallback = GuidedSearcher(self._graph, self._graph)
+            return self._fallback, Sketch(u, v, None)
+        return (self._searcher,
+                compute_sketch(self._labelling, self._meta, u, v))
 
     def sketch(self, u: int, v: int) -> Sketch:
         """Compute the query sketch only (Algorithm 3); for analysis."""
@@ -178,10 +186,8 @@ class QbSIndex(PathIndex):
         Uses a fast path that runs only the sketch and the bounded
         bidirectional stage — no SPG is materialized.
         """
-        if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
-            return bidirectional_spg(self._graph, u, v).distance
-        return self._searcher.distance_only(
-            compute_sketch(self._labelling, self._meta, u, v))
+        searcher, sketch = self._plan(u, v)
+        return searcher.distance_only(sketch)
 
     def _distance_many(self, us, vs) -> np.ndarray:
         """Batched distances via one vectorized sketch-bound pass.

@@ -29,17 +29,23 @@ unbiased and stage 3 idle — which is plain Bi-BFS, so
 :func:`bidirectional_spg`, the ``bibfs`` family and both indexes'
 landmark-endpoint fallback run the same loop over the unsparsified
 graph.
+
+A query costs O(visited), not O(|V|): the searcher allocates its
+length-|V| arrays once, and each query hands them back clean by
+writing ``UNREACHED`` over exactly the vertices it reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._util import UNREACHED
-from ..graph.traversal import descend_levels, expand_frontier
+from ..graph.traversal import descend_levels
 from .labelling import PathLabelling
 from .metagraph import MetaGraph, landmark_pair_arcs
 from .sketch import Sketch
@@ -62,46 +68,69 @@ class SearchStats:
     d_top: Optional[int] = None
 
 
-@dataclass
+class _Scratch:
+    """The length-|V| arrays one query works in.
+
+    ``depth_u`` / ``depth_v`` are the two sides' depth arrays and hold
+    ``UNREACHED`` between queries. ``stamp`` is the level dedup's slot
+    array: every entry a level reads it has just written, so it is
+    never reset.
+    """
+
+    def __init__(self, num_vertices: int) -> None:
+        self.depth_u = np.empty(num_vertices, dtype=np.int32)
+        self.depth_v = np.empty(num_vertices, dtype=np.int32)
+        self.depth_u[:] = self.depth_v[:] = UNREACHED
+        self.stamp = np.empty(num_vertices, dtype=np.int32)
+
+
 class _BfsSide:
     """State of one direction of the bidirectional search.
 
     The ``forward`` side grows from ``u`` along the arcs, the other
     from ``v`` against them (the same CSR on a symmetric graph).
+    ``csr`` is ``(indptr, indices, degree)`` of that direction;
+    ``depth`` and ``stamp`` are borrowed :class:`_Scratch` arrays, and
+    ``levels`` lists every vertex written into ``depth``.
     """
 
-    source: int
-    forward: bool
-    indptr: np.ndarray
-    indices: np.ndarray
-    depth: np.ndarray
-    frontier: np.ndarray
-    levels: List[np.ndarray] = field(default_factory=list)
-    current_depth: int = 0
-    visited_count: int = 1
-
-    @classmethod
-    def start(cls, graph, source: int, forward: bool) -> "_BfsSide":
-        depth = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
+    def __init__(self, source: int, forward: bool, csr, depth: np.ndarray,
+                 stamp: np.ndarray) -> None:
+        self.source = source
+        self.forward = forward
+        self.indptr, self.indices, self.degree = csr
+        self.depth = depth
+        self.stamp = stamp
+        self.frontier = np.array([source], dtype=np.int32)
+        # A level is recorded before it is written, so the reset that
+        # scatters over ``levels`` sees every write.
+        self.levels: List[np.ndarray] = [self.frontier]
+        self.current_depth = 0
+        self.visited_count = 1
         depth[source] = 0
-        frontier = np.array([source], dtype=np.int32)
-        if forward:
-            indptr, indices = graph.out_indptr, graph.out_indices
-        else:
-            indptr, indices = graph.in_indptr, graph.in_indices
-        return cls(source, forward, indptr, indices, depth, frontier,
-                   [frontier])
 
     def expand(self, stats: SearchStats) -> np.ndarray:
-        """Grow one BFS level; returns the fresh vertex array."""
-        neighbors = expand_frontier(self.indptr, self.indices,
-                                    self.frontier)
+        """Grow one BFS level; returns the fresh vertex array.
+
+        Only called on a non-empty frontier (see ``_pick_side``).
+        """
+        frontier = self.frontier
+        counts = self.degree[frontier]
+        ends = counts.cumsum()
+        # Every frontier row in one gather: output slot s of row j
+        # reads indptr[j] + s - (first output slot of row j).
+        shifts = (self.indptr[frontier] - ends + counts).repeat(counts)
+        neighbors = self.indices[np.arange(ends[-1]) + shifts]
         stats.edges_traversed += len(neighbors)
         fresh = neighbors[self.depth[neighbors] == UNREACHED]
-        fresh = np.unique(fresh)
+        # Dedup in O(k): every copy of a vertex writes its own slot,
+        # one write survives, and exactly that copy reads its slot back.
+        slots = np.arange(len(fresh), dtype=np.int32)
+        self.stamp[fresh] = slots
+        fresh = fresh[self.stamp[fresh] == slots]
         self.current_depth += 1
-        self.depth[fresh] = self.current_depth
         self.levels.append(fresh)
+        self.depth[fresh] = self.current_depth
         self.frontier = fresh
         self.visited_count += len(fresh)
         return fresh
@@ -113,6 +142,10 @@ class GuidedSearcher:
     ``graph`` and ``sparsified`` are dual-CSR views of ``G`` and
     ``G⁻``. Without a labelling there is nothing to recover and only
     empty sketches make sense (see :func:`bidirectional_spg`).
+
+    The searcher owns one set of working arrays over ``G⁻``, allocated
+    here. A query borrows them and hands them back clean; a query that
+    finds them lent out (a concurrent caller) works in fresh ones.
     """
 
     def __init__(self, graph, sparsified,
@@ -122,6 +155,16 @@ class GuidedSearcher:
         self._sparsified = sparsified
         self._labelling = labelling
         self._meta = meta
+        out_degree = np.diff(sparsified.out_indptr)
+        in_degree = out_degree \
+            if sparsified.in_indptr is sparsified.out_indptr \
+            else np.diff(sparsified.in_indptr)
+        self._out_csr = (sparsified.out_indptr, sparsified.out_indices,
+                         out_degree)
+        self._in_csr = (sparsified.in_indptr, sparsified.in_indices,
+                        in_degree)
+        self._scratch = _Scratch(sparsified.num_vertices)
+        self._scratch_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Entry points
@@ -137,23 +180,25 @@ class GuidedSearcher:
         the ``d_top`` bound and correctness are unaffected.
         """
         stats = stats if stats is not None else SearchStats()
-        d_minus, meeting, side_u, side_v = self._bidirectional(
-            sketch, stats, use_budgets)
-        candidates = [d for d in (d_minus, sketch.d_top) if d is not None]
-        if not candidates:
-            return None, set()
-        distance = min(candidates)
+        with self._sides(sketch) as (side_u, side_v):
+            d_minus, meeting = self._bidirectional(
+                sketch, side_u, side_v, stats, use_budgets)
+            candidates = [d for d in (d_minus, sketch.d_top)
+                          if d is not None]
+            if not candidates:
+                return None, set()
+            distance = min(candidates)
 
-        arcs: Set[Arc] = set()
-        if d_minus == distance:
-            # Stage 2 (lines 16-17): all G⁻ shortest-path arcs from the
-            # meeting set back to each side's source.
-            stats.used_reverse = True
-            for side in (side_u, side_v):
-                self._descend_depths(side, meeting, arcs)
-        if sketch.d_top == distance:
-            stats.used_recover = True
-            self._recover_search(sketch, side_u, side_v, arcs)
+            arcs: Set[Arc] = set()
+            if d_minus == distance:
+                # Stage 2 (lines 16-17): all G⁻ shortest-path arcs from
+                # the meeting set back to each side's source.
+                stats.used_reverse = True
+                for side in (side_u, side_v):
+                    self._descend_depths(side, meeting, arcs)
+            if sketch.d_top == distance:
+                stats.used_recover = True
+                self._recover_search(sketch, side_u, side_v, arcs)
         return distance, arcs
 
     def distance_only(self, sketch: Sketch,
@@ -166,26 +211,51 @@ class GuidedSearcher:
         skipped entirely.
         """
         stats = stats if stats is not None else SearchStats()
-        d_minus = self._bidirectional(sketch, stats)[0]
+        with self._sides(sketch) as (side_u, side_v):
+            d_minus = self._bidirectional(sketch, side_u, side_v, stats)[0]
         candidates = [d for d in (d_minus, sketch.d_top) if d is not None]
         return min(candidates) if candidates else None
+
+    @contextmanager
+    def _sides(self, sketch: Sketch) -> Iterator[Tuple[_BfsSide, _BfsSide]]:
+        """The query's two search sides, on borrowed scratch.
+
+        Leaving the block writes ``UNREACHED`` back over each depth
+        array's recorded levels, one scatter per array, also when the
+        query raised. Should that reset itself fail, the lock stays
+        held: the dirty arrays are never lent again, and every later
+        query works in fresh ones.
+        """
+        owned = self._scratch_lock.acquire(blocking=False)
+        scratch = self._scratch if owned \
+            else _Scratch(self._sparsified.num_vertices)
+        sides: List[_BfsSide] = []
+        try:
+            sides.append(_BfsSide(sketch.u, True, self._out_csr,
+                                  scratch.depth_u, scratch.stamp))
+            sides.append(_BfsSide(sketch.v, False, self._in_csr,
+                                  scratch.depth_v, scratch.stamp))
+            yield sides[0], sides[1]
+        finally:
+            if owned:
+                for side in sides:
+                    side.depth[np.concatenate(side.levels)] = UNREACHED
+                self._scratch_lock.release()
 
     # ------------------------------------------------------------------
     # Stage 1: bounded bidirectional BFS on G-minus
     # ------------------------------------------------------------------
 
-    def _bidirectional(self, sketch: Sketch, stats: SearchStats,
+    def _bidirectional(self, sketch: Sketch, side_u: _BfsSide,
+                       side_v: _BfsSide, stats: SearchStats,
                        use_budgets: bool = True):
         """Alternating level expansion (Algorithm 4 lines 6-15).
 
-        Returns ``(d_minus, meeting, side_u, side_v)`` — the exact
-        ``d_{G⁻}(u, v)`` and the minimal meeting vertex set, both
-        ``None`` when the endpoints do not connect within the
-        ``d_top`` bound — plus the two explored sides.
+        Returns ``(d_minus, meeting)`` — the exact ``d_{G⁻}(u, v)`` and
+        the minimal meeting vertex set, both ``None`` when the
+        endpoints do not connect within the ``d_top`` bound.
         """
         d_top = stats.d_top = sketch.d_top
-        side_u = _BfsSide.start(self._sparsified, sketch.u, True)
-        side_v = _BfsSide.start(self._sparsified, sketch.v, False)
         budgets = (sketch.budget_u, sketch.budget_v) if use_budgets \
             else (0, 0)
         d_minus = meeting = None
@@ -208,7 +278,7 @@ class GuidedSearcher:
                 break
         stats.d_minus = d_minus
         stats.met = meeting is not None
-        return d_minus, meeting, side_u, side_v
+        return d_minus, meeting
 
     @staticmethod
     def _pick_side(side_u: _BfsSide, side_v: _BfsSide,
@@ -295,8 +365,11 @@ def bidirectional_spg(graph, u: int, v: int,
 
     The guided search with nothing to guide it — an empty sketch gives
     no bound, no budgets and no landmark routes, and the graph is not
-    sparsified. ``u`` and ``v`` are vertex ids of ``graph``; ids are
-    checked at the ``PathIndex`` front door (``BiBFS(graph).query``).
+    sparsified. This is the one-shot form: it builds a searcher, and
+    with it O(|V|) scratch, per call; the ``bibfs`` family and the
+    indexes keep one searcher and run ``Sketch(u, v, None)`` on it.
+    ``u`` and ``v`` are vertex ids of ``graph``; ids are checked at the
+    ``PathIndex`` front door (``BiBFS(graph).query``).
     """
     if u == v:
         return ShortestPathGraph.trivial(u, directed)

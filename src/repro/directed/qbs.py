@@ -26,15 +26,15 @@ whole graph, mirroring the undirected index.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.labelling import PathLabelling, build_labelling, \
     landmark_positions
 from ..core.metagraph import MetaGraph, build_meta_graph
-from ..core.search import GuidedSearcher, bidirectional_spg
-from ..core.sketch import compute_sketch
+from ..core.search import GuidedSearcher
+from ..core.sketch import Sketch, compute_sketch
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.persist import pack_pairs, unpack_pairs
@@ -59,6 +59,7 @@ class DirectedQbSIndex(PathIndex):
         self._searcher = GuidedSearcher(
             graph, graph.remove_vertices(labelling.landmarks),
             labelling, meta)
+        self._fallback: Optional[GuidedSearcher] = None
 
     @classmethod
     def build(cls, graph: DiGraph,
@@ -158,18 +159,23 @@ class DirectedQbSIndex(PathIndex):
 
     def _query(self, u: int, v: int) -> ShortestPathGraph:
         """All shortest directed ``u -> v`` paths, exactly."""
-        if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
-            # Labels are defined on V \ R; landmark endpoints get the
-            # unguided search over the whole graph.
-            return bidirectional_spg(self._graph, u, v, directed=True)
-        found = self._searcher.run(
-            compute_sketch(self._labelling, self._meta, u, v))
-        return ShortestPathGraph(u, v, *found, directed=True)
+        searcher, sketch = self._plan(u, v)
+        return ShortestPathGraph(u, v, *searcher.run(sketch), directed=True)
 
     def _distance(self, u: int, v: int) -> Optional[int]:
         """Exact ``d(u -> v)`` (``None`` when unreachable), from the
         sketch and the bounded search alone — no SPG is built."""
+        searcher, sketch = self._plan(u, v)
+        return searcher.distance_only(sketch)
+
+    def _plan(self, u: int, v: int) -> Tuple[GuidedSearcher, Sketch]:
+        """The searcher and sketch that answer ``u -> v``."""
         if self._labelling.is_landmark(u) or self._labelling.is_landmark(v):
-            return bidirectional_spg(self._graph, u, v).distance
-        return self._searcher.distance_only(
-            compute_sketch(self._labelling, self._meta, u, v))
+            # Labels are defined on V \ R; landmark endpoints get the
+            # unguided search over the whole graph, on a searcher made
+            # on first use and kept.
+            if self._fallback is None:
+                self._fallback = GuidedSearcher(self._graph, self._graph)
+            return self._fallback, Sketch(u, v, None)
+        return (self._searcher,
+                compute_sketch(self._labelling, self._meta, u, v))

@@ -1,12 +1,20 @@
 """Algorithm 4 (guided search) tests, anchored on Figure 6."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro import Graph, QbSIndex, bidirectional_spg, spg_oracle
-from repro.core.search import SearchStats
+from repro import BiBFS, Graph, QbSIndex, bidirectional_spg, spg_oracle
+from repro._util import UNREACHED
+from repro.core.search import GuidedSearcher, SearchStats
+from repro.directed import DiGraph, DirectedQbSIndex
+from repro.graph import watts_strogatz
 
-from _corpus import random_graph_corpus, sample_vertex_pairs
+from _corpus import (label_rng, random_digraph_corpus, random_graph_corpus,
+                     sample_vertex_pairs, shared_arrays)
 
 
 @pytest.fixture
@@ -129,3 +137,203 @@ class TestGuidanceAblation:
             guided, _ = index.query_with_stats(u, v, use_budgets=True)
             unguided, _ = index.query_with_stats(u, v, use_budgets=False)
             assert guided == unguided, f"{label} ({u},{v})"
+
+
+# ----------------------------------------------------------------------
+# Searcher-owned scratch: clean after every query, safe under threads
+# ----------------------------------------------------------------------
+
+def two_copies(graph):
+    """``graph`` beside a relabelled copy of itself: every pair across
+    the copies is disconnected, so both search sides run dry."""
+    n = graph.num_vertices
+    tails = np.repeat(np.arange(n), np.diff(graph.out_indptr))
+    arcs = np.column_stack((tails, graph.out_indices))
+    arcs = np.vstack((arcs, arcs + n))
+    if isinstance(graph, DiGraph):
+        return DiGraph.from_arcs(arcs, num_vertices=2 * n)
+    return Graph.from_edges(arcs, num_vertices=2 * n)
+
+
+def build_qbs(graph, **params):
+    family = DirectedQbSIndex if isinstance(graph, DiGraph) else QbSIndex
+    return family.build(graph, **params)
+
+
+def assert_scratch_clean(index):
+    """Every searcher the index has made holds ``UNREACHED`` throughout."""
+    for searcher in (index._searcher, index._fallback):
+        if searcher is not None:
+            scratch = searcher._scratch
+            assert (scratch.depth_u == UNREACHED).all()
+            assert (scratch.depth_v == UNREACHED).all()
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def boom(*args, **kwargs):
+    raise Boom
+
+
+SCRATCH_CORPUS = (list(random_graph_corpus(seed=101, count=10))
+                  + list(random_digraph_corpus(seed=102, count=6)))
+
+
+class TestScratchHygiene:
+    """A query leaves the searcher's depth arrays all ``UNREACHED``,
+    however it ends, and the next answer is the oracle's."""
+
+    @pytest.mark.parametrize("label,graph", SCRATCH_CORPUS)
+    def test_clean_after_every_query(self, label, graph, monkeypatch):
+        graph = two_copies(graph)
+        index = build_qbs(graph, num_landmarks=6)
+        rng = label_rng(label)
+        pairs = rng.integers(0, graph.num_vertices, size=(40, 2)).tolist()
+        landmarks = index.landmarks.tolist()
+        pairs += [(landmarks[0], v) for _, v in pairs[:4]]
+        pairs += [(u, landmarks[-1]) for u, _ in pairs[:4]]
+        disconnected = 0
+        for u, v in pairs:
+            expected = spg_oracle(graph, u, v)
+            disconnected += expected.distance is None
+            assert index.query(u, v) == expected, f"{label} ({u},{v})"
+            assert_scratch_clean(index)
+            assert index.distance(u, v) == expected.distance
+            assert_scratch_clean(index)
+            if isinstance(index, QbSIndex):
+                unguided, _ = index.query_with_stats(u, v, use_budgets=False)
+                assert unguided == expected, f"{label} ({u},{v})"
+                assert_scratch_clean(index)
+            # Raises wherever the recover stage runs.
+            with monkeypatch.context() as patch:
+                patch.setattr(GuidedSearcher, "_recover_search", boom)
+                try:
+                    index.query(u, v)
+                except Boom:
+                    pass
+            assert_scratch_clean(index)
+            assert index.query(u, v) == expected, f"{label} ({u},{v})"
+        assert disconnected, label
+        assert index._fallback is not None
+
+    def test_clean_after_a_raise_in_recover(self, figure4_index,
+                                            figure4_graph, monkeypatch):
+        """Figure 6's query meets in G⁻ and recovers: it raises after
+        both sides have explored."""
+        with monkeypatch.context() as patch:
+            patch.setattr(GuidedSearcher, "_recover_search", boom)
+            with pytest.raises(Boom):
+                figure4_index.query(5, 10)
+        assert_scratch_clean(figure4_index)
+        assert figure4_index.query(5, 10) == spg_oracle(figure4_graph,
+                                                        5, 10)
+
+    def test_busy_scratch_is_not_touched(self, figure4_graph):
+        """A caller that finds the arrays lent out works in its own:
+        the lent arrays hold garbage here, and the answer is exact."""
+        index = QbSIndex.build(figure4_graph,
+                               landmarks=np.array([0, 1, 2], dtype=np.int32))
+        searcher = index._searcher
+        scratch = searcher._scratch
+        assert searcher._scratch_lock.acquire(blocking=False)
+        try:
+            scratch.depth_u[:] = scratch.depth_v[:] = 3
+            assert index.query(5, 10) == spg_oracle(figure4_graph, 5, 10)
+            assert index.distance(5, 10) == 5
+            assert (scratch.depth_u == 3).all()
+        finally:
+            scratch.depth_u[:] = scratch.depth_v[:] = UNREACHED
+            searcher._scratch_lock.release()
+        assert index.query(5, 10) == spg_oracle(figure4_graph, 5, 10)
+        assert_scratch_clean(index)
+
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["Graph", "DiGraph"])
+    def test_threads_share_one_index(self, directed):
+        graph = watts_strogatz(300, 4, 0.1, seed=7)
+        if directed:
+            rng = np.random.default_rng(7)
+            graph = DiGraph.from_arcs(rng.integers(0, 300, size=(900, 2)),
+                                      num_vertices=300)
+        index = build_qbs(graph, num_landmarks=6)
+        pairs = sample_vertex_pairs(graph, 200, seed=11)
+        pairs[:6] = [(int(r), v) for r, (_, v) in zip(index.landmarks,
+                                                      pairs)]
+        expected = [spg_oracle(graph, u, v) for u, v in pairs]
+        errors = []
+
+        def client(offset):
+            try:
+                for i in range(len(pairs)):
+                    k = (i + 50 * offset) % len(pairs)
+                    u, v = pairs[k]
+                    assert index.query(u, v) == expected[k], (u, v)
+                    assert index.distance(u, v) == expected[k].distance
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert_scratch_clean(index)
+
+
+class TestLandmarkDistancesSkipTheSpg:
+    """``distance`` runs the bounded search alone: no reverse search
+    and no ``ShortestPathGraph``, also on the unguided fallback."""
+
+    @pytest.mark.parametrize("label,graph",
+                             list(random_graph_corpus(seed=111, count=5)))
+    def test_no_descend(self, label, graph, monkeypatch):
+        qbs = QbSIndex.build(graph, num_landmarks=2)
+        families = (BiBFS(graph), qbs,
+                    DirectedQbSIndex.build(shared_arrays(graph),
+                                           landmarks=qbs.landmarks))
+        monkeypatch.setattr(GuidedSearcher, "_descend_depths", boom)
+        landmark = int(qbs.landmarks[0])
+        for v in range(graph.num_vertices):
+            expected = spg_oracle(graph, landmark, v).distance
+            for index in families:
+                assert index.distance(landmark, v) == expected, \
+                    f"{label} {type(index).__name__} ({landmark},{v})"
+                assert index.distance(v, landmark) == expected
+
+
+def test_query_allocates_o_visited_not_o_n():
+    """The memory pin on searcher-owned scratch: on 100k vertices, a
+    warmed ``query`` + ``distance`` of a nearby pair peaks below one
+    int32 array over the vertices (one per-query depth array would
+    already be that much)."""
+    graph = watts_strogatz(100_000, 6, 0.02, seed=12)
+    index = QbSIndex.build(graph, num_landmarks=20)
+    landmarks = set(index.landmarks.tolist())
+    pairs = [(u, u + 3) for u in range(1_000, 99_000, 9_973)
+             if u not in landmarks and u + 3 not in landmarks]
+    for u, v in pairs:
+        index.query(u, v)
+        index.distance(u, v)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for u, v in pairs:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            index.query(u, v)
+            index.distance(u, v)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 5
+    assert max(peaks) < 4 * graph.num_vertices, peaks
