@@ -21,14 +21,13 @@ property true while the graph changes, without rebuilding:
 * **Deletion** — decremental 2-hop maintenance is the hard direction
   (stored distances become *under*-estimates, which a min merge-join
   cannot detect), so deletions are handled by invalidation: deleted
-  edges stay in the labels' graph as *phantom* edges and the query
-  layer checks, per pair, whether any phantom edge lies on a
-  label-shortest path (:func:`touches_phantom_edge` — the pair is then
-  *poisoned*). Poisoned pairs are re-validated by a label-guided
-  delta-BFS (:func:`guided_levels`) that walks only vertices on
-  label-shortest paths; pairs whose distance genuinely grew fall back
-  to a plain BFS. :class:`~repro.dynamic.index.DynamicIndex` bounds
-  the phantom set with its rebuild policy.
+  edges stay in the labels' graph as *phantom* edges, and a pair with
+  one on a label-shortest path is *poisoned*. One vectorized screen in
+  :class:`~repro.dynamic.index.DynamicIndex` finds poisoned pairs for
+  scalar and batch queries alike; they are re-validated by a
+  label-guided delta-BFS (:func:`guided_levels`) that walks only
+  vertices on label-shortest paths, and pairs whose distance grew fall
+  back to a plain BFS. The rebuild policy bounds the phantom set.
 
 Soundness of the guided search (used for validation *and* for exact
 SPG extraction): with ``G ⊆ G_label`` and ``d = d_label(s, t)``, every
@@ -51,10 +50,7 @@ import numpy as np
 from ..baselines.ppl import PPLIndex
 from ..core.build_kernels import ParentsView, RaggedView
 
-__all__ = ["MutableLabels", "repair_insert", "guided_levels",
-           "touches_phantom_edge"]
-
-Edge = Tuple[int, int]
+__all__ = ["MutableLabels", "repair_insert", "guided_levels"]
 
 #: ``neighbors(v) -> array of neighbour ids`` — the adjacency callback
 #: used by the repair BFS and the guided search.
@@ -256,39 +252,6 @@ def _resume_pruned_bfs(labels: MutableLabels, neighbors: NeighborFn,
             depth += 1
     finally:
         covered_by_rank[scattered] = _INF
-
-
-def touches_phantom_edge(labels: MutableLabels, s: int, t: int, d: int,
-                         phantom: Iterable[Edge]) -> bool:
-    """True if some phantom edge lies on a label-shortest s-t path.
-
-    Edge ``(a, b)`` is on one iff it is crossed by some shortest path,
-    i.e. ``d(s,a) + 1 + d(b,t) = d`` in one of the two orientations.
-    When no phantom edge touches, every label-shortest path survives
-    in the current graph and the label answer stands; otherwise the
-    pair is *poisoned* and must be validated.
-    """
-    to_s: Dict[int, Optional[int]] = {}
-    to_t: Dict[int, Optional[int]] = {}
-
-    def d_s(x: int) -> Optional[int]:
-        if x not in to_s:
-            to_s[x] = labels.distance(s, x)
-        return to_s[x]
-
-    def d_t(x: int) -> Optional[int]:
-        if x not in to_t:
-            to_t[x] = labels.distance(x, t)
-        return to_t[x]
-
-    for a, b in phantom:
-        dsa, dbt = d_s(a), d_t(b)
-        if dsa is not None and dbt is not None and dsa + 1 + dbt == d:
-            return True
-        dsb, dat = d_s(b), d_t(a)
-        if dsb is not None and dat is not None and dsb + 1 + dat == d:
-            return True
-    return False
 
 
 def guided_levels(labels: MutableLabels, neighbors: NeighborFn,

@@ -33,7 +33,8 @@ the labels' distances are (module docstring of
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+import threading
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,12 +50,7 @@ from ..graph.csr import Graph
 from ..graph.traversal import bfs_distances
 from ..obs import get_registry, span
 from .delta import DeltaGraph, normalize_edge
-from .incremental import (
-    MutableLabels,
-    guided_levels,
-    repair_insert,
-    touches_phantom_edge,
-)
+from .incremental import MutableLabels, guided_levels, repair_insert
 
 __all__ = ["DynamicIndex", "DYNAMIC_FAMILIES"]
 
@@ -67,9 +63,22 @@ DYNAMIC_FAMILIES = ("ppl", "parent-ppl")
 _INSERT_KINDS = frozenset({"insert", "+"})
 _REMOVE_KINDS = frozenset({"delete", "remove", "-"})
 
-#: Largest endpoint-x-phantom-endpoint grid the batched poisoning
-#: screen will materialize; beyond it the screen runs per pair.
-_SCREEN_GRID_LIMIT = 5_000_000
+#: Pair x phantom-edge elements per chunk of the poisoning screen.
+_SCREEN_ELEMS = 1 << 18
+
+
+class _PhantomBlock(NamedTuple):
+    """The phantom endpoints' labels end to end, one row per endpoint
+    (ascending). ``starts`` opens each ``nonempty`` row only: reduceat
+    over an empty row returns the next row's first entry. ``tails`` /
+    ``heads``: each phantom edge's endpoint rows."""
+
+    ranks: np.ndarray
+    dists: np.ndarray
+    starts: np.ndarray
+    nonempty: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
 
 
 def _labels_of(index) -> MutableLabels:
@@ -90,6 +99,10 @@ class DynamicIndex(PathIndex):
         self._delta = DeltaGraph(graph)
         self._phantom: Set[Edge] = set()
         self._phantom_adj: Dict[int, List[int]] = {}
+        self._phantom_version = 0
+        self._screen_cache: Optional[Tuple[Any, _PhantomBlock]] = None
+        self._screen_scratch = np.full(len(labels.rank_of), np.inf)
+        self._screen_lock = threading.Lock()
         self.rebuild_threshold = rebuild_threshold
         self._version = 0
         self._ops_since_rebuild = 0
@@ -197,11 +210,8 @@ class DynamicIndex(PathIndex):
             return False
         self._version += 1
         self._count("removes")
-        edge = normalize_edge(u, v)
         with Stopwatch() as sw:
-            self._phantom.add(edge)
-            self._phantom_adj.setdefault(edge[0], []).append(edge[1])
-            self._phantom_adj.setdefault(edge[1], []).append(edge[0])
+            self._add_phantom(normalize_edge(u, v))
         self._m_update_seconds.observe(sw.elapsed)
         self._bump_and_maybe_rebuild()
         return True
@@ -239,12 +249,13 @@ class DynamicIndex(PathIndex):
         self._delta = DeltaGraph(snapshot)
         self._phantom.clear()
         self._phantom_adj.clear()
+        self._phantom_version += 1
         self._ops_since_rebuild = 0
         self._count("rebuilds")
-        # The labels were replaced wholesale (and the fresh
-        # repaired-entries counter may coincide with the old one);
-        # the batch kernel's flat-array cache must not outlive them.
+        # Fresh labels restart the repaired-entries counter, so no
+        # cache keyed on it may outlive the old ones.
         self._label_arrays_cache = None
+        self._screen_cache = None
 
     def _bump_and_maybe_rebuild(self) -> None:
         self._ops_since_rebuild += 1
@@ -252,8 +263,15 @@ class DynamicIndex(PathIndex):
                 and self._ops_since_rebuild >= self._rebuild_threshold:
             self.rebuild()
 
+    def _add_phantom(self, edge: Edge) -> None:
+        self._phantom.add(edge)
+        self._phantom_adj.setdefault(edge[0], []).append(edge[1])
+        self._phantom_adj.setdefault(edge[1], []).append(edge[0])
+        self._phantom_version += 1
+
     def _drop_phantom(self, edge: Edge) -> None:
         self._phantom.discard(edge)
+        self._phantom_version += 1
         for a, b in (edge, edge[::-1]):
             row = self._phantom_adj.get(a)
             if row is not None:
@@ -282,21 +300,10 @@ class DynamicIndex(PathIndex):
         return self._resolve_distance(u, v)[0]
 
     def _distance_many(self, us, vs) -> np.ndarray:
-        """Batched distances: one label kernel + per-pair delta check.
-
-        The maintained labels answer the whole batch through the
-        vectorized 2-hop kernel (their graph is a supergraph of the
-        current one, so ``UNREACHED`` there is disconnection here,
-        exactly).
-        With phantom edges pending, each finite answer is screened by
-        the usual poisoning test — edge ``(a, b)`` poisons ``(u, v)``
-        iff ``d(u,a) + 1 + d(b,v) = d`` in some orientation — but the
-        screen itself is batched: one kernel call answers the whole
-        endpoint-to-phantom-endpoint distance grid, and the test runs
-        as vectorized comparisons per phantom edge. Only genuinely
-        poisoned pairs re-validate through the scalar path — clean
-        pairs, the common case, never leave the kernel.
-        """
+        """Batched distances: the 2-hop label kernel (its graph is a
+        supergraph of the current one, so ``UNREACHED`` is exact), then
+        :meth:`_poisoned`, the screen scalar queries take too. Only
+        poisoned pairs re-validate, through the scalar path."""
         labels = self._labels
         # Keyed on the label-mutation counter, not the index version:
         # deletions only poison (labels untouched), so they must not
@@ -304,41 +311,76 @@ class DynamicIndex(PathIndex):
         flat = cached_label_arrays(self, labels.ranks, labels.dists,
                                    labels.repaired_entries)
         dist = two_hop_distance_many(flat, us, vs)
-        if not self._phantom:
-            return dist
-        unique, inverse = np.unique(np.concatenate((us, vs)),
-                                    return_inverse=True)
-        phantom_vertices = sorted({x for edge in self._phantom
-                                   for x in edge})
-        if len(unique) * len(phantom_vertices) > _SCREEN_GRID_LIMIT:
-            # Screening grid too large to materialize; screen per pair.
-            poisoned = [
-                b for b in np.flatnonzero(dist != UNREACHED).tolist()
-                if touches_phantom_edge(labels, int(us[b]), int(vs[b]),
-                                        int(dist[b]), self._phantom)]
-        else:
-            grid = two_hop_distance_many(
-                flat,
-                np.repeat(unique, len(phantom_vertices)),
-                np.tile(np.asarray(phantom_vertices, dtype=np.int64),
-                        len(unique)),
-            ).reshape(len(unique), len(phantom_vertices))
-            # No path runs through an endpoint it cannot reach: put
-            # those legs beyond every distance (the sums stay int32).
-            grid[grid == UNREACHED] = np.iinfo(np.int32).max // 4
-            column = {x: j for j, x in enumerate(phantom_vertices)}
-            to_u = grid[inverse[:len(us)]]
-            to_v = grid[inverse[len(us):]]
-            hit = np.zeros(len(us), dtype=bool)
-            for a, b in self._phantom:
-                col_a, col_b = column[a], column[b]
-                hit |= to_u[:, col_a] + 1 + to_v[:, col_b] == dist
-                hit |= to_u[:, col_b] + 1 + to_v[:, col_a] == dist
-            poisoned = np.flatnonzero(hit).tolist()
-        for b in poisoned:
-            d = self._distance(int(us[b]), int(vs[b]))
-            dist[b] = UNREACHED if d is None else d
+        if self._phantom:
+            for b in np.flatnonzero(self._poisoned(us, vs, dist)).tolist():
+                d = self._distance(int(us[b]), int(vs[b]))
+                dist[b] = UNREACHED if d is None else d
         return dist
+
+    def _poisoned(self, us: np.ndarray, vs: np.ndarray,
+                  dist: np.ndarray) -> np.ndarray:
+        """Mask of the pairs whose label answer ``dist`` a phantom edge
+        may have broken: edge ``(a, b)`` poisons ``(u, v)`` iff
+        ``d(u,a) + 1 + d(b,v) = d`` in one of its two orientations.
+        ``UNREACHED`` pairs are never poisoned. One test covers every
+        phantom edge, over pair chunks of ``_SCREEN_ELEMS`` elements.
+        """
+        block = self._screen_block()
+        poisoned = np.zeros(len(us), dtype=bool)
+        live = np.flatnonzero(dist != UNREACHED)
+        step = max(1, _SCREEN_ELEMS // len(block.tails))
+        for start in range(0, len(live), step):
+            rows = live[start:start + step]
+            ends, slot = np.unique(np.concatenate((us[rows], vs[rows])),
+                                   return_inverse=True)
+            legs = self._legs_to_phantoms(block, ends)
+            to_u, to_v = legs[slot[:len(rows)]], legs[slot[len(rows):]]
+            target = dist[rows, None] - 1.0
+            poisoned[rows] = (
+                (to_u[:, block.tails] + to_v[:, block.heads] == target)
+                | (to_u[:, block.heads] + to_v[:, block.tails] == target)
+            ).any(axis=1)
+        return poisoned
+
+    def _screen_block(self) -> _PhantomBlock:
+        labels = self._labels
+        key = (labels.repaired_entries, self._phantom_version)
+        if self._screen_cache is not None and self._screen_cache[0] == key:
+            return self._screen_cache[1]
+        ends, rows = np.unique(np.array(sorted(self._phantom)).ravel(),
+                               return_inverse=True)
+        ends, rows = ends.tolist(), rows.reshape(-1, 2)
+        counts = np.array([len(labels.ranks[x]) for x in ends])
+        block = _PhantomBlock(
+            np.concatenate([labels.ranks[x] for x in ends]).astype(np.int64),
+            np.concatenate([labels.dists[x] for x in ends]).astype(float),
+            (np.cumsum(counts) - counts)[counts > 0], counts > 0,
+            rows[:, 0], rows[:, 1])
+        self._screen_cache = (key, block)
+        return block
+
+    def _legs_to_phantoms(self, block: _PhantomBlock,
+                          ends: np.ndarray) -> np.ndarray:
+        """``legs[i, j]``: label distance from ``ends[i]`` to phantom
+        endpoint ``j``. Per end: scatter its label into the dense
+        by-rank scratch, gather over the block, reduce per row, reset
+        its slots to ``inf``. A reader finding the scratch lent out, or
+        left locked by a raise here, works in a fresh one."""
+        labels = self._labels
+        legs = np.full((len(ends), len(block.nonempty)), np.inf)
+        owned = self._screen_lock.acquire(blocking=False)
+        by_rank = self._screen_scratch if owned \
+            else np.full(len(labels.rank_of), np.inf)
+        for row, x in enumerate(ends.tolist()):
+            ranks = np.asarray(labels.ranks[x], dtype=np.int64)
+            by_rank[ranks] = labels.dists[x]
+            entries = by_rank[block.ranks] + block.dists
+            by_rank[ranks] = np.inf
+            legs[row, block.nonempty] = np.minimum.reduceat(
+                entries, block.starts)
+        if owned:
+            self._screen_lock.release()
+        return legs
 
     def _resolve_distance(self, u: int, v: int
                           ) -> Tuple[Optional[int], bool,
@@ -357,9 +399,8 @@ class DynamicIndex(PathIndex):
             # The labels' graph is a supergraph of the current one, so
             # disconnected there means disconnected here.
             return None, True, None
-        if not self._phantom:
-            return d, True, None
-        if not touches_phantom_edge(self._labels, u, v, d, self._phantom):
+        if not self._phantom or not self._poisoned(
+                np.array([u]), np.array([v]), np.array([d]))[0]:
             return d, True, None
         self._count("validated_queries")
         with span("dynamic.validate"):
@@ -481,9 +522,7 @@ class DynamicIndex(PathIndex):
             edge = normalize_edge(int(u), int(v))
             if graph.has_edge(*edge):
                 index._delta.remove_edge(*edge)
-            index._phantom.add(edge)
-            index._phantom_adj.setdefault(edge[0], []).append(edge[1])
-            index._phantom_adj.setdefault(edge[1], []).append(edge[0])
+            index._add_phantom(edge)
         index._version = int(meta.get("version", 0))
         index._ops_since_rebuild = int(meta.get("ops_since_rebuild", 0))
         index._counters.update(meta.get("counters", {}))
@@ -493,6 +532,4 @@ class DynamicIndex(PathIndex):
 
 
 def _edge_rows(edges: List[Edge]) -> np.ndarray:
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int32)
-    return np.asarray(edges, dtype=np.int32)
+    return np.asarray(edges, dtype=np.int32).reshape(-1, 2)

@@ -23,7 +23,11 @@ only tests ever selected them, so they live here:
 * :func:`resume_pruned_bfs_scalar` — the dynamic insert repair's
   resumed pruned BFS one vertex at a time, which
   ``repro.dynamic.incremental._resume_pruned_bfs`` does a frontier at
-  a time.
+  a time;
+* :func:`touches_phantom_edge` — the dynamic index's poisoning test
+  for one pair, one label merge per leg, which
+  ``DynamicIndex._poisoned`` runs as one gather over the phantom
+  endpoints' labels.
 """
 
 from collections import deque
@@ -237,3 +241,31 @@ def resume_pruned_bfs_scalar(labels, neighbors, root_rank, start,
         labels.set_entry(w, root_rank, dw)
         for z in neighbors(w):
             queue.append((int(z), dw + 1))
+
+
+def touches_phantom_edge(labels, s, t, d, phantom):
+    """True if some phantom edge lies on a label-shortest s-t path.
+
+    Edge ``(a, b)`` is on one iff it is crossed by some shortest path,
+    i.e. ``d(s,a) + 1 + d(b,t) = d`` in one of the two orientations.
+    """
+    to_s, to_t = {}, {}
+
+    def d_s(x):
+        if x not in to_s:
+            to_s[x] = labels.distance(s, x)
+        return to_s[x]
+
+    def d_t(x):
+        if x not in to_t:
+            to_t[x] = labels.distance(x, t)
+        return to_t[x]
+
+    for a, b in phantom:
+        dsa, dbt = d_s(a), d_t(b)
+        if dsa is not None and dbt is not None and dsa + 1 + dbt == d:
+            return True
+        dsb, dat = d_s(b), d_t(a)
+        if dsb is not None and dat is not None and dsb + 1 + dat == d:
+            return True
+    return False

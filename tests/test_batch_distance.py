@@ -110,22 +110,6 @@ class TestDistanceMany:
         for (u, v), value in zip(pairs, batched):
             assert value == distance_oracle(current, u, v)
 
-    def test_dynamic_per_pair_screen_fallback(self, monkeypatch):
-        """Oversized screening grids take the per-pair phantom check;
-        answers must not depend on which screen ran."""
-        import repro.dynamic.index as dynamic_index
-
-        graph = barabasi_albert(80, 2, seed=47)
-        index = build_index(graph, "dynamic", rebuild_threshold=0)
-        edges = list(graph.edges())
-        for u, v in edges[:8]:
-            index.remove_edge(u, v)
-        pairs = batch_with_reversals(index.graph, seed=101, count=40)
-        batched = index.distance_many(pairs)
-        monkeypatch.setattr(dynamic_index, "_SCREEN_GRID_LIMIT", 1)
-        assert index.distance_many(pairs) == batched
-        assert batched == [index.distance(u, v) for u, v in pairs]
-
     def test_empty_batch(self):
         index = build_index(erdos_renyi(10, 0.3, seed=3), "ppl")
         assert index.distance_many([]) == []
