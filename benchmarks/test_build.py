@@ -23,7 +23,7 @@ import pytest
 from repro import build_index
 from repro._util import Stopwatch
 from repro.dynamic import DynamicIndex
-from repro.dynamic import incremental as inc
+from repro.dynamic import index as dynamic_index
 from repro.graph import barabasi_albert
 from repro.graph.traversal import bfs_distances
 from repro.obs import get_registry
@@ -35,7 +35,7 @@ from _bench import write_artifact
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _reference_builders import (  # noqa: E402
     restricted_distances,
-    resume_pruned_bfs_scalar,
+    repair_insert_scalar,
 )
 
 #: The tentpole experiment size; scalar PPL needed ~27s at a tenth of
@@ -166,7 +166,8 @@ def test_oracle_exactness(bench_graph, kernel_build):
 
 @pytest.mark.timeout(900)
 def test_insert_repair_frontier_vs_scalar():
-    """Dynamic repair rides the same frontier shape; time both resumes."""
+    """Dynamic repair rides the same frontier shape; time it against
+    the unscreened deque repair."""
     graph = barabasi_albert(REPAIR_N, GRAPH_M, seed=23)
     base = build_index(graph, "ppl")
     rng = np.random.default_rng(29)
@@ -182,17 +183,17 @@ def test_insert_repair_frontier_vs_scalar():
 
     timings = {}
     snapshots = {}
-    original = inc._resume_pruned_bfs
-    for mode, resume in (("frontier", original),
-                         ("scalar", resume_pruned_bfs_scalar)):
+    original = dynamic_index.repair_insert
+    for mode, repair in (("frontier", original),
+                         ("scalar", repair_insert_scalar)):
         dynamic = DynamicIndex.from_static(base)
-        inc._resume_pruned_bfs = resume
+        dynamic_index.repair_insert = repair
         try:
             with Stopwatch() as sw:
                 for a, b in edges:
                     dynamic.insert_edge(a, b)
         finally:
-            inc._resume_pruned_bfs = original
+            dynamic_index.repair_insert = original
         timings[mode] = sw.elapsed
         snapshots[mode] = {name: array.tobytes() for name, array
                            in dynamic.to_state()[1].items()}
@@ -205,7 +206,7 @@ def test_insert_repair_frontier_vs_scalar():
         "repair_speedup": speedup,
     }
     assert speedup > 1.0, (
-        f"frontier resume not faster than the deque resume "
+        f"frontier repair not faster than the deque repair "
         f"({timings['frontier']:.3f}s vs {timings['scalar']:.3f}s)")
 
 

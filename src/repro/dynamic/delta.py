@@ -12,10 +12,12 @@ frozen base:
 The overlay answers the same adjacency surface as :class:`Graph`
 (``num_vertices`` / ``num_edges`` / ``degree`` / ``neighbors`` /
 ``has_edge`` / ``edges`` / ``edge_array`` / ``_check_vertex``), so
-per-vertex traversal code runs on either unchanged. Whole-graph
+per-vertex traversal code runs on either unchanged; frontier-at-a-time
+code asks :meth:`DeltaGraph.neighbors_many` for a whole level. Whole-graph
 kernels that want raw CSR arrays (``indptr`` / ``indices``) are served
 by a **lazily materialized snapshot**: the first access after a
-mutation rebuilds a frozen :class:`Graph` of the current view and
+mutation rebuilds a frozen :class:`Graph` of the current view from
+the base's edge array (one membership test drops the removed edges) and
 caches it until the next mutation, so bursts of reads between
 mutations pay the materialization once. ``spg_oracle`` and the BFS
 kernels therefore accept a ``DeltaGraph`` directly.
@@ -32,8 +34,11 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .._util import segment_positions
 from ..errors import GraphValidationError
+from ..graph.builder import build_graph
 from ..graph.csr import Graph
+from ..graph.traversal import expand_frontier
 
 __all__ = ["DeltaGraph", "normalize_edge"]
 
@@ -62,6 +67,9 @@ class DeltaGraph:
         self._num_added = 0
         self._version = 0
         self._snapshot: Optional[Graph] = None
+        #: Caches of the overlay as arrays, dropped on every mutation.
+        self._removed_keys: Optional[np.ndarray] = None
+        self._added_graph: Optional[Graph] = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -115,6 +123,8 @@ class DeltaGraph:
     def _mutated(self) -> None:
         self._version += 1
         self._snapshot = None
+        self._removed_keys = None
+        self._added_graph = None
 
     def _check_endpoints(self, u: int, v: int) -> None:
         self._base._check_vertex(u)
@@ -174,6 +184,48 @@ class DeltaGraph:
             row.sort()
         return row
 
+    def neighbors_many(self, frontier: np.ndarray) -> np.ndarray:
+        """Concatenated neighbours of every vertex of ``frontier`` in
+        the current view, duplicates kept (as ``expand_frontier``):
+        the base rows minus the removed edges (one membership test on
+        packed ``(vertex, neighbour)`` keys), then the added rows."""
+        base = self._base
+        starts = base.indptr[frontier]
+        counts = base.indptr[frontier + 1] - starts
+        ids = base.indices[segment_positions(starts, counts)]
+        if self._removed:
+            # int64 keys: a frontier of neighbour ids is int32.
+            keys = np.repeat(frontier, counts) \
+                * np.int64(self.num_vertices) + ids
+            ids = ids[~self._is_removed(keys)]
+        if self._num_added:
+            added = self._added_rows()
+            ids = np.concatenate((ids, expand_frontier(
+                added.indptr, added.indices, frontier)))
+        return ids
+
+    def _is_removed(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the packed ``u * n + v`` keys that are removed edges:
+        a binary search in the sorted removed keys (both orientations).
+        ``np.isin`` costs ~100 µs even for a handful of keys."""
+        if self._removed_keys is None:
+            u, v = np.array(list(self._removed), dtype=np.int64).T
+            n = self.num_vertices
+            self._removed_keys = np.sort(np.concatenate((u * n + v,
+                                                         v * n + u)))
+        removed = self._removed_keys
+        at = removed.searchsorted(keys)
+        at[at == len(removed)] = 0
+        return removed[at] == keys
+
+    def _added_rows(self) -> Graph:
+        """The added edges alone, as a CSR graph on the same ids."""
+        if self._added_graph is None:
+            self._added_graph = build_graph(
+                np.array(self.added_edges(), dtype=np.int64).reshape(-1, 2),
+                num_vertices=self.num_vertices)
+        return self._added_graph
+
     def has_edge(self, u: int, v: int) -> bool:
         self._base._check_vertex(u)
         self._base._check_vertex(v)
@@ -222,14 +274,21 @@ class DeltaGraph:
     def snapshot(self) -> Graph:
         """The current view as a frozen CSR :class:`Graph`.
 
-        Cached between mutations; O(|V| + |E|) to rebuild after one.
+        Cached between mutations; O(|V| + |E|) to rebuild after one, as
+        array passes: the base's edge array minus the removed edges
+        (one membership test on packed keys) plus the added ones.
         """
         if self._snapshot is None:
             if self.delta_size == 0:
                 self._snapshot = self._base
             else:
-                self._snapshot = Graph.from_edges(
-                    self.edges(), num_vertices=self.num_vertices)
+                edges = self._base.edge_array().astype(np.int64)
+                if self._removed:
+                    keys = edges[:, 0] * self.num_vertices + edges[:, 1]
+                    edges = edges[~self._is_removed(keys)]
+                self._snapshot = build_graph(
+                    np.concatenate((edges, self._added_rows().edge_array())),
+                    num_vertices=self.num_vertices)
         return self._snapshot
 
     @property

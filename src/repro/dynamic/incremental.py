@@ -18,6 +18,23 @@ property true while the graph changes, without rebuilding:
   lowered in place, missing ones inserted; cost is proportional to the
   region whose distances actually changed.
 
+  Most roots prune at ``b`` itself, so they are screened out together
+  before any resume: ``L(b)`` is scattered by rank once and one
+  gather-add-min over the roots' rows gives ``known(b)`` for all of
+  them. Only a root with ``known(b) > δ + 1`` (and ``r ≠ b``) resumes,
+  in the same order as without the screen. Skipping the others is
+  sound because a repair only inserts or lowers entries — every root
+  keeps its own ``(rank, 0)`` — so label distances only fall while
+  the roots before it resume, and a root that prunes at ``b`` at the
+  start of the pass still prunes there at its turn. Each direction is
+  screened just before its pass: the ``(b, a)`` roots after the
+  ``(a, b)`` pass has written.
+
+  A resume works one BFS level at a time: one gather prunes the whole
+  frontier (:meth:`MutableLabels.distances`), one
+  :meth:`MutableLabels.set_entries` writes every surviving vertex, and
+  one neighbour call expands them.
+
 * **Deletion** — decremental 2-hop maintenance is the hard direction
   (stored distances become *under*-estimates, which a min merge-join
   cannot detect), so deletions are handled by invalidation: deleted
@@ -26,8 +43,9 @@ property true while the graph changes, without rebuilding:
   :class:`~repro.dynamic.index.DynamicIndex` finds poisoned pairs for
   scalar and batch queries alike; they are re-validated by a
   label-guided delta-BFS (:func:`guided_levels`) that walks only
-  vertices on label-shortest paths, and pairs whose distance grew fall
-  back to a plain BFS. The rebuild policy bounds the phantom set.
+  vertices on label-shortest paths, one level per step, and pairs
+  whose distance grew fall back to a plain BFS. The rebuild policy
+  bounds the phantom set.
 
 The labels stay in the one flat CSR layout every label family, the
 batch kernel and the archive use (:class:`MutableLabels`): rows are
@@ -47,19 +65,46 @@ vertices at their true depths, and an edge ``(x, y)`` with
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .._util import segment_positions
+from .._util import segment_positions, sorted_unique
 
 __all__ = ["MutableLabels", "repair_insert", "guided_levels"]
 
-#: ``neighbors(v) -> array of neighbour ids`` — the adjacency callback
-#: used by the repair BFS and the guided search.
-NeighborFn = Callable[[int], Iterable[int]]
+#: ``neighbors(frontier) -> concatenated neighbour ids`` of a whole
+#: frontier (duplicates allowed) — the adjacency callback of the
+#: repair BFS and the guided search.
+NeighborFn = Callable[[np.ndarray], np.ndarray]
+
+
+class Rows(NamedTuple):
+    """Label rows of a vertex array, end to end (:meth:`MutableLabels.
+    gather`): each row's length, where it begins among the gathered
+    entries, and every entry's flat slot and rank."""
+
+    counts: np.ndarray
+    heads: np.ndarray
+    slots: np.ndarray
+    ranks: np.ndarray
+
 
 _INF = float("inf")
+
+
+def _per_row(ufunc, values: np.ndarray, rows: Rows, empty) -> np.ndarray:
+    """``ufunc`` reduced over each row of ``values`` (gathered as
+    ``rows``); ``empty`` where a row has no entries."""
+    if rows.counts.all():
+        return ufunc.reduceat(values, rows.heads)
+    out = np.full(len(rows.counts), empty, dtype=values.dtype)
+    nonempty = rows.counts > 0
+    if nonempty.any():
+        # reduceat over the nonempty rows' heads only: an empty row
+        # would read the next row's first entry.
+        out[nonempty] = ufunc.reduceat(values, rows.heads[nonempty])
+    return out
 
 
 class MutableLabels:
@@ -80,8 +125,9 @@ class MutableLabels:
     none. ``order`` maps rank -> vertex id; ``rank_of`` is its inverse.
 
     One dense by-rank scratch, ``inf`` between uses, serves the scalar
-    distance, the repair BFS and the dynamic index's poisoning screen
-    (:meth:`borrow_scratch`).
+    distance, the frontier gather (:meth:`distances`: the repair's
+    screen and prune, the guided walk) and the dynamic index's
+    poisoning screen (:meth:`borrow_scratch`).
     """
 
     def __init__(self, order: np.ndarray, offsets: np.ndarray,
@@ -182,53 +228,97 @@ class MutableLabels:
             size += 4 * int(self.parent_counts[live].sum())
         return size
 
-    def _move_row(self, w: int, start: int, length: int) -> int:
-        """Move full row ``w`` to the end with doubled capacity; returns
-        its new start."""
-        capacity = max(2 * length, 1)
-        moved = self._used
-        self._used += capacity
+    def gather(self, ws: np.ndarray) -> Rows:
+        """The rows of ``ws`` end to end."""
+        counts = self.lengths[ws]
+        slots = segment_positions(self.starts[ws], counts)
+        return Rows(counts, counts.cumsum() - counts, slots,
+                    self.ranks[slots])
+
+    def distances(self, x: int, ws: np.ndarray,
+                  rows: Optional[Rows] = None) -> np.ndarray:
+        """Label distance from ``x`` to each of ``ws`` (float, ``inf``
+        where apart): ``L(x)`` scattered by rank into the shared
+        scratch, then one gather-add-min over the rows of ``ws``
+        (``rows``: their :meth:`gather`, if the caller has it)."""
+        if rows is None:
+            rows = self.gather(ws)
+        ranks_x, dists_x = self.row(x)
+        by_rank = self.borrow_scratch()
+        by_rank[ranks_x] = dists_x
+        legs = by_rank[rows.ranks]
+        legs += self.dists[rows.slots]
+        by_rank[ranks_x] = _INF
+        self.return_scratch(by_rank)
+        return _per_row(np.minimum, legs, rows, _INF)
+
+    def ahead(self, rows: Rows, rank: int) -> np.ndarray:
+        """Entries ranked ahead of ``rank`` in each of ``rows``: where
+        ``rank`` sits or would be inserted."""
+        return _per_row(np.add, (rows.ranks < rank).astype(np.int64),
+                        rows, 0)
+
+    def _move_rows(self, ws: np.ndarray) -> None:
+        """Move the full rows ``ws`` to the end together, each with
+        doubled capacity; the flat arrays grow geometrically."""
+        lengths = self.lengths[ws]
+        capacity = np.maximum(2 * lengths, 1)
+        moved = self._used + np.cumsum(capacity) - capacity
+        self._used += int(capacity.sum())
         grow = self._used > len(self.ranks)
         size = max(self._used, 2 * len(self.ranks))
+        old = segment_positions(self.starts[ws], lengths)
+        new = segment_positions(moved, lengths)
+        used = int(moved[0])
         for name in self._columns:
             column = getattr(self, name)
             if grow:
                 # Only the used prefix is written, so the new tail
                 # costs no memory until rows move into it.
-                old, column = column, np.empty(size, column.dtype)
-                column[:moved] = old[:moved]
+                prefix, column = column, np.empty(size, column.dtype)
+                column[:used] = prefix[:used]
                 setattr(self, name, column)
-            column[moved:moved + length] = column[start:start + length]
-        self.starts[w] = moved
-        self.capacity[w] = capacity
-        return moved
+            column[new] = column[old]
+        self.starts[ws] = moved
+        self.capacity[ws] = capacity
 
-    def set_entry(self, w: int, rank: int, dist: int) -> None:
-        """Insert or lower the entry ``(rank, dist)`` on vertex ``w``.
+    def set_entries(self, ws: np.ndarray, rank: int, dist: int,
+                    ahead: Optional[np.ndarray] = None) -> None:
+        """Insert or lower the entry ``(rank, dist)`` on every vertex of
+        ``ws`` (distinct ids), in one pass.
 
-        A new entry shifts the row's tail one slot right. For ParentPPL
-        labels the entry's parent set becomes empty — parent sets are
-        rebuilt, not repaired (the dynamic query path never reads
-        them; see ``DynamicIndex``).
+        ``ahead`` is :meth:`ahead` over the rows of ``ws`` — the insert
+        offsets; a caller that has gathered the rows already passes it.
+        The rows that gain an entry and are full move to the end
+        together, then their tails shift one slot right in one
+        fancy-index copy per column. For ParentPPL labels every written
+        entry's parent set becomes empty — parent sets are rebuilt, not
+        repaired (the dynamic query path never reads them; see
+        ``DynamicIndex``).
         """
-        start, length = int(self.starts[w]), int(self.lengths[w])
-        end = start + length
-        at = start + int(self.ranks[start:end].searchsorted(rank))
-        if at < end and self.ranks[at] == rank:
-            self.dists[at] = dist
-        else:
-            if length == self.capacity[w]:
-                moved = self._move_row(w, start, length)
-                at, end = at + moved - start, end + moved - start
+        if ahead is None:
+            ahead = self.ahead(self.gather(ws), rank)
+        lengths = self.lengths[ws]
+        at = self.starts[ws] + ahead
+        new = ahead == lengths
+        new[~new] = self.ranks[at[~new]] != rank
+        if new.any():
+            grown, lengths, ahead = ws[new], lengths[new], ahead[new]
+            full = lengths == self.capacity[grown]
+            if full.any():
+                self._move_rows(grown[full])
+                at[new] = self.starts[grown] + ahead
+            tails = segment_positions(at[new], lengths - ahead)
             for name in self._columns:
                 column = getattr(self, name)
-                column[at + 1:end + 1] = column[at:end]
-            self.ranks[at] = rank
-            self.dists[at] = dist
-            self.lengths[w] = length + 1
+                column[tails + 1] = column[tails]
+            self.lengths[grown] = lengths + 1
+        # A lowered entry's rank is rewritten unchanged.
+        self.ranks[at] = rank
+        self.dists[at] = dist
         if self.parents is not None:
             self.parent_counts[at] = 0
-        self.repaired_entries += 1
+        self.repaired_entries += len(ws)
 
 
 def repair_insert(labels: MutableLabels, neighbors: NeighborFn,
@@ -238,13 +328,17 @@ def repair_insert(labels: MutableLabels, neighbors: NeighborFn,
     ``neighbors`` must describe the labels' graph *including* the new
     edge (and any phantom edges still credited to the labels). Labels
     must be exact for that graph minus ``(a, b)`` on entry; they are
-    exact for the full graph on return.
+    exact for the full graph on return. The roots that would prune at
+    their start are screened out first (module docstring).
     """
     for x, y in ((a, b), (b, a)):
-        # A copy: entries added while repairing must not re-drive the
+        # Copies: entries added while repairing must not re-drive the
         # loop. Stored rank order = highest priority first.
-        ranks, dists = labels.row(x)
-        for root_rank, d_rx in zip(ranks.tolist(), dists.tolist()):
+        ranks, dists = (column.copy() for column in labels.row(x))
+        roots = labels.order[ranks]
+        resume = (labels.distances(y, roots) > dists + 1) & (roots != y)
+        for root_rank, d_rx in zip(ranks[resume].tolist(),
+                                   dists[resume].tolist()):
             _resume_pruned_bfs(labels, neighbors, root_rank, y, d_rx + 1)
 
 
@@ -257,42 +351,27 @@ def _resume_pruned_bfs(labels: MutableLabels, neighbors: NeighborFn,
     standard prune that confines the walk to the region whose
     distances the new edge actually changed.
 
-    Frontier-at-a-time (same shape as the construction kernels): each
-    level's prune test is one vectorized label merge. ``L(root)`` is
-    scattered by rank into the labels' dense scratch, making
-    ``known(w)`` a gather-add-min over the frontier's rows, gathered
-    from the flat arrays in one index; that stays valid for the whole
-    resume because the walk never relabels the root itself
-    (``known(root) = 0`` always prunes).
+    One level per step: the frontier's rows are gathered once, and
+    that gather serves both the prune (``known(w)`` for the whole
+    frontier, :meth:`MutableLabels.distances`) and the write (each
+    row's insert offset, :meth:`MutableLabels.set_entries`). The root
+    itself always prunes (``known(root) = 0``), so its row, scattered
+    afresh each level, never changes during the resume.
     """
     root = int(labels.order[root_rank])
-    by_rank = labels.borrow_scratch()
-    # Views of the old arrays stay valid if a move grows them: the
-    # root's row is never written here.
-    root_ranks, root_dists = labels.row(root)
-    by_rank[root_ranks] = root_dists
     frontier = np.array([start], dtype=np.int64)
     depth = start_dist
     while len(frontier):
-        counts = labels.lengths[frontier]
-        entries = segment_positions(labels.starts[frontier], counts)
-        known = np.full(len(frontier), _INF)
-        if len(entries):
-            nonempty = counts > 0
-            # reduceat over the nonempty rows' offsets only: an empty
-            # row would read the next row's first entry.
-            known[nonempty] = np.minimum.reduceat(
-                by_rank[labels.ranks[entries]] + labels.dists[entries],
-                (np.cumsum(counts) - counts)[nonempty])
-        collected = []
-        for w in frontier[(known > depth) & (frontier != root)].tolist():
-            labels.set_entry(w, root_rank, depth)
-            collected.append(neighbors(w))
-        frontier = (np.unique(np.concatenate(collected)) if collected
-                    else frontier[:0])
+        rows = labels.gather(frontier)
+        write = (labels.distances(root, frontier, rows) > depth) \
+            & (frontier != root)
+        if not write.any():
+            break
+        frontier = frontier[write]
+        labels.set_entries(frontier, root_rank, depth,
+                           labels.ahead(rows, root_rank)[write])
+        frontier = sorted_unique(neighbors(frontier))
         depth += 1
-    by_rank[root_ranks] = _INF
-    labels.return_scratch(by_rank)
 
 
 def guided_levels(labels: MutableLabels, neighbors: NeighborFn,
@@ -305,30 +384,30 @@ def guided_levels(labels: MutableLabels, neighbors: NeighborFn,
     ``d_label(s, x) = k`` and ``d_label(x, t) = d - k``. Returns
     ``{vertex: level}`` for every admitted vertex.
 
+    One level per step: the candidates are the frontier's unique
+    neighbours not seen before, and each test is one gather over them.
+    Levels only grow, so a vertex that fails at its first reachable
+    level can never be admitted, and every candidate is seen once.
+
     Reading the result: ``t`` present (at level ``d``) iff the current
     distance still equals ``d``; and against a second sweep from ``t``,
     ``levels_s[x] + 1 + levels_t[y] = d`` characterizes exactly the
     current SPG edges (module docstring).
     """
-    levels = {s: 0}
-    rejected = set()
-    frontier = [s]
+    seen = np.zeros(len(labels.order), dtype=bool)
+    seen[s] = True
+    frontier = np.array([s], dtype=np.int64)
+    found = [frontier]
     for k in range(d):
-        next_frontier: List[int] = []
-        for x in frontier:
-            for z in neighbors(x):
-                z = int(z)
-                if z in levels or z in rejected:
-                    continue
-                if labels.distance(s, z) != k + 1 \
-                        or labels.distance(z, t) != d - k - 1:
-                    # Levels only grow, so a vertex that fails its
-                    # first reachable level can never be admitted.
-                    rejected.add(z)
-                    continue
-                levels[z] = k + 1
-                next_frontier.append(z)
-        if not next_frontier:
+        candidates = sorted_unique(neighbors(frontier))
+        candidates = candidates[~seen[candidates]]
+        seen[candidates] = True
+        near = candidates[labels.distances(s, candidates) == k + 1]
+        frontier = near[labels.distances(t, near) == d - k - 1]
+        if not len(frontier):
             break
-        frontier = next_frontier
+        found.append(frontier)
+    levels: Dict[int, int] = {}
+    for k, level in enumerate(found):
+        levels.update(dict.fromkeys(level.tolist(), k))
     return levels

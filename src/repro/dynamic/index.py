@@ -8,11 +8,17 @@ The dynamic subsystem's public face: an engine-registered family
 * incrementally maintained PPL or ParentPPL labels, kept in the
   static families' flat CSR with gapped rows
   (:mod:`repro.dynamic.incremental`): edge insertions repair the
-  labels by resumed pruned BFS; deletions leave *phantom* edges behind
-  and poison the pairs whose label-shortest paths crossed them;
+  labels by resumed pruned BFS — the roots that would prune at once
+  screened out in one gather, the rest resumed a frontier at a time
+  with one write per level over the labels' graph
+  (:meth:`DynamicIndex._label_neighbors`: base rows plus one cached
+  CSR of the added and phantom edges); deletions leave *phantom*
+  edges behind and poison the pairs whose label-shortest paths
+  crossed them;
 * a query layer that serves clean pairs straight from the labels,
-  re-validates poisoned pairs with a label-guided delta-BFS, and
-  falls back to plain BFS only for pairs whose distance genuinely
+  re-validates poisoned pairs with a label-guided delta-BFS that
+  moves one level per step over :meth:`DeltaGraph.neighbors_many`,
+  and falls back to plain BFS only for pairs whose distance genuinely
   changed — so answers are **always oracle-exact** on the current
   graph.
 
@@ -38,7 +44,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from .._util import UNREACHED, Stopwatch, segment_positions
+from .._util import UNREACHED, Stopwatch
 from ..baselines.oracle import spg_oracle
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
@@ -47,8 +53,9 @@ from ..engine.persist import graph_arrays, graph_from_arrays, \
     label_arrays_from_state
 from ..engine.registry import build_index, get_index_class, register_index
 from ..errors import IndexBuildError, IndexFormatError, QueryError
+from ..graph.builder import build_graph
 from ..graph.csr import Graph
-from ..graph.traversal import bfs_distances
+from ..graph.traversal import bfs_distances, expand_frontier
 from ..obs import get_registry, span
 from .delta import DeltaGraph, normalize_edge
 from .incremental import MutableLabels, guided_levels, repair_insert
@@ -99,9 +106,9 @@ class DynamicIndex(PathIndex):
         self._labels = labels
         self._delta = DeltaGraph(graph)
         self._phantom: Set[Edge] = set()
-        self._phantom_adj: Dict[int, List[int]] = {}
         self._phantom_version = 0
         self._screen_cache: Optional[Tuple[Any, _PhantomBlock]] = None
+        self._overlay_cache: Optional[Tuple[Any, Graph, np.ndarray]] = None
         self._batch_cache: Optional[Tuple[int, LabelArrays]] = None
         self.rebuild_threshold = rebuild_threshold
         self._version = 0
@@ -248,7 +255,6 @@ class DynamicIndex(PathIndex):
         self._labels = _labels_of(rebuilt)
         self._delta = DeltaGraph(snapshot)
         self._phantom.clear()
-        self._phantom_adj.clear()
         self._phantom_version += 1
         self._ops_since_rebuild = 0
         self._count("rebuilds")
@@ -265,32 +271,41 @@ class DynamicIndex(PathIndex):
 
     def _add_phantom(self, edge: Edge) -> None:
         self._phantom.add(edge)
-        self._phantom_adj.setdefault(edge[0], []).append(edge[1])
-        self._phantom_adj.setdefault(edge[1], []).append(edge[0])
         self._phantom_version += 1
 
     def _drop_phantom(self, edge: Edge) -> None:
         self._phantom.discard(edge)
         self._phantom_version += 1
-        for a, b in (edge, edge[::-1]):
-            row = self._phantom_adj.get(a)
-            if row is not None:
-                row.remove(b)
-                if not row:
-                    del self._phantom_adj[a]
 
     # ------------------------------------------------------------------
     # Adjacency callbacks
     # ------------------------------------------------------------------
 
-    def _label_neighbors(self, v: int):
-        """Adjacency of the labels' graph: current plus phantom edges."""
-        row = self._delta.neighbors(v)
-        extra = self._phantom_adj.get(v)
-        if not extra:
-            return row
-        return np.concatenate(
-            (row, np.asarray(extra, dtype=np.int32)))
+    def _label_neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        """Concatenated neighbours of a frontier in the labels' graph
+        (current plus phantom edges): the base rows — a deleted base
+        edge is a phantom, so every base row stays whole — then the
+        rows of the overlay graph of added and phantom edges, if any
+        frontier vertex has one."""
+        base = self._delta.base
+        ids = expand_frontier(base.indptr, base.indices, frontier)
+        overlay, touched = self._label_overlay()
+        if touched[frontier].any():
+            ids = np.concatenate((ids, expand_frontier(
+                overlay.indptr, overlay.indices, frontier)))
+        return ids
+
+    def _label_overlay(self) -> Tuple[Graph, np.ndarray]:
+        """Added and phantom edges as one CSR graph, and the mask of
+        the vertices they touch; cached until the next mutation."""
+        key = (self._delta.version, self._phantom_version)
+        if self._overlay_cache is None or self._overlay_cache[0] != key:
+            edges = self._delta.added_edges() + sorted(self._phantom)
+            overlay = build_graph(
+                np.array(edges, dtype=np.int64).reshape(-1, 2),
+                num_vertices=self._delta.num_vertices)
+            self._overlay_cache = (key, overlay, overlay.degree() > 0)
+        return self._overlay_cache[1:]
 
     # ------------------------------------------------------------------
     # Queries
@@ -356,12 +371,11 @@ class DynamicIndex(PathIndex):
         ends, rows = np.unique(np.array(sorted(self._phantom)).ravel(),
                                return_inverse=True)
         rows = rows.reshape(-1, 2)
-        counts = labels.lengths[ends]
-        entries = segment_positions(labels.starts[ends], counts)
+        gathered = labels.gather(ends)
+        nonempty = gathered.counts > 0
         block = _PhantomBlock(
-            labels.ranks[entries], labels.dists[entries].astype(float),
-            (np.cumsum(counts) - counts)[counts > 0], counts > 0,
-            rows[:, 0], rows[:, 1])
+            gathered.ranks, labels.dists[gathered.slots].astype(float),
+            gathered.heads[nonempty], nonempty, rows[:, 0], rows[:, 1])
         self._screen_cache = (key, block)
         return block
 
@@ -406,8 +420,8 @@ class DynamicIndex(PathIndex):
             return d, True, None
         self._count("validated_queries")
         with span("dynamic.validate"):
-            levels = guided_levels(self._labels, self._delta.neighbors,
-                                   u, v, d)
+            levels = guided_levels(self._labels,
+                                   self._delta.neighbors_many, u, v, d)
         if levels.get(v) == d:
             return d, True, levels
         self._count("fallback_queries")
@@ -422,9 +436,9 @@ class DynamicIndex(PathIndex):
         if not labels_exact:
             return spg_oracle(self._delta.snapshot(), u, v)
         if from_u is None:
-            from_u = guided_levels(self._labels, self._delta.neighbors,
-                                   u, v, d)
-        from_v = guided_levels(self._labels, self._delta.neighbors,
+            from_u = guided_levels(self._labels,
+                                   self._delta.neighbors_many, u, v, d)
+        from_v = guided_levels(self._labels, self._delta.neighbors_many,
                                v, u, d)
         edges = set()
         for x, depth_x in from_u.items():
@@ -468,6 +482,11 @@ class DynamicIndex(PathIndex):
         overlay edge (added and phantom)."""
         overlay = len(self._delta.added_edges()) + len(self._phantom)
         return self._labels.paper_size_bytes() + 8 * overlay
+
+    @property
+    def _counted_graph(self) -> DeltaGraph:
+        """The overlay: its counts need no snapshot."""
+        return self._delta
 
     @property
     def stats(self) -> Dict[str, Any]:

@@ -218,9 +218,15 @@ class PathIndex(abc.ABC):
         return 0
 
     @property
+    def _counted_graph(self):
+        """What :attr:`stats` counts vertices and edges on: the graph,
+        or a cheaper object with the same counts."""
+        return self.graph
+
+    @property
     def stats(self) -> Dict[str, Any]:
         """Uniform index statistics; subclasses extend the base dict."""
-        graph = self.graph
+        graph = self._counted_graph
         edges = getattr(graph, "num_edges", None)
         if edges is None:
             edges = graph.num_arcs

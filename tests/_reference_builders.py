@@ -20,10 +20,13 @@ only tests ever selected them, so they live here:
   Algorithm 2's ``Q_L``/``Q_N`` walk over one CSR orientation, which
   shares nothing with the lockstep kernel (the directed index's
   builder until the pipeline was written once over a dual-CSR view);
-* :func:`resume_pruned_bfs_scalar` — the dynamic insert repair's
-  resumed pruned BFS one vertex at a time, which
-  ``repro.dynamic.incremental._resume_pruned_bfs`` does a frontier at
-  a time;
+* :func:`repair_insert_scalar` — the dynamic insert repair with no
+  root screen, each resumed pruned BFS one vertex at a time, which
+  ``repro.dynamic.incremental.repair_insert`` screens and runs a
+  frontier at a time;
+* :func:`guided_levels_scalar` — the dynamic index's label-guided walk
+  one vertex and one scalar label merge at a time, which
+  ``repro.dynamic.incremental.guided_levels`` runs a level at a time;
 * :func:`touches_phantom_edge` — the dynamic index's poisoning test
   for one pair, one label merge per leg, which
   ``DynamicIndex._poisoned`` runs as one gather over the phantom
@@ -229,24 +232,58 @@ def two_queue_scheme(graph, landmarks):
     return forward, backward, meta
 
 
-def resume_pruned_bfs_scalar(labels, neighbors, root_rank, start,
-                             start_dist):
-    """Per-vertex reference for ``incremental._resume_pruned_bfs``.
+def repair_insert_scalar(labels, neighbors, a, b):
+    """Reference for ``incremental.repair_insert``: every root of
+    ``L(a)`` (then ``L(b)``) resumes, as a deque of ``(vertex, depth)``
+    with one-vertex writes; ``neighbors`` is the frontier callback,
+    asked one vertex at a time.
 
-    Both walks label the identical entry set (duplicates in the scalar
-    queue are pruned by the same ``known <= depth`` test that the
-    frontier version's dedup removes).
+    Both walks label the identical entry set: a screened-out root
+    prunes at its start here, and duplicates in the queue are pruned
+    by the same ``known <= depth`` test that the frontier version's
+    dedup removes.
     """
-    root = int(labels.order[root_rank])
-    queue = deque([(start, start_dist)])
-    while queue:
-        w, dw = queue.popleft()
-        known = labels.distance(root, w)
-        if known is not None and known <= dw:
-            continue
-        labels.set_entry(w, root_rank, dw)
-        for z in neighbors(w):
-            queue.append((int(z), dw + 1))
+    for x, y in ((a, b), (b, a)):
+        ranks, dists = labels.row(x)
+        for root_rank, d_rx in zip(ranks.tolist(), dists.tolist()):
+            root = int(labels.order[root_rank])
+            queue = deque([(y, d_rx + 1)])
+            while queue:
+                w, dw = queue.popleft()
+                known = labels.distance(root, w)
+                if known is not None and known <= dw:
+                    continue
+                labels.set_entries(np.array([w]), root_rank, dw)
+                for z in neighbors(np.array([w])).tolist():
+                    queue.append((z, dw + 1))
+
+
+def guided_levels_scalar(labels, neighbors, s, t, d):
+    """Reference for ``incremental.guided_levels``: the same
+    ``{vertex: level}``, one vertex and two scalar label merges per
+    candidate; ``neighbors(v)`` is one vertex's adjacency."""
+    levels = {s: 0}
+    rejected = set()
+    frontier = [s]
+    for k in range(d):
+        next_frontier = []
+        for x in frontier:
+            for z in neighbors(x):
+                z = int(z)
+                if z in levels or z in rejected:
+                    continue
+                if labels.distance(s, z) != k + 1 \
+                        or labels.distance(z, t) != d - k - 1:
+                    # Levels only grow, so a vertex that fails its
+                    # first reachable level can never be admitted.
+                    rejected.add(z)
+                    continue
+                levels[z] = k + 1
+                next_frontier.append(z)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return levels
 
 
 def touches_phantom_edge(labels, s, t, d, phantom):

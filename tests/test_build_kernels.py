@@ -7,7 +7,9 @@ and across every consumer layer that was rewired onto them:
 
 * PPL / ParentPPL sound construction (labels and parent sets);
 * the QbS labelling sweep (batched == per-root == shared prune rule);
-* the dynamic insert repair's resumed pruned BFS (frontier == deque).
+* the dynamic insert repair (screened frontier resumes == every root
+  resumed as a deque) and the dynamic index's label-guided walk (a
+  level at a time == a vertex at a time).
 """
 
 from unittest import mock
@@ -17,21 +19,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import BudgetExceededError, Graph, build_index, load_index
-from repro._util import NO_LABEL, TimeBudget
+from repro import (BudgetExceededError, Graph, build_index, load_index,
+                   spg_oracle)
+from repro._util import NO_LABEL, UNREACHED, TimeBudget
 from repro.baselines import ParentPPLIndex, PPLIndex, distance_oracle
 from repro.core.build_kernels import RaggedView, build_sound_labels
 from repro.core.labelling import build_labelling
 from repro.dynamic import DynamicIndex
-from repro.dynamic import incremental as inc
+from repro.dynamic import guided_levels
+from repro.dynamic import index as dynamic_index
 from repro.graph import barabasi_albert, erdos_renyi
 from repro.graph.traversal import bfs_distances
 
 from _corpus import entry_parents, random_graph_corpus, \
     sample_vertex_pairs
-from _reference_builders import (label_bfs, restricted_bfs,
+from _reference_builders import (guided_levels_scalar, label_bfs,
+                                 repair_insert_scalar, restricted_bfs,
                                  restricted_distances,
-                                 resume_pruned_bfs_scalar,
                                  sound_scalar_labels)
 
 SETTINGS = dict(
@@ -287,19 +291,21 @@ class TestSharedPruneRule:
 
 
 # ----------------------------------------------------------------------
-# Dynamic repair: frontier resume == deque resume
+# Dynamic repair: screened frontier resumes == unscreened deque resumes
 # ----------------------------------------------------------------------
 
 def _label_state(dynamic):
     """The index's ``to_state`` arrays, compared entry for entry and
-    byte for byte."""
-    return {name: (array.dtype.str, array.shape, array.tobytes())
-            for name, array in dynamic.to_state()[1].items()}
+    byte for byte, and the count of entries the repairs wrote."""
+    meta, arrays = dynamic.to_state()
+    return meta["repaired_entries"], {
+        name: (array.dtype.str, array.shape, array.tobytes())
+        for name, array in arrays.items()}
 
 
 def _scalar_insert(dynamic, u, v):
-    with mock.patch.object(inc, "_resume_pruned_bfs",
-                           resume_pruned_bfs_scalar):
+    with mock.patch.object(dynamic_index, "repair_insert",
+                           repair_insert_scalar):
         return dynamic.insert_edge(u, v)
 
 
@@ -312,6 +318,28 @@ def insert_streams(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
         .filter(lambda p: p[0] != p[1])
     return graph, draw(st.lists(pair, min_size=1, max_size=12))
+
+
+@st.composite
+def update_streams(draw):
+    """A graph with an isolated tail, and inserts and deletes into it:
+    deletes of base edges and of edges the stream inserts (which may
+    come first and be no-ops)."""
+    graph, inserts = draw(insert_streams())
+    edges = [tuple(e) for e in graph.edge_array().tolist()] + inserts
+    deletes = draw(st.lists(st.sampled_from(edges), max_size=8,
+                            unique=True))
+    return graph, draw(st.permutations(
+        [("insert", u, v) for u, v in inserts]
+        + [("delete", u, v) for u, v in deletes]))
+
+
+def _apply(dynamic, ops):
+    for kind, u, v in ops:
+        if kind == "insert":
+            dynamic.insert_edge(u, v)
+        else:
+            dynamic.remove_edge(u, v)
 
 
 class TestDynamicRepairFrontier:
@@ -397,3 +425,88 @@ class TestDynamicRepairFrontier:
             expected = int(bfs_distances(current, u)[v])
             got = dynamic.distance(u, v)
             assert (got if got is not None else -1) == expected
+
+
+# ----------------------------------------------------------------------
+# Dynamic validation: level-at-a-time walk == vertex-at-a-time walk
+# ----------------------------------------------------------------------
+
+def _walk_kinds(dynamic, pairs):
+    """Run both walks on every pair the labels connect, assert they
+    agree and that the walk reaches ``v`` iff the distance is
+    unchanged; returns each pair's kind: ``"clean"`` (no phantom on a
+    label-shortest path), ``"validated"``, ``"grown"`` (falls back to
+    BFS) or ``"disconnected"`` (a delete cut it off)."""
+    labels, delta = dynamic._labels, dynamic.delta
+    current = dynamic.graph
+    kinds = {}
+    for u, v in pairs:
+        d = labels.distance(u, v)
+        if d is None:
+            continue
+        levels = guided_levels(labels, delta.neighbors_many, u, v, d)
+        assert levels == guided_levels_scalar(labels, delta.neighbors,
+                                              u, v, d), (u, v)
+        truth = int(bfs_distances(current, u)[v])
+        assert (levels.get(v) == d) == (truth == d), (u, v)
+        if truth == UNREACHED:
+            kinds[u, v] = "disconnected"
+        elif truth > d:
+            kinds[u, v] = "grown"
+        elif dynamic._phantom and dynamic._poisoned(
+                np.array([u]), np.array([v]), np.array([d]))[0]:
+            kinds[u, v] = "validated"
+        else:
+            kinds[u, v] = "clean"
+    return kinds
+
+
+def _assert_answers(dynamic, pairs):
+    current = dynamic.graph
+    for u, v in pairs:
+        assert dynamic.query(u, v) == spg_oracle(current, u, v), (u, v)
+        assert dynamic.distance(u, v) == distance_oracle(current, u, v)
+
+
+class TestDynamicWalkFrontier:
+    def test_update_streams_match_scalar(self):
+        """On either family, after any insert/delete stream, on every
+        pair: the same ``{vertex: level}`` as the scalar walk, and the
+        oracle's SPG wherever the stream changed the answer."""
+        @settings(**SETTINGS)
+        @given(update_streams(), st.sampled_from(("ppl", "parent-ppl")),
+               st.randoms(use_true_random=False))
+        def run(stream, family, rng):
+            graph, ops = stream
+            dynamic = DynamicIndex.build(graph, family=family,
+                                         rebuild_threshold=0)
+            _apply(dynamic, ops)
+            n = graph.num_vertices
+            kinds = _walk_kinds(dynamic, [(u, v) for u in range(n)
+                                          for v in range(n)])
+            changed = [pair for pair, kind in kinds.items()
+                       if kind != "clean"]
+            _assert_answers(dynamic, changed + rng.sample(
+                sorted(kinds), min(5, len(kinds))))
+
+        run()
+
+    @pytest.mark.parametrize("family", ["ppl", "parent-ppl"])
+    def test_every_kind_of_pair(self, family):
+        """One stream that leaves validated, grown and disconnected
+        pairs: a 4-cycle keeps its other side, a 6-cycle's chord goes,
+        and an isolated tail joined and cut off again."""
+        graph = Graph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0)]
+            + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 4), (4, 7)],
+            num_vertices=12)
+        dynamic = DynamicIndex.build(graph, family=family,
+                                     rebuild_threshold=0)
+        _apply(dynamic, [("insert", 10, 11), ("insert", 3, 10),
+                         ("delete", 0, 1), ("delete", 4, 7),
+                         ("delete", 3, 10)])
+        pairs = [(u, v) for u in range(12) for v in range(12)]
+        kinds = _walk_kinds(dynamic, pairs)
+        assert {"clean", "validated", "grown", "disconnected"} \
+            <= set(kinds.values())
+        _assert_answers(dynamic, pairs)

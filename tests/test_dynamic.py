@@ -125,6 +125,49 @@ class TestDeltaGraph:
         assert delta.snapshot() == rebuilt
         assert np.array_equal(delta.edge_array(), rebuilt.edge_array())
 
+    def test_snapshot_after_streams_matches_edges(self):
+        """After insert / delete / re-insert streams the array-built
+        snapshot is the graph of ``edges()``, byte for byte, and a
+        frontier's neighbours are its vertices' rows."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        base = erdos_renyi(12, 0.3, seed=91)
+        vertex = st.integers(min_value=0, max_value=base.num_vertices - 1)
+        op = st.tuples(st.sampled_from(("insert", "remove")), vertex,
+                       vertex).filter(lambda op: op[1] != op[2])
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(op, max_size=30),
+               st.lists(vertex, min_size=1, max_size=6))
+        def run(ops, frontier):
+            delta = DeltaGraph(base)
+            for kind, u, v in ops:
+                getattr(delta, f"{kind}_edge")(u, v)
+            expected = Graph.from_edges(list(delta.edges()),
+                                        num_vertices=base.num_vertices)
+            snapshot = delta.snapshot()
+            for name in ("indptr", "indices"):
+                got, want = getattr(snapshot, name), getattr(expected, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            frontier = np.array(frontier, dtype=np.int64)
+            assert sorted(delta.neighbors_many(frontier).tolist()) \
+                == sorted(np.concatenate(
+                    [delta.neighbors(v) for v in frontier]).tolist())
+
+        run()
+
+    def test_neighbors_many_keys_past_int32(self):
+        """A frontier of neighbour ids is int32; packed keys of a
+        50k-vertex graph overflow it unless widened."""
+        delta = DeltaGraph(Graph.from_edges([(0, 49_999), (1, 49_999)],
+                                            num_vertices=50_000))
+        delta.remove_edge(0, 49_999)
+        for dtype in (np.int32, np.int64):
+            frontier = np.array([49_999], dtype=dtype)
+            assert delta.neighbors_many(frontier).tolist() == [1]
+
     def test_traversal_and_oracle_run_on_overlay(self, delta):
         """The Graph adjacency surface works on a DeltaGraph as-is."""
         delta.insert_edge(0, 2)
@@ -478,6 +521,15 @@ class TestPolicyAndStats:
             assert key in stats, key
         assert stats["method"] == "dynamic"
         assert stats["size_bytes"] == index.size_bytes
+
+    def test_stats_count_the_overlay(self):
+        index = build_index(cycle_graph(8), "dynamic", rebuild_threshold=0)
+        index.insert_edge(0, 4)
+        index.remove_edge(1, 2)
+        stats = index.stats
+        assert index.delta._snapshot is None  # no snapshot materialised
+        assert (stats["num_vertices"], stats["num_edges"]) == (8, 8)
+        assert stats["num_edges"] == index.graph.num_edges
 
 
 class TestDynamicPersistence:
