@@ -6,10 +6,10 @@ subsystem on a 10k-vertex Barabási–Albert graph:
 1. **Throughput** — the ``ppl`` family's batched kernel (one dense
    gather + min-reduction for the whole batch) must clear **>= 3x**
    the throughput of the same pairs answered through the scalar
-   per-pair loop. The ``qbs``, ``dynamic`` and ``sharded`` kernels
-   are timed and recorded alongside (qbs resolves only
-   provably-tight sketch bounds vectorized and falls back to guided
-   search for the rest, so its ratio is workload-dependent).
+   per-pair loop. The ``qbs``, ``dynamic`` and ``sharded`` batch
+   paths are timed and recorded alongside (qbs has no batch kernel:
+   it runs one guided search per pair, the ``PathIndex`` default, so
+   its ratio sits near 1x).
 2. **Exactness** — on >= 300 sampled pairs per family the batched
    answers must show **0 mismatches** against the BFS oracle.
 

@@ -43,7 +43,8 @@ from ..obs import get_registry, span
 from .build_kernels import BATCH_BITS, Csr, _csr_triple, _expand_bits, \
     qbs_batch_levels
 
-__all__ = ["PathLabelling", "build_labelling", "landmark_positions"]
+__all__ = ["PathLabelling", "build_labelling", "checked_landmarks",
+           "landmark_positions"]
 
 #: Largest distance representable in a uint8 label (255 is the sentinel).
 MAX_LABEL_DISTANCE = 254
@@ -137,6 +138,27 @@ class PathLabelling:
                 * (1 if self.symmetric else 2))
 
 
+def checked_landmarks(landmarks, num_vertices: int,
+                      error: type = IndexBuildError) -> np.ndarray:
+    """``landmarks`` as an int32 array, or ``error`` unless they are a
+    non-empty set of distinct integer ids in ``[0, num_vertices)``.
+
+    Checked before the cast, which would wrap ``2**32 + 2`` to 2 and
+    truncate ``1.5`` (or ``True``) to 1. Builds refuse with
+    :class:`IndexBuildError`, archive loads with ``IndexFormatError``.
+    """
+    landmarks = np.asarray(landmarks)
+    if landmarks.ndim != 1 or len(landmarks) == 0:
+        raise error("landmark set must be non-empty")
+    if landmarks.dtype.kind not in "iu":
+        raise error(f"landmark ids must be integers, got {landmarks.dtype}")
+    if landmarks.min() < 0 or landmarks.max() >= num_vertices:
+        raise error("landmark id out of range")
+    if len(np.unique(landmarks)) != len(landmarks):
+        raise error("landmark set contains duplicates")
+    return landmarks.astype(np.int32)
+
+
 def landmark_positions(landmarks: np.ndarray,
                        num_vertices: int) -> np.ndarray:
     """``landmark_position`` of a labelling: each vertex's index in
@@ -168,15 +190,8 @@ def build_labelling(graph, landmarks: np.ndarray) -> PathLabelling:
     serves as both and each meta edge is kept once, as ``(i, j)`` with
     ``i < j``.
     """
-    landmarks = np.asarray(landmarks, dtype=np.int32)
     n = graph.num_vertices
-    if len(landmarks) == 0:
-        raise IndexBuildError("landmark set must be non-empty")
-    if len(np.unique(landmarks)) != len(landmarks):
-        raise IndexBuildError("landmark set contains duplicates")
-    if landmarks.min() < 0 or landmarks.max() >= n:
-        raise IndexBuildError("landmark id out of range")
-
+    landmarks = checked_landmarks(landmarks, n)
     position = landmark_positions(landmarks, n)
     symmetric = graph.out_indices is graph.in_indices
     out_csr = _csr_triple(graph.out_indptr, graph.out_indices)

@@ -5,6 +5,10 @@ arguing that (1) removing hubs sparsifies the graph the most and
 (2) hub distances approximate pair distances well [Potamias et al.].
 Its future work (§8) proposes studying *other* selection strategies —
 we implement several so the ablation benches can compare them.
+
+``degree``, ``random`` and ``degree_weighted`` run on any dual-CSR view
+(a digraph's degree is out- plus in-degree); ``coverage`` and
+``far_apart`` walk undirected neighbourhoods and need a ``Graph``.
 """
 
 from __future__ import annotations
@@ -16,26 +20,35 @@ import numpy as np
 from .._util import check_random_state
 from ..errors import IndexBuildError
 from ..graph.csr import Graph
-from ..graph.ops import top_degree_vertices
 from ..graph.traversal import bfs_distances
 
 __all__ = ["select_landmarks", "LANDMARK_STRATEGIES"]
 
 
-def _degree(graph: Graph, count: int, rng) -> np.ndarray:
-    """Paper default: the ``count`` highest-degree vertices."""
-    return top_degree_vertices(graph, count)
+def _degrees(graph) -> np.ndarray:
+    """Degree over a dual-CSR view: out- plus in-degree on a digraph,
+    the degree where both sides name one CSR."""
+    degrees = np.diff(graph.out_indptr)
+    if graph.out_indices is not graph.in_indices:
+        degrees = degrees + np.diff(graph.in_indptr)
+    return degrees
 
 
-def _random(graph: Graph, count: int, rng) -> np.ndarray:
+def _degree(graph, count: int, rng) -> np.ndarray:
+    """Paper default: the ``count`` highest-degree vertices, ties
+    broken by vertex id."""
+    return np.argsort(-_degrees(graph), kind="stable")[:count]
+
+
+def _random(graph, count: int, rng) -> np.ndarray:
     """Uniform random landmarks (ablation control)."""
     return rng.choice(graph.num_vertices, size=count,
                       replace=False).astype(np.int32)
 
 
-def _degree_weighted(graph: Graph, count: int, rng) -> np.ndarray:
+def _degree_weighted(graph, count: int, rng) -> np.ndarray:
     """Sample proportionally to degree (randomized hub bias)."""
-    degrees = graph.degree().astype(np.float64)
+    degrees = _degrees(graph).astype(np.float64)
     total = degrees.sum()
     if total == 0:
         return _random(graph, count, rng)
@@ -101,6 +114,9 @@ def _far_apart(graph: Graph, count: int, rng) -> np.ndarray:
     return np.asarray(chosen[:count], dtype=np.int32)
 
 
+#: Strategies that run on any dual-CSR view, not only a ``Graph``.
+_ANY_VIEW = {"degree", "random", "degree_weighted"}
+
 LANDMARK_STRATEGIES: Dict[str, Callable] = {
     "degree": _degree,
     "random": _random,
@@ -110,14 +126,15 @@ LANDMARK_STRATEGIES: Dict[str, Callable] = {
 }
 
 
-def select_landmarks(graph: Graph, count: int, strategy: str = "degree",
+def select_landmarks(graph, count: int, strategy: str = "degree",
                      seed=None) -> np.ndarray:
     """Pick ``count`` distinct landmark vertices.
 
     Parameters
     ----------
     graph:
-        Input graph.
+        Input graph (a ``DiGraph`` too, for the strategies that
+        support one).
     count:
         Number of landmarks (paper default 20). Clamped to ``|V|``.
     strategy:
@@ -137,6 +154,11 @@ def select_landmarks(graph: Graph, count: int, strategy: str = "degree",
             f"unknown landmark strategy {strategy!r}; options: "
             f"{sorted(LANDMARK_STRATEGIES)}"
         ) from None
+    if strategy not in _ANY_VIEW and not isinstance(graph, Graph):
+        raise IndexBuildError(
+            f"landmark strategy {strategy!r} needs an undirected Graph; "
+            f"on a {type(graph).__name__} use one of {sorted(_ANY_VIEW)}"
+        )
     count = min(count, graph.num_vertices)
     rng = check_random_state(seed)
     landmarks = np.asarray(picker(graph, count, rng), dtype=np.int32)

@@ -16,9 +16,11 @@ scheme (Algorithm 2, 64 landmarks per lockstep sweep), assembles the
 meta-graph with its precomputed inter-landmark SPGs, and sparsifies the
 graph. Online, :meth:`query` sketches (Algorithm 3) and runs the guided
 search (Algorithm 4). The three phases are written against a dual-CSR
-view, so :class:`~repro.directed.qbs.DirectedQbSIndex` runs the same
-code over a ``DiGraph``; this class is the undirected index, with Δ
-precomputed and the vectorized ``distance_many`` bounds.
+view, and so is this class: over a ``DiGraph`` it is the §2 directed
+extension, registered as ``qbs-directed`` by the subclass
+:class:`~repro.directed.qbs.DirectedQbSIndex`, which adds only its
+archive layout. A batch of distances is answered pair by pair (the
+``PathIndex`` default).
 """
 
 from __future__ import annotations
@@ -28,16 +30,14 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .._util import Stopwatch
+from .._util import NO_LABEL, Stopwatch
 from ..engine.base import PathIndex
-from ..engine.batch import batched_min_plus
 from ..engine.persist import graph_arrays, graph_from_arrays, \
-    pack_pairs, unpack_pairs
+    pack_pairs, unpack_pairs, within
 from ..engine.registry import register_index
-from ..errors import QueryError
-from ..graph.csr import Graph
+from ..errors import IndexFormatError, QueryError
 from .labelling import PathLabelling, build_labelling, \
-    landmark_positions
+    checked_landmarks, landmark_positions
 from .landmarks import select_landmarks
 from .metagraph import MetaGraph, build_meta_graph
 from .search import GuidedSearcher, SearchStats
@@ -52,7 +52,9 @@ class BuildReport:
     """Timings and sizes recorded while building an index.
 
     The benchmark harness reads these to fill the construction-time
-    and labelling-size columns of Tables 2 and 3.
+    and labelling-size columns of Tables 2 and 3. An index loaded from
+    an archive that does not store its report (``qbs-directed``) has
+    the sizes and zero timings.
     """
 
     num_landmarks: int
@@ -72,13 +74,13 @@ class BuildReport:
 
 @register_index("qbs")
 class QbSIndex(PathIndex):
-    """A built Query-by-Sketch index over one graph."""
+    """A built Query-by-Sketch index over one graph (any dual-CSR view:
+    a ``Graph`` here, a ``DiGraph`` under ``qbs-directed``)."""
 
     search_stats = SearchStats
 
-    def __init__(self, graph: Graph, labelling: PathLabelling,
-                 meta: MetaGraph, sparsified: Graph,
-                 report: BuildReport) -> None:
+    def __init__(self, graph, labelling: PathLabelling, meta: MetaGraph,
+                 sparsified, report: BuildReport) -> None:
         self._graph = graph
         self._labelling = labelling
         self._meta = meta
@@ -92,7 +94,7 @@ class QbSIndex(PathIndex):
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, graph: Graph, num_landmarks: int = 20,
+    def build(cls, graph, num_landmarks: int = 20,
               strategy: str = "degree", seed=None,
               landmarks: Optional[np.ndarray] = None,
               precompute_delta: bool = True) -> "QbSIndex":
@@ -101,37 +103,37 @@ class QbSIndex(PathIndex):
         Parameters
         ----------
         graph:
-            Input graph (undirected CSR).
+            Input graph (a ``Graph``; a ``DiGraph`` for
+            ``qbs-directed``).
         num_landmarks:
             ``|R|``; the paper's default is 20.
         strategy:
             Landmark selection strategy (default: highest degree, as in
-            §6.1). Ignored when ``landmarks`` is given explicitly.
+            §6.1; out- plus in-degree on a digraph). Ignored when
+            ``landmarks`` is given explicitly.
         seed:
             Randomness for stochastic strategies.
         landmarks:
-            Explicit landmark vertex ids (overrides selection).
+            Explicit landmark vertex ids (overrides selection): distinct
+            integers in ``[0, n)``.
         precompute_delta:
             Materialize inter-landmark SPGs (Δ). Disable only for the
             ablation that measures their benefit.
         """
         if landmarks is None:
-            chosen = select_landmarks(graph, num_landmarks,
-                                      strategy=strategy, seed=seed)
-        else:
-            chosen = np.asarray(landmarks, dtype=np.int32)
-
+            landmarks = select_landmarks(graph, num_landmarks,
+                                         strategy=strategy, seed=seed)
         with Stopwatch() as sw_total:
             with Stopwatch() as sw_label:
-                labelling = build_labelling(graph, chosen)
+                labelling = build_labelling(graph, landmarks)
             with Stopwatch() as sw_meta:
                 meta = build_meta_graph(
                     graph, labelling, precompute_delta=precompute_delta
                 )
             with Stopwatch() as sw_sparse:
-                sparsified = graph.remove_vertices(chosen)
+                sparsified = graph.remove_vertices(labelling.landmarks)
         report = BuildReport(
-            num_landmarks=len(chosen),
+            num_landmarks=labelling.num_landmarks,
             labelling_seconds=sw_label.elapsed,
             meta_seconds=sw_meta.elapsed,
             sparsify_seconds=sw_sparse.elapsed,
@@ -156,7 +158,7 @@ class QbSIndex(PathIndex):
         """
         searcher, sketch = self._plan(u, v)
         found = searcher.run(sketch, stats, use_budgets=use_budgets)
-        return ShortestPathGraph(u, v, *found)
+        return ShortestPathGraph(u, v, *found, directed=self.directed)
 
     def _plan(self, u: int, v: int) -> Tuple[GuidedSearcher, Sketch]:
         """The searcher and sketch that answer ``(u, v)``."""
@@ -189,62 +191,16 @@ class QbSIndex(PathIndex):
         searcher, sketch = self._plan(u, v)
         return searcher.distance_only(sketch)
 
-    def _distance_many(self, us, vs) -> np.ndarray:
-        """Batched distances via one vectorized sketch-bound pass.
-
-        The sketch upper bound ``d_top`` (Eq. 3) for the whole batch
-        is one gather over the label matrix plus a min-plus reduction
-        against the meta-graph distance matrix. A pair is answered
-        without search when the bound is *provably* tight:
-
-        * a common-landmark lower bound ``max_r |d(u,r) - d(v,r)|``
-          (triangle inequality over exact label distances) meets
-          ``d_top``; or
-        * ``d_top == 2``, where the true distance is 1 exactly when
-          the edge ``{u, v}`` exists (``d_top >= 2`` always holds for
-          non-landmark endpoints, so nothing shorter is possible).
-
-        Everything else — landmark endpoints, unproven bounds,
-        sketch-disconnected pairs — falls back to the per-pair guided
-        search (the contract's default), whose answers the bounds
-        never contradict.
-        """
-        landmark = self._labelling.landmark_position >= 0
-        idx = np.nonzero(~landmark[us] & ~landmark[vs])[0]
-        dist = np.empty(len(us), dtype=np.int32)
-        unresolved = np.ones(len(us), dtype=bool)
-        if len(idx):
-            label_u = self._labelling.label_rows_float(us[idx])
-            label_v = self._labelling.label_rows_float(vs[idx])
-            num_r = self._meta.dist.shape[0]
-            d_top = batched_min_plus(label_u, self._meta.dist, label_v)
-            common = np.isfinite(label_u) & np.isfinite(label_v)
-            gap = np.zeros_like(label_u)
-            np.subtract(label_u, label_v, out=gap, where=common)
-            np.abs(gap, out=gap)
-            lower = gap.max(axis=1) if num_r else np.zeros(len(idx))
-            finite = np.isfinite(d_top)
-            tight = finite & (lower == d_top)
-            dist[idx[tight]] = d_top[tight]
-            near = finite & ~tight & (d_top == 2.0)
-            for b in idx[near].tolist():
-                dist[b] = 1 if self._graph.has_edge(
-                    int(us[b]), int(vs[b])) else 2
-            unresolved[idx[tight | near]] = False
-        rest = np.flatnonzero(unresolved)
-        dist[rest] = super()._distance_many(us[rest], vs[rest])
-        return dist
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
-    def graph(self) -> Graph:
+    def graph(self):
         return self._graph
 
     @property
-    def sparsified_graph(self) -> Graph:
+    def sparsified_graph(self):
         """``G⁻ = G[V \\ R]`` used by the guided search."""
         return self._sparsified
 
@@ -313,32 +269,87 @@ class QbSIndex(PathIndex):
     @classmethod
     def from_state(cls, meta, arrays):
         graph = graph_from_arrays(arrays)
-        landmarks = np.asarray(arrays["landmarks"], dtype=np.int32)
-        label_matrix = np.asarray(arrays["label_matrix"],
-                                  dtype=np.uint8)
-        labelling = PathLabelling(
-            landmarks=landmarks,
-            landmark_position=landmark_positions(landmarks,
-                                                 graph.num_vertices),
-            label_matrix=label_matrix,
-            reverse_matrix=label_matrix,
-            meta_edges=unpack_pairs(arrays["meta_key"],
-                                    arrays["meta_weight"]),
-        )
-        meta_graph = build_meta_graph(graph, labelling,
-                                      precompute_delta=False)
-        cursor = 0
-        edge_rows = arrays["delta_edges"]
-        for (i, j), length in zip(arrays["delta_key"].tolist(),
-                                  arrays["delta_len"].tolist()):
-            block = edge_rows[cursor:cursor + length]
-            meta_graph.delta[(int(i), int(j))] = frozenset(
-                (int(a), int(b)) for a, b in block.tolist()
-            )
-            cursor += length
+        label_matrix = np.asarray(arrays["label_matrix"], dtype=np.uint8)
         # Only the declared fields: archives written before the thread
         # builder was removed also carry ``parallel``.
         report = BuildReport(**{f.name: meta["report"][f.name]
                                 for f in fields(BuildReport)})
-        sparsified = graph.remove_vertices(landmarks)
-        return cls(graph, labelling, meta_graph, sparsified, report)
+        index = cls._from_labels(graph, arrays, label_matrix, label_matrix,
+                                 report)
+        keys, lengths = arrays["delta_key"], arrays["delta_len"]
+        edge_rows = arrays["delta_edges"]
+        if len(keys) != len(lengths) or (lengths < 0).any() \
+                or lengths.sum() != len(edge_rows) \
+                or not within(keys, index.labelling.num_landmarks) \
+                or not within(edge_rows, graph.num_vertices):
+            raise IndexFormatError(
+                "Δ arrays do not add up: one length per landmark pair, "
+                "lengths summing to the edge rows, vertices in [0, n)")
+        cursor = 0
+        for (i, j), length in zip(keys.tolist(), lengths.tolist()):
+            block = edge_rows[cursor:cursor + length]
+            index.meta_graph.delta[(int(i), int(j))] = frozenset(
+                (int(a), int(b)) for a, b in block.tolist()
+            )
+            cursor += length
+        return index
+
+    @classmethod
+    def _from_labels(cls, graph, arrays, label_matrix: np.ndarray,
+                     reverse_matrix: np.ndarray,
+                     report: Optional[BuildReport] = None) -> "QbSIndex":
+        """The index over an archive's labels, without Δ: the load path
+        both archive layouts share. ``arrays`` holds ``landmarks``,
+        ``meta_key`` and ``meta_weight``; the two matrices are one
+        object on a symmetric graph.
+
+        Label arrays that decode but do not add up answer wrong SPGs
+        rather than fail, so they raise :class:`IndexFormatError`
+        here: landmarks must be distinct ids in ``[0, n)``, each matrix
+        ``(n, |R|)`` with all-``NO_LABEL`` landmark rows, and each meta
+        edge must join positions in ``[0, |R|)`` with weight >= 1.
+        """
+        n = graph.num_vertices
+        landmarks = checked_landmarks(arrays["landmarks"], n,
+                                      IndexFormatError)
+        meta_key = np.asarray(arrays["meta_key"])
+        meta_weight = np.asarray(arrays["meta_weight"])
+        count = len(landmarks)
+        for matrix in (label_matrix, reverse_matrix):
+            if matrix.shape != (n, count) \
+                    or (matrix[landmarks] != NO_LABEL).any():
+                raise IndexFormatError(
+                    f"a label matrix is not {n} x {count} with "
+                    f"unlabelled landmark rows")
+        if meta_key.shape != (len(meta_weight), 2) \
+                or not within(meta_key, count) \
+                or (len(meta_weight) and meta_weight.min() < 1):
+            raise IndexFormatError(
+                "meta edges must join landmark positions in [0, |R|) "
+                "with weight >= 1")
+        meta_edges = unpack_pairs(meta_key, meta_weight)
+        if reverse_matrix is label_matrix:
+            # A symmetric labelling keeps each meta edge once, as
+            # (i, j) with i < j; a digraph archive built over split
+            # CSRs holds both orientations.
+            meta_edges = {(min(i, j), max(i, j)): weight
+                          for (i, j), weight in meta_edges.items()}
+        labelling = PathLabelling(
+            landmarks=landmarks,
+            landmark_position=landmark_positions(landmarks, n),
+            label_matrix=label_matrix,
+            reverse_matrix=reverse_matrix,
+            meta_edges=meta_edges,
+        )
+        meta_graph = build_meta_graph(graph, labelling,
+                                      precompute_delta=False)
+        if report is None:
+            report = BuildReport(
+                num_landmarks=count, labelling_seconds=0.0,
+                meta_seconds=0.0, sparsify_seconds=0.0,
+                total_seconds=0.0,
+                label_size_bytes=labelling.paper_size_bytes(),
+                meta_size_bytes=meta_graph.paper_size_bytes(),
+                delta_edges=0)
+        return cls(graph, labelling, meta_graph,
+                   graph.remove_vertices(landmarks), report)

@@ -21,12 +21,13 @@ The final answer is the union prescribed by Eq. 5.
 
 All of it is written once, against a dual-CSR view (``out_*`` /
 ``in_*`` arrays) and a pair of label matrices, so the one searcher
-serves ``QbSIndex`` over a ``Graph`` and ``DirectedQbSIndex`` over a
-``DiGraph``; it returns ``(distance, arcs)`` with arcs oriented
+serves the one ``QbSIndex`` over a ``Graph`` or a ``DiGraph``
+(``qbs-directed``); it returns ``(distance, arcs)`` with arcs oriented
 ``(tail, head)``, which is what a ``ShortestPathGraph`` is made of.
-An empty sketch (``d_top is None``) leaves stage 1 unbounded and
-unbiased and stage 3 idle — which is plain Bi-BFS, so
-:func:`bidirectional_spg`, the ``bibfs`` family and both indexes'
+It answers one pair per call: a QbS distance batch runs it pair by
+pair. An empty sketch (``d_top is None``) leaves stage 1 unbounded
+and unbiased and stage 3 idle — which is plain Bi-BFS, so
+:func:`bidirectional_spg`, the ``bibfs`` family and the index's
 landmark-endpoint fallback run the same loop over the unsparsified
 graph.
 

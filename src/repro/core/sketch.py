@@ -14,7 +14,11 @@ routing between ``u`` and ``v`` *through landmarks*:
 
 Thanks to the dense uint8 label matrix the whole computation is one
 numpy broadcast over the ``|R| x |R|`` distance matrix — the "constant
-time" sketch of §5.2.
+time" sketch of §5.2. It is computed per query and reads ``u``'s
+distances *to* the landmarks and ``v``'s distances *from* them (one
+matrix on a symmetric graph), so one function serves ``qbs`` and
+``qbs-directed``. ``d_top`` is only an upper bound: the guided search
+confirms or beats it, and no batch path answers from it alone.
 """
 
 from __future__ import annotations

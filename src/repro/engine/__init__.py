@@ -16,7 +16,9 @@ baseline it is benchmarked against plug into the same three pieces:
   :class:`~repro.baselines.parent_ppl.ParentPPLIndex`, ``"naive"``
   :class:`~repro.baselines.naive.NaiveLabelling`, ``"bibfs"``
   :class:`~repro.baselines.bibfs.BiBFS`, ``"qbs-directed"``
-  :class:`~repro.directed.qbs.DirectedQbSIndex`, ``"dynamic"``
+  :class:`~repro.directed.qbs.DirectedQbSIndex` — ``QbSIndex`` over a
+  ``DiGraph``, a subclass that adds only its archive layout —
+  ``"dynamic"``
   :class:`~repro.dynamic.index.DynamicIndex`, ``"sharded"``
   :class:`~repro.shard.index.ShardedIndex`); ``import repro`` loads
   all of them, and a new backend is a one-decorator drop-in;

@@ -109,11 +109,9 @@ def batched_min_plus(left: np.ndarray, matrix: np.ndarray,
                      right: np.ndarray) -> np.ndarray:
     """``out[p] = min_{i,j} left[p, i] + matrix[i, j] + right[p, j]``.
 
-    The batched min-plus reduction behind both the QbS sketch bound
-    (rows = label distances, matrix = meta-graph distances) and the
-    sharded relay (rows = boundary distances, matrix = overlay
-    block). Chunked over the pair dimension so the broadcast
-    temporary stays bounded.
+    The batched min-plus reduction behind the sharded relay (rows =
+    boundary distances, matrix = overlay block). Chunked over the
+    pair dimension so the broadcast temporary stays bounded.
     """
     count = len(left)
     out = np.full(count, np.inf, dtype=np.float64)

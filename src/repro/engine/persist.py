@@ -88,15 +88,15 @@ def label_arrays_from_state(arrays: Dict[str, np.ndarray],
     starts = offsets[1:-1]
     rises[starts[(starts > 0) & (starts < len(ranks))] - 1] = True
     if len(labels["order"]) != num_vertices or len(dists) != len(ranks) \
-            or not rises.all() or not _within(ranks, num_vertices) \
-            or not _within(dists, np.inf):
+            or not rises.all() or not within(ranks, num_vertices) \
+            or not within(dists, np.inf):
         raise IndexFormatError(
             "label arrays do not add up: one distance per rank, ranks "
             "in [0, n) and ascending within a row, distances >= 0")
     if "parents" in labels:
         _check_csr("parent_offsets", labels["parent_offsets"], len(ranks),
                    len(labels["parents"]))
-        if not _within(labels["parents"], num_vertices):
+        if not within(labels["parents"], num_vertices):
             raise IndexFormatError("parents hold a vertex outside [0, n)")
     return labels
 
@@ -109,7 +109,9 @@ def _check_csr(name: str, offsets: np.ndarray, rows: int,
             f"{name} is not a CSR of {rows} rows over {total} entries")
 
 
-def _within(values: np.ndarray, bound) -> bool:
+def within(values: np.ndarray, bound) -> bool:
+    """Whether every value lies in ``[0, bound)`` (an empty array
+    does)."""
     return not len(values) or (values.min() >= 0 and values.max() < bound)
 
 

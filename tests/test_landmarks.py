@@ -5,6 +5,7 @@ import pytest
 
 from repro import IndexBuildError, select_landmarks
 from repro.core.landmarks import LANDMARK_STRATEGIES
+from repro.directed import DiGraph
 from repro.graph import Graph, barabasi_albert, cycle_graph, grid_2d
 
 
@@ -83,3 +84,32 @@ class TestValidation:
     def test_count_clamped(self):
         g = cycle_graph(4)
         assert len(select_landmarks(g, 99)) == 4
+
+
+class TestOnADigraph:
+    @pytest.fixture
+    def digraph(self):
+        rng = np.random.default_rng(5)
+        return DiGraph.from_arcs(rng.integers(0, 60, size=(200, 2)),
+                                 num_vertices=60)
+
+    def test_degree_is_out_plus_in_degree_ties_by_id(self, digraph):
+        order = np.argsort(-digraph.total_degree(), kind="stable")
+        assert select_landmarks(digraph, 7).tolist() == order[:7].tolist()
+
+    def test_degree_picks_the_graphs_landmarks_on_shared_arrays(
+            self, hub_graph):
+        shared = DiGraph(hub_graph.indptr, hub_graph.indices,
+                         hub_graph.indptr, hub_graph.indices)
+        assert select_landmarks(shared, 9).tolist() \
+            == select_landmarks(hub_graph, 9).tolist()
+
+    @pytest.mark.parametrize("strategy", ["random", "degree_weighted"])
+    def test_sampling_strategies_run(self, digraph, strategy):
+        landmarks = select_landmarks(digraph, 6, strategy=strategy, seed=3)
+        assert len(np.unique(landmarks)) == 6
+
+    @pytest.mark.parametrize("strategy", ["coverage", "far_apart"])
+    def test_undirected_strategies_refuse(self, digraph, strategy):
+        with pytest.raises(IndexBuildError, match="needs an undirected"):
+            select_landmarks(digraph, 3, strategy=strategy)

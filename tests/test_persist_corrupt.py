@@ -11,6 +11,7 @@ The packed label-store container gets the same treatment through
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,115 @@ class TestInconsistentLabelArrays:
                                         tmp_path):
         bad = _corrupted_archive(tmp_path, archive,
                                  PARENT_CORRUPTIONS[corruption])
+        _assert_only_index_format_error(load_index, bad)
+
+
+# ----------------------------------------------------------------------
+# QbS label arrays that decode but do not add up
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+#: The golden QbS archives, each with the label matrices its loader
+#: reads (a symmetric digraph's ``forward`` repeats ``backward`` and is
+#: not read).
+QBS_MATRICES = [("qbs.idx", "label_matrix"),
+                ("qbs-directed-shared.idx", "backward"),
+                ("qbs-directed-split.idx", "backward"),
+                ("qbs-directed-split.idx", "forward")]
+
+
+def _repeat_landmark(arrays, matrix):
+    arrays["landmarks"][:] = arrays["landmarks"][0]
+
+
+def _landmark_past_n(arrays, matrix):
+    arrays["landmarks"][-1] = len(arrays[matrix])
+
+
+def _float_landmarks(arrays, matrix):
+    arrays["landmarks"] = arrays["landmarks"] + 0.5
+
+
+def _drop_matrix_row(arrays, matrix):
+    arrays[matrix] = arrays[matrix][:-1]
+
+
+def _drop_matrix_column(arrays, matrix):
+    arrays[matrix] = arrays[matrix][:, :-1]
+
+
+def _label_a_landmark(arrays, matrix):
+    arrays[matrix][arrays["landmarks"][1], 0] = 1
+
+
+def _meta_key_past_r(arrays, matrix):
+    arrays["meta_key"][0, 1] = len(arrays["landmarks"])
+
+
+def _any_matrix(corrupt):
+    return lambda arrays, matrix: corrupt(arrays)
+
+
+#: Each edit of ``(arrays, matrix name)`` leaves an archive that loads
+#: and answers wrong without the check: one repeated landmark in golden
+#: ``qbs.idx`` gets 616 of its 1,936 SPGs wrong.
+QBS_CORRUPTIONS = {
+    "landmarks-repeated": _repeat_landmark,
+    "landmark-out-of-range": _landmark_past_n,
+    "landmarks-not-integer": _float_landmarks,
+    "matrix-row-missing": _drop_matrix_row,
+    "matrix-column-missing": _drop_matrix_column,
+    "landmark-row-labelled": _label_a_landmark,
+    "meta-key-out-of-range": _meta_key_past_r,
+    "meta-key-negative": _any_matrix(_set("meta_key", (0, 0), -1)),
+    "meta-weight-zero": _any_matrix(_set("meta_weight", 0, 0)),
+}
+
+
+def _shift_delta_len(step):
+    def corrupt(arrays):
+        arrays["delta_len"][0] += step
+    return corrupt
+
+
+def _delta_vertex_past_n(arrays):
+    arrays["delta_edges"][0, 1] = len(arrays["label_matrix"])
+
+
+DELTA_CORRUPTIONS = {
+    "delta-len-long": _shift_delta_len(1),
+    "delta-len-short": _shift_delta_len(-1),
+    "delta-vertex-out-of-range": _delta_vertex_past_n,
+    "delta-vertex-negative": _set("delta_edges", (0, 0), -1),
+}
+
+
+def _golden_rewritten(tmp_path, name, corruption):
+    method, state, arrays = read_index_state(GOLDEN / name)
+    arrays = {key: np.array(array) for key, array in arrays.items()}
+    bad = tmp_path / name
+    _write_archive(bad, method, state, arrays)
+    assert load_index(bad).method == method  # sanity: the writer is sound
+    corruption(arrays)
+    _write_archive(bad, method, state, arrays)
+    return bad
+
+
+class TestInconsistentQbSArrays:
+    @pytest.mark.parametrize("corruption", sorted(QBS_CORRUPTIONS))
+    @pytest.mark.parametrize("name,matrix", QBS_MATRICES)
+    def test_labels_checked_on_load(self, name, matrix, corruption,
+                                    tmp_path):
+        edit = QBS_CORRUPTIONS[corruption]
+        bad = _golden_rewritten(tmp_path, name,
+                                lambda arrays: edit(arrays, matrix))
+        _assert_only_index_format_error(load_index, bad)
+
+    @pytest.mark.parametrize("corruption", sorted(DELTA_CORRUPTIONS))
+    def test_delta_checked_on_load(self, corruption, tmp_path):
+        bad = _golden_rewritten(tmp_path, "qbs.idx",
+                                DELTA_CORRUPTIONS[corruption])
         _assert_only_index_format_error(load_index, bad)
 
 

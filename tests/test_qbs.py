@@ -7,12 +7,16 @@ from repro import (
     Graph,
     IndexBuildError,
     QbSIndex,
+    QueryError,
     VertexError,
     spg_oracle,
 )
+from repro.core.search import SearchStats
+from repro.directed import DiGraph, DirectedQbSIndex
 from repro.graph import erdos_renyi, grid_2d, star_overlay
 
-from _corpus import label_rng, random_graph_corpus, sample_vertex_pairs
+from _corpus import label_rng, random_graph_corpus, sample_vertex_pairs, \
+    shared_arrays
 
 
 class TestExactness:
@@ -117,6 +121,21 @@ class TestBuildOptions:
         assert report.label_size_bytes == 60 * 5
         assert report.delta_size_bytes == report.delta_edges * 8
 
+    @pytest.mark.parametrize("view", [lambda g: g, shared_arrays],
+                             ids=["qbs", "qbs-directed"])
+    @pytest.mark.parametrize("landmarks", [
+        [2 ** 32 + 2], [1.5], [True], [-1], [99], [3, 3], [],
+    ], ids=repr)
+    def test_explicit_landmarks_checked_before_the_cast(
+            self, figure4_graph, view, landmarks):
+        """A cast to int32 first made ``2**32 + 2`` landmark 2 and
+        ``1.5`` or ``True`` landmark 1."""
+        graph = view(figure4_graph)
+        family = DirectedQbSIndex if isinstance(graph, DiGraph) \
+            else QbSIndex
+        with pytest.raises(IndexBuildError):
+            family.build(graph, landmarks=np.array(landmarks))
+
     def test_too_many_landmarks_clamped(self):
         graph = erdos_renyi(10, 0.4, seed=17)
         index = QbSIndex.build(graph, num_landmarks=50)
@@ -144,6 +163,57 @@ class TestBuildOptions:
         sparsified = index.sparsified_graph
         for landmark in index.landmarks:
             assert sparsified.degree(int(landmark)) == 0
+
+
+class TestDirectedFamily:
+    """``qbs-directed`` is this class over a ``DiGraph``, so it has
+    what the undirected family has: search stats, the Eq. 4 budget
+    switch and sketches."""
+
+    @pytest.fixture
+    def digraph(self):
+        rng = np.random.default_rng(41)
+        return DiGraph.from_arcs(rng.integers(0, 40, size=(120, 2)),
+                                 num_vertices=40)
+
+    def test_query_with_stats(self, digraph):
+        index = DirectedQbSIndex.build(digraph, num_landmarks=3)
+        landmarks = set(index.landmarks.tolist())
+        traversed = 0
+        for u, v in sample_vertex_pairs(digraph, 30, seed=43):
+            if u == v or u in landmarks or v in landmarks:
+                continue
+            spg, stats = index.query_with_stats(u, v)
+            assert spg == spg_oracle(digraph, u, v), (u, v)
+            assert isinstance(stats, SearchStats)
+            assert stats.d_top == index.sketch(u, v).d_top
+            traversed += stats.edges_traversed
+            unguided, _ = index.query_with_stats(u, v, use_budgets=False)
+            assert unguided == spg, (u, v)
+        assert traversed > 0
+
+    def test_sketch_refuses_landmark_endpoints(self, digraph):
+        index = DirectedQbSIndex.build(digraph, num_landmarks=3)
+        landmark = int(index.landmarks[0])
+        other = next(v for v in range(40)
+                     if v not in index.landmarks.tolist())
+        for u, v in ((landmark, other), (other, landmark)):
+            with pytest.raises(QueryError, match="non-landmark"):
+                index.sketch(u, v)
+
+    def test_sketch_on_shared_arrays_equals_undirected(self):
+        graph = erdos_renyi(50, 0.1, seed=47)
+        undirected = QbSIndex.build(graph, num_landmarks=4)
+        directed = DirectedQbSIndex.build(shared_arrays(graph),
+                                          num_landmarks=4)
+        assert directed.landmarks.tolist() == undirected.landmarks.tolist()
+        landmarks = set(undirected.landmarks.tolist())
+        pairs = [(u, v) for u, v in sample_vertex_pairs(graph, 60, seed=53)
+                 if u not in landmarks and v not in landmarks]
+        assert pairs
+        for u, v in pairs:
+            assert directed.sketch(u, v).d_top \
+                == undirected.sketch(u, v).d_top, (u, v)
 
 
 class TestSerialization:
