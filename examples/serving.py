@@ -43,8 +43,8 @@ def main() -> None:
                                            cache_size=1024),
                       max_batch=128) as service:
         print(f"service: {service.num_workers} workers, "
-              f"epoch {service.epoch}, store "
-              f"{service.stats()['store']}")
+              f"epoch {service.epoch}, "
+              f"{service.stats()['published_epochs']} published")
 
         # --------------------------------------------------------------
         # 3. An HTTP front-end on an ephemeral port. Any JSON client

@@ -46,8 +46,8 @@ from ..core.build_kernels import RaggedView, build_sound_labels
 from ..core.spg import ShortestPathGraph
 from ..engine.base import PathIndex
 from ..engine.batch import LabelArrays, two_hop_distance_many
-from ..engine.persist import graph_arrays, graph_from_arrays, \
-    label_arrays_from_state
+from ..engine.persist import KERNEL_ARRAYS, graph_arrays, \
+    graph_from_arrays, kernel_arrays_from_state, label_arrays_from_state
 from ..engine.registry import register_index
 from ..graph.csr import Graph
 
@@ -77,7 +77,8 @@ class PPLIndex(PathIndex):
     the flat arrays, so they may be ndarrays or the block-cached cold
     arrays of a :class:`~repro.store.LabelStore` (``label_store``,
     attached by :func:`~repro.store.open_store_index`, which also
-    hands over the store's pre-packed ``batch_labels``).
+    hands over the store's pre-packed ``batch_labels``, as a serving
+    snapshot's ``from_state`` hands over the mapped ones).
     """
 
     #: The family's flat label arrays (name -> dtype): what ``labels``
@@ -165,7 +166,8 @@ class PPLIndex(PathIndex):
         :func:`~repro.engine.batch.two_hop_distance_many` is exact and
         no per-pair fallback is ever needed. The kernel's packed
         :class:`~repro.engine.batch.LabelArrays` costs one pass over
-        every label entry and is built on first use.
+        every label entry and is built on first use, unless the index
+        was handed one (a packed store, a serving snapshot).
         """
         if self._batch_labels is None:
             self._batch_labels = LabelArrays.from_flat(
@@ -270,8 +272,8 @@ class PPLIndex(PathIndex):
     # ------------------------------------------------------------------
 
     def store_stats(self) -> Optional[Dict[str, Any]]:
-        """Page-cache and tier counters of the attached label store
-        (serving surfaces these); ``None`` for a resident index."""
+        """Page-cache and tier counters of the attached label store;
+        ``None`` for a resident index."""
         if self.label_store is None:
             return None
         return self.label_store.stats()
@@ -302,9 +304,29 @@ class PPLIndex(PathIndex):
             "label_dists": np.asarray(self._label_dists.flat),
         }
 
+    def snapshot_state(self):
+        """:meth:`to_state` plus the batch kernel's arrays at the
+        in-RAM head width: a worker serving the snapshot maps them
+        instead of packing its own (``from_state`` wraps them). A
+        resident index's packed labels are reused when it has them; a
+        store-backed one's head is the store's narrower width, so its
+        kernel arrays are packed afresh."""
+        meta, arrays = self.to_state()
+        labels = self._batch_labels if self.label_store is None else None
+        if labels is None:
+            labels = LabelArrays.from_flat(arrays["label_offsets"],
+                                           arrays["label_ranks"],
+                                           arrays["label_dists"])
+        arrays.update(zip(KERNEL_ARRAYS, (
+            labels.head, labels.tail_offsets, labels.tail_ranks,
+            labels.tail_dists)))
+        return meta, arrays
+
     @classmethod
     def from_state(cls, meta, arrays):
         graph = graph_from_arrays(arrays)
         labels = label_arrays_from_state(arrays, cls.LABEL_ARRAYS,
                                          graph.num_vertices)
-        return cls(graph, labels["order"], labels)
+        return cls(graph, labels["order"], labels,
+                   batch_labels=kernel_arrays_from_state(
+                       arrays, graph.num_vertices))

@@ -212,9 +212,6 @@ _FLAGS = {
                   help="max distinct pairs per worker batch"),
     "queue_depth": dict(type=positive_int("pending limit"),
                         help="admission-control pending limit"),
-    "store": dict(choices=("shm", "mmap"),
-                  help="a snapshot file holds every state array (shm) or "
-                       "the packed ppl/parent-ppl label store (mmap)"),
     "host": dict(help="bind address for the HTTP endpoint"),
     "port": dict(type=port, help="bind port (0 picks a free one)"),
     "smoke": dict(type=positive_int("request count"), metavar="N",
@@ -524,7 +521,7 @@ def _serve_flags(parser) -> None:
            dataset=None, index=None)
     _flags(parser, family="ppl", param=[], dynamic=False, workers=None,
            mode="distance", cache=4096, budget=None, batch=256,
-           queue_depth=10_000, store="shm", host="127.0.0.1", port=8080,
+           queue_depth=10_000, host="127.0.0.1", port=8080,
            smoke=None, seed=0, trace_rate=0.0, slow_ms=None,
            audit_rate=0.0)
 
@@ -543,7 +540,7 @@ def _run_serve(args) -> int:
                            time_budget=args.budget,
                            slow_query_ms=args.slow_ms)
     with QueryService(index, num_workers=args.workers, options=options,
-                      store=args.store, max_batch=args.batch,
+                      max_batch=args.batch,
                       max_pending=args.queue_depth,
                       audit_rate=args.audit_rate) as service:
         if args.trace_rate:
@@ -551,8 +548,7 @@ def _run_serve(args) -> int:
         stats = service.stats()
         print(f"serving {stats['method']!r} index "
               f"(|V|={index.graph.num_vertices}) with "
-              f"{stats['num_workers']} workers, "
-              f"store={stats['store']}, mode={args.mode}")
+              f"{stats['num_workers']} workers, mode={args.mode}")
         if args.smoke is not None:
             report = run_closed_loop(service.submit, sample_pairs_hotspot(
                 index.graph, args.smoke, seed=args.seed), num_clients=8)

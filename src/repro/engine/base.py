@@ -257,6 +257,13 @@ class PathIndex(abc.ABC):
                    arrays: Dict[str, np.ndarray]) -> "PathIndex":
         """Reassemble an index from :meth:`to_state` output."""
 
+    def snapshot_state(self) -> State:
+        """What one published serving snapshot holds
+        (:mod:`repro.serving.snapshot`): :meth:`to_state`, plus any
+        derived arrays a family would rather have every worker map
+        than rebuild privately. :meth:`from_state` takes either."""
+        return self.to_state()
+
     def save(self, path) -> None:
         """Persist the index to ``path`` in the uniform npz format."""
         from .persist import save_index

@@ -173,25 +173,27 @@ class LabelArrays:
                 _HEAD_WIDTH,
                 max(16, _HEAD_BYTES // (4 * max(1, num_vertices)))))
         flat_ranks = np.asarray(flat_ranks, dtype=np.int64)
-        flat_dists = np.asarray(flat_dists, dtype=np.float64)
-        counts = np.diff(offsets)
-        vertex_of = np.repeat(
-            np.arange(num_vertices, dtype=np.int64), counts)
+        flat_dists = np.asarray(flat_dists)
         in_head = flat_ranks < head_width
+        # Head entries before each flat position: a vertex's row count
+        # and its tail offset both read off it, so no per-entry vertex
+        # id is ever materialized.
+        heads_before = np.zeros(len(flat_ranks) + 1, dtype=np.int64)
+        np.cumsum(in_head, out=heads_before[1:])
+        heads_before = heads_before[offsets]
         head = np.full((num_vertices, head_width), np.inf,
                        dtype=np.float32)
-        head[vertex_of[in_head], flat_ranks[in_head]] = \
-            flat_dists[in_head]
+        slots = np.repeat(
+            np.arange(num_vertices, dtype=np.int64) * head_width,
+            np.diff(heads_before))
+        slots += flat_ranks[in_head]
+        head.reshape(-1)[slots] = flat_dists[in_head]
+        del slots
         in_tail = ~in_head
-        tail_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(vertex_of[in_tail],
-                              minlength=num_vertices),
-                  out=tail_offsets[1:])
         # Entries are ordered by (vertex, rank) already, so the masked
-        # views are the tail CSR verbatim.
-        return cls(head, tail_offsets,
-                   np.ascontiguousarray(flat_ranks[in_tail]),
-                   np.ascontiguousarray(flat_dists[in_tail]),
+        # arrays are the tail CSR verbatim.
+        return cls(head, offsets - heads_before, flat_ranks[in_tail],
+                   np.asarray(flat_dists[in_tail], dtype=np.float64),
                    num_vertices)
 
     def gather_tail(self, vertices: np.ndarray

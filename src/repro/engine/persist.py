@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from ..errors import GraphValidationError, IndexFormatError
 from ..graph.csr import Graph
 from ..graph.io import NPZ_READ_ERRORS
 from .base import PathIndex
+from .batch import LabelArrays
 from .registry import get_index_class
 
 __all__ = ["save_index", "load_index", "peek_index", "describe_index",
@@ -99,6 +100,40 @@ def label_arrays_from_state(arrays: Dict[str, np.ndarray],
         if not within(labels["parents"], num_vertices):
             raise IndexFormatError("parents hold a vertex outside [0, n)")
     return labels
+
+
+#: The batch kernel's :class:`~repro.engine.batch.LabelArrays`, by the
+#: array names a packed store and a snapshot file hold them under.
+KERNEL_ARRAYS = ("head", "tail_offsets", "tail_ranks", "tail_dists")
+
+
+def kernel_arrays_from_state(arrays, num_vertices: int
+                             ) -> Optional[LabelArrays]:
+    """The batch kernel's labels over ``arrays`` as they are (views of
+    a mapping, or a store's block-cached cold arrays), or ``None``
+    when the state carries no kernel arrays.
+
+    Only the hot arrays are checked — ``order``, the ``label_offsets``
+    and ``tail_offsets`` CSRs and the ``head`` rows, O(|V|) — never a
+    cold entry: a swapped offset answers wrong distances, or fails
+    deep in numpy, instead of refusing the file, so one that does not
+    add up raises :class:`IndexFormatError` here.
+    """
+    if "head" not in arrays:
+        return None
+    head, tail_ranks = arrays["head"], arrays["tail_ranks"]
+    _check_csr("label_offsets", np.asarray(arrays["label_offsets"]),
+               num_vertices, len(arrays["label_ranks"]))
+    _check_csr("tail_offsets", np.asarray(arrays["tail_offsets"]),
+               num_vertices, len(tail_ranks))
+    if len(arrays["order"]) != num_vertices \
+            or len(arrays["tail_dists"]) != len(tail_ranks) \
+            or head.ndim != 2 or head.shape[0] != num_vertices:
+        raise IndexFormatError(
+            "kernel arrays do not add up: one order entry and one head "
+            "row per vertex, one tail distance per tail rank")
+    return LabelArrays(head, arrays["tail_offsets"], tail_ranks,
+                       arrays["tail_dists"], num_ranks=num_vertices)
 
 
 def _check_csr(name: str, offsets: np.ndarray, rows: int,

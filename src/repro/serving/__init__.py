@@ -8,9 +8,8 @@ that into a *service* that answers millions of them — the ROADMAP's
   answering query batches from materialized snapshot replicas
   (parallelism that actually scales: processes, not GIL-bound
   threads; a snapshot crosses the boundary as one page-aligned
-  file every worker maps read-only — every array as is, or packed as
-  an out-of-core label store), one duplex pipe and at most one batch
-  per worker;
+  file every worker maps read-only, the batch kernel's arrays
+  included), one duplex pipe and at most one batch per worker;
 * :class:`~repro.serving.batcher.Batcher` — the one queue in front of
   the pool and its one dispatch rule (a worker is idle: send; none
   is: wait and coalesce — no timer), intra-batch deduplication,
@@ -49,7 +48,6 @@ from .pool import BatchMessage, BatchResponse, PairError, WorkerPool, \
     default_num_workers
 from .service import QueryService
 from .snapshot import (
-    SNAPSHOT_STORES,
     Snapshot,
     SnapshotHandle,
     SnapshotManager,
@@ -65,7 +63,6 @@ __all__ = [
     "Snapshot",
     "SnapshotHandle",
     "materialize_snapshot",
-    "SNAPSHOT_STORES",
     "BatchMessage",
     "BatchResponse",
     "PairError",

@@ -193,11 +193,6 @@ class Batcher:
         self._batch_ids = itertools.count()
         self._pending = 0  # unresolved requests (admission control)
         self._closed = False
-        # Latest label-store counters per worker, when workers serve an
-        # out-of-core (mmap) snapshot; each response carries its
-        # replica's cumulative stats, so keeping the newest per worker
-        # and summing gives the fleet-wide picture.
-        self._store_stats: Dict[int, dict] = {}
         self.counters = {
             "submitted": 0, "answered": 0, "failed": 0,
             "deduplicated": 0, "rejected": 0, "expired": 0,
@@ -362,35 +357,6 @@ class Batcher:
                 "pending": self._pending,
                 "inflight_batches": len(self._inflight),
             }
-
-    def label_store_stats(self) -> Optional[Dict[str, object]]:
-        """Fleet-wide label-store counters, or ``None`` without one.
-
-        Sums the additive page-cache counters (hits, misses,
-        evictions, resident bytes) over the newest report from each
-        worker; the per-store constants (tier sizes, hot fraction)
-        are identical across replicas and pass through.
-        """
-        with self._lock:
-            reports = list(self._store_stats.values())
-        if not reports:
-            return None
-        summed = {key: sum(report[key] for report in reports)
-                  for key in ("hits", "misses", "evictions",
-                              "pinned_hits", "resident_bytes")}
-        touches = (summed["hits"] + summed["misses"]
-                   + summed["pinned_hits"])
-        latest = reports[-1]
-        return {
-            **summed,
-            "hit_rate": ((summed["hits"] + summed["pinned_hits"])
-                         / touches if touches else 0.0),
-            "hot_bytes": latest["hot_bytes"],
-            "cold_bytes": latest["cold_bytes"],
-            "hot_fraction": latest["hot_fraction"],
-            "io": latest["io"],
-            "workers_reporting": len(reports),
-        }
 
     def set_profile_hz(self, hz: float) -> None:
         """Set the worker continuous-profiling rate (``0`` stops).
@@ -565,8 +531,6 @@ class Batcher:
             self._resolve_locked(batch, response)
             self._stitch_locked(batch, response, None)
             self._count("worker_cache_hits", response.cache_hits)
-            if response.store is not None:
-                self._store_stats[response.worker_id] = response.store
 
     def _reap_dead_workers_locked(self) -> None:
         """Heal the pool after a worker death (OOM, kill, segfault).

@@ -15,11 +15,7 @@ Endpoints:
     without parsing the body.
 ``GET /stats``
     The service's counters (submitted/answered/deduplicated/...,
-    pool and snapshot gauges). When the service runs ``store="mmap"``
-    the reply carries a ``"label_store"`` sub-object with the
-    fleet-aggregated out-of-core store counters: page-cache hits /
-    misses / evictions, resident bytes, and the hot-tier fraction.
-    The counters are read from the metrics registry, so this endpoint
+    pool and snapshot gauges). The counters are read from the metrics registry, so this endpoint
     and ``/metrics`` agree by construction.
 ``GET /metrics``
     Prometheus text exposition (``text/plain; version=0.0.4``): every

@@ -27,7 +27,12 @@ batcher's lock serializes them), the collector receives. The parent
 drops its copy of the worker's end right after the fork, so a dead
 worker reads as EOF — even mid-frame — and only its own pipe is
 retired; a worker drops the parent ends it was forked with, so a dead
-parent reads as EOF too and its workers exit. Every message carries
+parent reads as EOF too and its workers exit. A parent end is closed
+only once no sender can reach it — by :meth:`WorkerPool.respawn`,
+after it swaps the end out of its slot, or by
+:meth:`WorkerPool.close` — never by the receiving thread that reads
+its EOF: the sender may be writing to it at that moment, and a closed
+descriptor's number is soon reused by a socket. Every message carries
 the current :class:`~repro.serving.snapshot.SnapshotHandle`; a worker whose
 materialized epoch differs re-materializes before answering — hot
 swaps need no broadcast and cannot be missed, a worker is simply
@@ -107,9 +112,6 @@ class BatchResponse(NamedTuple):
     seconds: float
     #: Result-cache hits while answering *this* batch.
     cache_hits: int
-    #: Label-store counters of the worker's replica, when it serves a
-    #: ``mmap`` snapshot through an out-of-core store (else ``None``).
-    store: Optional[dict] = None
     #: Metrics-registry deltas since the worker's previous response
     #: (:meth:`repro.obs.MetricsRegistry.flush_deltas`); the batcher
     #: merges them into the parent registry. ``None`` when empty.
@@ -284,16 +286,14 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                 pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
                     f"{type(exc).__name__}: {exc}", sw.elapsed, 0,
-                    None, registry.flush_deltas() or None,
+                    registry.flush_deltas() or None,
                     profile.flush(), resources,
                     span_records(root_span,
                                  process=f"worker-{worker_id}")))
                 continue
-        store_stats = getattr(index, "store_stats", None)
         pipe.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
             session.cache_hits_total - hits_before,
-            store_stats() if store_stats is not None else None,
             registry.flush_deltas() or None,
             profile.flush(), resources,
             span_records(root_span, process=f"worker-{worker_id}")))
@@ -323,10 +323,14 @@ class WorkerPool:
         self._processes: List = []
         #: Parent end of each live worker's pipe, by slot.
         self._pipes: List = []
-        #: Every parent end still open. A dead worker's pipe stays here
-        #: (and out of ``_pipes`` once respawned) until it reads EOF,
-        #: so whatever it sent in full before dying is still delivered.
+        #: Every parent end not yet read to EOF. A dead worker's pipe
+        #: stays here (and out of ``_pipes`` once respawned) until it
+        #: reads EOF, so whatever it sent in full before dying is
+        #: still delivered.
         self._readers: List = []
+        #: Every parent end not yet closed: ``_pipes``, plus the ends
+        #: of replaced workers not yet read to EOF.
+        self._ends: List = []
         #: Slots holding no batch, longest idle first. Appended by the
         #: receiving thread, taken by the sending one.
         self._idle: collections.deque = collections.deque()
@@ -360,6 +364,7 @@ class WorkerPool:
         # and the death would never read as EOF.
         theirs.close()
         self._readers.append(ours)
+        self._ends.append(ours)
         return process, ours
 
     def start(self, handle: SnapshotHandle) -> None:
@@ -436,9 +441,9 @@ class WorkerPool:
                         message = pipe.recv()
                     except (EOFError, OSError):
                         # The worker is gone, possibly mid-frame; only
-                        # its own pipe is lost.
+                        # its own pipe is lost. A sender may still hold
+                        # it, so `respawn` or `close` closes it.
                         self._readers.remove(pipe)
-                        pipe.close()
                         continue
                     self._received.append(message)
                     # A failed start exits, and a replaced worker's
@@ -464,8 +469,11 @@ class WorkerPool:
         messages (the batcher's collector does). The batch a dead
         worker held never produces a response; the batcher
         re-dispatches the batches it sent to the slots returned here
-        (and logs/counts each of them). The old pipe retires itself in
-        :meth:`get_response` once drained.
+        (and logs/counts each of them). Replaced pipes already read to
+        EOF are closed here: no slot holds them, so no sender reaches
+        them. One still being read is closed by a later respawn or by
+        :meth:`close`. One thread sends or respawns at a time (the
+        batcher's lock).
         """
         if self._closed or not self._started:
             return []
@@ -479,6 +487,10 @@ class WorkerPool:
             self._processes[slot], self._pipes[slot] = \
                 self._spawn(slot, handle)
             respawned.append(slot)
+        for end in [end for end in self._ends
+                    if end not in self._pipes and end not in self._readers]:
+            self._ends.remove(end)
+            end.close()
         return respawned
 
     def close(self, timeout: float = 5.0) -> None:
@@ -501,8 +513,9 @@ class WorkerPool:
         # Every worker is gone, so a `get_response` still waiting has
         # been woken by EOF and lets go of the lock.
         with self._receive_lock:
-            for pipe in self._readers:
-                pipe.close()
+            for end in self._ends:
+                end.close()
+            self._ends.clear()
             self._readers.clear()
 
     def __enter__(self) -> "WorkerPool":

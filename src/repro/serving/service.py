@@ -5,11 +5,11 @@ One object wires the three serving pieces over any registered
 
 * a :class:`~repro.serving.snapshot.SnapshotManager` publishing
   versioned snapshots of the source index (hot-swapped while a
-  mutable source absorbs updates), each one file: ``store="shm"``
-  (default, every family) holds the state arrays as they are and the
-  fleet shares one mapped copy, ``store="mmap"`` (``ppl`` /
-  ``parent-ppl``) the out-of-core label store; ``directory=`` places
-  the files (unset: ``/dev/shm`` for ``shm``, else the temp dir);
+  mutable source absorbs updates), each one file that every worker
+  maps, the batch kernel's arrays included; ``directory=`` places
+  the files (unset: ``/dev/shm`` when writable, else the temp dir; a
+  disk directory serves an index bigger than RAM out of the OS page
+  cache);
 * a :class:`~repro.serving.pool.WorkerPool` of query processes, each
   serving from a read-only mapping of the current snapshot, which
   outlives the unlinking of a retired epoch's file;
@@ -68,7 +68,6 @@ class QueryService:
     def __init__(self, index: PathIndex, *,
                  num_workers: Optional[int] = None,
                  options: Optional[QueryOptions] = None,
-                 store: str = "shm",
                  directory=None,
                  max_batch: int = 256,
                  max_pending: int = 10_000,
@@ -77,8 +76,7 @@ class QueryService:
         self._source = index
         self._options = options if options is not None else QueryOptions()
         self._update_lock = threading.Lock()
-        self._snapshots = SnapshotManager(index, store=store,
-                                          directory=directory)
+        self._snapshots = SnapshotManager(index, directory=directory)
         self._pool: Optional[WorkerPool] = None
         self._batcher: Optional[Batcher] = None
         self._auditor: Optional[OracleAuditor] = None
@@ -252,13 +250,7 @@ class QueryService:
         }
 
     def stats(self) -> Dict[str, object]:
-        """Batcher counters plus pool and snapshot gauges.
-
-        Under ``store="mmap"`` the dict additionally carries a
-        ``"label_store"`` sub-dict: the fleet-aggregated page-cache
-        counters (hits, misses, evictions, resident bytes, hot-tier
-        fraction) of the workers' out-of-core stores.
-        """
+        """Batcher counters plus pool and snapshot gauges."""
         self._check_open()
         current = self._snapshots.current
         stats = {
@@ -268,12 +260,8 @@ class QueryService:
             "epoch": current.handle.epoch,
             "index_version": current.handle.version,
             "method": current.handle.method,
-            "store": current.handle.kind,
             "published_epochs": len(self._snapshots.epochs),
         }
-        label_store = self._batcher.label_store_stats()
-        if label_store is not None:
-            stats["label_store"] = label_store
         stats["resources"] = {
             "parent": resource_snapshot(),
             "workers": self._batcher.worker_resources(),
@@ -286,8 +274,7 @@ class QueryService:
         The process registry's full exposition (session, shard, store,
         build and serving series — worker deltas included, since the
         batcher merges them as responses arrive) followed by
-        point-in-time service gauges and, under ``store="mmap"``, the
-        fleet-aggregated ``serving_label_store_*`` series.
+        point-in-time service gauges.
         """
         self._check_open()
         batcher_stats = self._batcher.stats()
@@ -309,16 +296,6 @@ class QueryService:
         _gauge("serving_epoch", current.handle.epoch)
         _gauge("serving_published_epochs", len(self._snapshots.epochs))
         _gauge("serving_trace_sample_rate", self.trace_rate)
-        label_store = self._batcher.label_store_stats()
-        if label_store is not None:
-            for key in ("hits", "misses", "evictions", "pinned_hits"):
-                name = f"serving_label_store_{key}_total"
-                lines.append(f"# TYPE {name} counter")
-                lines.append(format_sample(name, {},
-                                           float(label_store[key])))
-            for key in ("resident_bytes", "hit_rate", "hot_fraction",
-                        "workers_reporting"):
-                _gauge(f"serving_label_store_{key}", label_store[key])
         worker_resources = self._batcher.worker_resources()
         if worker_resources:
             for key, name in (

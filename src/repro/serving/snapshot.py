@@ -16,26 +16,23 @@ is a no-op while the counter stands still, so a refresh poll is cheap
 under read-only periods.
 
 A published epoch is exactly one file in the page-aligned ``REPROSTR``
-container of :mod:`repro.store.format`, which workers map read-only.
-The ``kind`` of the :class:`SnapshotHandle` says what the file holds:
+container of :mod:`repro.store.format`, which every worker maps
+read-only. It holds the index's
+:meth:`~repro.engine.base.PathIndex.snapshot_state`: the ``to_state``
+arrays as they are, plus whatever derived arrays the family would
+rather have mapped than rebuilt per worker (``ppl`` / ``parent-ppl``:
+the batch kernel's head and tail). Each worker's ``from_state`` gets
+non-owning views into the one shared mapping
+(:func:`~repro.store.format.map_store_arrays`). One write, N readers,
+no pickling, no per-worker copy — a fleet holds one set of label
+pages. Unset, ``directory`` is under ``/dev/shm`` when that is
+writable (tmpfs, so never to a disk), else under the temp dir; an
+index bigger than RAM is served from a ``directory=`` on a disk, whose
+pages are the OS page cache the fleet shares.
 
-``shm``
-    The index's ``to_state`` decomposition, every array as is; each
-    worker's ``from_state`` gets non-owning views into the one shared
-    mapping (:func:`~repro.store.format.map_store_arrays`). One write,
-    N readers, no pickling, no per-worker copy — a fleet holds one set
-    of label pages. Written under ``/dev/shm`` when that is writable
-    (tmpfs, so never to a disk), else under the temp dir. Any family.
-``mmap``
-    The out-of-core label store (:func:`repro.store.pack_index_store`)
-    on a disk-backed directory: the hot tier (head matrix, offsets,
-    hub rows) loads into each worker, the cold label tail is faulted
-    through one shared set of OS page-cache pages — N workers serve an
-    index bigger than any one worker's RAM. ``ppl`` / ``parent-ppl``.
-
-Lifetime: the manager retires an epoch by unlinking its file, whatever
-the kind. POSIX keeps an unlinked file's mapping valid, so a worker
-already on that epoch keeps answering from it; a handle to a retired
+Lifetime: the manager retires an epoch by unlinking its file. POSIX
+keeps an unlinked file's mapping valid, so a worker already on that
+epoch keeps answering from it; a handle to a retired
 epoch reaching a worker *afterwards* fails with a typed
 :class:`~repro.errors.ServingError`, which the batcher retries. The
 directory a manager derives carries its pid (``repro-serving-<pid>-*``)
@@ -58,21 +55,12 @@ from ..engine.base import PathIndex
 from ..engine.registry import get_index_class
 from ..errors import IndexFormatError, ServingError
 from ..obs import get_registry, span
-from ..store import (
-    STORE_METHODS,
-    map_store_arrays,
-    open_store_index,
-    pack_index_store,
-    write_store,
-)
+from ..store import map_store_arrays, write_store
 
 __all__ = ["SnapshotHandle", "Snapshot", "SnapshotManager",
-           "materialize_snapshot", "SNAPSHOT_STORES"]
+           "materialize_snapshot"]
 
-#: Supported snapshot kinds.
-SNAPSHOT_STORES = ("shm", "mmap")
-
-#: Where ``shm`` snapshots go when it is a writable directory (tmpfs).
+#: Where snapshots go when it is a writable directory (tmpfs).
 _SHM_ROOT = "/dev/shm"
 
 
@@ -88,7 +76,6 @@ class SnapshotHandle(NamedTuple):
     epoch: int
     version: int
     method: str
-    kind: str
     ref: str
 
 
@@ -122,8 +109,6 @@ def materialize_snapshot(handle: SnapshotHandle) -> PathIndex:
     read-only mapping it keeps alive: it neither copies the arrays nor
     may write to them."""
     try:
-        if handle.kind == "mmap":
-            return open_store_index(handle.ref)
         header, arrays = map_store_arrays(handle.ref)
         return get_index_class(header["method"]).from_state(
             header.get("state", {}), arrays)
@@ -138,7 +123,7 @@ class SnapshotManager:
     """Publishes versioned snapshots of one source index.
 
     The manager owns snapshot storage: it writes each publish as one
-    file of the configured kind, retires the files beyond the ``keep``
+    file, retires the files beyond the ``keep``
     most recent epochs (late-arriving batches may still reference the
     previous epoch, so at least two generations stay on hand), and
     keeps the per-epoch graphs of the ``audit_history`` most
@@ -146,33 +131,20 @@ class SnapshotManager:
     O(|V|+|E|) copy, and a long-running server publishes epochs
     indefinitely).
 
-    Publishing reads ``source.to_state()`` — callers must not mutate
+    Publishing reads ``source.snapshot_state()`` — callers must not mutate
     the source concurrently with :meth:`publish`
     (:meth:`~repro.serving.service.QueryService.apply_updates`
     serializes the two).
     """
 
-    def __init__(self, source: PathIndex, *, store: str = "shm",
-                 directory=None, keep: int = 2,
-                 audit_history: int = 64) -> None:
-        if store not in SNAPSHOT_STORES:
-            raise ServingError(
-                f"unknown snapshot store {store!r}; "
-                f"expected one of {SNAPSHOT_STORES}"
-            )
+    def __init__(self, source: PathIndex, *, directory=None,
+                 keep: int = 2, audit_history: int = 64) -> None:
         if keep < 2:
             raise ServingError("keep must be >= 2 (a late batch may "
                                "still reference the previous epoch)")
-        if store == "mmap" and source.method not in STORE_METHODS:
-            raise ServingError(
-                f"store='mmap' packs label families "
-                f"{STORE_METHODS}; {source.method!r} indexes "
-                f"have no flat label layout to memory-map"
-            )
         if audit_history < keep:
             raise ServingError("audit_history must be >= keep")
         self._source = source
-        self._store = store
         self._keep = keep
         self._audit_history = audit_history
         self._directory = Path(directory) if directory is not None \
@@ -197,13 +169,13 @@ class SnapshotManager:
             epoch = self._next_epoch
             self._next_epoch += 1
             registry = get_registry()
-            with span("snapshot.pack", epoch=epoch, kind=self._store):
+            with span("snapshot.pack", epoch=epoch):
                 with Stopwatch() as sw:
                     snapshot = self._publish_locked(epoch)
             registry.histogram(
                 "snapshot_publish_seconds",
-                help="Pack-and-publish time of one snapshot epoch.",
-                kind=self._store).observe(sw.elapsed)
+                help="Pack-and-publish time of one snapshot epoch."
+            ).observe(sw.elapsed)
             registry.counter(
                 "snapshot_publishes_total",
                 help="Snapshot epochs published.").inc()
@@ -232,27 +204,20 @@ class SnapshotManager:
         graph = source.graph
         path = self._snapshot_path(epoch)
         try:
-            if self._store == "mmap":
-                pack_index_store(source, path)
-            else:
-                state, arrays = source.to_state()
-                write_store(path, method=source.method, state=state,
-                            arrays=arrays, hot=arrays,
-                            source_arrays=arrays)
+            state, arrays = source.snapshot_state()
+            write_store(path, method=source.method, state=state,
+                        arrays=arrays, hot=arrays, source_arrays=arrays)
         except IndexFormatError as exc:
             raise ServingError(
                 f"cannot publish snapshot epoch {epoch} ({exc}); "
                 f"directory= places the files elsewhere") from exc
         return Snapshot(SnapshotHandle(epoch, version, source.method,
-                                       self._store, str(path)), graph)
+                                       str(path)), graph)
 
     def _snapshot_path(self, epoch: int) -> Path:
         if self._directory is None:
-            # A ``shm`` file is mapped whole, so it belongs in memory;
-            # the packed store exists to keep its cold tier on disk.
-            parent = _SHM_ROOT if (
-                self._store == "shm" and os.path.isdir(_SHM_ROOT)
-                and os.access(_SHM_ROOT, os.W_OK)) \
+            parent = _SHM_ROOT if os.path.isdir(_SHM_ROOT) \
+                and os.access(_SHM_ROOT, os.W_OK) \
                 else tempfile.gettempdir()
             _sweep_dead_owners(parent)
             self._directory = Path(tempfile.mkdtemp(

@@ -31,9 +31,10 @@ Typical use::
     index.distance_many(pairs)        # faults only touched blocks
     index.store_stats()               # hits/misses/evictions/tiers
 
-``load_index(path)`` on a packed store dispatches here, and the
-serving subsystem's ``store="mmap"`` mode publishes snapshots as
-packed stores that all workers open read-only.
+``load_index(path)`` on a packed store dispatches here, so ``repro
+serve --index x.store`` serves one. Serving itself publishes every
+epoch as a ``REPROSTR`` file of plain mapped arrays
+(:func:`map_store_arrays`), not through the block cache.
 """
 
 from .cache import (

@@ -11,10 +11,10 @@ hit RAM instead of disk.
 
 Counters (``hits`` / ``misses`` / ``evictions`` / ``pinned_hits``)
 are plain attributes read by :meth:`PageCache.stats`; they flow up
-through ``LabelStore.stats`` into serving ``/stats``, and every live
-cache is also weakly registered with :mod:`repro.obs` so the metrics
-scrape sums the same counters into the ``store_page_cache_*`` series
-(``/stats`` and ``/metrics`` agree by construction). A block miss
+through ``LabelStore.stats`` into the index's ``store_stats()``, and
+every live cache is also weakly registered with :mod:`repro.obs` so
+the metrics scrape sums the same counters into the
+``store_page_cache_*`` series. A block miss
 additionally marks ``page_faults`` on the innermost open trace span,
 so sampled query traces show exactly which stage paid for disk.
 """

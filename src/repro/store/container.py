@@ -8,9 +8,8 @@ CachedArray` faulting blocks through one shared
 ``io="mmap"`` (default)
     One ``numpy.memmap`` over the file; block faults slice-and-copy
     out of the mapping. The OS page cache backs the mapping, so N
-    serving workers opening the same store share one set of physical
-    pages — the property the ``store="mmap"`` snapshot transport is
-    built on.
+    processes opening the same store share one set of physical
+    pages.
 ``io="pread"``
     Positional ``os.pread`` per block fault, no mapping. Byte-for-
     byte the same data; used where resident-set accounting must be

@@ -31,6 +31,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..engine.batch import LabelArrays
+from ..engine.persist import KERNEL_ARRAYS, kernel_arrays_from_state
 from ..engine.registry import get_index_class
 from ..errors import IndexFormatError
 from ..graph.csr import Graph
@@ -166,11 +167,10 @@ def open_store_index(source, *, io: str = "mmap",
         graph, order,
         {name: store.array(name) for name in cls.LABEL_ARRAYS},
         label_store=store,
-        batch_labels=LabelArrays(store.array("head"),
-                                 store.array("tail_offsets"),
-                                 store.array("tail_ranks"),
-                                 store.array("tail_dists"),
-                                 num_ranks=len(offsets) - 1))
+        batch_labels=kernel_arrays_from_state(
+            {name: store.array(name) for name in
+             ("order", "label_offsets", "label_ranks", *KERNEL_ARRAYS)},
+            graph.num_vertices))
 
     if hot_rows is None:
         hot_rows = int(store.header.get("hot_rows", DEFAULT_HOT_ROWS))

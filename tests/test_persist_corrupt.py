@@ -5,7 +5,8 @@ seeded random offsets, and the loaders must raise
 :class:`~repro.errors.IndexFormatError` — never a raw ``zipfile`` /
 ``zlib`` / ``struct`` / OS error, and never a silently partial index.
 The packed label-store container gets the same treatment through
-:meth:`LabelStore.open`.
+:meth:`LabelStore.open`, and its hot arrays — the ones every query
+reads first — are checked at open as the archives' label CSRs are.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from repro.engine import build_index, peek_index, read_index_state, \
 from repro.engine.persist import FORMAT_NAME, FORMAT_VERSION
 from repro.errors import IndexFormatError
 from repro.graph import barabasi_albert
-from repro.store import LabelStore, pack_index_store
+from repro.baselines.ppl import PPLIndex
+from repro.store import LabelStore, map_store_arrays, open_store_index, \
+    pack_index_store, write_store
 
 from _corpus import random_graph_corpus
 
@@ -371,3 +374,71 @@ class TestTruncatedStores:
                     cold[start]
         finally:
             store.close()
+
+
+# ----------------------------------------------------------------------
+# Packed stores whose hot arrays decode but do not add up
+# ----------------------------------------------------------------------
+
+def _swap_first_rise(name):
+    """Swap the first two entries of ``name`` that differ."""
+    def corrupt(arrays):
+        at = int(np.flatnonzero(np.diff(arrays[name]))[0])
+        _swap(name, at, at + 1)(arrays)
+    return corrupt
+
+
+def _drop_last(name):
+    def corrupt(arrays):
+        arrays[name] = arrays[name][:-1]
+    return corrupt
+
+
+#: Each edit leaves a store whose header and payload extents are sound,
+#: but which answers wrong (or fails deep in numpy) if it opens.
+STORE_CORRUPTIONS = {
+    "label-offsets-swapped": _swap("label_offsets", 10, 11),
+    "tail-offsets-swapped": _swap_first_rise("tail_offsets"),
+    "tail-offsets-short-of-entries": _set("tail_offsets", -1, 0),
+    "order-short": _drop_last("order"),
+    "head-row-missing": _drop_last("head"),
+}
+
+
+def _rewrite_store(path, header, arrays) -> None:
+    write_store(path, method=header["method"], state=header["state"],
+                arrays=arrays,
+                hot=[spec["name"] for spec in header["arrays"]
+                     if spec["tier"] == "hot"],
+                source_arrays=header["source_arrays"],
+                extra={key: header[key] for key in (
+                    "head_width", "hot_rows", "label_entries",
+                    "num_vertices")})
+
+
+class TestInconsistentStoreArrays:
+    @pytest.mark.parametrize("corruption", sorted(STORE_CORRUPTIONS))
+    @pytest.mark.parametrize("name", ["ppl.store", "parent-ppl.store"])
+    def test_hot_arrays_checked_on_open(self, name, corruption,
+                                        tmp_path):
+        header, mapped = map_store_arrays(GOLDEN / name)
+        arrays = {key: np.array(array) for key, array in mapped.items()}
+        bad = tmp_path / name
+        _rewrite_store(bad, header, arrays)
+        # Sanity: the rewriter restates the golden file byte for byte.
+        assert bad.read_bytes() == (GOLDEN / name).read_bytes()
+        STORE_CORRUPTIONS[corruption](arrays)
+        _rewrite_store(bad, header, arrays)
+        _assert_only_index_format_error(open_store_index, bad)
+        _assert_only_index_format_error(load_index, bad)
+
+    @pytest.mark.parametrize("corruption", sorted(STORE_CORRUPTIONS))
+    def test_snapshot_kernel_arrays_checked(self, corruption):
+        """A serving snapshot's kernel arrays go through the same
+        check when ``from_state`` wraps them."""
+        _, mapped = map_store_arrays(GOLDEN / "ppl.store")
+        arrays = {key: np.array(array) for key, array in mapped.items()}
+        assert PPLIndex.from_state({}, arrays).method == "ppl"
+        STORE_CORRUPTIONS[corruption](arrays)
+        with pytest.raises(IndexFormatError):
+            PPLIndex.from_state({}, arrays)

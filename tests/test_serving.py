@@ -43,7 +43,9 @@ from repro.serving import (
     materialize_snapshot,
     run_closed_loop,
 )
-from repro.store import STORE_METHODS, open_store_index, pack_index_store
+from repro.serving import snapshot as snapshot_module
+from repro.store import STORE_METHODS, map_store_arrays, open_store_index, \
+    pack_index_store
 from repro.workloads import sample_pairs
 
 from _corpus import (
@@ -135,7 +137,7 @@ _ROUND_TRIP_CASES = sorted(available_methods()) + ["qbs-directed-shared"]
 
 #: ``(boundary, case)``; only the label families pack into a store.
 _ROUND_TRIPS = [(boundary, case)
-                for boundary in ("state", "file", "shm")
+                for boundary in ("state", "file", "snapshot")
                 for case in _ROUND_TRIP_CASES] \
     + [("store", method) for method in STORE_METHODS]
 
@@ -147,13 +149,14 @@ class TestSnapshotPersistence:
     and a shared-array symmetric ``DiGraph``), one column per boundary
     the ``to_state`` decomposition crosses:
 
-    ``state``  ``cls.from_state(*index.to_state())``, nothing between;
-    ``file``   ``save`` -> ``load_index`` of the npz archive;
-    ``shm``    ``SnapshotManager.publish`` -> ``materialize_snapshot``,
-               the replica queried after the manager is closed and the
-               file unlinked;
-    ``store``  ``pack_index_store`` -> ``open_store_index`` (label
-               families only).
+    ``state``     ``cls.from_state(*index.to_state())``, nothing
+                  between;
+    ``file``      ``save`` -> ``load_index`` of the npz archive;
+    ``snapshot``  ``SnapshotManager.publish`` ->
+                  ``materialize_snapshot``, the replica queried after
+                  the manager is closed and the file unlinked;
+    ``store``     ``pack_index_store`` -> ``open_store_index`` (label
+                  families only).
 
     The replica is compared with the oracle, not with its source: an
     answer both get wrong is still wrong.
@@ -174,8 +177,7 @@ class TestSnapshotPersistence:
             pack_index_store(index, tmp_path / "index.store")
             replica = open_store_index(tmp_path / "index.store")
         else:
-            with SnapshotManager(index, store="shm",
-                                 directory=tmp_path) as manager:
+            with SnapshotManager(index, directory=tmp_path) as manager:
                 replica = materialize_snapshot(manager.publish().handle)
             assert list(tmp_path.iterdir()) == []
         assert type(replica) is type(index)
@@ -188,16 +190,14 @@ class TestSnapshotPersistence:
                 wrong.append(("query", u, v))
         assert wrong == []
 
-    @pytest.mark.parametrize("store", ["shm", "mmap"])
-    def test_retired_epoch_is_unlinked_under_a_live_replica(self, store):
+    def test_retired_epoch_is_unlinked_under_a_live_replica(self):
         """Retiring an epoch unlinks its file. A replica materialized
         before that keeps its mapping and its answers; a handle that
         arrives afterwards fails with the typed error the batcher
         retries on."""
         graph = _small_graph(seed=34, n=40)
         pairs = sample_vertex_pairs(graph, 50, seed=42)
-        with SnapshotManager(_build("ppl", graph), store=store,
-                             keep=2) as manager:
+        with SnapshotManager(_build("ppl", graph), keep=2) as manager:
             first = manager.publish().handle
             replica = materialize_snapshot(first)
             directory = os.path.dirname(first.ref)
@@ -218,17 +218,8 @@ class TestSnapshotPersistence:
         assert replica.distance(*pairs[0]) \
             == distance_oracle(graph, *pairs[0])
 
-    def test_replica_arrays_are_views_of_the_one_mapping(self):
-        """A worker fleet holds one copy of the labels: what
-        ``from_state`` gets are read-only views into the mapped file,
-        and the ppl index keeps them as they are."""
-        graph = _small_graph(seed=33, n=80)
-        with SnapshotManager(_build("ppl", graph)) as manager:
-            replica = materialize_snapshot(manager.publish().handle)
-        arrays = replica.to_state()[1]
-        assert set(arrays) == {"indptr", "indices", "order",
-                               "label_offsets", "label_ranks",
-                               "label_dists"}
+    @staticmethod
+    def _assert_mapped_views(arrays):
         for name, array in arrays.items():
             assert not array.flags.writeable, name
             assert not array.flags.owndata, name
@@ -238,23 +229,56 @@ class TestSnapshotPersistence:
                 root = root.base
             assert isinstance(root, np.memmap), name
 
+    @pytest.mark.parametrize("method", STORE_METHODS)
+    def test_replica_arrays_are_views_of_the_one_mapping(self, method):
+        """A worker fleet holds one copy of the labels: what
+        ``from_state`` gets are read-only views into the mapped file,
+        and the index keeps them as they are — the batch kernel's
+        packed labels too, which the worker never builds itself."""
+        graph = _small_graph(seed=33, n=80)
+        source = _build(method, graph)
+        with SnapshotManager(source) as manager:
+            replica = materialize_snapshot(manager.publish().handle)
+        arrays = replica.to_state()[1]
+        assert set(arrays) == set(source.to_state()[1])
+        self._assert_mapped_views(arrays)
+        kernel = replica._batch_labels
+        self._assert_mapped_views({
+            "head": kernel.head, "tail_offsets": kernel.tail_offsets,
+            "tail_ranks": kernel.tail_ranks,
+            "tail_dists": kernel.tail_dists})
+        pairs = sample_vertex_pairs(graph, 200, seed=43)
+        assert replica.distance_many(pairs) == source.distance_many(pairs)
+        assert replica._batch_labels is kernel
+
+    def test_bibfs_epoch_holds_its_state_arrays_only(self):
+        """A family with no derived arrays publishes its ``to_state``
+        arrays, nothing more."""
+        source = _build("bibfs", _small_graph(seed=33, n=80))
+        with SnapshotManager(source) as manager:
+            handle = manager.publish().handle
+            header, arrays = map_store_arrays(handle.ref)
+            replica = materialize_snapshot(handle)
+        assert header["method"] == "bibfs"
+        assert set(arrays) == set(source.to_state()[1])
+        self._assert_mapped_views(replica.to_state()[1])
+
     def test_default_directories(self, tmp_path, monkeypatch):
-        """Unset, `directory` is derived: `shm` files are mapped whole
-        and go to tmpfs when there is one; the packed store's point is
-        a cold tier on disk, so `mmap` never does."""
+        """Unset, `directory` is derived: a snapshot file is mapped
+        whole, so it goes to tmpfs when there is one, else to the temp
+        dir."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         index = _build("ppl", _small_graph(seed=33, n=40))
-        shm_root = "/dev/shm"
+        shm_root = snapshot_module._SHM_ROOT
         has_shm = os.path.isdir(shm_root) and os.access(shm_root,
                                                         os.W_OK)
-        for store in ("shm", "mmap"):
-            with SnapshotManager(index, store=store) as manager:
+        for root, on_tmpfs in ((shm_root, has_shm),
+                               (str(tmp_path / "no-tmpfs"), False)):
+            monkeypatch.setattr(snapshot_module, "_SHM_ROOT", root)
+            with SnapshotManager(index) as manager:
                 path = manager.publish().handle.ref
-                on_shm = os.path.dirname(os.path.dirname(path)) \
-                    == shm_root
-                assert on_shm == (store == "shm" and has_shm)
-                if not on_shm:
-                    assert path.startswith(str(tmp_path))
+                parent = os.path.dirname(os.path.dirname(path))
+                assert parent == (root if on_tmpfs else str(tmp_path))
                 assert os.path.basename(os.path.dirname(path)) \
                     .startswith("repro-serving-")
             assert not os.path.exists(os.path.dirname(path))
@@ -264,7 +288,7 @@ class TestSnapshotManager:
     def test_publish_if_changed_keyed_on_version(self):
         graph = _small_graph(seed=35, n=50)
         index = build_index(graph, "dynamic")
-        manager = SnapshotManager(index, store="shm")
+        manager = SnapshotManager(index)
         try:
             first = manager.publish()
             assert manager.publish_if_changed() is None
@@ -315,14 +339,8 @@ class TestSnapshotManager:
         finally:
             manager.close()
 
-    def test_rejects_unknown_store_and_tiny_keep(self):
+    def test_rejects_tiny_keep(self):
         index = _build("ppl", _small_graph(seed=37, n=30))
-        # "file" was a third kind once; it is as unknown as any other.
-        for store in ("carrier-pigeon", "file"):
-            with pytest.raises(ServingError, match="unknown snapshot"):
-                SnapshotManager(index, store=store)
-            with pytest.raises(ServingError, match="unknown snapshot"):
-                QueryService(index, num_workers=1, store=store)
         with pytest.raises(ServingError, match="keep"):
             SnapshotManager(index, keep=1)
 
@@ -425,7 +443,7 @@ class TestQueryService:
         stats = service.stats()
         for key in ("submitted", "answered", "deduplicated", "batches",
                     "rejected", "expired", "pending", "num_workers",
-                    "alive_workers", "epoch", "method", "store"):
+                    "alive_workers", "epoch", "method"):
             assert key in stats
         assert stats["alive_workers"] == 2
 
@@ -579,6 +597,42 @@ class TestServiceLifecycle:
             assert stats["worker_deaths"] >= 1
             assert service.stats()["alive_workers"] == 2
 
+    def test_dead_workers_pipe_stays_open_until_respawn(self):
+        """Reading EOF on a dead worker's pipe does not close the
+        parent end: a sender may be writing to it at that moment (it
+        sends under the batcher's lock, not the receiver's), and a
+        closed descriptor's number is soon reused by a socket. The end
+        is closed once ``respawn`` has swapped it out of its slot."""
+        graph = _small_graph(seed=3, n=40)
+        manager = SnapshotManager(build_index(graph, "ppl"))
+        handle = manager.publish().handle
+        pool = WorkerPool(num_workers=1)
+        try:
+            pool.start(handle)
+            old = pool._pipes[0]
+            process = pool._processes[0]
+            process.kill()
+            process.join(timeout=10)
+            deadline = time.monotonic() + 20
+            while old in pool._readers:
+                assert time.monotonic() < deadline, "EOF never read"
+                assert pool.get_response(timeout=0.5) is None
+            assert not old.closed
+            # The worker died idle: the send fails quietly.
+            assert pool.submit(BatchMessage(
+                0, handle, "distance", ((0, 1),))) == 0
+            assert pool.respawn(handle) == [0]
+            assert pool._pipes[0] is not old
+            assert old.closed
+            ready = pool.get_response(timeout=30)
+            assert ready is not None and ready.error is None
+            pool.submit(BatchMessage(1, handle, "distance", ((0, 1),)))
+            response = pool.get_response(timeout=30)
+            assert response.values == [distance_oracle(graph, 0, 1)]
+        finally:
+            pool.close()
+            manager.close()
+
     def test_worker_killed_mid_response_spares_its_siblings(self):
         """A worker SIGKILLed while blocked half-way through sending a
         response must cost only its own pipe: the sibling's next
@@ -631,9 +685,7 @@ class TestServiceLifecycle:
             pool.close()
             manager.close()
 
-    @pytest.mark.parametrize("store", ["shm", "mmap"])
-    def test_close_leaves_nothing_behind(self, store, tmp_path,
-                                         monkeypatch):
+    def test_close_leaves_nothing_behind(self, tmp_path, monkeypatch):
         """After ``close()``: no child process, no serving thread (and
         while it runs, the collector is the only one), nothing new
         under /dev/shm or the temp dir."""
@@ -644,7 +696,7 @@ class TestServiceLifecycle:
         segments = set(os.listdir(shm)) if shm else set()
         children = set(multiprocessing.active_children())
         threads = set(threading.enumerate())
-        with QueryService(index, num_workers=2, store=store,
+        with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance")) as service:
             pairs = sample_pairs(graph, 20, seed=5)
             for (u, v), answer in zip(pairs,
@@ -664,16 +716,13 @@ class TestServiceLifecycle:
             assert set(os.listdir(shm)) <= segments
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("store", ["shm", "mmap"])
-    def test_directory_places_the_snapshot_files(self, store,
-                                                 served_graph,
+    def test_directory_places_the_snapshot_files(self, served_graph,
                                                  tmp_path):
         """`directory=` is the deployment path: the epochs' files land
         there, `close()` removes them and leaves the directory, which
         the service did not create."""
         index = build_index(served_graph, "ppl")
-        with QueryService(index, num_workers=1, store=store,
-                          directory=tmp_path,
+        with QueryService(index, num_workers=1, directory=tmp_path,
                           options=QueryOptions(mode="distance")
                           ) as service:
             assert service.refresh(force=True) is not None

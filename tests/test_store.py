@@ -5,7 +5,8 @@ writes, magic detection), the block-granular page cache (LRU
 eviction, pinning, counters), the store-backed index families
 (exactness against the fully-resident originals on every query
 surface), the loader integration (``load_index`` on a packed store),
-the CLI subcommands, and serving with ``store="mmap"``.
+the CLI subcommands, and serving the label families from a
+``directory=`` on a disk.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro import Graph, load_index
 from repro.engine import build_index, describe_index, peek_index, save_index
 from repro.engine.session import QueryOptions
-from repro.errors import IndexFormatError, ServingError
+from repro.errors import IndexFormatError
 from repro.store import (
     CachedArray,
     LabelStore,
@@ -431,50 +432,45 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# Serving with store="mmap"
+# Serving the label families from a directory on a disk
 # ----------------------------------------------------------------------
 
-class TestServingMmap:
-    def test_round_trip_and_stats(self):
+class TestServingFromDirectory:
+    """An index bigger than RAM is served from a ``directory=`` on a
+    disk: each epoch is one mapped file there, batch-kernel arrays
+    included, whose pages are the OS page cache the fleet shares."""
+
+    @pytest.mark.parametrize("method", STORE_FAMILIES)
+    def test_answers_like_the_source(self, method, tmp_path):
         from repro.serving import QueryService
 
         graph = random_graph(120, seed=6)
-        index = build_index(graph, method="ppl")
-        with QueryService(index, num_workers=2, store="mmap",
+        index = build_index(graph, method=method)
+        rng = np.random.default_rng(2)
+        pairs = [(int(u), int(v))
+                 for u, v in rng.integers(0, 120, (80, 2))]
+        with QueryService(index, num_workers=2, directory=tmp_path,
                           options=QueryOptions(mode="distance")
                           ) as service:
-            rng = np.random.default_rng(2)
-            pairs = [(int(u), int(v))
-                     for u, v in rng.integers(0, 120, (80, 2))]
+            assert [path.name for path in tmp_path.iterdir()] \
+                == ["snapshot-000000.store"]
             answers = service.query_many(pairs)
             assert [a.value for a in answers] == \
                 index.distance_many(pairs)
-            stats = service.stats()
-            assert stats["store"] == "mmap"
-            label_store = stats["label_store"]
-            assert label_store["hits"] + label_store["misses"] \
-                + label_store["pinned_hits"] > 0
-            assert 0.0 < label_store["hot_fraction"] < 1.0
+            assert {a.epoch for a in answers} == {0}
+        assert list(tmp_path.iterdir()) == []
 
-    def test_non_label_source_rejected(self):
-        from repro.serving import QueryService
-
-        graph = random_graph(40, seed=6)
-        index = build_index(graph, method="bibfs")
-        with pytest.raises(ServingError, match="mmap"):
-            QueryService(index, num_workers=1, store="mmap")
-
-    def test_snapshot_files_are_retired(self, tmp_path):
+    @pytest.mark.parametrize("method", STORE_FAMILIES)
+    def test_retirement_keeps_two_files(self, method, tmp_path):
         from repro.serving.snapshot import SnapshotManager
 
         graph = random_graph(50, seed=8)
-        index = build_index(graph, method="ppl")
-        with SnapshotManager(index, store="mmap",
-                             directory=tmp_path) as manager:
+        index = build_index(graph, method=method)
+        with SnapshotManager(index, directory=tmp_path) as manager:
             for _ in range(4):
                 manager.publish()
             stores = sorted(p.name for p in tmp_path.iterdir())
-            # keep=2: older packed snapshots were unlinked.
+            # keep=2: older snapshots were unlinked.
             assert stores == ["snapshot-000002.store",
                               "snapshot-000003.store"]
             assert all(is_store_file(tmp_path / name)
