@@ -306,11 +306,11 @@ class PPLIndex(PathIndex):
 
     def snapshot_state(self):
         """:meth:`to_state` plus the batch kernel's arrays at the
-        in-RAM head width: a worker serving the snapshot maps them
-        instead of packing its own (``from_state`` wraps them). A
-        resident index's packed labels are reused when it has them; a
-        store-backed one's head is the store's narrower width, so its
-        kernel arrays are packed afresh."""
+        in-RAM head width and dtype: a worker serving the snapshot
+        maps them instead of packing its own (``from_state`` wraps
+        them). A resident index's packed labels are reused when it has
+        them; a store-backed one's head is the store's narrower
+        float32 one, so its kernel arrays are packed afresh."""
         meta, arrays = self.to_state()
         labels = self._batch_labels if self.label_store is None else None
         if labels is None:

@@ -14,8 +14,11 @@ holds the shared numpy kernels behind
 * :class:`LabelArrays` — a flat 2-hop label CSR packed into a
   **dense head** and a **sparse tail**: label entries on the
   highest-ranked landmarks — where degree-ordered labellings
-  concentrate their entries — live in a ``(|V|, H)`` float32 matrix,
-  the long tail stays in CSR arrays;
+  concentrate their entries — live in a ``(|V|, H)`` matrix of the
+  narrowest unsigned dtype that holds the labels' distances (one
+  byte per distance, as in the paper's label cost model, whenever
+  they are at most 63), so a 1 KiB row covers 1,024 hub ranks; the
+  long tail stays in CSR arrays;
 * :func:`two_hop_distance_many` — the label-merge kernel shared by
   the ``ppl``/``parent-ppl``/``dynamic`` families: the head
   contributes ``min_r d(u, r) + d(r, v)`` as one row gather + add +
@@ -38,15 +41,21 @@ import numpy as np
 from .._util import UNREACHED, segment_positions
 from ..errors import QueryError, VertexError
 
-__all__ = ["pairs_to_arrays", "LabelArrays", "two_hop_distance_many",
-           "batched_min_plus", "finalize_distances"]
+__all__ = ["pairs_to_arrays", "LabelArrays", "HEAD_DTYPES",
+           "head_absent", "two_hop_distance_many", "batched_min_plus",
+           "finalize_distances"]
 
-#: Head width cap: ranks below this bound get dense columns.
-_HEAD_WIDTH = 256
+#: Bytes in one dense head row: 1,024 ranks at one byte a distance.
+_HEAD_ROW_BYTES = 1024
 
-#: Cap on the dense head matrix (float32 bytes); the width shrinks on
-#: huge graphs so precomputation never dominates index memory.
+#: Cap on the dense head matrix (bytes); the width shrinks on huge
+#: graphs so precomputation never dominates index memory.
 _HEAD_BYTES = 64 * 1024 * 1024
+
+#: The head dtypes the kernel reads, narrowest first: :meth:`LabelArrays
+#: .from_flat` packs in the first whose :func:`head_absent` exceeds
+#: twice the largest label distance; a packed store keeps float32.
+HEAD_DTYPES = (np.uint8, np.uint16, np.uint32, np.float32)
 
 #: Pairs per kernel chunk (bounds the transient batch matrices).
 _CHUNK_PAIRS = 4096
@@ -126,27 +135,46 @@ def batched_min_plus(left: np.ndarray, matrix: np.ndarray,
     return out
 
 
+def head_absent(dtype):
+    """The head value that reads "no entry": ``inf`` in a float head,
+    ``iinfo.max // 2`` in an unsigned one (127 for uint8).
+
+    Every distance in an unsigned head is at most ``(absent - 1) // 2``,
+    so two real entries sum below ``absent``, any sum with an absent
+    entry is at least ``absent``, and two absent ones (``2 * absent <=
+    iinfo.max``) never wrap.
+    """
+    dtype = np.dtype(dtype)
+    return np.inf if dtype.kind == "f" else np.iinfo(dtype).max // 2
+
+
 class LabelArrays:
     """2-hop labels packed for the batch kernel: dense head + CSR tail.
 
     ``head[v, r]`` holds ``d(v, rank r)`` for ranks below
-    ``head_width`` (``inf`` when absent) — degree-ordered labellings
-    put most entries on those hub ranks, so most of every merge is a
-    dense row operation. Entries on higher ranks live in the tail:
+    ``head_width`` (:func:`head_absent` of the head's dtype when
+    absent) — degree-ordered labellings put most entries on those hub
+    ranks, so most of every merge is a dense row operation. The head
+    is uint8 / uint16 / uint32 as :meth:`from_flat` packs it, float32
+    (``inf`` absent) as a packed store keeps it; the kernel reads
+    either. Entries on higher ranks live in the tail:
     ``tail_offsets[v]:tail_offsets[v + 1]`` slices vertex ``v``'s
     ``(tail_ranks, tail_dists)``, rank-sorted per vertex.
     ``num_ranks`` spans the rank id space (for collision-free
-    ``slot * num_ranks + rank`` keys).
+    ``slot * num_ranks + rank`` keys). ``absent`` is
+    :func:`head_absent` of the head's dtype, read once here and not
+    per batch.
     """
 
-    __slots__ = ("head", "head_width", "tail_offsets", "tail_ranks",
-                 "tail_dists", "num_ranks")
+    __slots__ = ("head", "head_width", "absent", "tail_offsets",
+                 "tail_ranks", "tail_dists", "num_ranks")
 
     def __init__(self, head: np.ndarray, tail_offsets: np.ndarray,
                  tail_ranks: np.ndarray, tail_dists: np.ndarray,
                  num_ranks: int) -> None:
         self.head = head
         self.head_width = head.shape[1]
+        self.absent = head_absent(head.dtype)
         self.tail_offsets = tail_offsets
         self.tail_ranks = tail_ranks
         self.tail_dists = tail_dists
@@ -165,15 +193,25 @@ class LabelArrays:
         is one vectorized pass, no per-vertex Python objects. Entries
         must be ordered by (vertex, rank), which every producer of the
         flat layout guarantees.
+
+        The head's dtype is the narrowest of uint8 / uint16 / uint32
+        whose :func:`head_absent` exceeds twice the largest distance
+        (uint8 up to distance 63). Unless ``head_width`` is given, a
+        row is 1 KiB — 1,024 uint8 ranks, 512 uint16 ones — narrowed
+        so the whole head stays within 64 MiB on huge graphs.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         num_vertices = len(offsets) - 1
-        if head_width is None:
-            head_width = int(min(
-                _HEAD_WIDTH,
-                max(16, _HEAD_BYTES // (4 * max(1, num_vertices)))))
         flat_ranks = np.asarray(flat_ranks, dtype=np.int64)
         flat_dists = np.asarray(flat_dists)
+        max_dist = int(flat_dists.max()) if len(flat_dists) else 0
+        dtype = next(np.dtype(kind) for kind in HEAD_DTYPES
+                     if 2 * max_dist < head_absent(kind))
+        if head_width is None:
+            head_width = int(min(
+                _HEAD_ROW_BYTES // dtype.itemsize,
+                max(16, _HEAD_BYTES
+                    // (dtype.itemsize * max(1, num_vertices)))))
         in_head = flat_ranks < head_width
         # Head entries before each flat position: a vertex's row count
         # and its tail offset both read off it, so no per-entry vertex
@@ -181,8 +219,8 @@ class LabelArrays:
         heads_before = np.zeros(len(flat_ranks) + 1, dtype=np.int64)
         np.cumsum(in_head, out=heads_before[1:])
         heads_before = heads_before[offsets]
-        head = np.full((num_vertices, head_width), np.inf,
-                       dtype=np.float32)
+        head = np.full((num_vertices, head_width), head_absent(dtype),
+                       dtype=dtype)
         slots = np.repeat(
             np.arange(num_vertices, dtype=np.int64) * head_width,
             np.diff(heads_before))
@@ -223,14 +261,17 @@ def two_hop_distance_many(labels: LabelArrays, us: np.ndarray,
     where the endpoints share no labelled rank; ``u == v`` pairs are
     0 by definition.
     """
+    head, absent = labels.head, labels.absent
     count = len(us)
     out = np.full(count, np.inf, dtype=np.float64)
     for start in range(0, count, _CHUNK_PAIRS):
         chunk = slice(start, min(start + _CHUNK_PAIRS, count))
-        # Head: two row gathers, one add, one min-reduction.
-        best = (labels.head[us[chunk]]
-                + labels.head[vs[chunk]]).min(axis=1)
-        best = best.astype(np.float64)
+        # Head: two row gathers, one in-place add, one min-reduction;
+        # a minimum at or above `absent` is no common head rank.
+        sums = head[us[chunk]]
+        np.add(sums, head[vs[chunk]], out=sums)
+        best = sums.min(axis=1).astype(np.float64)
+        best[best >= absent] = np.inf
         # Tail: sorted-key intersection (both sides arrive sorted, so
         # matching is a binary-search pass, not a re-sort).
         keys_u, dists_u = labels.gather_tail(us[chunk])

@@ -42,7 +42,7 @@ from ..errors import GraphValidationError, IndexFormatError
 from ..graph.csr import Graph
 from ..graph.io import NPZ_READ_ERRORS
 from .base import PathIndex
-from .batch import LabelArrays
+from .batch import HEAD_DTYPES, LabelArrays
 from .registry import get_index_class
 
 __all__ = ["save_index", "load_index", "peek_index", "describe_index",
@@ -114,10 +114,11 @@ def kernel_arrays_from_state(arrays, num_vertices: int
     when the state carries no kernel arrays.
 
     Only the hot arrays are checked — ``order``, the ``label_offsets``
-    and ``tail_offsets`` CSRs and the ``head`` rows, O(|V|) — never a
-    cold entry: a swapped offset answers wrong distances, or fails
-    deep in numpy, instead of refusing the file, so one that does not
-    add up raises :class:`IndexFormatError` here.
+    and ``tail_offsets`` CSRs and the ``head`` rows and dtype, O(|V|) —
+    never a cold entry: a swapped offset or a head of another dtype
+    answers wrong distances, or fails deep in numpy, instead of
+    refusing the file, so one that does not add up raises
+    :class:`IndexFormatError` here.
     """
     if "head" not in arrays:
         return None
@@ -132,6 +133,10 @@ def kernel_arrays_from_state(arrays, num_vertices: int
         raise IndexFormatError(
             "kernel arrays do not add up: one order entry and one head "
             "row per vertex, one tail distance per tail rank")
+    if head.dtype not in HEAD_DTYPES:
+        raise IndexFormatError(
+            f"kernel head is {head.dtype.name}; the batch kernel reads "
+            f"a float32 or a uint8 / uint16 / uint32 head")
     return LabelArrays(head, arrays["tail_offsets"], tail_ranks,
                        arrays["tail_dists"], num_ranks=num_vertices)
 

@@ -5,7 +5,7 @@
 :mod:`repro.store.format`, deciding the tier split at pack time:
 
 * **hot** — the graph CSR, the landmark order, the label/tail offset
-  arrays, and the PR-5 dense hub-rank head matrix. Small, touched by
+  arrays, and the dense hub-rank head matrix. Small, touched by
   every query, pinned in RAM at open.
 * **cold** — the flat label rank/distance arrays (the scalar query
   path) and the CSR tail of the batch kernel. The bulk of the index;
@@ -22,6 +22,13 @@ store's cold tail directly, so both the scalar and the
 touches. High-degree hub rows (``order[:hot_rows]``) are pinned —
 skewed real-world query mixes hit those rows constantly, and pinned
 blocks never evict.
+
+The store's head stays float32 with ``inf`` for an absent entry, while
+the in-RAM kernel packs its head in the narrowest unsigned dtype (see
+:mod:`repro.engine.batch`; the kernel reads both). The store's head is
+narrow by design (:data:`DEFAULT_HEAD_WIDTH` columns), so a byte-wide
+dtype would save little of its pinned footprint, and keeping it leaves
+the on-disk layout — and every packed file — as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..engine.batch import LabelArrays
+from ..engine.batch import LabelArrays, head_absent
 from ..engine.persist import KERNEL_ARRAYS, kernel_arrays_from_state
 from ..engine.registry import get_index_class
 from ..errors import IndexFormatError
@@ -92,7 +99,7 @@ def pack_index_store(source, path, *,
         "indices": np.asarray(arrays["indices"]),
         "order": np.asarray(arrays["order"], dtype=np.int64),
         "label_offsets": offsets,
-        "head": labels.head,
+        "head": _float_head(labels.head),
         "tail_offsets": labels.tail_offsets,
         "label_ranks": np.asarray(arrays["label_ranks"],
                                   dtype=np.int64),
@@ -121,6 +128,14 @@ def pack_index_store(source, path, *,
             "label_entries": int(offsets[-1]),
             "num_vertices": int(len(offsets) - 1),
         })
+
+
+def _float_head(head: np.ndarray) -> np.ndarray:
+    """The kernel's unsigned head as a store keeps it: float32, ``inf``
+    where absent."""
+    packed = head.astype(np.float32)
+    packed[head >= head_absent(head.dtype)] = np.inf
+    return packed
 
 
 def _check_method(source, method: str) -> None:

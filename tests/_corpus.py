@@ -161,8 +161,11 @@ def frozen_workers(service, *slots):
     try:
         yield
     finally:
+        # No ``is_alive()`` here: its waitpid races the pool's
+        # collector, and one reaped worker must not leave the next
+        # stopped forever.
         for process in processes:
-            if process.is_alive():
+            with contextlib.suppress(ProcessLookupError):
                 os.kill(process.pid, signal.SIGCONT)
 
 

@@ -32,11 +32,13 @@ from repro.engine import (
 from repro.engine.batch import (
     LabelArrays,
     finalize_distances,
+    head_absent,
     pairs_to_arrays,
     two_hop_distance_many,
 )
 from repro.errors import QueryError, VertexError
-from repro.graph import barabasi_albert, erdos_renyi
+from repro.graph import barabasi_albert, cycle_graph, erdos_renyi, \
+    path_graph
 
 from _corpus import random_graph_corpus, sample_vertex_pairs
 
@@ -51,6 +53,14 @@ UNDIRECTED_METHODS = {
     "dynamic": {},
     "sharded": {"num_shards": 2},
 }
+
+
+def with_second_component(graph, size):
+    """``graph`` beside a path of ``size`` more vertices."""
+    n = graph.num_vertices
+    edges = list(graph.edges()) + [(n + i, n + i + 1)
+                                   for i in range(size - 1)]
+    return Graph.from_edges(edges, num_vertices=n + size)
 
 
 def batch_with_reversals(graph, seed=0, count=40):
@@ -131,28 +141,44 @@ class TestDistanceMany:
             [index.distance(u, v) for u, v in pairs]
 
     def test_hypothesis_two_hop_kernel_matches_merge(self):
-        """Kernel == scalar merge-join on arbitrary sound labels."""
+        """Kernel == scalar merge-join on arbitrary sound labels: at any
+        head width (so the tail join runs too), on paths and cycles
+        whose label distances pass 63 (a uint16 head), and with a
+        second component (pairs across it share no rank)."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st
 
         from repro.baselines.ppl import PPLIndex
 
-        @settings(max_examples=30, deadline=None)
+        shapes = {
+            "hub": lambda n, m, seed: barabasi_albert(
+                n, min(m, n - 1), seed=seed),
+            "path": lambda n, m, seed: path_graph(4 * n),
+            "cycle": lambda n, m, seed: cycle_graph(4 * n),
+        }
+
+        @settings(max_examples=40, deadline=None)
         @given(st.integers(0, 2 ** 32 - 1), st.integers(8, 40),
-               st.integers(1, 4))
-        def run(seed, n, m):
-            graph = barabasi_albert(n, min(m, n - 1), seed=seed)
+               st.integers(1, 4), st.sampled_from(sorted(shapes)),
+               st.booleans(), st.data())
+        def run(seed, n, m, shape, split, data):
+            graph = shapes[shape](n, m, seed)
+            if split:
+                graph = with_second_component(graph, m + 1)
+            n = graph.num_vertices
             index = build_index(graph, "ppl")
+            flat = (index._label_ranks.offsets, index._label_ranks.flat,
+                    index._label_dists.flat)
             rng = np.random.default_rng(seed)
             pairs = [(int(rng.integers(n)), int(rng.integers(n)))
                      for _ in range(30)]
             us, vs = pairs_to_arrays(pairs, n)
-            labels = LabelArrays.from_flat(index._label_ranks.offsets,
-                                           index._label_ranks.flat,
-                                           index._label_dists.flat)
-            best = two_hop_distance_many(labels, us, vs)
-            assert finalize_distances(best) == \
-                [PPLIndex.distance(index, u, v) for u, v in pairs]
+            expected = [PPLIndex.distance(index, u, v) for u, v in pairs]
+            width = data.draw(st.integers(1, n), label="head_width")
+            for labels in (LabelArrays.from_flat(*flat),
+                           LabelArrays.from_flat(*flat, head_width=width)):
+                best = two_hop_distance_many(labels, us, vs)
+                assert finalize_distances(best) == expected
 
         run()
 
@@ -302,3 +328,55 @@ class TestKernelHelpers:
                                        index._label_dists.flat)
         best = two_hop_distance_many(labels, us, vs)
         assert finalize_distances(best) == [0, 0]
+
+    @pytest.mark.parametrize("max_dist, dtype, width", [
+        (63, np.uint8, 1024),
+        (64, np.uint16, 512),
+        (16_383, np.uint16, 512),
+        (16_384, np.uint32, 256),
+    ])
+    def test_head_dtype_is_the_narrowest_that_sums_two_distances(
+            self, max_dist, dtype, width):
+        """The head is the first unsigned dtype where two real entries
+        sum below ``absent = iinfo.max // 2``, its row 1 KiB; two
+        entries at the largest distance still sum exactly, and absent
+        entries read as no common rank."""
+        # Vertex 0: ranks 0 and 1; vertex 1: rank 1; vertex 2: none.
+        labels = LabelArrays.from_flat(
+            np.array([0, 2, 3, 3]), np.array([0, 1, 1]),
+            np.array([0, max_dist, max_dist], dtype=np.int32))
+        assert labels.head.dtype == dtype
+        assert labels.head_width == width
+        assert labels.head.nbytes == 3 * 1024
+        assert (labels.head[2] == head_absent(dtype)).all()
+        us, vs = pairs_to_arrays([(0, 1), (1, 2), (0, 2), (2, 2)], 3)
+        assert finalize_distances(two_hop_distance_many(labels, us, vs)) \
+            == [2 * max_dist, None, None, 0]
+
+    def test_unsigned_head_answers_as_a_float_head(self):
+        """A store's float32 head (``inf`` absent) and the in-RAM
+        unsigned one answer alike — uint8 on a hub graph, uint16 on a
+        long path beside a second component — at the in-RAM width and
+        at one that leaves most entries to the tail."""
+        from repro.store.index import _float_head
+
+        for graph, dtype in (
+                (barabasi_albert(400, 2, seed=7), np.uint8),
+                (with_second_component(path_graph(300), 5), np.uint16)):
+            index = build_index(graph, "ppl")
+            flat = (index._label_ranks.offsets, index._label_ranks.flat,
+                    index._label_dists.flat)
+            pairs = sample_vertex_pairs(graph, 400, seed=3)
+            pairs += [(0, graph.num_vertices - 1)]
+            us, vs = pairs_to_arrays(pairs, graph.num_vertices)
+            expected = [distance_oracle(graph, u, v) for u, v in pairs]
+            for width in (None, 4):
+                labels = LabelArrays.from_flat(*flat, head_width=width)
+                assert labels.head.dtype == dtype
+                as_float = LabelArrays(
+                    _float_head(labels.head), labels.tail_offsets,
+                    labels.tail_ranks, labels.tail_dists,
+                    labels.num_ranks)
+                for packed in (labels, as_float):
+                    assert finalize_distances(two_hop_distance_many(
+                        packed, us, vs)) == expected

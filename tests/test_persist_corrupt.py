@@ -394,6 +394,12 @@ def _drop_last(name):
     return corrupt
 
 
+def _integer_head(arrays):
+    """A signed-integer head: its absent entries read as distance 0."""
+    head = arrays["head"]
+    arrays["head"] = np.where(np.isinf(head), 0, head).astype(np.int32)
+
+
 #: Each edit leaves a store whose header and payload extents are sound,
 #: but which answers wrong (or fails deep in numpy) if it opens.
 STORE_CORRUPTIONS = {
@@ -402,6 +408,7 @@ STORE_CORRUPTIONS = {
     "tail-offsets-short-of-entries": _set("tail_offsets", -1, 0),
     "order-short": _drop_last("order"),
     "head-row-missing": _drop_last("head"),
+    "head-signed-integers": _integer_head,
 }
 
 
