@@ -64,7 +64,9 @@ def main() -> None:
 
         # --------------------------------------------------------------
         # 3. Zipf-style load: most requests hit a small hot set (the
-        #    batcher deduplicates those), the rest scatter.
+        #    batcher deduplicates those while they wait, and answers
+        #    them from its result cache once computed), the rest
+        #    scatter.
         # --------------------------------------------------------------
         reads = sample_pairs_hotspot(graph, 2000, seed=9,
                                      hot_fraction=0.8,
@@ -82,7 +84,7 @@ def main() -> None:
             text = reply.read().decode("utf-8")
         wanted = ("serving_submitted_total", "serving_answered_total",
                   "serving_deduplicated_total",
-                  "session_cache_hits_total", "serving_epoch")
+                  "serving_cache_hits_total", "serving_epoch")
         print("\nscraped /metrics samples:")
         for line in text.splitlines():
             if line.startswith(wanted):

@@ -36,7 +36,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The serving stack: 2 worker processes answering from one
     #    mapped snapshot file they share, requests coalesced and
-    #    deduplicated into batches, per-worker result caches.
+    #    deduplicated into batches, one result cache in front.
     # ------------------------------------------------------------------
     with QueryService(index, num_workers=2,
                       options=QueryOptions(mode="distance",
@@ -112,8 +112,8 @@ def main() -> None:
         print(f"\nlatency report: {report.format()}")
         stats = service.stats()
         print(f"batches: {stats['batches']}, deduplicated: "
-              f"{stats['deduplicated']}, final epoch: "
-              f"{stats['epoch']}")
+              f"{stats['deduplicated']}, cache hits: "
+              f"{stats['cache_hits']}, final epoch: {stats['epoch']}")
 
         epochs_seen = sorted({epoch for *_rest, epoch
                               in report.answers})

@@ -168,7 +168,8 @@ _FLAGS = {
                    help="run N sampled random pairs"),
     "seed": dict(type=int, help="seed for whatever the command samples"),
     "cache": dict(type=non_negative_int("cache size"),
-                  help="LRU result cache size (serve: per worker)"),
+                  help="LRU result cache size (serve: one cache in "
+                       "front of the workers)"),
     "budget": dict(type=positive_float("time budget"),
                    help="seconds before truncating (serve: per request)"),
     "workers": dict(type=positive_int("worker count"),
@@ -555,7 +556,8 @@ def _run_serve(args) -> int:
             print(report.format())
             stats = service.stats()
             print(f"batches: {stats['batches']}, deduplicated: "
-                  f"{stats['deduplicated']}, epoch: {stats['epoch']}")
+                  f"{stats['deduplicated']}, cache hits: "
+                  f"{stats['cache_hits']}, epoch: {stats['epoch']}")
             return 0
         server = make_server(service, host=args.host, port=args.port)
         host, bound = server.server_address[:2]

@@ -198,7 +198,9 @@ class LabelArrays:
         whose :func:`head_absent` exceeds twice the largest distance
         (uint8 up to distance 63). Unless ``head_width`` is given, a
         row is 1 KiB — 1,024 uint8 ranks, 512 uint16 ones — narrowed
-        so the whole head stays within 64 MiB on huge graphs.
+        so the whole head stays within 64 MiB on huge graphs, and
+        never wider than the rank count (a column past the last rank
+        holds no entry).
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         num_vertices = len(offsets) - 1
@@ -211,7 +213,8 @@ class LabelArrays:
             head_width = int(min(
                 _HEAD_ROW_BYTES // dtype.itemsize,
                 max(16, _HEAD_BYTES
-                    // (dtype.itemsize * max(1, num_vertices)))))
+                    // (dtype.itemsize * max(1, num_vertices))),
+                max(1, num_vertices)))
         in_head = flat_ranks < head_width
         # Head entries before each flat position: a vertex's row count
         # and its tail offset both read off it, so no per-entry vertex
@@ -272,26 +275,26 @@ def two_hop_distance_many(labels: LabelArrays, us: np.ndarray,
         np.add(sums, head[vs[chunk]], out=sums)
         best = sums.min(axis=1).astype(np.float64)
         best[best >= absent] = np.inf
-        # Tail: sorted-key intersection (both sides arrive sorted, so
-        # matching is a binary-search pass, not a re-sort).
-        keys_u, dists_u = labels.gather_tail(us[chunk])
-        keys_v, dists_v = labels.gather_tail(vs[chunk])
-        if len(keys_u) and len(keys_v):
+        # Tail: one gather for both sides — slot i is us[i], slot
+        # size + i is vs[i] — then a sorted-key intersection (both
+        # halves arrive sorted, so matching is a binary-search pass,
+        # not a re-sort).
+        size = len(best)
+        keys, dists = labels.gather_tail(
+            np.concatenate((us[chunk], vs[chunk])))
+        shift = size * labels.num_ranks
+        split = int(np.searchsorted(keys, shift))
+        if 0 < split < len(keys):
+            keys_u = keys[:split]
+            keys_v = keys[split:] - shift
             positions = np.searchsorted(keys_u, keys_v)
-            positions[positions == len(keys_u)] = 0
-            matched = keys_u[positions] == keys_v
-            hit_v = np.nonzero(matched)[0]
+            positions[positions == split] = 0
+            hit_v = np.flatnonzero(keys_u[positions] == keys_v)
             if len(hit_v):
-                sums = dists_u[positions[hit_v]] + dists_v[hit_v]
-                slots = keys_v[hit_v] // labels.num_ranks
-                # `slots` ascends: grouped min via reduceat, then one
-                # scatter against the head's answer.
-                group_starts = np.nonzero(
-                    np.r_[True, np.diff(slots) != 0])[0]
-                group_slots = slots[group_starts]
-                best[group_slots] = np.minimum(
-                    best[group_slots],
-                    np.minimum.reduceat(sums, group_starts))
+                sums = dists[positions[hit_v]] + dists[split + hit_v]
+                # Per pair, the least tail sum against the head's.
+                np.minimum.at(best, keys_v[hit_v] // labels.num_ranks,
+                              sums)
         out[chunk] = best
     out[us == vs] = 0.0
     return seal_distances(out)

@@ -161,20 +161,30 @@ def format_sample(name: str, labels: Dict[str, Any],
 
 
 class Counter:
-    """Monotonic float counter with flush-delta bookkeeping."""
+    """Monotonic float counter with flush-delta bookkeeping.
 
-    __slots__ = ("name", "labels", "_lock", "_value", "_flushed")
+    Every change marks the counter in ``dirty`` — its registry's set
+    of instruments touched since the last flush — after the value
+    moves, so a flush racing an increment either takes it or leaves
+    the counter marked.
+    """
 
-    def __init__(self, name: str, labels: _Labels) -> None:
+    __slots__ = ("name", "labels", "_lock", "_value", "_flushed",
+                 "_dirty")
+
+    def __init__(self, name: str, labels: _Labels,
+                 dirty: Optional[set] = None) -> None:
         self.name = name
         self.labels = labels
         self._lock = threading.Lock()
         self._value = 0.0
         self._flushed = 0.0
+        self._dirty = dirty if dirty is not None else set()
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
+            self._dirty.add(self)
 
     @property
     def value(self) -> float:
@@ -217,14 +227,16 @@ class Histogram:
     ``buckets`` are the inclusive upper bounds (``le``); one implicit
     ``+Inf`` bucket catches the tail. Counts are *per bucket* in
     storage and cumulated only at render time, which keeps
-    :meth:`observe_many` a single ``np.add.at``.
+    :meth:`observe_many` a single ``np.add.at``. Every change marks
+    the histogram in ``dirty``, as for :class:`Counter`.
     """
 
     __slots__ = ("name", "labels", "buckets", "_lock", "_counts",
-                 "_sum", "_flushed_counts", "_flushed_sum")
+                 "_sum", "_flushed_counts", "_flushed_sum", "_dirty")
 
     def __init__(self, name: str, labels: _Labels,
-                 buckets: Tuple[float, ...]) -> None:
+                 buckets: Tuple[float, ...],
+                 dirty: Optional[set] = None) -> None:
         self.name = name
         self.labels = labels
         self.buckets = tuple(float(b) for b in buckets)
@@ -238,12 +250,14 @@ class Histogram:
         self._sum = 0.0
         self._flushed_counts = np.zeros_like(self._counts)
         self._flushed_sum = 0.0
+        self._dirty = dirty if dirty is not None else set()
 
     def observe(self, value: float) -> None:
         index = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
+            self._dirty.add(self)
 
     def observe_many(self, values) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -253,6 +267,7 @@ class Histogram:
         with self._lock:
             np.add.at(self._counts, indexes, 1)
             self._sum += float(values.sum())
+            self._dirty.add(self)
 
     # -- reads ----------------------------------------------------------
 
@@ -319,6 +334,7 @@ class Histogram:
                     f"{len(self._counts)}")
             self._counts += counts
             self._sum += float(delta["sum"])
+            self._dirty.add(self)
 
 
 class _Noop:
@@ -367,6 +383,10 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, _Labels], Histogram] = {}
         self._help: Dict[str, str] = {}
         self._collectors: List[_Collector] = []
+        #: Counters and histograms changed since the last flush: a
+        #: value differs from its flushed baseline only while its
+        #: instrument is in here, so a flush visits what changed.
+        self._dirty: set = set()
 
     # -- instrument factories ------------------------------------------
 
@@ -378,7 +398,7 @@ class MetricsRegistry:
         with self._lock:
             instrument = self._counters.get(key)
             if instrument is None:
-                instrument = Counter(name, key[1])
+                instrument = Counter(name, key[1], self._dirty)
                 self._counters[key] = instrument
             if help:
                 self._help.setdefault(name, help)
@@ -409,7 +429,7 @@ class MetricsRegistry:
                 instrument = Histogram(
                     name, key[1],
                     tuple(buckets) if buckets is not None
-                    else DEFAULT_LATENCY_BUCKETS)
+                    else DEFAULT_LATENCY_BUCKETS, self._dirty)
                 self._histograms[key] = instrument
             if help:
                 self._help.setdefault(name, help)
@@ -526,27 +546,31 @@ class MetricsRegistry:
         feeds :meth:`merge` on the receiving side. A forked worker
         inherits the parent's absolute counts, so it must discard its
         *first* flush at startup — after that, every flush carries
-        exactly the work done since the one before, once.
+        exactly the work done since the one before, once. Only the
+        instruments marked dirty since the previous flush are visited
+        (the fork inherits the marks with the counts).
         """
-        with self._lock:
-            counters = list(self._counters.values())
-            histograms = list(self._histograms.values())
-        deltas: Dict[str, Any] = {}
+        dirty = self._dirty
+        counter_deltas = {}
+        histogram_deltas = {}
         with _CRITICAL:
-            counter_deltas = {}
-            for c in counters:
-                delta = c._take_delta()
-                if delta:
-                    counter_deltas[(c.name, c.labels)] = delta
-            if counter_deltas:
-                deltas["counters"] = counter_deltas
-            histogram_deltas = {}
-            for h in histograms:
-                delta = h._take_delta()
-                if delta is not None:
-                    histogram_deltas[(h.name, h.labels)] = delta
-            if histogram_deltas:
-                deltas["histograms"] = histogram_deltas
+            for instrument in dirty.copy():
+                # Unmark, then take: a change landing in between is
+                # taken now or marks the instrument again.
+                dirty.discard(instrument)
+                delta = instrument._take_delta()
+                if not delta:
+                    continue
+                key = (instrument.name, instrument.labels)
+                if isinstance(instrument, Counter):
+                    counter_deltas[key] = delta
+                else:
+                    histogram_deltas[key] = delta
+        deltas: Dict[str, Any] = {}
+        if counter_deltas:
+            deltas["counters"] = counter_deltas
+        if histogram_deltas:
+            deltas["histograms"] = histogram_deltas
         return deltas
 
     def merge(self, deltas: Optional[Dict[str, Any]]) -> None:

@@ -10,10 +10,12 @@ that into a *service* that answers millions of them — the ROADMAP's
   threads; a snapshot crosses the boundary as one page-aligned
   file every worker maps read-only, the batch kernel's arrays
   included), one duplex pipe and at most one batch per worker;
-* :class:`~repro.serving.batcher.Batcher` — the one queue in front of
-  the pool and its one dispatch rule (a worker is idle: send; none
-  is: wait and coalesce — no timer), intra-batch deduplication,
-  queue-depth admission control, and per-request time budgets;
+* :class:`~repro.serving.batcher.Batcher` — the one result cache
+  (hot keys of the current epoch never reach a worker) and the one
+  queue in front of the pool with its one dispatch rule (a worker is
+  idle: send; none is: wait and coalesce — no timer), intra-batch
+  deduplication, queue-depth admission control, and per-request time
+  budgets;
 * :class:`~repro.serving.snapshot.SnapshotManager` — versioned,
   hot-swappable snapshots keyed on ``PathIndex.version``, so serving
   stays oracle-exact per epoch while a

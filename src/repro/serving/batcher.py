@@ -1,4 +1,5 @@
-"""Request batching: one queue, coalescing, deduplication, admission.
+"""Request batching: one result cache, one queue, coalescing,
+deduplication, admission.
 
 Per-request IPC would drown the worker pool in pipe overhead — a
 label-merge distance query costs tens of microseconds, about the same
@@ -29,6 +30,16 @@ ordered keys — an SPG is oriented, and a reversed caller must not
 receive a flipped object. Under hot-key traffic (see
 ``sample_pairs_hotspot``) this cuts worker work well below the
 request count.
+
+In front of the queue sits the served path's one *result cache*: an
+LRU of at most ``cache_size`` answers, keyed by the same normalized
+``(u, v)`` key plus the mode, holding answers of the current epoch
+only. A hit is answered inside :meth:`~Batcher.submit_many`, under its
+lock, as ``Answer(value, epoch)`` — never queued, never counted
+against ``max_pending``, never expired — so a hot key costs no worker
+round trip. Only answers of the current epoch are stored, and the
+first admission after a publish empties the LRU, so every hit is exact
+at the epoch it names. Workers keep no cache of their own.
 
 Flow control is explicit rather than emergent:
 
@@ -94,6 +105,10 @@ _COUNTER_SERIES = {
 }
 
 
+#: Cache lookup miss (a cached answer may itself be ``None``).
+_MISS = object()
+
+
 class Answer(NamedTuple):
     """A resolved request: the value plus the epoch that served it."""
 
@@ -150,8 +165,10 @@ class Batcher:
     ``handle_provider`` returns the current
     :class:`~repro.serving.snapshot.SnapshotHandle`; it is consulted
     at dispatch time, so a hot swap takes effect on the very next
-    batch without any coordination with callers. All sends to the
-    pool happen under this object's lock, one at a time.
+    batch without any coordination with callers, and at admission, to
+    key the result cache (``cache_size`` answers; ``0`` turns it off)
+    on the current epoch. All sends to the pool happen under this
+    object's lock, one at a time.
     """
 
     def __init__(self, pool: WorkerPool,
@@ -160,11 +177,14 @@ class Batcher:
                  max_pending: int = 10_000,
                  time_budget: Optional[float] = None,
                  directed: bool = False,
-                 slow_query_ms: Optional[float] = None) -> None:
+                 slow_query_ms: Optional[float] = None,
+                 cache_size: int = 0) -> None:
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")
         if max_pending < 1:
             raise ServingError("max_pending must be >= 1")
+        if cache_size < 0:
+            raise ServingError("cache_size must be >= 0")
         self._pool = pool
         self._handle_provider = handle_provider
         self.max_batch = max_batch
@@ -177,6 +197,11 @@ class Batcher:
         #: for most requests, so this is the parent-side complement of
         #: the session-level slow log).
         self.slow_query_ms = slow_query_ms
+        self.cache_size = cache_size
+        #: The result cache: answers of epoch ``_cache_epoch`` by
+        #: ``(key, mode)``, least recently used first.
+        self._cache: collections.OrderedDict = collections.OrderedDict()
+        self._cache_epoch = -1
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         #: Batches no worker has taken yet, oldest first.
@@ -197,7 +222,10 @@ class Batcher:
             "submitted": 0, "answered": 0, "failed": 0,
             "deduplicated": 0, "rejected": 0, "expired": 0,
             "batches": 0, "retries": 0, "worker_seconds": 0.0,
-            "worker_cache_hits": 0, "worker_deaths": 0,
+            "cache_hits": 0, "worker_deaths": 0,
+            # Workers keep no cache; the key stays, reading 0, for
+            # readers of the earlier stats shape.
+            "worker_cache_hits": 0,
         }
         # Every key above also mirrors into the process registry
         # (`_count` bumps both), so the `stats()` dict and `/metrics`
@@ -262,29 +290,45 @@ class Batcher:
         ``None``): batches are keyed on it, so two spellings of one
         mode would neither coalesce nor deduplicate.
 
-        All-or-nothing against the pending limit: a burst that does
-        not fit raises :class:`ServiceOverloadedError` without partial
+        A pair whose answer is in the result cache resolves before this
+        returns. All-or-nothing against the pending limit, which counts
+        the other pairs only: a burst whose uncached pairs do not fit
+        raises :class:`ServiceOverloadedError` without partial
         admission.
         """
-        pairs = list(pairs)
         now = time.monotonic()
         deadline = (now + self.time_budget
                     if self.time_budget is not None else None)
+        keys = [normalize_pair(u, v, mode, self.directed)
+                for u, v in pairs]
         futures: List["Future[Answer]"] = []
         with self._lock:
             if self._closed:
                 raise ServingError("batcher is closed")
-            if self._pending + len(pairs) > self.max_pending:
-                self._count("rejected", len(pairs))
+            hits = self._lookup_locked(keys, mode)
+            misses = len(keys) - len(hits)
+            if self._pending + misses > self.max_pending:
+                self._count("rejected", len(keys))
                 raise ServiceOverloadedError(
-                    f"burst of {len(pairs)} does not fit "
+                    f"burst of {misses} does not fit "
                     f"({self._pending} requests pending, "
                     f"limit {self.max_pending}); retry later"
                 )
-            self._pending += len(pairs)
-            self._count("submitted", len(pairs))
-            for u, v in pairs:
-                key = normalize_pair(u, v, mode, self.directed)
+            self._pending += misses
+            self._count("submitted", len(keys))
+            if hits:
+                self._count("cache_hits", len(hits))
+                self._count("answered", len(hits))
+            for position, key in enumerate(keys):
+                futures.append(Future())
+                if position in hits:
+                    value = hits[position]
+                    self._tap_locked(key, mode, value, self._cache_epoch)
+                    self._m_request_seconds.observe(
+                        time.monotonic() - now)
+                    futures[-1].set_result(
+                        Answer(value, self._cache_epoch))
+                    continue
                 batch = self._open.get(mode)
                 if batch is None:
                     batch = self._open[mode] = _Batch(mode, opened=now)
@@ -298,7 +342,6 @@ class Batcher:
                     if deadline is not None:
                         entry.deadline = max(entry.deadline or 0.0,
                                              deadline)
-                futures.append(Future())
                 entry.futures.append(futures[-1])
                 if len(batch.entries) >= self.max_batch:
                     del self._open[mode]  # full: waits as it is
@@ -530,7 +573,6 @@ class Batcher:
         else:
             self._resolve_locked(batch, response)
             self._stitch_locked(batch, response, None)
-            self._count("worker_cache_hits", response.cache_hits)
 
     def _reap_dead_workers_locked(self) -> None:
         """Heal the pool after a worker death (OOM, kill, segfault).
@@ -628,6 +670,38 @@ class Batcher:
             error=error is not None, mode=batch.mode,
             pairs=len(batch.entries)))
 
+    def _current_cache_locked(self):
+        """The result cache, holding answers of the current epoch only
+        (the first call after a publish empties it); ``None`` when
+        ``cache_size`` is 0."""
+        if not self.cache_size:
+            return None
+        epoch = self._handle_provider().epoch
+        if epoch != self._cache_epoch:
+            self._cache.clear()
+            self._cache_epoch = epoch
+        return self._cache
+
+    def _lookup_locked(self, keys, mode: str) -> Dict[int, object]:
+        """Cached answers among ``keys``, by position in ``keys``."""
+        cache = self._current_cache_locked()
+        if not cache:
+            return {}
+        hits = {}
+        for position, key in enumerate(keys):
+            value = cache.get((key, mode), _MISS)
+            if value is not _MISS:
+                cache.move_to_end((key, mode))
+                hits[position] = value
+        return hits
+
+    def _tap_locked(self, key, mode: str, value, epoch: int) -> None:
+        if self._answer_hook is not None:
+            try:
+                self._answer_hook(key[0], key[1], mode, value, epoch)
+            except Exception:  # the audit tap must never fail a
+                pass           # request
+
     def set_answer_hook(self, hook: Optional[Callable]) -> None:
         """Install the resolved-answer tap (``fn(u, v, mode, value,
         epoch)``) the oracle auditor samples from."""
@@ -636,24 +710,26 @@ class Batcher:
 
     def _resolve_locked(self, batch: _Batch, response) -> None:
         now = time.monotonic()
+        cache = self._current_cache_locked()
+        if response.epoch != self._cache_epoch:
+            cache = None  # an older epoch's answers are never stored
         for (key, entry), value in zip(batch.entries.items(),
                                        response.values):
             if isinstance(value, PairError):
                 self._fail_entry_locked(
                     entry, ServingError(value.message))
                 continue
+            if cache is not None:
+                cache[(key, batch.mode)] = value
+                if len(cache) > self.cache_size:
+                    cache.popitem(last=False)
             if entry.deadline is not None and now > entry.deadline:
                 self._fail_entry_locked(entry, RequestExpiredError(
                     f"request ({key[0]}, {key[1]}) answered after its "
                     f"time budget"), expired=True)
                 continue
             answer = Answer(value, response.epoch)
-            if self._answer_hook is not None:
-                try:
-                    self._answer_hook(key[0], key[1], batch.mode, value,
-                                      response.epoch)
-                except Exception:  # the audit tap must never fail a
-                    pass           # request
+            self._tap_locked(key, batch.mode, value, response.epoch)
             elapsed = now - entry.submitted
             self._m_request_seconds.observe(elapsed)
             if (self.slow_query_ms is not None

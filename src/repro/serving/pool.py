@@ -6,8 +6,10 @@ threads cannot scale them — every merge holds the GIL. The
 materialized over a read-only mapping of the current snapshot file
 (:mod:`repro.serving.snapshot` — the label pages are shared by the
 fleet, not copied per worker) and a
-:class:`~repro.engine.session.QuerySession` over it (giving every
-worker the version-keyed LRU result cache for free).
+:class:`~repro.engine.session.QuerySession` over it. A worker keeps no
+result cache: the served path's one LRU sits in front of the fleet, in
+the :class:`~repro.serving.batcher.Batcher`, so a repeated key never
+makes the round trip to a worker.
 
 Protocol: each worker owns one duplex pipe. The parent sends it
 :class:`BatchMessage` tuples and the worker answers on the same pipe;
@@ -42,7 +44,12 @@ Failure containment: a bad pair (unknown vertex) poisons only its own
 slot in the response (:class:`PairError`), and a batch-level failure
 (e.g. a retired snapshot file) is reported in the response's
 ``error`` field for the batcher to retry against the current epoch —
-neither kills the worker.
+neither kills the worker. A worker that does die is seen by one
+reaper: the receiving thread waits on every worker's process sentinel
+beside the pipes and records the death once;
+:attr:`~WorkerPool.alive_workers` and :meth:`~WorkerPool.respawn`
+read that record, so no caller or HTTP thread ever calls ``waitpid``
+on a worker.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import os
 import threading
 import time
 from multiprocessing.connection import wait
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .._util import Stopwatch
 from ..engine.session import QueryOptions, QuerySession
@@ -110,8 +117,6 @@ class BatchResponse(NamedTuple):
     values: Optional[List]
     error: Optional[str]
     seconds: float
-    #: Result-cache hits while answering *this* batch.
-    cache_hits: int
     #: Metrics-registry deltas since the worker's previous response
     #: (:meth:`repro.obs.MetricsRegistry.flush_deltas`); the batcher
     #: merges them into the parent registry. ``None`` when empty.
@@ -270,7 +275,6 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                     index = materialize_snapshot(handle)
                     session = QuerySession(index, options)
                     epoch = handle.epoch
-                hits_before = session.cache_hits_total
                 if trace is not None:
                     # The shipped context makes this root a child of
                     # the batcher-side envelope span; __exit__ runs on
@@ -285,7 +289,7 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
             except BaseException as exc:
                 pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
-                    f"{type(exc).__name__}: {exc}", sw.elapsed, 0,
+                    f"{type(exc).__name__}: {exc}", sw.elapsed,
                     registry.flush_deltas() or None,
                     profile.flush(), resources,
                     span_records(root_span,
@@ -293,7 +297,6 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                 continue
         pipe.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
-            session.cache_hits_total - hits_before,
             registry.flush_deltas() or None,
             profile.flush(), resources,
             span_records(root_span, process=f"worker-{worker_id}")))
@@ -341,6 +344,14 @@ class WorkerPool:
         #: Serializes :meth:`get_response` against :meth:`close`
         #: closing the pipes under it.
         self._receive_lock = threading.Lock()
+        #: The one record of worker deaths: slots whose worker has
+        #: exited and not been replaced yet. Deaths are read off the
+        #: process sentinels — never by ``waitpid``, whose loser in a
+        #: race with another reaper reads a dead child as alive.
+        #: Changed under ``_idle_lock``.
+        self._dead: Set[int] = set()
+        #: Deaths recorded since start, each once.
+        self.deaths = 0
         self._started = False
         self._closed = False
 
@@ -429,14 +440,22 @@ class WorkerPool:
                      ) -> Optional[BatchResponse]:
         """Next answered batch, or ``None`` on timeout.
 
-        Also returns ``None`` — early — when a worker's pipe reads EOF,
-        so the caller notices the death without waiting its timeout
-        out. One consumer at a time (the batcher's collector). The
-        sender of a received message is idle from then on.
+        Waits on the worker process sentinels beside the pipes, so a
+        death is recorded (:attr:`alive_workers`, :meth:`respawn`) the
+        moment it happens, and returns ``None`` early when nothing
+        else arrived — the caller notices the death without waiting
+        its timeout out; so does a pipe that reads EOF. One consumer
+        at a time (the batcher's collector). The sender of a received
+        message is idle from then on.
         """
         with self._receive_lock:
             if not self._received:
-                for pipe in wait(self._readers, timeout):
+                sentinels = self._sentinels()
+                ready = wait([*self._readers, *sentinels], timeout)
+                self._record_deaths(sentinels, ready)
+                for pipe in ready:
+                    if pipe in sentinels:
+                        continue
                     try:
                         message = pipe.recv()
                     except (EOFError, OSError):
@@ -455,10 +474,28 @@ class WorkerPool:
                             self._idle.append(message.worker_id)
             return self._received.popleft() if self._received else None
 
+    def _sentinels(self) -> Dict[int, int]:
+        """Process sentinel -> slot of each worker not recorded dead."""
+        return {process.sentinel: slot
+                for slot, process in enumerate(self._processes)
+                if slot not in self._dead}
+
+    def _record_deaths(self, sentinels: Dict[int, int], ready) -> None:
+        """Record the workers whose sentinel is among ``ready``."""
+        with self._idle_lock:
+            for sentinel in ready:
+                slot = sentinels.get(sentinel)
+                if slot is not None and slot not in self._dead:
+                    self._dead.add(slot)
+                    self.deaths += 1
+
     @property
     def alive_workers(self) -> int:
-        return sum(1 for process in self._processes
-                   if process.is_alive())
+        """Workers not recorded dead: a read of the record, safe from
+        any thread."""
+        if self._closed:
+            return 0
+        return len(self._processes) - len(self._dead)
 
     def respawn(self, handle: SnapshotHandle) -> List[int]:
         """Replace dead workers; returns the respawned worker slots.
@@ -473,19 +510,22 @@ class WorkerPool:
         EOF are closed here: no slot holds them, so no sender reaches
         them. One still being read is closed by a later respawn or by
         :meth:`close`. One thread sends or respawns at a time (the
-        batcher's lock).
+        batcher's lock). A death no :meth:`get_response` has seen yet
+        is recorded here first, from the same sentinels.
         """
         if self._closed or not self._started:
             return []
+        sentinels = self._sentinels()
+        self._record_deaths(sentinels, wait(list(sentinels), 0))
         respawned: List[int] = []
-        for slot, process in enumerate(self._processes):
-            if process.is_alive():
-                continue
+        for slot in sorted(self._dead):
             with self._idle_lock:
                 if slot in self._idle:  # it died holding nothing
                     self._idle.remove(slot)
             self._processes[slot], self._pipes[slot] = \
                 self._spawn(slot, handle)
+            with self._idle_lock:
+                self._dead.discard(slot)
             respawned.append(slot)
         for end in [end for end in self._ends
                     if end not in self._pipes and end not in self._readers]:

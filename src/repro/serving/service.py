@@ -13,8 +13,11 @@ One object wires the three serving pieces over any registered
 * a :class:`~repro.serving.pool.WorkerPool` of query processes, each
   serving from a read-only mapping of the current snapshot, which
   outlives the unlinking of a retired epoch's file;
-* a :class:`~repro.serving.batcher.Batcher` — the one queue in front
-  of the workers: a request leaves the moment a worker is idle, waits
+* a :class:`~repro.serving.batcher.Batcher` — the one result cache
+  and the one queue in front of the workers: a key answered at the
+  current epoch is answered again from the cache
+  (``QueryOptions.cache_size`` answers; the workers keep none), any
+  other request leaves the moment a worker is idle and waits
   (coalescing and deduplicating, under admission control) otherwise.
 
 Typical use::
@@ -39,6 +42,7 @@ even while the graph evolves.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -83,8 +87,10 @@ class QueryService:
         self._closed = False
         try:
             snapshot = self._snapshots.publish()
-            self._pool = WorkerPool(num_workers=num_workers,
-                                    options=self._options)
+            # The batcher's cache is the served path's only one.
+            self._pool = WorkerPool(
+                num_workers=num_workers,
+                options=dataclasses.replace(self._options, cache_size=0))
             self._pool.start(snapshot.handle)
             self._batcher = Batcher(
                 self._pool, self._snapshots.current_handle,
@@ -97,7 +103,8 @@ class QueryService:
                 # The session-level slow log only sees worker-side
                 # time; the batcher's complement logs end-to-end
                 # latency with the queue-wait breakdown.
-                slow_query_ms=self._options.slow_query_ms)
+                slow_query_ms=self._options.slow_query_ms,
+                cache_size=self._options.cache_size)
             # SLO engine: objectives score registry series, with the
             # snapshot manager wired in as the staleness provider.
             objectives = (parse_slo_config(slo_config)

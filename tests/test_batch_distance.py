@@ -338,20 +338,76 @@ class TestKernelHelpers:
     def test_head_dtype_is_the_narrowest_that_sums_two_distances(
             self, max_dist, dtype, width):
         """The head is the first unsigned dtype where two real entries
-        sum below ``absent = iinfo.max // 2``, its row 1 KiB; two
-        entries at the largest distance still sum exactly, and absent
-        entries read as no common rank."""
+        sum below ``absent = iinfo.max // 2``; two entries at the
+        largest distance still sum exactly, and absent entries read as
+        no common rank. By default a row has one column per rank (3
+        here); an explicit width — a 1 KiB row — is kept as given."""
         # Vertex 0: ranks 0 and 1; vertex 1: rank 1; vertex 2: none.
-        labels = LabelArrays.from_flat(
-            np.array([0, 2, 3, 3]), np.array([0, 1, 1]),
-            np.array([0, max_dist, max_dist], dtype=np.int32))
-        assert labels.head.dtype == dtype
-        assert labels.head_width == width
-        assert labels.head.nbytes == 3 * 1024
-        assert (labels.head[2] == head_absent(dtype)).all()
+        flat = (np.array([0, 2, 3, 3]), np.array([0, 1, 1]),
+                np.array([0, max_dist, max_dist], dtype=np.int32))
         us, vs = pairs_to_arrays([(0, 1), (1, 2), (0, 2), (2, 2)], 3)
-        assert finalize_distances(two_hop_distance_many(labels, us, vs)) \
-            == [2 * max_dist, None, None, 0]
+        for head_width, row_bytes in ((None, 3 * np.dtype(dtype).itemsize),
+                                      (width, 1024)):
+            labels = LabelArrays.from_flat(*flat, head_width=head_width)
+            assert labels.head.dtype == dtype
+            assert labels.head.nbytes == 3 * row_bytes
+            assert (labels.head[2] == head_absent(dtype)).all()
+            assert finalize_distances(
+                two_hop_distance_many(labels, us, vs)) \
+                == [2 * max_dist, None, None, 0]
+
+    @pytest.mark.parametrize("num_vertices, width", [
+        (1, 1), (40, 40), (1023, 1023), (1024, 1024), (3000, 1024)])
+    def test_default_head_width_never_exceeds_the_rank_count(
+            self, num_vertices, width):
+        """A column no rank reaches is never packed: the default row is
+        1 KiB of uint8 ranks or the rank count, whichever is less."""
+        labels = LabelArrays.from_flat(
+            np.arange(num_vertices + 1), np.arange(num_vertices),
+            np.zeros(num_vertices, dtype=np.int32))
+        assert labels.head.shape == (num_vertices, width)
+        assert len(labels.tail_ranks) == num_vertices - width
+
+    def test_tail_join_matches_the_scalar_answers(self, tmp_path):
+        """The tail join gathers both sides in one pass; on one-pair
+        batches, ``u == v``, pairs across two components and a graph
+        of fewer than 1,024 ranks — with tails in RAM (narrow heads)
+        and mapped from a packed store — it answers as the scalar
+        merge."""
+        from repro.baselines.ppl import PPLIndex
+        from repro.store import open_store_index, pack_index_store
+
+        graph = with_second_component(barabasi_albert(300, 2, seed=11), 6)
+        n = graph.num_vertices
+        index = build_index(graph, "ppl")
+        flat = (index._label_ranks.offsets, index._label_ranks.flat,
+                index._label_dists.flat)
+        pairs = sample_vertex_pairs(graph, 200, seed=13)
+        pairs += [(5, 5), (n - 1, n - 1), (0, n - 1), (n - 2, 3),
+                  (n - 6, n - 1)]
+        expected = [PPLIndex.distance(index, u, v) for u, v in pairs]
+        assert None in expected and 0 in expected
+        batches = [pairs] + [[pair] for pair in pairs]
+        kernels = [LabelArrays.from_flat(*flat, head_width=width)
+                   for width in (None, 1, 4)]
+        assert kernels[0].head_width == n
+        for labels in kernels:
+            got = []
+            for batch in batches[1:]:
+                got += finalize_distances(two_hop_distance_many(
+                    labels, *pairs_to_arrays(batch, n)))
+            assert got == expected
+            assert finalize_distances(two_hop_distance_many(
+                labels, *pairs_to_arrays(pairs, n))) == expected
+        path = tmp_path / "tails.store"
+        pack_index_store(index, path, head_width=4)
+        store = open_store_index(path)
+        try:
+            assert store.distance_many(pairs) == expected
+            assert [store.distance_many(batch)[0]
+                    for batch in batches[1:]] == expected
+        finally:
+            store.close()
 
     def test_unsigned_head_answers_as_a_float_head(self):
         """A store's float32 head (``inf`` absent) and the in-RAM

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import threading
 import time
 import urllib.error
@@ -212,6 +213,66 @@ class TestRegistry:
         fresh_registry.merge(source.flush_deltas())
         assert fresh_registry.counter("t_total").value == 7
         assert fresh_registry.histogram("t_seconds").count == 2
+
+    def test_flush_visits_only_what_changed(self):
+        """A flush after one ``inc`` carries exactly that series; every
+        way a value moves — merges included — marks it, so a forked
+        worker's first flush still takes the whole inherited
+        baseline."""
+        source = MetricsRegistry()
+        counters = [source.counter(f"t{i}_total") for i in range(40)]
+        histogram = source.histogram("t_seconds")
+        for counter in counters:
+            counter.inc()
+        histogram.observe(0.1)
+        histogram.observe_many([0.2, 0.3])
+        first = source.flush_deltas()
+        assert len(first["counters"]) == 40
+        assert first["histograms"][("t_seconds", ())]["sum"] \
+            == pytest.approx(0.6)
+        assert not source._dirty
+        counters[7].inc(3)
+        assert source.flush_deltas() == {"counters": {("t7_total", ()): 3}}
+        assert source.flush_deltas() == {}
+
+        parent = MetricsRegistry()
+        parent.merge(first)
+        inherited = parent.flush_deltas()
+        assert inherited == first
+        assert parent.flush_deltas() == {}
+
+    def test_flush_racing_increments_loses_nothing(self):
+        """Eight threads increment and observe while another flushes in
+        a loop, with the interpreter switching threads every
+        microsecond: the flushed deltas add up to every change."""
+        source, sink = MetricsRegistry(), MetricsRegistry()
+        counters = [source.counter(f"t{i}_total") for i in range(4)]
+        histogram = source.histogram("t_seconds")
+
+        def bump(counter):
+            for _ in range(2_000):
+                counter.inc()
+                histogram.observe(1e-3)
+
+        threads = [threading.Thread(target=bump, args=(counter,),
+                                    daemon=True)
+                   for counter in counters * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while any(thread.is_alive() for thread in threads):
+                assert time.monotonic() < deadline, "bumpers hung"
+                sink.merge(source.flush_deltas())
+        finally:
+            sys.setswitchinterval(interval)
+        sink.merge(source.flush_deltas())
+        assert [sink.counter(f"t{i}_total").value for i in range(4)] \
+            == [4_000] * 4
+        assert sink.histogram("t_seconds").count == 16_000
+        assert source.flush_deltas() == {}
 
     def test_collector_runs_at_scrape_time(self, fresh_registry):
         calls = []

@@ -752,6 +752,20 @@ def _queue_wait():
     return waits["sum"], waits["count"]
 
 
+def _await(condition, timeout=30.0):
+    """Poll ``condition`` until it holds; fail after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _await_deaths(service, count):
+    """Wait until the service's pool has recorded ``count`` deaths."""
+    _await(lambda: service._pool.deaths >= count)
+    assert service._pool.deaths == count
+
+
 @pytest.mark.timeout(180)
 class TestDispatch:
     def _service(self, graph, num_workers, **kwargs):
@@ -859,7 +873,9 @@ class TestDispatch:
 
     def test_death_costs_only_the_victims_batch(self, served_graph):
         """Both workers hold a batch, one is SIGKILLed: its batch is
-        re-dispatched, the sibling's is left alone and answered once."""
+        re-dispatched, the sibling's is left alone and answered once.
+        The death is observed through the pool's own record — a second
+        ``join`` here would race the pool's reaper."""
         mine = sample_pairs(served_graph, 7, seed=111)
         theirs = sample_pairs(served_graph, 11, seed=113)
         with self._service(served_graph, 2) as service:
@@ -870,10 +886,8 @@ class TestDispatch:
                     futures = [service.submit_many(mine),
                                service.submit_many(theirs)]
                     assert service.stats()["inflight_batches"] == 2
-                    victim = service._pool._processes[0]
-                    victim.kill()
-                    victim.join(timeout=10)
-                    assert not victim.is_alive()
+                    service._pool._processes[0].kill()
+                    _await_deaths(service, 1)
                 for pairs, burst in zip((mine, theirs), futures):
                     for (u, v), future in zip(pairs, burst):
                         assert future.result(timeout=60).value \
@@ -884,6 +898,66 @@ class TestDispatch:
             assert stats["retries"] == 0
             assert sorted(len(response.values)
                           for response in seen) == [7, 11]
+
+    def test_death_under_metrics_scrapes(self, served_graph):
+        """A worker SIGKILLed while another thread scrapes ``/metrics``
+        in a loop — the scrape reads the alive-workers gauge, which
+        used to reap workers itself — costs only its batch: that batch
+        is answered by the replacement while the sibling still holds
+        its own, and every scrape succeeds."""
+        mine = sample_pairs(served_graph, 7, seed=115)
+        theirs = sample_pairs(served_graph, 11, seed=117)
+        with self._service(served_graph, 2) as service:
+            server = make_server(service)
+            server.serve_in_background()
+            host, port = server.server_address[:2]
+            stop, scrapes, errors = threading.Event(), [], []
+
+            def scrape():
+                while not stop.is_set():
+                    try:
+                        with urllib.request.urlopen(
+                                f"http://{host}:{port}/metrics",
+                                timeout=30) as reply:
+                            scrapes.append(reply.status)
+                    except Exception as exc:  # reported below
+                        errors.append(repr(exc))
+
+            scraper = threading.Thread(target=scrape, daemon=True)
+            try:
+                for u, v in mine[:4]:
+                    service.query(u, v)
+                scraper.start()
+                with frozen_workers(service, 0, 1):
+                    futures = [service.submit_many(mine),
+                               service.submit_many(theirs)]
+                    assert service.stats()["inflight_batches"] == 2
+                    key = tuple(sorted(mine[0]))
+                    (victim,) = [
+                        slot for slot, batch
+                        in service._batcher._inflight.items()
+                        if key in batch.entries]
+                    scraped = len(scrapes)
+                    service._pool._processes[victim].kill()
+                    for (u, v), future in zip(mine, futures[0]):
+                        assert future.result(timeout=60).value \
+                            == distance_oracle(served_graph, u, v)
+                    assert not any(f.done() for f in futures[1])
+                    _await(lambda: len(scrapes) > scraped + 2)
+                for (u, v), future in zip(theirs, futures[1]):
+                    assert future.result(timeout=60).value \
+                        == distance_oracle(served_graph, u, v)
+            finally:
+                stop.set()
+                scraper.join(timeout=30)
+                server.shutdown()
+                server.server_close()
+            stats = service.stats()
+        assert not scraper.is_alive()
+        assert errors == []
+        assert set(scrapes) == {200}
+        assert stats["worker_deaths"] == 1
+        assert stats["alive_workers"] == 2
 
     def test_a_worker_never_holds_two_batches(self, served_graph):
         """The invariant that lets the sender use a bare pipe under the
@@ -935,6 +1009,149 @@ class TestDispatch:
             main(["serve", "--dataset", "douban", "--smoke", "10",
                   _DELAY_FLAG, "2"])
         assert rejected.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# The front result cache: a hot key of the current epoch never leaves
+# the batcher
+# ----------------------------------------------------------------------
+
+@pytest.mark.timeout(120)
+class TestFrontCache:
+    def _service(self, index, cache_size=8, **kwargs):
+        return QueryService(index, num_workers=1,
+                            options=QueryOptions(mode="distance",
+                                                 cache_size=cache_size),
+                            **kwargs)
+
+    @pytest.fixture(scope="class")
+    def service(self, served_graph):
+        with self._service(build_index(served_graph, "ppl")) as service:
+            yield service
+
+    @staticmethod
+    def _hits_series(service):
+        """``serving_cache_hits_total`` as ``/metrics`` renders it."""
+        (line,) = [line for line in service.metrics_text().splitlines()
+                   if line.startswith("serving_cache_hits_total ")]
+        return float(line.split()[1])
+
+    def test_repeated_key_is_answered_without_a_batch(self, service,
+                                                      served_graph):
+        first = service.query(3, 77)
+        before = service.stats()
+        series = self._hits_series(service)
+        again = service.submit(3, 77)
+        assert again.done()  # resolved inside the admission
+        assert again.result() == first \
+            == (distance_oracle(served_graph, 3, 77), 0)
+        after = service.stats()
+        assert after["batches"] == before["batches"]
+        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert after["answered"] == before["answered"] + 1
+        assert after["submitted"] == before["submitted"] + 1
+        assert after["pending"] == 0
+        assert after["worker_cache_hits"] == 0
+        assert self._hits_series(service) == series + 1
+
+    def test_reversed_distance_hits_but_reversed_spg_does_not(
+            self, service, served_graph):
+        service.query(5, 91)
+        before = service.stats()
+        assert service.query(91, 5).value \
+            == distance_oracle(served_graph, 5, 91)
+        hit = service.stats()
+        assert hit["cache_hits"] == before["cache_hits"] + 1
+        assert hit["batches"] == before["batches"]
+        assert service.query(5, 91, mode="spg").value \
+            == spg_oracle(served_graph, 5, 91)
+        reversed_spg = service.query(91, 5, mode="spg").value
+        assert (reversed_spg.source, reversed_spg.target) == (91, 5)
+        assert reversed_spg == spg_oracle(served_graph, 91, 5)
+        after = service.stats()
+        assert after["cache_hits"] == hit["cache_hits"]
+        assert after["batches"] == hit["batches"] + 2
+
+    def test_lru_holds_at_most_cache_size_answers(self, service,
+                                                  served_graph):
+        pairs = sorted({tuple(sorted(pair)) for pair in sample_pairs(
+            served_graph, 60, seed=121)})[:30]
+        for u, v in pairs:
+            service.query(u, v)
+            assert len(service._batcher._cache) <= 8
+        assert len(service._batcher._cache) == 8
+        before = service.stats()
+        service.query(*pairs[-1])  # the newest answer stays
+        service.query(*pairs[0])  # the oldest went
+        after = service.stats()
+        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert after["batches"] == before["batches"] + 1
+
+    def test_burst_of_hits_is_answered_while_the_queue_is_full(
+            self, served_graph):
+        pairs = sorted({tuple(sorted(pair)) for pair in sample_pairs(
+            served_graph, 20, seed=123)})[:5]
+        with self._service(build_index(served_graph, "ppl"),
+                           max_pending=4) as service:
+            hot = service.query(*pairs[0])
+            with frozen_workers(service, 0):
+                held = service.submit_many(pairs[1:])
+                assert service.stats()["pending"] == 4
+                with pytest.raises(ServiceOverloadedError):
+                    service.submit(0, 1)
+                hits = service.submit_many([pairs[0]] * 10)
+                assert all(future.done() for future in hits)
+                assert [future.result() for future in hits] == [hot] * 10
+                assert service.stats()["pending"] == 4
+            for (u, v), future in zip(pairs[1:], held):
+                assert future.result(timeout=30).value \
+                    == distance_oracle(served_graph, u, v)
+
+    def test_cache_size_zero_caches_nothing(self, served_graph):
+        with self._service(build_index(served_graph, "ppl"),
+                           cache_size=0) as service:
+            service.query(3, 77)
+            before = service.stats()
+            assert service.query(3, 77).value \
+                == distance_oracle(served_graph, 3, 77)
+            after = service.stats()
+            assert after["batches"] == before["batches"] + 1
+            assert after["cache_hits"] == 0
+            assert len(service._batcher._cache) == 0
+
+    def test_publish_clears_the_cache(self):
+        """After an update the pair is answered at the new epoch with
+        the new graph's distance, never the cached epoch-0 answer."""
+        graph = _small_graph(seed=125, n=120)
+        u, v = next((u, v) for u, v in sample_pairs(graph, 50, seed=127)
+                    if distance_oracle(graph, u, v) > 2)
+        with self._service(build_index(graph, "dynamic")) as service:
+            assert service.query(u, v) == (distance_oracle(graph, u, v), 0)
+            assert service.query(u, v).epoch == 0  # a hit
+            assert service.stats()["cache_hits"] == 1
+            assert service.apply_updates([("insert", u, v)])["epoch"] == 1
+            evolved = service.source.graph
+            assert service.query(u, v) == (1, 1)
+            assert distance_oracle(evolved, u, v) == 1
+            assert service.query(v, u) == (1, 1)  # a hit at epoch 1
+            assert service.stats()["cache_hits"] == 2
+
+    def test_audit_tap_sees_hits(self, served_graph):
+        with self._service(build_index(served_graph, "ppl"),
+                           audit_rate=1.0) as service:
+            seen = []
+            offer = service.auditor.offer
+            service._batcher.set_answer_hook(
+                lambda *answer: (seen.append(answer), offer(*answer)))
+            before = service.audit_stats()
+            first = service.query(3, 77)
+            service.query(77, 3)
+            assert service.stats()["cache_hits"] == 1
+            assert seen == [(3, 77, "distance", first.value, 0)] * 2
+            assert service.auditor.flush()
+            audit = service.audit_stats()
+            assert audit["checked"] == before["checked"] + 2
+            assert audit["mismatches"] == before["mismatches"]
 
 
 # ----------------------------------------------------------------------
