@@ -27,7 +27,10 @@ and executes query batches under a :class:`QueryOptions` policy:
 
 The harness's timing loops and the CLI ``query`` subcommand both run
 on sessions, so every index family gets batching, budgets and caching
-without implementing any of it.
+without implementing any of it. The serving tier does not: its workers
+answer from the index directly, and what a session adds — id checks,
+deduplication, the cache, trace sampling, the slow log — happens once,
+in front of the fleet, in :class:`~repro.serving.batcher.Batcher`.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def normalize_pair(u: int, v: int, mode: str,
     keeps the requested order — a reversed caller must never be
     served a flipped object. Directed indexes always keep order. The
     session LRU and the serving batcher both key through this one
-    predicate, so the two layers cannot drift.
+    predicate, so the two caches cannot drift.
     """
     if v < u and mode != "spg" and not directed:
         return v, u
@@ -226,11 +229,11 @@ class QuerySession:
     """Batch query executor over one index.
 
     Sessions are cheap to create and hold only the LRU cache (plus its
-    hit/miss counters) as mutable state; one session per workload (or
-    per serving worker) is the intended granularity. The cache is
-    guarded by a lock, so a session may be shared by the serving
-    front-end's threads; the underlying indexes are read-only at query
-    time, so the queries themselves need no coordination.
+    hit/miss counters) as mutable state; one session per workload and
+    mode is the intended granularity. The cache is guarded by a lock,
+    so a session may be shared by threads; the underlying indexes are
+    read-only at query time, so the queries themselves need no
+    coordination.
     """
 
     def __init__(self, index: PathIndex,
@@ -280,13 +283,10 @@ class QuerySession:
     # Execution
     # ------------------------------------------------------------------
 
-    def query(self, u: int, v: int,
-              mode: Optional[str] = None) -> QueryRecord:
-        """Execute one query under the session's options.
-
-        ``mode`` overrides the session-wide ``options.mode`` for this
-        query (the serving workers answer mixed-mode traffic through
-        one session); when omitted the session default applies.
+    def query(self, u: int, v: int) -> QueryRecord:
+        """Execute one query under the session's options, in its
+        ``options.mode`` (a session answers one mode; build one per
+        mode).
 
         The cache key includes the index's :attr:`~repro.engine.base.
         PathIndex.version`, so entries cached before a mutation can
@@ -296,7 +296,7 @@ class QuerySession:
         ``count-paths``): ``query(v, u)`` hits what ``query(u, v)``
         cached.
         """
-        mode = self.options.resolve_mode(mode)
+        mode = self.options.mode
         u, v = self._index.check_pair(u, v)
         if self._sampler.should_sample():
             with start_trace("query", u=u, v=v, mode=mode) as root:
@@ -357,8 +357,8 @@ class QuerySession:
             log_slow_query(record.u, record.v, record.mode,
                            elapsed_ms, threshold, root)
 
-    def query_many(self, pairs: Iterable[Tuple[int, int]],
-                   mode: Optional[str] = None) -> List[QueryRecord]:
+    def query_many(self, pairs: Iterable[Tuple[int, int]]
+                   ) -> List[QueryRecord]:
         """Answer a batch, bulk-dispatching where the mode allows it.
 
         ``"distance"`` batches take the fast path: the cache is
@@ -372,7 +372,7 @@ class QuerySession:
         batch is marked ``cached``. Other modes fall back to per-pair
         :meth:`query` calls (SPG extraction has no batch kernel).
         """
-        mode = self.options.resolve_mode(mode)
+        mode = self.options.mode
         us, vs = pairs_to_arrays(pairs, self._index.num_vertices)
         pairs = list(zip(us.tolist(), vs.tolist()))
         if self._sampler.should_sample():

@@ -36,7 +36,8 @@ from .registry import get_registry
 
 __all__ = ["OracleAuditor"]
 
-#: Served answers whose value means "unreachable".
+#: How an audit item and the oracle spell "unreachable" (a served
+#: ``None``).
 _UNREACHABLE = float("inf")
 
 
@@ -109,7 +110,9 @@ class OracleAuditor:
                 self._m_dropped.inc()
                 return
             self._queue.append(_AuditItem(
-                int(u), int(v), float(value), int(epoch)))
+                int(u), int(v),
+                _UNREACHABLE if value is None else float(value),
+                int(epoch)))
         self._wakeup.set()
 
     # -- background thread ---------------------------------------------

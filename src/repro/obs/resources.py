@@ -9,11 +9,12 @@ stage histograms cannot explain).
 
 Three pieces:
 
-* :func:`resource_snapshot` — a picklable point-in-time dict (RSS,
-  peak RSS, open fds, GC per-generation collection counts). Serving
-  workers ship one per :class:`~repro.serving.pool.BatchResponse`
-  (rate-limited to ~1/s), and the Batcher keeps the newest per
-  worker, so the parent sees the fleet's memory footprint live;
+* :func:`resource_snapshot` — a picklable point-in-time dict (pid,
+  RSS, peak RSS, open fds, plus the GC collection counts of the
+  calling process). Given another process's pid it reads that
+  process's ``/proc`` entries instead: a serving parent reads each
+  live worker's this way when ``stats()`` or ``GET /metrics`` asks,
+  so the fleet's memory footprint costs the workers nothing;
 * :func:`register_resource_collector` — a scrape-time collector for a
   :class:`~repro.obs.registry.MetricsRegistry`: ``GET /metrics``
   picks up ``process_resident_bytes`` / ``process_peak_resident_bytes``
@@ -81,26 +82,31 @@ def read_proc_status(pid: str = "self") -> Dict[str, int]:
     return out
 
 
-def open_fd_count() -> int:
-    """Open file descriptors of this process (``-1`` off Linux)."""
+def open_fd_count(pid: str = "self") -> int:
+    """Open file descriptors of process ``pid`` (``-1`` off Linux or
+    once the process is gone)."""
     try:
-        return len(os.listdir("/proc/self/fd"))
+        return len(os.listdir(f"/proc/{pid}/fd"))
     except OSError:
         return -1
 
 
-def resource_snapshot() -> Dict[str, Any]:
-    """Point-in-time resource dict (picklable; see module docstring)."""
-    snapshot: Dict[str, Any] = {"pid": os.getpid()}
-    snapshot.update(read_proc_status())
-    fds = open_fd_count()
+def resource_snapshot(pid: Optional[int] = None) -> Dict[str, Any]:
+    """Point-in-time resource dict of this process, or of the process
+    ``pid`` (picklable; see module docstring). GC counts are only
+    readable from inside a process, so only the own-process snapshot
+    carries them."""
+    target = "self" if pid is None else str(pid)
+    snapshot: Dict[str, Any] = {
+        "pid": os.getpid() if pid is None else pid}
+    snapshot.update(read_proc_status(target))
+    fds = open_fd_count(target)
     if fds >= 0:
         snapshot["open_fds"] = fds
-    counts = gc.get_count()
-    stats = gc.get_stats()
-    snapshot["gc_pending"] = sum(counts)
-    snapshot["gc_collections"] = sum(
-        generation["collections"] for generation in stats)
+    if pid is None:
+        snapshot["gc_pending"] = sum(gc.get_count())
+        snapshot["gc_collections"] = sum(
+            generation["collections"] for generation in gc.get_stats())
     return snapshot
 
 

@@ -193,9 +193,8 @@ class Batcher:
         self.directed = directed
         #: End-to-end latency past which a resolved request is logged
         #: to the slow-query log with its queue-wait / worker-residency
-        #: breakdown (``None`` disables; serving has no worker trace
-        #: for most requests, so this is the parent-side complement of
-        #: the session-level slow log).
+        #: breakdown (``None`` disables) — the served path's one slow
+        #: log.
         self.slow_query_ms = slow_query_ms
         self.cache_size = cache_size
         #: The result cache: answers of epoch ``_cache_epoch`` by
@@ -246,13 +245,11 @@ class Batcher:
             help="Admission-to-dispatch wait of one deduplicated "
                  "request key (time spent queued in the batcher "
                  "because no worker was idle).")
-        #: Worker continuous-profiling state: the hz shipped on every
-        #: dispatched batch, the fleet-wide folded-stack counts merged
-        #: from worker responses, and the newest resource snapshot per
-        #: worker.
+        #: Worker profiling state: the hz shipped on every dispatched
+        #: batch and the fleet-wide folded-stack counts merged from
+        #: worker responses.
         self._profile_hz = 0.0
         self._worker_profile: Dict[str, int] = {}
-        self._worker_resources: Dict[int, dict] = {}
         #: Per-batch trace sampling (the HTTP front-end's knob): a
         #: sampled batch is dispatched with a :class:`TraceContext`,
         #: answered under it in its worker, and stitched with the
@@ -402,7 +399,7 @@ class Batcher:
             }
 
     def set_profile_hz(self, hz: float) -> None:
-        """Set the worker continuous-profiling rate (``0`` stops).
+        """Set the worker profiling rate (``0`` stops).
 
         Takes effect on the next dispatched batch per worker —
         activation rides the ordinary request path, exactly like
@@ -413,10 +410,6 @@ class Batcher:
             raise ServingError("profile hz must be >= 0")
         with self._lock:
             self._profile_hz = float(hz)
-
-    @property
-    def profile_hz(self) -> float:
-        return self._profile_hz
 
     def worker_profile(self, *, take: bool = False) -> Dict[str, int]:
         """Fleet-wide folded-stack counts merged from worker responses.
@@ -430,12 +423,6 @@ class Batcher:
                     self._worker_profile, {}
                 return profile
             return dict(self._worker_profile)
-
-    def worker_resources(self) -> Dict[int, dict]:
-        """Newest resource snapshot per worker id."""
-        with self._lock:
-            return {worker_id: dict(snapshot) for worker_id, snapshot
-                    in self._worker_resources.items()}
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain what's possible, then fail anything still pending."""
@@ -557,9 +544,6 @@ class Batcher:
             self._registry.merge(response.metrics)
         if response.profile:
             merge_folded(self._worker_profile, response.profile)
-        if response.resources is not None:
-            self._worker_resources[response.worker_id] = \
-                response.resources
         if batch is None:
             return
         self._count("worker_seconds", response.seconds)
@@ -596,10 +580,6 @@ class Batcher:
             ",".join(map(str, respawned)), handle.epoch,
             len(self._inflight), pool.alive_workers, pool.num_workers)
         for slot in respawned:
-            # A dead worker's profile deltas died with it; drop its
-            # stale resource snapshot so `/stats` doesn't report a
-            # ghost pid.
-            self._worker_resources.pop(slot, None)
             if slot in self._inflight:  # next in line, for whoever
                 self._queue.appendleft(self._inflight.pop(slot))
 

@@ -19,9 +19,9 @@ Endpoints:
     and ``/metrics`` agree by construction.
 ``GET /metrics``
     Prometheus text exposition (``text/plain; version=0.0.4``): every
-    registry series — session caches, kernel/scalar dispatch, shard
-    relays, store page faults, build phases, the serving tier — plus
-    service gauges (pending requests, alive workers, epoch).
+    registry series — shard relays, store page faults, build phases,
+    the serving tier — plus service gauges (pending requests, alive
+    workers, epoch, each live worker's memory and open fds).
 ``GET /trace`` / ``POST /trace``
     Read / set the per-batch trace sampling rate: body
     ``{"rate": 0.25}``, reply ``{"rate": 0.25}``. Sampled batches

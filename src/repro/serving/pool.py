@@ -5,11 +5,16 @@ threads cannot scale them — every merge holds the GIL. The
 :class:`WorkerPool` runs N OS processes instead, each holding an index
 materialized over a read-only mapping of the current snapshot file
 (:mod:`repro.serving.snapshot` — the label pages are shared by the
-fleet, not copied per worker) and a
-:class:`~repro.engine.session.QuerySession` over it. A worker keeps no
-result cache: the served path's one LRU sits in front of the fleet, in
-the :class:`~repro.serving.batcher.Batcher`, so a repeated key never
-makes the round trip to a worker.
+fleet, not copied per worker), and answers a batch straight from it: a
+distance batch is one :meth:`~repro.engine.base.PathIndex.distance_many`
+kernel call, an ``spg`` / ``count-paths`` batch one
+:meth:`~repro.engine.base.PathIndex.query` per pair. Everything else a
+request goes through — id checks, deduplication, the one result
+cache, trace sampling, the slow-query log — happens once, in front of
+the fleet, in the :class:`~repro.serving.batcher.Batcher`; a worker
+keeps none of it. Nor does a worker report its own memory: the parent
+reads each live worker's ``/proc`` entries when asked
+(:meth:`WorkerPool.worker_pids`).
 
 Protocol: each worker owns one duplex pipe. The parent sends it
 :class:`BatchMessage` tuples and the worker answers on the same pipe;
@@ -58,17 +63,15 @@ import collections
 import multiprocessing
 import os
 import threading
-import time
 from multiprocessing.connection import wait
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .._util import Stopwatch
-from ..engine.session import QueryOptions, QuerySession
 from ..errors import ReproError, ServingError
 from ..obs import get_registry
 from ..obs.profiler import SamplingProfiler, merge_folded
-from ..obs.resources import resource_snapshot
-from ..obs.trace import TraceContext, span_records, trace_from_context
+from ..obs.trace import (TraceContext, span, span_records,
+                         trace_from_context)
 from .snapshot import SnapshotHandle, materialize_snapshot
 
 __all__ = ["WorkerPool", "BatchMessage", "BatchResponse", "PairError",
@@ -95,12 +98,13 @@ class BatchMessage(NamedTuple):
     pairs: Tuple[Tuple[int, int], ...]
     #: Distributed-trace context (trace id, batcher-side parent span
     #: id, sampling decision), or ``None`` for the untraced fast path.
-    #: A traced batch runs under the shipped context, so its per-stage
-    #: spans feed the worker's ``stage_seconds`` histograms *and* ride
-    #: home as flat span records in :attr:`BatchResponse.spans` for
-    #: the batcher to stitch into one cross-process tree.
+    #: A traced batch runs under the shipped context, so its
+    #: ``serving.answer`` span feeds the worker's ``stage_seconds``
+    #: histogram *and* rides home as flat span records in
+    #: :attr:`BatchResponse.spans` for the batcher to stitch into one
+    #: cross-process tree.
     trace: Optional[TraceContext] = None
-    #: Continuous-profiling activation flag: ``> 0`` keeps a
+    #: Profiling activation flag: ``> 0`` keeps a
     #: :class:`~repro.obs.profiler.SamplingProfiler` running in the
     #: worker at this rate (started/retuned on the message that flips
     #: it), ``0`` stops it. Accumulated folded-stack deltas ride home
@@ -126,10 +130,6 @@ class BatchResponse(NamedTuple):
     #: batcher merges them into its fleet-wide profile. ``None`` when
     #: no samples accumulated.
     profile: Optional[dict] = None
-    #: Point-in-time :func:`repro.obs.resources.resource_snapshot` of
-    #: the worker process, rate-limited to ~1/s; the batcher keeps the
-    #: newest per worker. ``None`` between refreshes.
-    resources: Optional[dict] = None
     #: Flat span records (:func:`repro.obs.trace.span_records`) from
     #: answering this batch under a shipped trace context — present on
     #: error responses too, so failed batches still produce stitched
@@ -150,25 +150,30 @@ class _Ready(NamedTuple):
     error: Optional[str]
 
 
-def _answer_batch(session: QuerySession, pairs, mode: str) -> List:
-    """Answer one batch through the session (kernel or scalar path).
+def _answer_batch(index, pairs, mode: str) -> List:
+    """Answer one batch straight from the materialized index.
 
-    A distance batch reaches the index whole, as one kernel call on
-    the session's deduplicating bulk path. Ids were checked at
+    A distance batch reaches the index whole, as one
+    :meth:`~repro.engine.base.PathIndex.distance_many` kernel call
+    (the batcher already deduplicated it). Ids were checked at
     admission; should that call raise all the same, the batch is
     answered pair by pair and the bad pair fails alone
     (:class:`PairError`), not its batch-mates.
     """
     if mode == "distance":
         try:
-            return [record.value
-                    for record in session.query_many(pairs, mode=mode)]
+            return index.distance_many(pairs)
         except ReproError:
             pass
     values: List = []
     for u, v in pairs:
         try:
-            values.append(session.query(u, v, mode=mode).value)
+            if mode == "distance":
+                values.append(index.distance(u, v))
+            else:
+                spg = index.query(u, v)
+                values.append(spg if mode == "spg"
+                              else spg.count_paths())
         except ReproError as exc:
             values.append(PairError(str(exc)))
     return values
@@ -212,13 +217,8 @@ class _WorkerProfile:
         return pending or None
 
 
-#: Seconds between worker resource snapshots (reading ``/proc`` per
-#: batch would tax the hot path for data that changes slowly).
-_RESOURCE_INTERVAL = 1.0
-
-
 def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
-                 options: QueryOptions, parent_ends) -> None:
+                 parent_ends) -> None:
     """Worker process body: materialize, then serve batches forever."""
     import signal
 
@@ -238,7 +238,6 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
     registry = get_registry()
     try:
         index = materialize_snapshot(handle)
-        session = QuerySession(index, options)
         epoch = handle.epoch
     except BaseException as exc:  # startup failure: report and exit
         pipe.send(_Ready(worker_id, f"{type(exc).__name__}: {exc}"))
@@ -249,7 +248,6 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
     registry.flush_deltas()
     pipe.send(_Ready(worker_id, None))
     profile = _WorkerProfile()
-    resources_at = 0.0
     while True:
         try:
             message = pipe.recv()
@@ -263,17 +261,11 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
         pairs = message.pairs
         trace = message.trace
         profile.update(message.profile_hz)
-        now = time.monotonic()
-        resources = None
-        if now - resources_at >= _RESOURCE_INTERVAL:
-            resources_at = now
-            resources = resource_snapshot()
         root_span = None
         with Stopwatch() as sw:
             try:
                 if handle.epoch != epoch:
                     index = materialize_snapshot(handle)
-                    session = QuerySession(index, options)
                     epoch = handle.epoch
                 if trace is not None:
                     # The shipped context makes this root a child of
@@ -283,22 +275,23 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                     with trace_from_context(
                             trace, "serving.batch", batch=batch_id,
                             pairs=len(pairs)) as root_span:
-                        values = _answer_batch(session, pairs, mode)
+                        with span("serving.answer", mode=mode):
+                            values = _answer_batch(index, pairs, mode)
                 else:
-                    values = _answer_batch(session, pairs, mode)
+                    values = _answer_batch(index, pairs, mode)
             except BaseException as exc:
                 pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
                     f"{type(exc).__name__}: {exc}", sw.elapsed,
                     registry.flush_deltas() or None,
-                    profile.flush(), resources,
+                    profile.flush(),
                     span_records(root_span,
                                  process=f"worker-{worker_id}")))
                 continue
         pipe.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
             registry.flush_deltas() or None,
-            profile.flush(), resources,
+            profile.flush(),
             span_records(root_span, process=f"worker-{worker_id}")))
 
 
@@ -314,14 +307,12 @@ class WorkerPool:
     :class:`ServingError` instead of a hung first query.
     """
 
-    def __init__(self, num_workers: Optional[int] = None,
-                 options: Optional[QueryOptions] = None) -> None:
+    def __init__(self, num_workers: Optional[int] = None) -> None:
         if num_workers is None:
             num_workers = default_num_workers()
         if num_workers < 1:
             raise ServingError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.options = options if options is not None else QueryOptions()
         self._context = multiprocessing.get_context()
         self._processes: List = []
         #: Parent end of each live worker's pipe, by slot.
@@ -363,8 +354,7 @@ class WorkerPool:
         ours, theirs = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, theirs, handle, self.options,
-                  [ours, *self._readers]),
+            args=(slot, theirs, handle, [ours, *self._readers]),
             daemon=True,
             name=f"repro-serving-worker-{slot}",
         )
@@ -488,6 +478,16 @@ class WorkerPool:
                 if slot is not None and slot not in self._dead:
                     self._dead.add(slot)
                     self.deaths += 1
+
+    def worker_pids(self) -> Dict[int, int]:
+        """Slot -> pid of each worker not recorded dead (a respawned
+        slot names its new process)."""
+        if self._closed:
+            return {}
+        with self._idle_lock:
+            return {slot: process.pid
+                    for slot, process in enumerate(self._processes)
+                    if slot not in self._dead}
 
     @property
     def alive_workers(self) -> int:

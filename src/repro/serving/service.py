@@ -11,8 +11,9 @@ One object wires the three serving pieces over any registered
   disk directory serves an index bigger than RAM out of the OS page
   cache);
 * a :class:`~repro.serving.pool.WorkerPool` of query processes, each
-  serving from a read-only mapping of the current snapshot, which
-  outlives the unlinking of a retired epoch's file;
+  answering batches straight from an index over a read-only mapping
+  of the current snapshot, which outlives the unlinking of a retired
+  epoch's file;
 * a :class:`~repro.serving.batcher.Batcher` — the one result cache
   and the one queue in front of the workers: a key answered at the
   current epoch is answered again from the cache
@@ -42,7 +43,6 @@ even while the graph evolves.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -87,10 +87,7 @@ class QueryService:
         self._closed = False
         try:
             snapshot = self._snapshots.publish()
-            # The batcher's cache is the served path's only one.
-            self._pool = WorkerPool(
-                num_workers=num_workers,
-                options=dataclasses.replace(self._options, cache_size=0))
+            self._pool = WorkerPool(num_workers=num_workers)
             self._pool.start(snapshot.handle)
             self._batcher = Batcher(
                 self._pool, self._snapshots.current_handle,
@@ -100,9 +97,7 @@ class QueryService:
                 # orientation-free modes: a (v, u) distance request
                 # coalesces with (u, v).
                 directed=index.is_directed,
-                # The session-level slow log only sees worker-side
-                # time; the batcher's complement logs end-to-end
-                # latency with the queue-wait breakdown.
+                # End-to-end latency, with the queue-wait breakdown.
                 slow_query_ms=self._options.slow_query_ms,
                 cache_size=self._options.cache_size)
             # SLO engine: objectives score registry series, with the
@@ -271,17 +266,24 @@ class QueryService:
         }
         stats["resources"] = {
             "parent": resource_snapshot(),
-            "workers": self._batcher.worker_resources(),
+            "workers": self._worker_resources(),
         }
         return stats
+
+    def _worker_resources(self) -> Dict[int, dict]:
+        """Slot -> resource snapshot of each live worker, read from
+        its ``/proc`` entries at call time."""
+        return {slot: resource_snapshot(pid) for slot, pid
+                in self._pool.worker_pids().items()}
 
     def metrics_text(self) -> str:
         """Prometheus text for ``GET /metrics``.
 
-        The process registry's full exposition (session, shard, store,
-        build and serving series — worker deltas included, since the
+        The process registry's full exposition (shard, store, build
+        and serving series — worker deltas included, since the
         batcher merges them as responses arrive) followed by
-        point-in-time service gauges.
+        point-in-time service gauges, each live worker's resources
+        among them.
         """
         self._check_open()
         batcher_stats = self._batcher.stats()
@@ -303,23 +305,20 @@ class QueryService:
         _gauge("serving_epoch", current.handle.epoch)
         _gauge("serving_published_epochs", len(self._snapshots.epochs))
         _gauge("serving_trace_sample_rate", self.trace_rate)
-        worker_resources = self._batcher.worker_resources()
-        if worker_resources:
-            for key, name in (
-                    ("rss_bytes", "serving_worker_resident_bytes"),
-                    ("peak_rss_bytes",
-                     "serving_worker_peak_resident_bytes"),
-                    ("open_fds", "serving_worker_open_fds")):
-                rows = [(worker_id, snapshot[key]) for worker_id,
-                        snapshot in sorted(worker_resources.items())
-                        if key in snapshot]
-                if not rows:
-                    continue
-                lines.append(f"# TYPE {name} gauge")
-                lines.extend(
-                    format_sample(name, {"worker": worker_id},
-                                  float(value))
-                    for worker_id, value in rows)
+        worker_resources = sorted(self._worker_resources().items())
+        for key, name in (
+                ("rss_bytes", "serving_worker_resident_bytes"),
+                ("peak_rss_bytes", "serving_worker_peak_resident_bytes"),
+                ("open_fds", "serving_worker_open_fds")):
+            rows = [(worker_id, snapshot[key])
+                    for worker_id, snapshot in worker_resources
+                    if key in snapshot]
+            if not rows:
+                continue
+            lines.append(f"# TYPE {name} gauge")
+            lines.extend(
+                format_sample(name, {"worker": worker_id}, float(value))
+                for worker_id, value in rows)
         return "\n".join(lines) + "\n"
 
     @property
@@ -392,12 +391,11 @@ class QueryService:
 
         With ``workers=False`` (default) the parent process is sampled
         — the submitting/collector/HTTP threads, i.e. serving overhead.
-        With ``workers=True`` the window activates the continuous
-        profiler in every worker instead (activation and folded-stack
-        deltas ride the ordinary batch channel), so the counts
-        attribute actual query execution. Worker profiles only
-        accumulate while batches flow; an idle window returns what
-        little shipped with the stop nudge.
+        With ``workers=True`` the window runs a sampling profiler in
+        every worker instead (activation and folded-stack deltas ride
+        the ordinary batch channel), so the counts attribute actual
+        query execution. Worker samples ship with batches; an idle
+        window returns what little shipped with the stop nudge.
         """
         self._check_open()
         if not workers:
@@ -429,27 +427,6 @@ class QueryService:
                 future.result(timeout=timeout)
             except Exception:
                 pass  # the nudge's answer is irrelevant
-
-    @property
-    def profile_hz(self) -> float:
-        """Current worker continuous-profiling rate (0 = off)."""
-        return self._batcher.profile_hz
-
-    def set_profile_hz(self, hz: float) -> float:
-        """Set the worker continuous-profiling rate; returns it.
-
-        Unlike :meth:`profile` this leaves the profiler running —
-        merged folded stacks accumulate in the batcher and can be read
-        (or drained) any time via ``worker_profile``.
-        """
-        self._check_open()
-        self._batcher.set_profile_hz(hz)
-        return self.profile_hz
-
-    def worker_profile(self, *, take: bool = False) -> Dict[str, int]:
-        """Fleet-wide folded-stack counts accumulated so far."""
-        self._check_open()
-        return self._batcher.worker_profile(take=take)
 
     # ------------------------------------------------------------------
     # Lifecycle

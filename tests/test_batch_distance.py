@@ -287,13 +287,12 @@ class TestBulkSession:
         assert cold.mean_executed_ms() >= 0.0
 
     def test_query_many_rejects_unknown_mode(self, index):
-        session = QuerySession(index)
         with pytest.raises(QueryError, match="unknown query mode"):
-            session.query_many([(0, 1)], mode="teleport")
+            QuerySession(index, QueryOptions(mode="teleport"))
 
-    def test_query_many_mode_override(self, index):
-        session = QuerySession(index, QueryOptions(mode="distance"))
-        (record,) = session.query_many([(0, 5)], mode="spg")
+    def test_query_many_in_spg_mode(self, index):
+        session = QuerySession(index, QueryOptions(mode="spg"))
+        (record,) = session.query_many([(0, 5)])
         assert record.value == spg_oracle(index.graph, 0, 5)
         assert record.mode == "spg"
 

@@ -391,32 +391,36 @@ class TestQuerySession:
         assert report.results == []
         assert report.mean_query_ms() == 0.0
 
-    def test_per_query_mode_override(self, index):
-        session = QuerySession(index, QueryOptions(mode="distance"))
-        record = session.query(0, 4, mode="count-paths")
+    def test_session_mode_sets_every_query(self, index):
+        session = QuerySession(index, QueryOptions(mode="count-paths"))
+        record = session.query(0, 4)
         assert record.mode == "count-paths"
         assert record.value == spg_oracle(index.graph, 0, 4) \
             .count_paths()
-        assert session.query(0, 4).mode == "distance"
+        assert QuerySession(index, QueryOptions(mode="distance")) \
+            .query(0, 4).mode == "distance"
         with pytest.raises(QueryError, match="unknown query mode"):
-            session.query(0, 4, mode="teleport")
+            QueryOptions(mode="teleport")
 
     def test_aggregate_stats_hit_rate_and_mode_counts(self, index):
-        session = QuerySession(index, QueryOptions(mode="distance",
-                                                   cache_size=8))
+        sessions = {mode: QuerySession(index, QueryOptions(
+            mode=mode, cache_size=8)) for mode in ("distance",
+                                                   "count-paths")}
         report = BatchReport(mode="distance")
-        for u, v, mode in [(0, 2, None), (0, 2, None),
+        for u, v, mode in [(0, 2, "distance"), (0, 2, "distance"),
                            (0, 4, "count-paths"), (0, 2, "distance")]:
-            report.records.append(session.query(u, v, mode=mode))
+            report.records.append(sessions[mode].query(u, v))
         aggregate = report.aggregate_stats()
         assert aggregate["mode_counts"] == {"distance": 3,
                                             "count-paths": 1}
         assert aggregate["cache_hits"] == 2
         assert aggregate["cache_hit_rate"] == pytest.approx(0.5)
         # Session-lifetime counters agree with the batch.
-        assert session.cache_hits_total == 2
-        assert session.cache_misses_total == 2
-        assert session.cache_hit_rate == pytest.approx(0.5)
+        assert sum(s.cache_hits_total for s in sessions.values()) == 2
+        assert sum(s.cache_misses_total
+                   for s in sessions.values()) == 2
+        assert sessions["distance"].cache_hit_rate == \
+            pytest.approx(2 / 3)
 
     def test_empty_report_hit_rate_is_zero(self, index):
         aggregate = QuerySession(index).run([]).aggregate_stats()

@@ -464,6 +464,9 @@ class TestServingObservability:
         with QueryService(index, num_workers=2,
                           options=QueryOptions(mode="distance",
                                                cache_size=64)) as service:
+            # Every batch is traced, so each one a worker answers ships
+            # exactly one `serving.answer` stage observation home.
+            service.set_trace_rate(1.0)
             first = sample_vertex_pairs(index.graph, 40, seed=1)
             service.query_many(first)
             service._batcher.drain()
@@ -480,12 +483,15 @@ class TestServingObservability:
             service._batcher.drain()
             # Deltas arrive with responses; drain() guarantees the
             # last response was collected (and merged) already.
-            counters = fresh_registry.snapshot()["counters"]
-            expected = len(first) + len(second)
-            assert counters[
-                "session_queries_total{mode=distance}"] == expected
-            assert counters["serving_worker_respawns_total"] == \
-                service.stats()["worker_deaths"]
+            snapshot = fresh_registry.snapshot()
+            stats = service.stats()
+            assert stats["batches"] >= 2
+            assert snapshot["histograms"][
+                "stage_seconds{stage=serving.answer}"]["count"] == \
+                stats["batches"]
+            assert snapshot["counters"][
+                "serving_worker_respawns_total"] == \
+                stats["worker_deaths"]
 
     def test_respawn_emits_structured_warning(self, caplog,
                                               fresh_registry):
@@ -567,6 +573,10 @@ class TestMetricsEndpoint:
         # fork transport.
         assert self._post(base, "/trace", {"rate": 1.0}) == \
             (200, {"rate": 1.0})
+        answer_stage = 'stage_seconds_count{stage="serving.answer"}'
+        batches = service.stats()["batches"]
+        answered = parse_prometheus(service.metrics_text()).get(
+            answer_stage, 0.0)
         pairs = [[1, 30], [2, 40], [3, 50]]
         status, _ = self._post(base, "/query",
                                {"pairs": pairs, "mode": "distance"})
@@ -586,9 +596,11 @@ class TestMetricsEndpoint:
                 "text/plain")
             text = reply.read().decode("utf-8")
         samples = parse_prometheus(text)
+        # The served distance and spg traffic: four pairs admitted,
+        # and one traced batch per mode timed in its worker.
         assert samples["serving_submitted_total"] >= 4
-        assert samples['session_queries_total{mode="distance"}'] >= 3
-        assert samples['session_queries_total{mode="spg"}'] >= 1
+        assert service.stats()["batches"] - batches == 2
+        assert samples[answer_stage] - answered == 2
         assert samples["dynamic_inserts_total"] >= 1
         assert samples["snapshot_publishes_total"] >= 2
         assert samples["serving_workers"] == 2
@@ -777,7 +789,7 @@ class TestProfileEndpoint:
         assert payload["top"]
         # Worker samples attribute to real frames, and the fleet
         # accumulator was drained by the take.
-        assert service.worker_profile() == {}
+        assert service._batcher.worker_profile() == {}
 
     def test_profile_param_validation(self, endpoint):
         base, _service, _graph = endpoint
@@ -787,15 +799,6 @@ class TestProfileEndpoint:
                 urllib.request.urlopen(
                     f"{base}/profile?{query}", timeout=30)
             assert excinfo.value.code == 400
-
-    def test_service_profile_hz_knob(self, endpoint):
-        _base, service, _graph = endpoint
-        assert service.profile_hz == 0.0
-        service.set_profile_hz(50.0)
-        assert service.profile_hz == 50.0
-        service.set_profile_hz(0.0)
-        with pytest.raises(Exception):
-            service.set_profile_hz(-1.0)
 
     def test_nudge_is_addressed_to_each_worker(self, endpoint):
         """One worker busy, the nudge still reaches the other — and

@@ -11,6 +11,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -36,6 +37,7 @@ from repro.serving import (
     Batcher,
     BatchMessage,
     BatchResponse,
+    PairError,
     QueryService,
     SnapshotManager,
     WorkerPool,
@@ -633,6 +635,36 @@ class TestServiceLifecycle:
             pool.close()
             manager.close()
 
+    def test_bad_pair_fails_alone_in_every_mode(self):
+        """A pair the index refuses (admission normally stops it) costs
+        only its own slot: a distance batch falls back from the one
+        kernel call to pair-by-pair answers, and spg / count-paths
+        batches are answered pair by pair anyway."""
+        graph = _small_graph(seed=3, n=40)
+        manager = SnapshotManager(build_index(graph, "ppl"))
+        handle = manager.publish().handle
+        pool = WorkerPool(num_workers=1)
+        try:
+            pool.start(handle)
+            for batch_id, mode in enumerate(
+                    ("distance", "spg", "count-paths")):
+                pool.submit(BatchMessage(batch_id, handle, mode,
+                                         ((0, 5), (0, 99), (5, 9))))
+                response = pool.get_response(timeout=30)
+                assert response.error is None
+                spgs = [spg_oracle(graph, 0, 5), spg_oracle(graph, 5, 9)]
+                expected = {
+                    "distance": [spg.distance for spg in spgs],
+                    "spg": spgs,
+                    "count-paths": [spg.count_paths() for spg in spgs],
+                }[mode]
+                assert response.values[::2] == expected
+                assert isinstance(response.values[1], PairError)
+                assert "99" in response.values[1].message
+        finally:
+            pool.close()
+            manager.close()
+
     def test_worker_killed_mid_response_spares_its_siblings(self):
         """A worker SIGKILLed while blocked half-way through sending a
         response must cost only its own pipe: the sibling's next
@@ -1015,6 +1047,59 @@ class TestDispatch:
 # The front result cache: a hot key of the current epoch never leaves
 # the batcher
 # ----------------------------------------------------------------------
+
+_RESOURCE_GAUGES = ("serving_worker_resident_bytes",
+                    "serving_worker_peak_resident_bytes",
+                    "serving_worker_open_fds")
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="worker resources are read from /proc")
+class TestWorkerResources:
+    """The parent reads each live worker's ``/proc`` entries when
+    ``stats()`` or ``/metrics`` asks; no worker reports its own."""
+
+    def _service(self, graph):
+        return QueryService(build_index(graph, "ppl"), num_workers=2,
+                            options=QueryOptions(mode="distance"))
+
+    def test_every_live_worker_reports_before_its_first_batch(
+            self, served_graph):
+        with self._service(served_graph) as service:
+            workers = service.stats()["resources"]["workers"]
+            assert service.stats()["batches"] == 0
+            assert sorted(workers) == [0, 1]
+            for slot, snapshot in workers.items():
+                assert snapshot["pid"] == service._pool._processes[slot].pid
+                assert snapshot["rss_bytes"] > 0
+                assert snapshot["peak_rss_bytes"] >= snapshot["rss_bytes"]
+                assert snapshot["open_fds"] > 0
+
+    def test_respawned_worker_reports_its_new_pid(self, served_graph):
+        with self._service(served_graph) as service:
+            old = service.stats()["resources"]["workers"][0]["pid"]
+            os.kill(old, signal.SIGKILL)
+            _await_deaths(service, 1)
+            _await(lambda: service.stats()["alive_workers"] == 2)
+            workers = service.stats()["resources"]["workers"]
+            assert sorted(workers) == [0, 1]
+            assert workers[0]["pid"] != old
+            assert workers[0]["pid"] == service._pool._processes[0].pid
+            assert workers[0]["rss_bytes"] > 0
+            assert service.query(0, 1).value \
+                == distance_oracle(served_graph, 0, 1)
+
+    def test_metrics_carry_one_gauge_per_worker(self, served_graph):
+        with self._service(served_graph) as service:
+            lines = service.metrics_text().splitlines()
+        for name in _RESOURCE_GAUGES:
+            assert f"# TYPE {name} gauge" in lines
+            for slot in (0, 1):
+                (sample,) = [line for line in lines if line.startswith(
+                    f'{name}{{worker="{slot}"}} ')]
+                assert float(sample.rpartition(" ")[2]) > 0
+
 
 @pytest.mark.timeout(120)
 class TestFrontCache:

@@ -18,7 +18,7 @@ import pytest
 from repro import QueryOptions, build_index
 from repro.baselines.oracle import distance_oracle
 from repro.cli import main
-from repro.graph import barabasi_albert
+from repro.graph import Graph, barabasi_albert
 from repro.obs import (
     DEFAULT_SLO_CONFIG,
     MetricsRegistry,
@@ -26,6 +26,7 @@ from repro.obs import (
     SloEngine,
     get_registry,
     parse_slo_config,
+    set_registry,
 )
 from repro.serving import QueryService, make_server
 from repro.workloads import sample_pairs
@@ -304,6 +305,26 @@ class TestAuditedFleet:
         correctness = report["objectives"]["correctness"]
         assert not correctness["breached"]
         assert correctness["budget_remaining"] == pytest.approx(1.0)
+
+    def test_disconnected_answer_is_audited(self):
+        """A served ``None`` (no path) is checked like any distance:
+        it matches the oracle's "unreachable" instead of being lost
+        after the sampler spent its slot."""
+        graph = Graph.from_edges([(0, 1), (1, 2), (3, 4)],
+                                 num_vertices=5)
+        previous = set_registry(MetricsRegistry())
+        try:
+            with QueryService(build_index(graph, "ppl"), num_workers=1,
+                              options=QueryOptions(mode="distance"),
+                              audit_rate=1.0) as service:
+                assert service.query(0, 3).value is None
+                assert service.query(0, 2).value == 2
+                assert service.auditor.flush()
+                stats = service.audit_stats()
+        finally:
+            set_registry(previous)
+        assert stats["checked"] == 2
+        assert stats["mismatches"] == 0
 
     def test_wrong_answer_breaches_correctness(self):
         graph = _graph(seed=17, n=120)
