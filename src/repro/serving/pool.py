@@ -12,9 +12,11 @@ kernel call, an ``spg`` / ``count-paths`` batch one
 request goes through — id checks, deduplication, the one result
 cache, trace sampling, the slow-query log — happens once, in front of
 the fleet, in the :class:`~repro.serving.batcher.Batcher`; a worker
-keeps none of it. Nor does a worker report its own memory: the parent
-reads each live worker's ``/proc`` entries when asked
-(:meth:`WorkerPool.worker_pids`).
+keeps none of it but the per-mode series a session feeds
+(``session_queries_total{mode}``, and ``session_query_seconds{mode}``
+once per index call), which the default latency SLOs read. Nor does
+a worker report its own memory: the parent reads each live worker's
+``/proc`` entries when asked (:meth:`WorkerPool.worker_pids`).
 
 Protocol: each worker owns one duplex pipe. The parent sends it
 :class:`BatchMessage` tuples and the worker answers on the same pipe;
@@ -150,7 +152,7 @@ class _Ready(NamedTuple):
     error: Optional[str]
 
 
-def _answer_batch(index, pairs, mode: str) -> List:
+def _answer_batch(index, pairs, mode: str, seconds) -> List:
     """Answer one batch straight from the materialized index.
 
     A distance batch reaches the index whole, as one
@@ -158,22 +160,28 @@ def _answer_batch(index, pairs, mode: str) -> List:
     (the batcher already deduplicated it). Ids were checked at
     admission; should that call raise all the same, the batch is
     answered pair by pair and the bad pair fails alone
-    (:class:`PairError`), not its batch-mates.
+    (:class:`PairError`), not its batch-mates. Every index call that
+    answers is timed into the ``seconds`` histogram.
     """
     if mode == "distance":
         try:
-            return index.distance_many(pairs)
+            with Stopwatch() as sw:
+                values = index.distance_many(pairs)
+            seconds.observe(sw.elapsed)
+            return values
         except ReproError:
             pass
     values: List = []
     for u, v in pairs:
         try:
-            if mode == "distance":
-                values.append(index.distance(u, v))
-            else:
-                spg = index.query(u, v)
-                values.append(spg if mode == "spg"
-                              else spg.count_paths())
+            with Stopwatch() as sw:
+                if mode == "distance":
+                    value = index.distance(u, v)
+                else:
+                    spg = index.query(u, v)
+                    value = spg if mode == "spg" else spg.count_paths()
+            seconds.observe(sw.elapsed)
+            values.append(value)
         except ReproError as exc:
             values.append(PairError(str(exc)))
     return values
@@ -248,6 +256,8 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
     registry.flush_deltas()
     pipe.send(_Ready(worker_id, None))
     profile = _WorkerProfile()
+    # Mode -> (pairs counter, per-call seconds histogram).
+    meters: Dict[str, tuple] = {}
     while True:
         try:
             message = pipe.recv()
@@ -261,6 +271,11 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
         pairs = message.pairs
         trace = message.trace
         profile.update(message.profile_hz)
+        if mode not in meters:
+            meters[mode] = (
+                registry.counter("session_queries_total", mode=mode),
+                registry.histogram("session_query_seconds", mode=mode))
+        queries, seconds = meters[mode]
         root_span = None
         with Stopwatch() as sw:
             try:
@@ -276,9 +291,10 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                             trace, "serving.batch", batch=batch_id,
                             pairs=len(pairs)) as root_span:
                         with span("serving.answer", mode=mode):
-                            values = _answer_batch(index, pairs, mode)
+                            values = _answer_batch(index, pairs, mode,
+                                                   seconds)
                 else:
-                    values = _answer_batch(index, pairs, mode)
+                    values = _answer_batch(index, pairs, mode, seconds)
             except BaseException as exc:
                 pipe.send(BatchResponse(
                     batch_id, handle.epoch, worker_id, None,
@@ -288,6 +304,7 @@ def _worker_main(worker_id: int, pipe, handle: SnapshotHandle,
                     span_records(root_span,
                                  process=f"worker-{worker_id}")))
                 continue
+        queries.inc(len(pairs))
         pipe.send(BatchResponse(
             batch_id, epoch, worker_id, values, None, sw.elapsed,
             registry.flush_deltas() or None,

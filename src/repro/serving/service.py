@@ -19,7 +19,10 @@ One object wires the three serving pieces over any registered
   current epoch is answered again from the cache
   (``QueryOptions.cache_size`` answers; the workers keep none), any
   other request leaves the moment a worker is idle and waits
-  (coalescing and deduplicating, under admission control) otherwise.
+  (coalescing and deduplicating, under admission control) otherwise;
+  it also samples batches for tracing, at
+  ``QueryOptions.trace_sample`` until :meth:`QueryService.set_trace_rate`
+  says otherwise.
 
 Typical use::
 
@@ -100,6 +103,11 @@ class QueryService:
                 # End-to-end latency, with the queue-wait breakdown.
                 slow_query_ms=self._options.slow_query_ms,
                 cache_size=self._options.cache_size)
+            # Tracing is sampled per batch, in the batcher; answers
+            # carry values only, so ``collect_stats`` has no served
+            # effect.
+            self._batcher.trace_sampler.set_rate(
+                self._options.trace_sample)
             # SLO engine: objectives score registry series, with the
             # snapshot manager wired in as the staleness provider.
             objectives = (parse_slo_config(slo_config)
@@ -272,9 +280,13 @@ class QueryService:
 
     def _worker_resources(self) -> Dict[int, dict]:
         """Slot -> resource snapshot of each live worker, read from
-        its ``/proc`` entries at call time."""
-        return {slot: resource_snapshot(pid) for slot, pid
-                in self._pool.worker_pids().items()}
+        its ``/proc`` entries at call time. A worker that exited
+        before any reaper saw it has no ``/proc`` entry left and is
+        left out."""
+        snapshots = {slot: resource_snapshot(pid) for slot, pid
+                     in self._pool.worker_pids().items()}
+        return {slot: snapshot for slot, snapshot in snapshots.items()
+                if "rss_bytes" in snapshot}
 
     def metrics_text(self) -> str:
         """Prometheus text for ``GET /metrics``.

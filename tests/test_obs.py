@@ -22,6 +22,7 @@ import pytest
 
 from repro import Graph, QueryOptions, build_index
 from repro.engine.session import QuerySession
+from repro.errors import ServingError
 from repro.graph import barabasi_albert
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -628,6 +629,18 @@ class TestMetricsEndpoint:
         assert self._post(base, "/trace", {"rate": "x"})[0] == 400
         self._post(base, "/trace", {"rate": 0.0})
 
+    def test_options_trace_sample_seeds_the_batch_sampler(self):
+        """``QueryOptions.trace_sample`` handed to a service samples
+        its batches from the start, as ``set_trace_rate`` would."""
+        graph = _small_graph(seed=31, n=60)
+        with QueryService(build_index(graph, "ppl"), num_workers=1,
+                          options=QueryOptions(mode="distance",
+                                               trace_sample=1.0)
+                          ) as service:
+            assert service.trace_rate == 1.0
+            service.query(0, 5)
+            assert service.traces(limit=None)
+
 
 # ----------------------------------------------------------------------
 # CLI commands
@@ -792,13 +805,15 @@ class TestProfileEndpoint:
         assert service._batcher.worker_profile() == {}
 
     def test_profile_param_validation(self, endpoint):
-        base, _service, _graph = endpoint
+        base, service, _graph = endpoint
         for query in ("seconds=0", "seconds=1000", "seconds=x",
                       "hz=0", "hz=2000", "hz=x"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(
                     f"{base}/profile?{query}", timeout=30)
             assert excinfo.value.code == 400
+        with pytest.raises(ServingError):
+            service.profile(0.01, hz=-1.0, workers=True)
 
     def test_nudge_is_addressed_to_each_worker(self, endpoint):
         """One worker busy, the nudge still reaches the other — and

@@ -12,6 +12,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -1089,6 +1091,20 @@ class TestWorkerResources:
             assert workers[0]["rss_bytes"] > 0
             assert service.query(0, 1).value \
                 == distance_oracle(served_graph, 0, 1)
+
+    def test_worker_gone_from_proc_is_left_out(self, served_graph,
+                                               monkeypatch):
+        """A worker that exited before any reaper saw it has no
+        ``/proc`` entry to read, and reports nothing rather than a
+        bare pid."""
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        with self._service(served_graph) as service:
+            live = service._pool.worker_pids()
+            monkeypatch.setattr(service._pool, "worker_pids",
+                                lambda: {**live, 2: gone.pid})
+            workers = service.stats()["resources"]["workers"]
+        assert sorted(workers) == [0, 1]
 
     def test_metrics_carry_one_gauge_per_worker(self, served_graph):
         with self._service(served_graph) as service:

@@ -326,6 +326,29 @@ class TestAuditedFleet:
         assert stats["checked"] == 2
         assert stats["mismatches"] == 0
 
+    def test_default_latency_objectives_score_served_traffic(self):
+        """Workers time every index call into the per-mode series the
+        default latency objectives read, so distance and spg traffic
+        served by a default-config fleet is scored, not passed over."""
+        graph = _graph(seed=23, n=120)
+        pairs = sample_pairs(graph, 6, seed=29)
+        previous = set_registry(MetricsRegistry())
+        try:
+            with QueryService(build_index(graph, "ppl"), num_workers=1,
+                              options=QueryOptions(mode="distance")
+                              ) as service:
+                service.query_many(pairs)
+                service.query_many(pairs, mode="spg")
+                report = service.slo_status()
+                counters = get_registry().snapshot()["counters"]
+        finally:
+            set_registry(previous)
+        for name in ("latency-distance", "latency-spg"):
+            entry = report["objectives"][name]
+            assert entry["good"] + entry["bad"] > 0, name
+        for mode in ("distance", "spg"):
+            assert counters[f"session_queries_total{{mode={mode}}}"] > 0
+
     def test_wrong_answer_breaches_correctness(self):
         graph = _graph(seed=17, n=120)
         with _audited_service(graph) as service:
